@@ -227,29 +227,78 @@ def _decoded_coordinates(luminaires) -> "dict[int, tuple[int, int]]":
     return decoded
 
 
+@dataclass(frozen=True)
+class _Ceiling:
+    """Everything run_tracking derives from the fixtures and the camera alone."""
+
+    luminaires: "tuple[Luminaire, ...]"
+    registry: LedRegistry
+    taus: dict
+    coords: "dict[int, tuple[int, int]]"
+    xy: np.ndarray  # (N, 2) fixture positions, in luminaire order
+    height_cm: float
+    reach_per_dz: float  # tan of the view cone's semi-angle
+
+    def within_reach(self, position: Point3) -> "list[Luminaire]":
+        """Fixtures that a straight-up camera at position can possibly see, in
+        input order: those inside the view cone's footprint on the ceiling. The
+        1 cm margin absorbs rounding in observe_scene's angle test, which still
+        decides visibility."""
+        reach = (self.height_cm - position.z) * self.reach_per_dz + 1.0
+        d2 = ((self.xy - (position.x, position.y)) ** 2).sum(axis=1)
+        near = np.flatnonzero(d2 <= reach * reach)
+        return [self.luminaires[i] for i in near]
+
+
+# The most recent ceiling, keyed by the scenario fields that define it; an
+# ensemble's members share theirs, so it is built once per comparison. Every
+# run reads the same objects, so nothing may modify them.
+_ceiling_cache: "dict[tuple, _Ceiling]" = {}
+
+
+def _ceiling(scenario: Scenario) -> _Ceiling:
+    key = (scenario.room, scenario.camera, scenario.fixture, scenario.led_spacing_cm,
+           scenario.led_origin_cm, scenario.explicit_led_xy_cm)
+    ceiling = _ceiling_cache.get(key)
+    if ceiling is None:
+        luminaires = tuple(scenario.build_luminaires())
+        ceiling = _Ceiling(
+            luminaires=luminaires,
+            registry=LedRegistry.from_luminaires(luminaires),
+            taus={lum.led_id: ranging_constant(scenario.camera, lum) for lum in luminaires},
+            coords=_decoded_coordinates(luminaires),
+            xy=np.array([[lum.anchor.x, lum.anchor.y] for lum in luminaires]).reshape(-1, 2),
+            height_cm=scenario.room.ceiling_height_cm,
+            reach_per_dz=math.tan(math.radians(scenario.camera.fov_semi_angle_deg)),
+        )
+        _ceiling_cache.clear()
+        _ceiling_cache[key] = ceiling
+    return ceiling
+
+
 def run_tracking(scenario: Scenario) -> "list[RunRecord]":
     """Walk the trajectory and push every tick through the full pipeline:
     observe pixel areas, decode fixture IDs, invert to distances, upload a
-    packet, solve and filter on the server."""
-    luminaires = scenario.build_luminaires()
-    registry = LedRegistry.from_luminaires(luminaires)
+    packet, solve and filter on the server.
+
+    The ceiling set-up (fixtures, registry, ranging constants and decoded
+    broadcasts) is cached per process and reused while the room, camera and
+    fixture layout stay the same."""
+    ceiling = _ceiling(scenario)
+    taus, coords = ceiling.taus, ceiling.coords
     server = LightingServer(
-        registry,
+        ceiling.registry,
         scenario.room,
         kalman_config=constant_velocity_config(dt_s=1.0 / scenario.sampling_hz),
     )
     rng = np.random.default_rng(scenario.seed)
-    by_id = {lum.led_id: lum for lum in luminaires}
-    taus = {lum.led_id: ranging_constant(scenario.camera, lum) for lum in luminaires}
-    coords = _decoded_coordinates(luminaires)
 
     records: list[RunRecord] = []
     for k in range(scenario.tick_count()):
         t_s = k / scenario.sampling_hz
         truth = trajectory_point(scenario, t_s)
-        pose = Pose(truth)
         sightings = observe_scene(
-            luminaires, pose, scenario.camera, scenario.pixel_sigma, rng
+            ceiling.within_reach(truth), Pose(truth), scenario.camera, scenario.pixel_sigma, rng
         )
         detections = []
         for sig in sightings:
@@ -374,14 +423,14 @@ def run_filter_comparison(scenario: Scenario, ensemble_size: int = 100) -> "list
         raise ValueError("scenario too short to compare")
     err_kf = np.full((ensemble_size, n - 1), np.nan)
     err_raw = np.full((ensemble_size, n - 1), np.nan)
+    truths_next = [trajectory_point(scenario, (k + 1) / scenario.sampling_hz) for k in range(n - 1)]
     for j in range(ensemble_size):
         member = replace(scenario, seed=_member_seed(scenario.seed, j))
         records = run_tracking(member)
-        for k in range(n - 1):
+        for k, truth_next in enumerate(truths_next):
             rec = records[k]
             if rec.gap:
                 continue
-            truth_next = trajectory_point(scenario, (k + 1) / scenario.sampling_hz)
             err_kf[j, k] = math.hypot(
                 rec.predicted.x - truth_next.x, rec.predicted.y - truth_next.y
             )

@@ -27,7 +27,7 @@ from .solver import (
 )
 from . import tracker
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class UnknownLedId(KeyError):
@@ -200,21 +200,23 @@ class LightingServer:
                 f"{len(measurements)} resolvable records after dropping {dropped}"
             )
 
+        cold_start = session is None or session.tracker_state is None
         prior = None
-        if session is not None and session.tracker_state is not None:
-            px, py = tracker.predict(session.tracker_state, self.kalman_config).position_xy
+        if not cold_start:
+            # one prediction serves as the solver's prior and as the update's input
+            prior_state = tracker.predict(session.tracker_state, self.kalman_config)
+            px, py = prior_state.position_xy
             prior = Point3(px, py, session.last_position[2])
 
         estimate = estimate_position(measurements, self.room, prior)
 
-        cold_start = session is None or session.tracker_state is None
         if cold_start:
             state = tracker.initial_state(
                 (estimate.position.x, estimate.position.y), self.kalman_config
             )
         else:
             state = tracker.update(
-                tracker.predict(session.tracker_state, self.kalman_config),
+                prior_state,
                 (estimate.position.x, estimate.position.y),
                 self.kalman_config,
             )
@@ -288,6 +290,7 @@ class LightingServer:
             "session_id": session.session_id,
             "closed": session.closed,
             "last_seen_ms": session.last_seen_ms,
+            "last_probe_ms": session.last_probe_ms,
             "missed_probes": session.missed_probes,
             "last_position": list(session.last_position) if session.last_position else None,
             "tracker": state,
@@ -308,6 +311,7 @@ class LightingServer:
             session_id=snapshot["session_id"],
             tracker_state=state,
             last_seen_ms=snapshot["last_seen_ms"],
+            last_probe_ms=snapshot["last_probe_ms"],
             missed_probes=snapshot["missed_probes"],
             closed=snapshot["closed"],
             last_position=tuple(snapshot["last_position"])

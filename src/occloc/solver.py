@@ -153,16 +153,20 @@ def residual_rms_cm(measurements, position: Point3) -> float:
     return math.sqrt(sum(e * e for e in errs) / len(errs))
 
 
+def _linear_system(anchors: np.ndarray, dists: np.ndarray) -> LinearSystem:
+    n = len(anchors)
+    z = np.column_stack([np.ones(n), -2.0 * anchors[:, 0], -2.0 * anchors[:, 1], -2.0 * anchors[:, 2]])
+    q = dists**2 - (anchors**2).sum(axis=1)
+    return LinearSystem(z, q)
+
+
 def build_system(measurements) -> LinearSystem:
     """Assemble the linearized sphere system; rows follow measurement order."""
     if len(measurements) < 3:
         raise InsufficientAnchors(f"need at least 3 anchors, got {len(measurements)}")
     anchors, dists = _anchor_arrays(measurements)
     _check_common_ceiling(anchors)
-    n = len(measurements)
-    z = np.column_stack([np.ones(n), -2.0 * anchors[:, 0], -2.0 * anchors[:, 1], -2.0 * anchors[:, 2]])
-    q = dists**2 - (anchors**2).sum(axis=1)
-    return LinearSystem(z, q)
+    return _linear_system(anchors, dists)
 
 
 def _constrained_candidates(system: LinearSystem, allow_approximate: bool):
@@ -172,6 +176,11 @@ def _constrained_candidates(system: LinearSystem, allow_approximate: bool):
     come from the quadratic's two roots; a negative discriminant either raises
     NoRealRoot or, when approximation is allowed, takes the quadratic's vertex
     (the least-violating point on the solution line).
+
+    Anchors on one ceiling leave the system at rank 3; an anchor raised within
+    CEILING_TOLERANCE_CM can lift the fourth singular value above the rank
+    threshold, so the rank is capped at 3 and the weakest direction is always
+    the one the constraint closes.
     """
     z_mat, q = system.z_matrix, system.q_vector
     # Columns span very different magnitudes (1 vs coordinate scale); solve the
@@ -184,10 +193,7 @@ def _constrained_candidates(system: LinearSystem, allow_approximate: bool):
     rank = int(np.sum(s > 1e-10 * s[0]))
     if rank < 3:
         raise RankDeficient(f"system rank {rank} < 3")
-    x_p = (vt[:rank].T @ ((u[:, :rank].T @ q) / s[:rank])) / col_scale
-    if rank == 4:
-        # Anchors not coplanar; the linear solve is already determined.
-        return [Point3(*x_p[1:4])], True
+    x_p = (vt[:3].T @ ((u[:, :3].T @ q) / s[:3])) / col_scale
     x_h = vt[3] / col_scale
     x_h = x_h / np.linalg.norm(x_h)
     a = float(x_h[1:] @ x_h[1:])
@@ -229,10 +235,11 @@ def trilaterate(measurements) -> PositionEstimate:
     """
     if len(measurements) != 3:
         raise ValueError(f"trilaterate takes exactly 3 measurements, got {len(measurements)}")
-    anchors, _ = _anchor_arrays(measurements)
+    anchors, dists = _anchor_arrays(measurements)
     if _collinear_xy(anchors):
         raise CollinearAnchors("anchors are collinear; use trilaterate_collinear")
-    cands, _ = _constrained_candidates(build_system(measurements), allow_approximate=False)
+    _check_common_ceiling(anchors)
+    cands, _ = _constrained_candidates(_linear_system(anchors, dists), allow_approximate=False)
     return PositionEstimate(
         position=cands[0],
         candidates=tuple(cands[1:]),
@@ -306,10 +313,11 @@ def multilaterate(measurements) -> PositionEstimate:
     """
     if len(measurements) < 4:
         raise ValueError(f"multilaterate takes at least 4 measurements, got {len(measurements)}")
-    anchors, _ = _anchor_arrays(measurements)
+    anchors, dists = _anchor_arrays(measurements)
     if _collinear_xy(anchors):
         raise RankDeficient("anchors are collinear")
-    cands, _ = _constrained_candidates(build_system(measurements), allow_approximate=True)
+    _check_common_ceiling(anchors)
+    cands, _ = _constrained_candidates(_linear_system(anchors, dists), allow_approximate=True)
     return PositionEstimate(
         position=cands[0],
         candidates=tuple(cands[1:]),
@@ -337,6 +345,19 @@ def resolve_ambiguity(candidates, room: RoomConfig, prior: Point3 | None = None)
     return min(feasible, key=lambda c: c.z)
 
 
+def _settle(measurements, pool, room: RoomConfig, prior: Point3 | None, method: Method,
+            family: CollinearFamily | None = None) -> PositionEstimate:
+    """Pick the position from the candidate pool; the rest stay candidates."""
+    position = resolve_ambiguity(pool, room, prior)
+    return PositionEstimate(
+        position=position,
+        candidates=tuple(c for c in pool if c != position),
+        residual_cm=residual_rms_cm(measurements, position),
+        method=method,
+        family=family,
+    )
+
+
 def estimate_position(
     measurements, room: RoomConfig, prior: Point3 | None = None
 ) -> PositionEstimate:
@@ -345,10 +366,12 @@ def estimate_position(
 
     Three inconsistent distances (no exact intersection) degrade to the
     least-squares compromise rather than failing, and are tagged as such.
+    Non-collinear anchors are solved in one pass: trilaterate's and
+    multilaterate's answers are the pool it picks from.
     """
     if len(measurements) < 3:
         raise InsufficientAnchors(f"need at least 3 anchors, got {len(measurements)}")
-    anchors, _ = _anchor_arrays(measurements)
+    anchors, dists = _anchor_arrays(measurements)
     _check_common_ceiling(anchors)
     if abs(anchors[0, 2] - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
         raise ValueError("anchor height disagrees with the room ceiling")
@@ -369,39 +392,14 @@ def estimate_position(
             pool = tuple(fam.points_at_height(z_rep)) or (
                 Point3(fam.line_point.x, fam.line_point.y, z_rep),
             )
-        position = resolve_ambiguity(pool, room, prior)
-        return PositionEstimate(
-            position=position,
-            candidates=tuple(c for c in pool if c != position),
-            residual_cm=residual_rms_cm(measurements, position),
-            method=est.method,
-            family=est.family,
-        )
+        return _settle(measurements, pool, room, prior, est.method, est.family)
 
-    if len(measurements) == 3:
-        try:
-            est = trilaterate(measurements)
-            method = Method.TRILATERATION
-        except NoRealRoot:
-            cands, _ = _constrained_candidates(
-                build_system(measurements), allow_approximate=True
-            )
-            est = PositionEstimate(
-                position=cands[0],
-                candidates=tuple(cands[1:]),
-                residual_cm=residual_rms_cm(measurements, cands[0]),
-                method=Method.LEAST_SQUARES,
-            )
-            method = Method.LEAST_SQUARES
-    else:
-        est = multilaterate(measurements)
-        method = est.method
-
-    pool = (est.position,) + est.candidates
-    position = resolve_ambiguity(pool, room, prior)
-    return PositionEstimate(
-        position=position,
-        candidates=tuple(c for c in pool if c != position),
-        residual_cm=residual_rms_cm(measurements, position),
-        method=method,
+    # The exact roots are trilaterate's answer for three anchors; without
+    # them the vertex is the least-squares compromise it falls back to.
+    cands, exact = _constrained_candidates(
+        _linear_system(anchors, dists), allow_approximate=True
     )
+    method = (
+        Method.TRILATERATION if exact and len(measurements) == 3 else Method.LEAST_SQUARES
+    )
+    return _settle(measurements, tuple(cands), room, prior, method)

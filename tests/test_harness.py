@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from occloc import harness
 from occloc.harness import (
     BER_HEADER,
     FILTERCMP_HEADER,
@@ -27,8 +29,8 @@ from occloc.harness import (
     write_range_csv,
     write_track_csv,
 )
-from occloc.imaging import FeasibilityRegime
-from occloc.geometry import Point3
+from occloc.imaging import FeasibilityRegime, observe_scene
+from occloc.geometry import Point3, Pose
 
 
 class TestScenarioConfig:
@@ -162,6 +164,83 @@ class TestRunTracking:
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         assert lines[1].split(",")[3] == "nan"
+
+
+def _cold(fn, *args):
+    """fn(*args) as a new process would run it, with no ceiling cached."""
+    harness._ceiling_cache.clear()
+    return fn(*args)
+
+
+class TestCeilingCache:
+    BASE = replace(default_scenario(), duration_s=6.0)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            replace(BASE, camera=replace(BASE.camera, focal_length_mm=6.0)),
+            replace(BASE, fixture=replace(BASE.fixture, radius_mm=100.0, area_mm2=None)),
+        ],
+        ids=["focal_length", "fixture"],
+    )
+    def test_a_changed_ceiling_is_rebuilt(self, other):
+        cold_base, cold_other = _cold(run_tracking, self.BASE), _cold(run_tracking, other)
+        assert cold_other != cold_base
+        harness._ceiling_cache.clear()
+        assert run_tracking(self.BASE) == cold_base
+        assert run_tracking(other) == cold_other
+        assert run_tracking(self.BASE) == cold_base
+
+    def test_filter_comparison_cold_and_warm(self):
+        s = default_filtercmp_scenario()
+        cold = _cold(run_filter_comparison, s, 5)
+        assert run_filter_comparison(s, 5) == cold
+
+
+class TestViewWindow:
+    """The fixtures within reach, observed, give the sightings of the full
+    ceiling: the window drops only fixtures outside the view cone."""
+
+    SCENARIO = default_scenario()
+    CEILING = SCENARIO.room.ceiling_height_cm
+
+    def _same_sightings(self, position: Point3, seed: int):
+        camera = self.SCENARIO.camera
+        ceiling = harness._ceiling(self.SCENARIO)
+        pose = Pose(position)
+        full = observe_scene(ceiling.luminaires, pose, camera, 100.0, np.random.default_rng(seed))
+        near = observe_scene(
+            ceiling.within_reach(position), pose, camera, 100.0, np.random.default_rng(seed)
+        )
+        assert near == full
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.floats(-100, 1300),
+        y=st.floats(-100, 1300),
+        z=st.floats(0, 299.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_random_positions(self, x, y, z, seed):
+        self._same_sightings(Point3(x, y, z), seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fixture=st.integers(0, 63),
+        off_deg=st.floats(-1e-6, 1e-6),
+        azimuth=st.floats(0, 2 * math.pi),
+        dz=st.floats(1.0, 300.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_positions_at_the_cone_edge(self, fixture, off_deg, azimuth, dz, seed):
+        # a fixture seen at the cone's semi-angle, give or take rounding
+        anchor = self.SCENARIO.build_luminaires()[fixture].anchor
+        theta = math.radians(self.SCENARIO.camera.fov_semi_angle_deg + off_deg)
+        r = dz * math.tan(theta)
+        position = Point3(
+            anchor.x - r * math.cos(azimuth), anchor.y - r * math.sin(azimuth), self.CEILING - dz
+        )
+        self._same_sightings(position, seed)
 
 
 class TestBerSweep:

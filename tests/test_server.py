@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from occloc.geometry import Circular, Luminaire, Point3, RoomConfig, distance
 from occloc.server import (
@@ -239,6 +240,53 @@ class TestSnapshot:
     def test_unknown_session_raises(self):
         with pytest.raises(KeyError):
             make_server().snapshot("missing")
+
+    def test_restore_keeps_the_last_probe_time(self):
+        def probe_after_restore(restore: bool):
+            server = make_server(probe_interval_ms=2000, probe_limit=3)
+            server.ingest(packet_from_truth(Point3(520, 510, 100), 0))
+            server.probe_tick("s1", 2500)
+            if restore:
+                snap = json.loads(json.dumps(server.snapshot("s1")))
+                server = make_server(probe_interval_ms=2000, probe_limit=3)
+                server.restore_session(snap)
+            return server.probe_tick("s1", 3000).missed_probes
+
+        assert probe_after_restore(False) == 1
+        assert probe_after_restore(True) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(st.sampled_from(["ingest", "probe"]), st.integers(1, 6).map(lambda k: 500 * k),
+                      st.floats(470, 580), st.floats(470, 580)),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_snapshot_restore_continue_equals_uninterrupted(self, events):
+        def outcome(server, kind, t_ms, x, y):
+            try:
+                if kind == "probe":
+                    return server.probe_tick("s1", t_ms)
+                return server.ingest(packet_from_truth(Point3(x, y, 100), t_ms)).filtered
+            except (SessionClosed, StaleTimestamp) as exc:
+                return type(exc)
+
+        schedule, t_ms = [("ingest", 0, 500.0, 500.0)], 0
+        for kind, dt_ms, x, y in events:
+            t_ms += dt_ms
+            schedule.append((kind, t_ms, x, y))
+        plain = make_server(probe_limit=3)
+        expected = [outcome(plain, *e) for e in schedule]
+        for split in range(1, len(schedule) + 1):
+            first = make_server(probe_limit=3)
+            got = [outcome(first, *e) for e in schedule[:split]]
+            resumed = make_server(probe_limit=3)
+            resumed.restore_session(json.loads(json.dumps(first.snapshot("s1"))))
+            got += [outcome(resumed, *e) for e in schedule[split:]]
+            assert got == expected
+            assert resumed.snapshot("s1") == plain.snapshot("s1")
 
     def test_version_checked(self):
         server = make_server()

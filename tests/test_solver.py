@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from occloc.geometry import Point3, RoomConfig, distance
 from occloc.solver import (
+    CEILING_TOLERANCE_CM,
     AnchorMeasurement,
     CollinearAnchors,
     DegenerateAnchors,
@@ -21,6 +22,7 @@ from occloc.solver import (
     trilaterate,
     trilaterate_collinear,
 )
+from occloc.solver import _constrained_candidates
 
 ROOM = RoomConfig(1219.0, 1219.0, 300.0)
 
@@ -417,3 +419,95 @@ class TestGeometricDilution:
             xy_sq.append((est.position.x - truth.x) ** 2)
             xy_sq.append((est.position.y - truth.y) ** 2)
         assert math.sqrt(np.mean(z_sq)) > math.sqrt(np.mean(xy_sq))
+
+
+def _pool(est):
+    return {est.position, *est.candidates}
+
+
+class TestSinglePass:
+    """estimate_position solves non-collinear anchors in one pass; its pool
+    must be the one the dedicated solvers produce."""
+
+    GRID = [(300, 450), (450, 450), (300, 600), (450, 600), (600, 450), (600, 600)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 6),
+        x=st.floats(300, 600),
+        y=st.floats(450, 600),
+        z=st.floats(20, 250),
+        noise=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    )
+    def test_pool_matches_multilaterate(self, n, x, y, z, noise):
+        exact = measure_from(Point3(x, y, z), self.GRID[:n])
+        ms = [AnchorMeasurement(m.anchor, m.distance_cm + e) for m, e in zip(exact, noise)]
+        est = estimate_position(ms, ROOM)
+        assert est.method is Method.LEAST_SQUARES
+        assert _pool(est) == _pool(multilaterate(ms))
+
+    def test_three_consistent_anchors_match_trilaterate(self):
+        ms = measure_from(Point3(420, 510, 110), self.GRID[:3])
+        est = estimate_position(ms, ROOM)
+        assert est.method is Method.TRILATERATION
+        assert _pool(est) == _pool(trilaterate(ms))
+
+    def test_three_inconsistent_anchors_fall_back_to_the_vertex(self):
+        ms = measure_from(Point3(420, 510, 110), self.GRID[:3])
+        bumped = [
+            AnchorMeasurement(ms[0].anchor, ms[0].distance_cm * 1.25),
+            AnchorMeasurement(ms[1].anchor, ms[1].distance_cm * 0.8),
+            ms[2],
+        ]
+        with pytest.raises(NoRealRoot):
+            trilaterate(bumped)
+        cands, exact = _constrained_candidates(build_system(bumped), allow_approximate=True)
+        assert not exact
+        est = estimate_position(bumped, ROOM)
+        assert est.method is Method.LEAST_SQUARES
+        assert (est.position, est.candidates) == (cands[0], tuple(cands[1:]))
+
+
+def _in_extended_bounds(room: RoomConfig, p: Point3) -> bool:
+    mx, my, mz = 0.1 * room.width_cm, 0.1 * room.depth_cm, 0.1 * room.ceiling_height_cm
+    return (
+        -mx <= p.x <= room.width_cm + mx
+        and -my <= p.y <= room.depth_cm + my
+        and -mz <= p.z <= room.ceiling_height_cm + mz
+    )
+
+
+class TestCeilingTolerance:
+    """Anchors may differ in height by up to CEILING_TOLERANCE_CM; the tiny
+    tilt must not turn the rank-3 system into a determined one."""
+
+    SMALL_ROOM = RoomConfig(300.0, 300.0, 300.0)
+    CORNERS = [(0, 0), (300, 0), (0, 300), (300, 300), (150, 150), (300, 150)]
+
+    def test_raised_anchor_keeps_the_mirror_pair(self):
+        rng = np.random.default_rng(0)
+        truth = Point3(150, 120, 100)
+        anchors = [Point3(x, y, 300.0) for x, y in self.CORNERS[:4]]
+        anchors[0] = Point3(0, 0, 300.0 + 9e-7)
+        ms = [AnchorMeasurement(a, distance(truth, a) + rng.normal(0, 1.0)) for a in anchors]
+        zs = sorted(p.z for p in _pool(multilaterate(ms)))
+        assert zs == pytest.approx([99.77, 500.23], abs=0.01)
+        assert estimate_position(ms, self.SMALL_ROOM).position.z == pytest.approx(99.77, abs=0.01)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        raises=st.lists(st.floats(0.0, CEILING_TOLERANCE_CM), min_size=3, max_size=6),
+        x=st.floats(50, 250),
+        y=st.floats(50, 250),
+        z=st.floats(50, 200),
+        noise=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    )
+    def test_anchors_within_tolerance_give_bounded_estimates(self, raises, x, y, z, noise):
+        truth = Point3(x, y, z)
+        anchors = [Point3(ax, ay, 300.0 + dz) for (ax, ay), dz in zip(self.CORNERS, raises)]
+        ms = [AnchorMeasurement(a, distance(truth, a) + e) for a, e in zip(anchors, noise)]
+        est = estimate_position(ms, self.SMALL_ROOM)
+        assert _in_extended_bounds(self.SMALL_ROOM, est.position)
+        # the mirror candidate lies above the ceiling, but no farther than a range
+        reach = max(m.distance_cm for m in ms)
+        assert all(abs(p.z - 300.0) <= reach for p in _pool(est))
