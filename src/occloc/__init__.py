@@ -68,14 +68,12 @@ from .solver import (
     CollinearFamily,
     DegenerateAnchors,
     InsufficientAnchors,
-    LinearSystem,
     Method,
     NoFeasibleCandidate,
     NoRealRoot,
     PositionEstimate,
     RankDeficient,
     SolverError,
-    build_system,
     estimate_position,
     multilaterate,
     resolve_ambiguity,

@@ -163,6 +163,13 @@ class Scenario:
                 raise ScenarioError(f"waypoint {wp} leaves the room floor plan")
             if not (0 <= z < self.room.ceiling_height_cm):
                 raise ScenarioError(f"waypoint {wp} is not below the ceiling")
+            # The camera looks straight up and z moves linearly between
+            # waypoints, so this keeps every fixture beyond the focal length,
+            # where the far-field ranging model holds.
+            if self.room.ceiling_height_cm - z <= self.camera.focal_length_mm / 10.0:
+                raise ScenarioError(
+                    f"waypoint {wp} is within the camera's focal length of the ceiling"
+                )
 
     def build_luminaires(self) -> "list[Luminaire]":
         """Materialize the ceiling fixtures: explicit placements, or the grid."""

@@ -1,16 +1,25 @@
 """Position estimation from anchor/distance pairs.
 
-The sphere equations |P - a_j|^2 = d_j^2 linearize into rows
-[1, -2x_j, -2y_j, -2h] . [w, x, y, z] = d_j^2 - |a_j|^2 with the auxiliary
-unknown w = x^2 + y^2 + z^2. With every anchor at the common ceiling height h,
-the first and last columns are proportional, so the system has rank at most 3
-no matter how many anchors contribute: a least-squares solve pins x and y but
-leaves a one-parameter line in (w, z). The consistency constraint
-w = x^2 + y^2 + z^2 closes it as a quadratic whose two roots are the mirror
-candidates above and below the anchor plane.
+Every anchor sits on one ceiling plane z = h, so the sphere equations
+|P - a_j|^2 = d_j^2 separate. Let c_j be anchor j's horizontal offset from
+the anchor centroid and p the phone's. Subtracting the mean sphere equation
+removes |p|^2 and the height, which leaves a linear least-squares problem in
+the two unknowns of p:
 
-Collinear anchors drop the rank to 2; the solution set is then a circle around
-the anchor line, handled by the dedicated collinear path.
+    2 c_j . p = (|c_j|^2 - mean |c|^2) - (d_j^2 - mean d^2)
+
+The mean equation then gives the height: (z - h)^2 = m = mean(d_j^2 - rho_j^2),
+with rho_j = |c_j - p| each anchor's horizontal distance. So the candidates
+are the mirror pair z = h -/+ sqrt(m) below and above the anchor plane or,
+when noise drives m negative, the least-violating point z = h (Manolakis 1996,
+"Efficient solution and performance analysis of 3-D position estimation by
+trilateration", IEEE TAES; Beck, Stoica & Li 2008, "Exact and approximate
+solutions of source localization problems", IEEE TSP).
+
+One thin SVD of the centered horizontal anchor matrix serves every solve: its
+singular values decide collinearity, and it solves for p. Collinear anchors
+fix p only along their line, which is the rank-one part of the same solve; the
+rest is a circle of radius sqrt(m) around the line, a CollinearFamily.
 """
 
 from __future__ import annotations
@@ -67,15 +76,6 @@ class AnchorMeasurement:
             raise ValueError("distance must be positive")
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Linearized sphere system: rows [1, -2x_j, -2y_j, -2h] against
-    q_j = d_j^2 - |a_j|^2, unknowns [x^2+y^2+z^2, x, y, z]."""
-
-    z_matrix: np.ndarray
-    q_vector: np.ndarray
-
-
 class Method(enum.Enum):
     TRILATERATION = "trilateration"
     COLLINEAR_FAMILY = "collinear-family"
@@ -126,103 +126,98 @@ class PositionEstimate:
     family: CollinearFamily | None = None
 
 
-def _anchor_arrays(measurements) -> tuple[np.ndarray, np.ndarray]:
-    anchors = np.array(
-        [[m.anchor.x, m.anchor.y, m.anchor.z] for m in measurements], dtype=float
+class _Anchors:
+    """The measurements as arrays on their common ceiling plane, with the one
+    thin SVD of the centered horizontal anchor matrix that every solve shares."""
+
+    def __init__(self, measurements):
+        self.xyz = np.array(
+            [[m.anchor.x, m.anchor.y, m.anchor.z] for m in measurements], dtype=float
+        )
+        if np.ptp(self.xyz[:, 2]) > CEILING_TOLERANCE_CM:
+            raise ValueError("anchors must share one ceiling height")
+        self.dists = np.array([m.distance_cm for m in measurements], dtype=float)
+        # sum / n is np.mean's arithmetic without its per-call overhead
+        self.n = len(self.dists)
+        self.h = float(self.xyz[:, 2].sum()) / self.n
+        self.centroid = self.xyz[:, :2].sum(axis=0) / self.n
+        self.centered = self.xyz[:, :2] - self.centroid
+        self.u, self.s, self.vt = np.linalg.svd(self.centered, full_matrices=False)
+        # coincident anchors count as collinear
+        self.collinear = bool(self.s[0] == 0.0 or self.s[-1] <= COLLINEARITY_RTOL * self.s[0])
+
+    def fit_xy(self, rank: int) -> tuple[np.ndarray, float, float]:
+        """The least-squares horizontal position over the first `rank` singular
+        directions (2 for a plane, 1 along a line), m = mean(d^2 - rho^2) and
+        mean(d^2), the scale m is rounded at."""
+        c2 = (self.centered**2).sum(axis=1)
+        d2 = self.dists**2
+        d2_mean = float(d2.sum()) / self.n
+        rhs = (c2 - c2.sum() / self.n) - (d2 - d2_mean)
+        p = ((self.u[:, :rank].T @ rhs) / (2.0 * self.s[:rank])) @ self.vt[:rank]
+        rho2 = ((self.centered - p) ** 2).sum(axis=1)
+        return self.centroid + p, float((d2 - rho2).sum()) / self.n, d2_mean
+
+    def mirror_pair(self, allow_approximate: bool) -> tuple[list[Point3], bool]:
+        """Candidates sorted by z ascending, and whether they are exact roots.
+
+        A negative m beyond rounding either raises NoRealRoot or, when
+        approximation is allowed, gives the vertex z = h.
+        """
+        (x, y), m, d2_mean = self.fit_xy(2)
+        if m >= -1e-10 * d2_mean:
+            r = math.sqrt(max(m, 0.0))
+            zs, exact = sorted({self.h - r, self.h + r}), True
+        elif allow_approximate:
+            zs, exact = [self.h], False
+        else:
+            raise NoRealRoot(f"sphere constraint has no real solution (m = {m:.3g} cm^2)")
+        return [Point3(x, y, z) for z in zs], exact
+
+    def family(self) -> CollinearFamily:
+        """The circle of solutions around collinear anchors."""
+        if self.s[0] == 0.0:
+            raise DegenerateAnchors("anchors coincide")
+        direction = self.vt[0]
+        if np.ptp(self.centered @ direction) <= 1e-9:
+            raise DegenerateAnchors("anchors coincide along the line")
+        (x, y), m, _ = self.fit_xy(1)
+        return CollinearFamily(
+            line_point=Point3(x, y, self.h),
+            direction=(float(direction[0]), float(direction[1]), 0.0),
+            radius_cm=math.sqrt(max(m, 0.0)),
+        )
+
+    def residual_cm(self, position: Point3) -> float:
+        """RMS of (distance to anchor - measured distance) over all anchors."""
+        gaps = np.linalg.norm(self.xyz - position.as_tuple(), axis=1) - self.dists
+        return math.sqrt(float((gaps**2).sum()) / self.n)
+
+
+def _estimate(anchors: _Anchors, position: Point3, pool, method: Method,
+              family: CollinearFamily | None = None) -> PositionEstimate:
+    """The chosen position; the rest of the pool stays as candidates."""
+    return PositionEstimate(
+        position=position,
+        candidates=tuple(c for c in pool if c != position),
+        residual_cm=anchors.residual_cm(position),
+        method=method,
+        family=family,
     )
-    dists = np.array([m.distance_cm for m in measurements], dtype=float)
-    return anchors, dists
 
 
-def _check_common_ceiling(anchors: np.ndarray):
-    if np.ptp(anchors[:, 2]) > CEILING_TOLERANCE_CM:
-        raise ValueError("anchors must share one ceiling height")
-
-
-def _collinear_xy(anchors: np.ndarray) -> bool:
-    """Smallest singular value of the centered horizontal anchor matrix below
-    COLLINEARITY_RTOL times the largest (coincident anchors count as collinear)."""
-    centered = anchors[:, :2] - anchors[:, :2].mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    return s[0] == 0.0 or s[-1] <= COLLINEARITY_RTOL * s[0]
-
-
-def residual_rms_cm(measurements, position: Point3) -> float:
-    """RMS of (distance to anchor - measured distance) over all measurements."""
-    errs = [distance(position, m.anchor) - m.distance_cm for m in measurements]
-    return math.sqrt(sum(e * e for e in errs) / len(errs))
-
-
-def _linear_system(anchors: np.ndarray, dists: np.ndarray) -> LinearSystem:
-    n = len(anchors)
-    z = np.column_stack([np.ones(n), -2.0 * anchors[:, 0], -2.0 * anchors[:, 1], -2.0 * anchors[:, 2]])
-    q = dists**2 - (anchors**2).sum(axis=1)
-    return LinearSystem(z, q)
-
-
-def build_system(measurements) -> LinearSystem:
-    """Assemble the linearized sphere system; rows follow measurement order."""
-    if len(measurements) < 3:
-        raise InsufficientAnchors(f"need at least 3 anchors, got {len(measurements)}")
-    anchors, dists = _anchor_arrays(measurements)
-    _check_common_ceiling(anchors)
-    return _linear_system(anchors, dists)
-
-
-def _constrained_candidates(system: LinearSystem, allow_approximate: bool):
-    """Solve the rank-3 system and close it with w = x^2 + y^2 + z^2.
-
-    Returns (candidates sorted by z ascending, exact_roots flag). Candidates
-    come from the quadratic's two roots; a negative discriminant either raises
-    NoRealRoot or, when approximation is allowed, takes the quadratic's vertex
-    (the least-violating point on the solution line).
-
-    Anchors on one ceiling leave the system at rank 3; an anchor raised within
-    CEILING_TOLERANCE_CM can lift the fourth singular value above the rank
-    threshold, so the rank is capped at 3 and the weakest direction is always
-    the one the constraint closes.
-    """
-    z_mat, q = system.z_matrix, system.q_vector
-    # Columns span very different magnitudes (1 vs coordinate scale); solve the
-    # column-equilibrated system to keep the factorization well conditioned.
-    col_scale = np.linalg.norm(z_mat, axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    u, s, vt = np.linalg.svd(z_mat / col_scale, full_matrices=True)
-    if s[0] == 0.0:
-        raise DegenerateAnchors("zero system matrix")
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    if rank < 3:
-        raise RankDeficient(f"system rank {rank} < 3")
-    x_p = (vt[:3].T @ ((u[:, :3].T @ q) / s[:3])) / col_scale
-    x_h = vt[3] / col_scale
-    x_h = x_h / np.linalg.norm(x_h)
-    a = float(x_h[1:] @ x_h[1:])
-    if a == 0.0:
-        raise DegenerateAnchors("null direction carries no spatial component")
-    b = float(2.0 * (x_p[1:] @ x_h[1:]) - x_h[0])
-    c = float(x_p[1:] @ x_p[1:] - x_p[0])
-    disc = b * b - 4.0 * a * c
-    scale = max(1.0, b * b, abs(4.0 * a * c))
-    if disc < -1e-10 * scale:
-        if not allow_approximate:
-            raise NoRealRoot(
-                f"sphere constraint has no real solution (discriminant {disc:.3g})"
-            )
-        ts = [-b / (2.0 * a)]
-        exact = False
-    elif disc <= 1e-12 * scale or b == 0.0:
-        root = math.sqrt(max(disc, 0.0))
-        ts = sorted({(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)})
-        exact = True
-    else:
-        # cancellation-free pairing: the large-magnitude root first, its twin
-        # from the product of roots
-        big = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-        ts = sorted({big / a, c / big})
-        exact = True
-    pts = [Point3(*(x_p[1:4] + t * x_h[1:4])) for t in ts]
-    pts.sort(key=lambda p: p.z)
-    return pts, exact
+def _rim_points(family: CollinearFamily, camera_height_cm: float | None) -> "list[Point3]":
+    """The family members at the camera height, or the circle's lowest point
+    without one."""
+    lp = family.line_point
+    if camera_height_cm is None:
+        return [Point3(lp.x, lp.y, lp.z - family.radius_cm)]
+    at_height = family.points_at_height(camera_height_cm)
+    if not at_height:
+        # Height constraint misses the circle (noise); take the nearest rim.
+        z_near = lp.z - family.radius_cm if camera_height_cm < lp.z else lp.z + family.radius_cm
+        at_height = [Point3(lp.x, lp.y, z_near)]
+    return at_height
 
 
 def trilaterate(measurements) -> PositionEstimate:
@@ -235,17 +230,11 @@ def trilaterate(measurements) -> PositionEstimate:
     """
     if len(measurements) != 3:
         raise ValueError(f"trilaterate takes exactly 3 measurements, got {len(measurements)}")
-    anchors, dists = _anchor_arrays(measurements)
-    if _collinear_xy(anchors):
+    anchors = _Anchors(measurements)
+    if anchors.collinear:
         raise CollinearAnchors("anchors are collinear; use trilaterate_collinear")
-    _check_common_ceiling(anchors)
-    cands, _ = _constrained_candidates(_linear_system(anchors, dists), allow_approximate=False)
-    return PositionEstimate(
-        position=cands[0],
-        candidates=tuple(cands[1:]),
-        residual_cm=residual_rms_cm(measurements, cands[0]),
-        method=Method.TRILATERATION,
-    )
+    pool, _ = anchors.mirror_pair(allow_approximate=False)
+    return _estimate(anchors, pool[0], pool, Method.TRILATERATION)
 
 
 def trilaterate_collinear(measurements, camera_height_cm: float | None = None) -> PositionEstimate:
@@ -258,72 +247,29 @@ def trilaterate_collinear(measurements, camera_height_cm: float | None = None) -
     """
     if len(measurements) < 2:
         raise InsufficientAnchors("collinear solve needs at least 2 anchors")
-    anchors, dists = _anchor_arrays(measurements)
-    _check_common_ceiling(anchors)
-    h = float(anchors[:, 2].mean())
-    centroid = anchors[:, :2].mean(axis=0)
-    centered = anchors[:, :2] - centroid
-    u_svd, s_svd, vt_svd = np.linalg.svd(centered, full_matrices=False)
-    if s_svd[0] == 0.0:
-        raise DegenerateAnchors("anchors coincide")
-    if len(s_svd) > 1 and s_svd[1] > COLLINEARITY_RTOL * s_svd[0]:
+    anchors = _Anchors(measurements)
+    if not anchors.collinear:
         raise ValueError("anchors are not collinear")
-    direction = vt_svd[0]
-    along = centered @ direction
-    if np.ptp(along) <= 1e-9:
-        raise DegenerateAnchors("anchors coincide along the line")
-    # d_j^2 = (s - along_j)^2 + r^2 linearizes to [1, -2*along_j] . [s^2 + r^2, s]
-    design = np.column_stack([np.ones(len(along)), -2.0 * along])
-    rhs = dists**2 - along**2
-    (c_val, s_val), *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    radius = math.sqrt(max(c_val - s_val * s_val, 0.0))
-    line_xy = centroid + s_val * direction
-    family = CollinearFamily(
-        line_point=Point3(float(line_xy[0]), float(line_xy[1]), h),
-        direction=(float(direction[0]), float(direction[1]), 0.0),
-        radius_cm=radius,
-    )
-    if camera_height_cm is None:
-        position = Point3(family.line_point.x, family.line_point.y, h - radius)
-        cands: tuple[Point3, ...] = ()
-    else:
-        at_height = family.points_at_height(camera_height_cm)
-        if not at_height:
-            # Height constraint misses the circle (noise); take the nearest rim.
-            z_near = h - radius if camera_height_cm < h else h + radius
-            at_height = [Point3(family.line_point.x, family.line_point.y, z_near)]
-        position = at_height[0]
-        cands = tuple(at_height[1:])
-    return PositionEstimate(
-        position=position,
-        candidates=cands,
-        residual_cm=residual_rms_cm(measurements, position),
-        method=Method.COLLINEAR_FAMILY,
-        family=family,
-    )
+    family = anchors.family()
+    pool = _rim_points(family, camera_height_cm)
+    return _estimate(anchors, pool[0], pool, Method.COLLINEAR_FAMILY, family)
 
 
 def multilaterate(measurements) -> PositionEstimate:
     """Least-squares solve over four or more anchors.
 
-    The orthogonal-factorization solve fixes x and y; the sphere constraint
-    resolves z (mirror pair, lower one reported first). Inconsistent distances
-    fall back to the least-violating point, with the mismatch visible in the
-    residual. Collinear anchors raise RankDeficient.
+    The centered solve fixes x and y; the mean sphere equation resolves z
+    (mirror pair, lower one reported first). Inconsistent distances fall back
+    to the least-violating point, with the mismatch visible in the residual.
+    Collinear anchors raise RankDeficient.
     """
     if len(measurements) < 4:
         raise ValueError(f"multilaterate takes at least 4 measurements, got {len(measurements)}")
-    anchors, dists = _anchor_arrays(measurements)
-    if _collinear_xy(anchors):
+    anchors = _Anchors(measurements)
+    if anchors.collinear:
         raise RankDeficient("anchors are collinear")
-    _check_common_ceiling(anchors)
-    cands, _ = _constrained_candidates(_linear_system(anchors, dists), allow_approximate=True)
-    return PositionEstimate(
-        position=cands[0],
-        candidates=tuple(cands[1:]),
-        residual_cm=residual_rms_cm(measurements, cands[0]),
-        method=Method.LEAST_SQUARES,
-    )
+    pool, _ = anchors.mirror_pair(allow_approximate=True)
+    return _estimate(anchors, pool[0], pool, Method.LEAST_SQUARES)
 
 
 def resolve_ambiguity(candidates, room: RoomConfig, prior: Point3 | None = None) -> Point3:
@@ -345,61 +291,38 @@ def resolve_ambiguity(candidates, room: RoomConfig, prior: Point3 | None = None)
     return min(feasible, key=lambda c: c.z)
 
 
-def _settle(measurements, pool, room: RoomConfig, prior: Point3 | None, method: Method,
-            family: CollinearFamily | None = None) -> PositionEstimate:
-    """Pick the position from the candidate pool; the rest stay candidates."""
-    position = resolve_ambiguity(pool, room, prior)
-    return PositionEstimate(
-        position=position,
-        candidates=tuple(c for c in pool if c != position),
-        residual_cm=residual_rms_cm(measurements, position),
-        method=method,
-        family=family,
-    )
-
-
 def estimate_position(
     measurements, room: RoomConfig, prior: Point3 | None = None
 ) -> PositionEstimate:
-    """Full dispatch: pick the solver by anchor count and collinearity, then
+    """Full dispatch: pick the solve by anchor count and collinearity, then
     settle the candidate ambiguity against the room and the motion prior.
 
     Three inconsistent distances (no exact intersection) degrade to the
     least-squares compromise rather than failing, and are tagged as such.
-    Non-collinear anchors are solved in one pass: trilaterate's and
-    multilaterate's answers are the pool it picks from.
+    Every path shares one factorization of the anchor geometry.
     """
     if len(measurements) < 3:
         raise InsufficientAnchors(f"need at least 3 anchors, got {len(measurements)}")
-    anchors, dists = _anchor_arrays(measurements)
-    _check_common_ceiling(anchors)
-    if abs(anchors[0, 2] - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
+    anchors = _Anchors(measurements)
+    if abs(anchors.xyz[0, 2] - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
         raise ValueError("anchor height disagrees with the room ceiling")
 
-    if _collinear_xy(anchors):
-        est = trilaterate_collinear(
-            measurements, camera_height_cm=None if prior is None else prior.z
-        )
-        pool = (est.position,) + est.candidates
-        feasible = [p for p in pool if -1e-9 <= p.z <= room.ceiling_height_cm + 1e-9]
-        if not feasible:
+    if anchors.collinear:
+        family = anchors.family()
+        pool = _rim_points(family, None if prior is None else prior.z)
+        if not any(-1e-9 <= p.z <= room.ceiling_height_cm + 1e-9 for p in pool):
             # The circle dips below the floor (or above the ceiling) at the
             # chosen height; re-slice it at the nearest height inside the room.
-            fam = est.family
-            z_rep = min(
-                max(fam.line_point.z - fam.radius_cm, 0.0), room.ceiling_height_cm
-            )
-            pool = tuple(fam.points_at_height(z_rep)) or (
-                Point3(fam.line_point.x, fam.line_point.y, z_rep),
-            )
-        return _settle(measurements, pool, room, prior, est.method, est.family)
+            lp = family.line_point
+            z_rep = min(max(lp.z - family.radius_cm, 0.0), room.ceiling_height_cm)
+            pool = family.points_at_height(z_rep) or [Point3(lp.x, lp.y, z_rep)]
+        position = resolve_ambiguity(pool, room, prior)
+        return _estimate(anchors, position, pool, Method.COLLINEAR_FAMILY, family)
 
     # The exact roots are trilaterate's answer for three anchors; without
     # them the vertex is the least-squares compromise it falls back to.
-    cands, exact = _constrained_candidates(
-        _linear_system(anchors, dists), allow_approximate=True
-    )
+    pool, exact = anchors.mirror_pair(allow_approximate=True)
     method = (
         Method.TRILATERATION if exact and len(measurements) == 3 else Method.LEAST_SQUARES
     )
-    return _settle(measurements, tuple(cands), room, prior, method)
+    return _estimate(anchors, resolve_ambiguity(pool, room, prior), pool, method)

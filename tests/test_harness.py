@@ -72,6 +72,27 @@ class TestScenarioConfig:
                 {"trajectory": {"waypoints_cm": [[-5.0, 10.0, 100.0]]}}
             )
 
+    def test_waypoint_within_the_focal_length_rejected(self):
+        # the 5 mm focal length puts the limit 0.5 cm below the 300 cm ceiling
+        with pytest.raises(ScenarioError, match="299.96"):
+            replace(
+                default_scenario(),
+                waypoints_cm=((75, 75, 299.96),),
+                speed_cm_s=0,
+                duration_s=2,
+            )
+        with pytest.raises(ScenarioError, match="299.96"):
+            scenario_from_dict(
+                {"trajectory": {"waypoints_cm": [[75, 75, 299.96]], "speed_cm_s": 0},
+                 "duration_s": 2}
+            )
+
+    def test_waypoint_beyond_the_focal_length_runs(self):
+        s = replace(
+            default_scenario(), waypoints_cm=((75, 75, 299.4),), speed_cm_s=0, duration_s=2
+        )
+        assert len(run_tracking(s)) == s.tick_count()
+
     def test_grid_count(self):
         # 1219 cm span, origin 75, spacing 150: 8 positions per axis
         assert len(default_scenario().build_luminaires()) == 64

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from occloc.geometry import Point3, RoomConfig, distance
 from occloc.solver import (
@@ -15,14 +16,12 @@ from occloc.solver import (
     NoFeasibleCandidate,
     NoRealRoot,
     RankDeficient,
-    build_system,
     estimate_position,
     multilaterate,
     resolve_ambiguity,
     trilaterate,
     trilaterate_collinear,
 )
-from occloc.solver import _constrained_candidates
 
 ROOM = RoomConfig(1219.0, 1219.0, 300.0)
 
@@ -40,37 +39,57 @@ def sphere_misfits(measurements, p: Point3):
     return [abs(distance(p, m.anchor) - m.distance_cm) for m in measurements]
 
 
+def exact_reference(measurements):
+    """The centered solve in exact rational arithmetic.
+
+    Solves the normal equations of 2 c_j . p = (|c_j|^2 - mean |c|^2) -
+    (d_j^2 - mean d^2) for the horizontal position and returns (x, y, h, m):
+    the position, the mean anchor height and m = mean(d^2 - rho^2), the
+    squared height offset (negative when the distances admit no real root).
+    """
+    n = len(measurements)
+    ax = [Fraction(meas.anchor.x) for meas in measurements]
+    ay = [Fraction(meas.anchor.y) for meas in measurements]
+    d2 = [Fraction(meas.distance_cm) ** 2 for meas in measurements]
+    cx0, cy0 = sum(ax) / n, sum(ay) / n
+    cx = [x - cx0 for x in ax]
+    cy = [y - cy0 for y in ay]
+    c2 = [x * x + y * y for x, y in zip(cx, cy)]
+    c2_mean, d2_mean = sum(c2) / n, sum(d2) / n
+    rhs = [(a - c2_mean) - (b - d2_mean) for a, b in zip(c2, d2)]
+    # (2C)^T (2C) p = (2C)^T rhs, solved by Cramer's rule
+    sxx = sum(x * x for x in cx)
+    sxy = sum(x * y for x, y in zip(cx, cy))
+    syy = sum(y * y for y in cy)
+    bx = sum(x * r for x, r in zip(cx, rhs)) / 2
+    by = sum(y * r for y, r in zip(cy, rhs)) / 2
+    det = sxx * syy - sxy * sxy
+    px = (bx * syy - by * sxy) / det
+    py = (sxx * by - sxy * bx) / det
+    rho2 = [(x - px) ** 2 + (y - py) ** 2 for x, y in zip(cx, cy)]
+    m = sum(b - r for b, r in zip(d2, rho2)) / n
+    h = sum(Fraction(meas.anchor.z) for meas in measurements) / n
+    return cx0 + px, cy0 + py, h, m
+
+
 class TestBuildSystem:
-    def test_hand_constructed_rows(self):
-        ms = [
-            AnchorMeasurement(Point3(0, 0, 7), 1.0),
-            AnchorMeasurement(Point3(1, 0, 7), 1.0),
-            AnchorMeasurement(Point3(0, 1, 7), 1.0),
-        ]
-        sys = build_system(ms)
-        assert np.allclose(
-            sys.z_matrix,
-            [[1, 0, 0, -14], [1, -2, 0, -14], [1, 0, -2, -14]],
-        )
+    """What building the anchor system checks: the anchor count, one common
+    ceiling, and that measurement order does not matter."""
 
-    def test_q_entry_origin_anchor(self):
-        ms = [
-            AnchorMeasurement(Point3(0, 0, 0), 1.0),
-            AnchorMeasurement(Point3(1, 0, 0), 1.0),
-            AnchorMeasurement(Point3(0, 1, 0), 1.0),
-        ]
-        assert build_system(ms).q_vector[0] == pytest.approx(1.0)
-
-    def test_permutation_permutes_rows(self):
-        ms = measure_from(Point3(50, 60, 100), [(0, 0), (150, 0), (0, 150)])
-        sys_a = build_system(ms)
-        sys_b = build_system(ms[::-1])
-        assert np.allclose(sys_a.z_matrix, sys_b.z_matrix[::-1])
-        assert np.allclose(sys_a.q_vector, sys_b.q_vector[::-1])
+    def test_reversed_measurements_give_the_same_estimate(self):
+        rng = np.random.default_rng(4)
+        anchors = [(0, 0), (150, 0), (0, 150), (150, 150), (300, 75)]
+        for n in (3, 5):
+            exact = measure_from(Point3(50, 60, 100), anchors[:n])
+            ms = [AnchorMeasurement(m.anchor, m.distance_cm + rng.normal(0, 5.0)) for m in exact]
+            a = estimate_position(ms, ROOM)
+            b = estimate_position(ms[::-1], ROOM)
+            assert distance(a.position, b.position) <= 1e-9
+            assert a.method is b.method
 
     def test_too_few(self):
         with pytest.raises(InsufficientAnchors):
-            build_system(measure_from(Point3(0, 0, 0), [(0, 0), (1, 1)]))
+            estimate_position(measure_from(Point3(0, 0, 0), [(0, 0), (1, 1)]), ROOM)
 
     def test_mixed_ceilings(self):
         ms = [
@@ -79,7 +98,7 @@ class TestBuildSystem:
             AnchorMeasurement(Point3(0, 1, 300), 1.0),
         ]
         with pytest.raises(ValueError):
-            build_system(ms)
+            estimate_position(ms, ROOM)
 
 
 class TestTrilaterate:
@@ -461,11 +480,49 @@ class TestSinglePass:
         ]
         with pytest.raises(NoRealRoot):
             trilaterate(bumped)
-        cands, exact = _constrained_candidates(build_system(bumped), allow_approximate=True)
-        assert not exact
+        x, y, h, m = exact_reference(bumped)
+        assert m < 0
         est = estimate_position(bumped, ROOM)
         assert est.method is Method.LEAST_SQUARES
-        assert (est.position, est.candidates) == (cands[0], tuple(cands[1:]))
+        assert est.candidates == ()
+        assert est.position.z == ROOM.ceiling_height_cm
+        assert est.position.x == pytest.approx(float(x), abs=1e-9)
+        assert est.position.y == pytest.approx(float(y), abs=1e-9)
+
+
+class TestExactReference:
+    """estimate_position against the centered solve in exact arithmetic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        offsets=st.lists(
+            st.tuples(st.floats(-400, 400), st.floats(-400, 400)), min_size=3, max_size=8
+        ),
+        x=st.floats(400, 800),
+        y=st.floats(400, 800),
+        z=st.floats(0, 299),
+        noise=st.lists(st.floats(-30.0, 30.0), min_size=8, max_size=8),
+    )
+    def test_matches_the_rational_solve(self, offsets, x, y, z, noise):
+        s = np.linalg.svd(np.array(offsets) - np.mean(offsets, axis=0), compute_uv=False)
+        assume(s[-1] > 0.05 * s[0])
+        exact = measure_from(Point3(x, y, z), [(x + dx, y + dy) for dx, dy in offsets])
+        assume(all(ex.distance_cm + e > 0 for ex, e in zip(exact, noise)))
+        ms = [AnchorMeasurement(ex.anchor, ex.distance_cm + e) for ex, e in zip(exact, noise)]
+        rx, ry, h, m = exact_reference(ms)
+        # resolve_ambiguity rejects a pool with no candidate inside the room
+        assume(m < 0 or math.sqrt(m) <= ROOM.ceiling_height_cm)
+        est = estimate_position(ms, ROOM)
+        pool = sorted(_pool(est), key=lambda p: p.z)
+        for p in pool:
+            assert p.x == pytest.approx(float(rx), abs=1e-9)
+            assert p.y == pytest.approx(float(ry), abs=1e-9)
+        assert (est.method is Method.TRILATERATION) == (len(ms) == 3 and m >= 0)
+        if m >= 0:
+            r = math.sqrt(m)
+            assert [p.z for p in pool] == pytest.approx([float(h) - r, float(h) + r], abs=1e-6)
+        else:
+            assert [p.z for p in pool] == [float(h)]
 
 
 def _in_extended_bounds(room: RoomConfig, p: Point3) -> bool:
@@ -479,7 +536,7 @@ def _in_extended_bounds(room: RoomConfig, p: Point3) -> bool:
 
 class TestCeilingTolerance:
     """Anchors may differ in height by up to CEILING_TOLERANCE_CM; the tiny
-    tilt must not turn the rank-3 system into a determined one."""
+    tilt must not cost the mirror pair."""
 
     SMALL_ROOM = RoomConfig(300.0, 300.0, 300.0)
     CORNERS = [(0, 0), (300, 0), (0, 300), (300, 300), (150, 150), (300, 150)]
