@@ -19,22 +19,6 @@ from .geometry import (
     distance,
     incidence_angle,
 )
-from .channel import (
-    LinkState,
-    SensorNoiseModel,
-    SpectralConfig,
-    channel_capacity,
-    channel_dc_gain,
-    lambertian_order,
-    luminous_flux,
-    luminous_intensity,
-    mimo_output,
-    ook_ber_theoretical,
-    pixel_ebn0,
-    received_power,
-    snir,
-    transmitted_power,
-)
 from .imaging import (
     FeasibilityRegime,
     Projection,
@@ -55,12 +39,12 @@ from .modem import (
     FrameError,
     LedIdFrame,
     SampledWaveform,
-    add_awgn,
     decode_frame,
     demodulate,
     encode_frame,
     measure_ber,
     modulate,
+    ook_ber_theoretical,
 )
 from .solver import (
     AnchorMeasurement,

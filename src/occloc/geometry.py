@@ -1,9 +1,11 @@
-"""Shared scene geometry: world-frame points, camera pose, room and fixture types.
+"""Shared scene geometry: world-frame points, camera pose, room, fixture and
+camera types.
 
 World frame: origin at a floor corner, z up, lengths in centimeters. Ceiling
 fixtures sit at z = ceiling height. Camera/fixture internals (focal length,
-pixel pitch, emitter dimensions) are in millimeters; conversions happen
-explicitly at call sites, never implicitly.
+pixel edge, emitter dimensions) are in millimeters; conversions happen
+explicitly at call sites, never implicitly. Fixtures are described by their
+size and placement only: ranging needs the emitter area, not its radiometry.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ Shape = Circular | Rectangular
 
 @dataclass(frozen=True)
 class Luminaire:
-    """A ceiling LED fixture: identity, placement, emitter geometry and emission.
+    """A ceiling LED fixture: identity, placement and emitter geometry.
 
     area_mm2 may be given explicitly (e.g. a datasheet value); it must then agree
     with the shape-derived area within 0.1%. Left as None it is derived exactly.
@@ -98,16 +100,11 @@ class Luminaire:
     led_id: int
     anchor: Point3
     shape: Shape
-    half_power_semi_angle_deg: float
-    center_intensity_cd: float = 300.0
-    emitted_power_mw: float = 1500.0
     area_mm2: float | None = None
 
     def __post_init__(self):
         if not (0 <= self.led_id < 2**32):
             raise ValueError(f"led_id {self.led_id} does not fit 32 bits")
-        if not (0.0 < self.half_power_semi_angle_deg < 90.0):
-            raise ValueError("half_power_semi_angle_deg must lie strictly in (0, 90)")
         derived = self.shape.area_mm2
         if self.area_mm2 is None:
             object.__setattr__(self, "area_mm2", derived)
@@ -119,22 +116,12 @@ class Luminaire:
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Smartphone camera intrinsics and sensor response.
-
-    pixel_edge_mm is the pixel edge length used by the projection math;
-    pixel_size_um is kept alongside as datasheet metadata only.
-    """
+    """Smartphone camera intrinsics: focal length, pixel edge length and the
+    full angle of the view cone."""
 
     focal_length_mm: float
     pixel_edge_mm: float
-    sensor_cols: int
-    sensor_rows: int
     fov_full_angle_deg: float
-    frame_rate_fps: float
-    responsivity_a_per_w: float = 0.5
-    optical_filter_gain: float = 1.0
-    aperture_area_mm2: float = 1.0
-    pixel_size_um: float | None = None
 
     def __post_init__(self):
         if self.focal_length_mm <= 0:
@@ -143,8 +130,6 @@ class CameraModel:
             raise ValueError("pixel_edge_mm must be positive")
         if not (0.0 < self.fov_full_angle_deg < 180.0):
             raise ValueError("fov_full_angle_deg must lie in (0, 180)")
-        if self.frame_rate_fps <= 0:
-            raise ValueError("frame_rate_fps must be positive")
 
     @property
     def fov_semi_angle_deg(self) -> float:

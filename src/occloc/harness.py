@@ -13,7 +13,7 @@ child seeds arithmetically so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .geometry import (
     Rectangular,
     RoomConfig,
 )
-from .channel import ook_ber_theoretical
 from .imaging import (
     FeasibilityRegime,
     feasibility,
@@ -35,7 +34,14 @@ from .imaging import (
     ranging_constant,
     distance_from_pixels,
 )
-from .modem import decode_frame, demodulate, encode_frame, measure_ber, modulate
+from .modem import (
+    decode_frame,
+    demodulate,
+    encode_frame,
+    measure_ber,
+    modulate,
+    ook_ber_theoretical,
+)
 from .server import (
     DetectionPacket,
     DetectionRecord,
@@ -51,32 +57,10 @@ class ScenarioError(ValueError):
 
 
 # Desk-scale defaults: a 1600 sqft square room, the reference camera
-# (5 mm focal length, 7.1e-3 mm pixel edge, 640x320, 120 degree cone, 30 fps,
-# f/4 aperture) and a 170 mm circular downlight fixture.
+# (5 mm focal length, 7.1e-3 mm pixel edge, 120 degree cone) and a 170 mm
+# circular downlight fixture (FixtureSpec's defaults).
 DEFAULT_ROOM = dict(width_cm=1219.0, depth_cm=1219.0, ceiling_height_cm=300.0)
-DEFAULT_APERTURE_AREA_MM2 = math.pi * (5.0 / 4.0 / 2.0) ** 2
-DEFAULT_CAMERA = dict(
-    focal_length_mm=5.0,
-    pixel_edge_mm=7.1e-3,
-    sensor_cols=640,
-    sensor_rows=320,
-    fov_full_angle_deg=120.0,
-    frame_rate_fps=30.0,
-    responsivity_a_per_w=0.5,
-    optical_filter_gain=1.0,
-    aperture_area_mm2=DEFAULT_APERTURE_AREA_MM2,
-    pixel_size_um=1.0,
-)
-DEFAULT_FIXTURE = dict(
-    shape="circular",
-    radius_mm=85.0,
-    width_mm=None,
-    height_mm=None,
-    area_mm2=22700.0,
-    half_power_semi_angle_deg=20.0,
-    center_intensity_cd=300.0,
-    emitted_power_mw=1500.0,
-)
+DEFAULT_CAMERA = dict(focal_length_mm=5.0, pixel_edge_mm=7.1e-3, fov_full_angle_deg=120.0)
 # Pixel-area jitter that maps to roughly 5 cm of ranging noise at the nominal
 # 2.3 m slant range of the default room (error grows with the cube of range).
 DEFAULT_PIXEL_SIGMA = 100.0
@@ -96,9 +80,6 @@ class FixtureSpec:
     width_mm: float | None = None
     height_mm: float | None = None
     area_mm2: float | None = 22700.0
-    half_power_semi_angle_deg: float = 20.0
-    center_intensity_cd: float = 300.0
-    emitted_power_mw: float = 1500.0
 
     def make_shape(self):
         if self.shape == "circular":
@@ -113,14 +94,11 @@ class FixtureSpec:
 
     def make_luminaire(self, led_id: int, anchor: Point3) -> Luminaire:
         return Luminaire(
-            led_id=led_id,
-            anchor=anchor,
-            shape=self.make_shape(),
-            half_power_semi_angle_deg=self.half_power_semi_angle_deg,
-            center_intensity_cd=self.center_intensity_cd,
-            emitted_power_mw=self.emitted_power_mw,
-            area_mm2=self.area_mm2,
+            led_id=led_id, anchor=anchor, shape=self.make_shape(), area_mm2=self.area_mm2
         )
+
+
+DEFAULT_FIXTURE = asdict(FixtureSpec())
 
 
 @dataclass(frozen=True)
@@ -555,33 +533,9 @@ def _strict(d: dict, allowed: "set[str]", where: str):
 
 def scenario_to_dict(s: Scenario) -> dict:
     return {
-        "room": {
-            "width_cm": s.room.width_cm,
-            "depth_cm": s.room.depth_cm,
-            "ceiling_height_cm": s.room.ceiling_height_cm,
-        },
-        "camera": {
-            "focal_length_mm": s.camera.focal_length_mm,
-            "pixel_edge_mm": s.camera.pixel_edge_mm,
-            "sensor_cols": s.camera.sensor_cols,
-            "sensor_rows": s.camera.sensor_rows,
-            "fov_full_angle_deg": s.camera.fov_full_angle_deg,
-            "frame_rate_fps": s.camera.frame_rate_fps,
-            "responsivity_a_per_w": s.camera.responsivity_a_per_w,
-            "optical_filter_gain": s.camera.optical_filter_gain,
-            "aperture_area_mm2": s.camera.aperture_area_mm2,
-            "pixel_size_um": s.camera.pixel_size_um,
-        },
-        "fixture": {
-            "shape": s.fixture.shape,
-            "radius_mm": s.fixture.radius_mm,
-            "width_mm": s.fixture.width_mm,
-            "height_mm": s.fixture.height_mm,
-            "area_mm2": s.fixture.area_mm2,
-            "half_power_semi_angle_deg": s.fixture.half_power_semi_angle_deg,
-            "center_intensity_cd": s.fixture.center_intensity_cd,
-            "emitted_power_mw": s.fixture.emitted_power_mw,
-        },
+        "room": asdict(s.room),
+        "camera": asdict(s.camera),
+        "fixture": asdict(s.fixture),
         "led_grid": {
             "spacing_cm": s.led_spacing_cm,
             "origin_cm": list(s.led_origin_cm),

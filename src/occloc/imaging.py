@@ -5,7 +5,9 @@ The projected image of a known-size ceiling fixture shrinks with distance;
 counting its pixels inverts to a range estimate through a single per-pair
 constant tau = f * sqrt(S) / rho (focal length, emitter area, pixel edge, all
 in mm). Far-field form d - f ~ d is used throughout the pixel-count path;
-image_distance keeps the exact conjugate for checking the approximation.
+image_distance and project keep the exact conjugate for checking the
+approximation. Pixel areas stay continuous (fractional pixels); feasibility()
+says how far a given area can be trusted for ranging.
 """
 
 from __future__ import annotations
@@ -80,25 +82,19 @@ def project(camera: CameraModel, luminaire: Luminaire, d_mm: float) -> Projectio
     return Projection(e, mag, w, h, eta)
 
 
-def pixel_count(
-    camera: CameraModel, luminaire: Luminaire, d_cm: float, quantize: bool = False
-) -> float:
-    """Far-field projected pixel area of the fixture at distance d_cm:
-    eta = f^2 S / (rho^2 d^2).
-
-    Continuous (fractional pixels) unless quantize floors to whole pixels.
-    """
+def pixel_count(camera: CameraModel, luminaire: Luminaire, d_cm: float) -> float:
+    """Far-field projected pixel area of the fixture at distance d_cm, in
+    fractional pixels: eta = f^2 S / (rho^2 d^2)."""
     if d_cm <= 0:
         raise ValueError("distance must be positive")
     d_mm = d_cm * 10.0
     if d_mm <= camera.focal_length_mm:
         raise ValueError("fixture inside the focal length; far-field model invalid")
-    eta = (
+    return (
         camera.focal_length_mm**2
         * luminaire.area_mm2
         / (camera.pixel_edge_mm**2 * d_mm**2)
     )
-    return math.floor(eta) if quantize else eta
 
 
 def ranging_constant(camera: CameraModel, luminaire: Luminaire) -> RangingConstant:
@@ -138,7 +134,6 @@ def observe_scene(
     camera: CameraModel,
     noise_sigma_pixels: float = 0.0,
     rng: np.random.Generator | None = None,
-    quantize: bool = False,
 ) -> "list[Sighting]":
     """Pixel areas of every fixture currently in view, in input order.
 
@@ -155,7 +150,7 @@ def observe_scene(
         if not visible(lum, camera_pose, camera.fov_full_angle_deg):
             continue
         d_cm = distance(camera_pose.position, lum.anchor)
-        eta = pixel_count(camera, lum, d_cm, quantize=quantize)
+        eta = pixel_count(camera, lum, d_cm)
         if noise_sigma_pixels > 0:
             eta = max(0.0, eta + rng.normal(0.0, noise_sigma_pixels))
         sightings.append(Sighting(lum.led_id, eta))

@@ -1,4 +1,5 @@
-"""LED-ID framing and OOK transport over a rolling-shutter sample stream.
+"""LED-ID framing, OOK transport over a rolling-shutter sample stream, and the
+OOK bit error rate, measured and analytic.
 
 Each fixture broadcasts a 48-bit frame: an alternating 8-bit preamble, its
 ceiling coordinates as two big-endian 16-bit centimeter fields, and a CRC-8
@@ -11,9 +12,11 @@ Frames are assumed sample-aligned: no synchronization search is performed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
 PREAMBLE = 0xAA
 PREAMBLE_BITS = 8
@@ -106,12 +109,10 @@ def decode_frame(bits: np.ndarray) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SampledWaveform:
-    """Row-exposure intensity stream: samples, expansion factor, and the AWGN
-    sigma already applied to them (0 for a clean waveform)."""
+    """Row-exposure intensity stream: samples and the expansion factor."""
 
     samples: np.ndarray
     samples_per_bit: int
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         if self.samples_per_bit < 1:
@@ -132,17 +133,6 @@ def modulate(
     bits = np.asarray(bits, dtype=np.uint8)
     levels = np.where(bits == 1, high_level, dim_level)
     return SampledWaveform(np.repeat(levels, samples_per_bit), samples_per_bit)
-
-
-def add_awgn(wave: SampledWaveform, sigma: float, seed: int) -> SampledWaveform:
-    """White Gaussian noise on every sample; sigma = 0 returns the wave unchanged."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if sigma == 0:
-        return wave
-    rng = np.random.default_rng(seed)
-    noisy = wave.samples + rng.normal(0.0, sigma, size=len(wave.samples))
-    return SampledWaveform(noisy, wave.samples_per_bit, sigma)
 
 
 def demodulate(wave: SampledWaveform, threshold: float | None = None) -> np.ndarray:
@@ -176,7 +166,17 @@ def measure_ber(snir_linear: float, n_bits: int, seed: int) -> float:
     rx = SampledWaveform(
         bits.astype(float) * (2.0 * amplitude) + rng.normal(0.0, 1.0, size=n_bits),
         samples_per_bit=1,
-        noise_sigma=1.0,
     )
     decided = demodulate(rx, threshold=amplitude)
     return float(np.mean(decided != bits))
+
+
+def ook_ber_theoretical(snir_linear: float) -> float:
+    """Analytic OOK bit error rate over an AWGN pixel channel: Q(sqrt(SNIR)).
+
+    Q is the standard Gaussian tail; the curve is 0.5 at zero SNIR and strictly
+    decreasing.
+    """
+    if snir_linear < 0:
+        raise ValueError("SNIR must be non-negative")
+    return float(0.5 * erfc(math.sqrt(snir_linear) / math.sqrt(2.0)))

@@ -299,7 +299,9 @@ def estimate_position(
 
     Three inconsistent distances (no exact intersection) degrade to the
     least-squares compromise rather than failing, and are tagged as such.
-    Every path shares one factorization of the anchor geometry.
+    A lower mirror root below the floor (whose mirror is then above the
+    ceiling) is raised to the floor, also tagged least-squares. Every path
+    shares one factorization of the anchor geometry.
     """
     if len(measurements) < 3:
         raise InsufficientAnchors(f"need at least 3 anchors, got {len(measurements)}")
@@ -322,6 +324,12 @@ def estimate_position(
     # The exact roots are trilaterate's answer for three anchors; without
     # them the vertex is the least-squares compromise it falls back to.
     pool, exact = anchors.mirror_pair(allow_approximate=True)
+    low = pool[0]
+    if low.z < -1e-9:
+        # Ranging noise put the lower root below the floor, so its mirror lies
+        # above the ceiling; like the collinear path, take the nearest height
+        # inside the room, the floor. That point is no exact root.
+        pool, exact = [Point3(low.x, low.y, 0.0)], False
     method = (
         Method.TRILATERATION if exact and len(measurements) == 3 else Method.LEAST_SQUARES
     )

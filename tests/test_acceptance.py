@@ -68,12 +68,12 @@ def test_criterion_01_photogrammetric_round_trip():
     for _ in range(n):
         f = rng.uniform(1.0, 10.0)
         rho = rng.uniform(1e-3, 2e-2)
-        camera = CameraModel(f, rho, 640, 320, 120.0, 30.0)
+        camera = CameraModel(f, rho, 120.0)
         if rng.integers(2):
             shape = Circular(rng.uniform(10.0, 500.0))
         else:
             shape = Rectangular(rng.uniform(10.0, 500.0), rng.uniform(10.0, 500.0))
-        fixture = Luminaire(1, Point3(0, 0, 300), shape, 20.0)
+        fixture = Luminaire(1, Point3(0, 0, 300), shape)
         d_mm = f * 10.0 ** rng.uniform(1.0, 6.0)  # d in [10f, 1e6 f]
         eta = pixel_count(camera, fixture, d_mm / 10.0)
         back = distance_from_pixels(ranging_constant(camera, fixture), eta)

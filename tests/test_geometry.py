@@ -20,7 +20,7 @@ points = st.builds(Point3, coord, coord, coord)
 
 
 def make_luminaire(anchor=Point3(0, 0, 300), led_id=1, **kw):
-    defaults = dict(shape=Circular(85.0), half_power_semi_angle_deg=20.0)
+    defaults = dict(shape=Circular(85.0))
     defaults.update(kw)
     return Luminaire(led_id=led_id, anchor=anchor, **defaults)
 
@@ -105,11 +105,7 @@ class TestTypes:
 
     def test_camera_fov_range(self):
         with pytest.raises(ValueError):
-            CameraModel(5.0, 7.1e-3, 640, 320, 200.0, 30.0)
-
-    def test_luminaire_semi_angle_range(self):
-        with pytest.raises(ValueError):
-            make_luminaire(half_power_semi_angle_deg=90.0)
+            CameraModel(5.0, 7.1e-3, 200.0)
 
     def test_luminaire_area_mismatch(self):
         with pytest.raises(ValueError):
@@ -121,7 +117,7 @@ class TestTypes:
 
     @given(st.floats(min_value=1.0, max_value=500.0))
     def test_circular_area_consistency(self, r):
-        lum = Luminaire(1, Point3(0, 0, 300), Circular(r), 20.0)
+        lum = Luminaire(1, Point3(0, 0, 300), Circular(r))
         assert lum.area_mm2 == pytest.approx(math.pi * r * r, rel=1e-12)
 
     @given(
@@ -129,7 +125,7 @@ class TestTypes:
         st.floats(min_value=1.0, max_value=500.0),
     )
     def test_rectangular_area_consistency(self, w, h):
-        lum = Luminaire(1, Point3(0, 0, 300), Rectangular(w, h), 20.0)
+        lum = Luminaire(1, Point3(0, 0, 300), Rectangular(w, h))
         assert lum.area_mm2 == pytest.approx(w * h, rel=1e-12)
 
     def test_led_id_32bit(self):

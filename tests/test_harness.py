@@ -1,5 +1,8 @@
+import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,12 +42,8 @@ class TestScenarioConfig:
         assert s.camera.focal_length_mm == 5.0
         assert s.camera.pixel_edge_mm == 7.1e-3
         assert s.camera.fov_full_angle_deg == 120.0
-        assert s.camera.frame_rate_fps == 30.0
-        assert (s.camera.sensor_cols, s.camera.sensor_rows) == (640, 320)
         assert s.fixture.radius_mm == 85.0  # 170 mm diameter
         assert s.fixture.area_mm2 == 22700.0
-        assert s.fixture.half_power_semi_angle_deg == 20.0
-        assert s.fixture.emitted_power_mw == 1500.0
         assert s.led_spacing_cm == 150.0
         assert s.room.ceiling_height_cm == 300.0
 
@@ -61,6 +60,25 @@ class TestScenarioConfig:
             scenario_from_dict({"bogus": 1})
         with pytest.raises(ScenarioError, match="zoom"):
             scenario_from_dict({"camera": {"zoom": 2}})
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("camera", "pixel_size_um", 1.0), ("fixture", "emitted_power_mw", 1500)],
+    )
+    def test_link_budget_keys_rejected(self, section, key, value):
+        # ranging reads no radiometry, so the format has no such fields
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_dict({section: {key: value}})
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) == 1
+        data = json.loads(blocks[0])
+        written = scenario_to_dict(scenario_from_dict(data))
+        assert written.keys() == data.keys()
+        for section in ("room", "camera", "fixture"):
+            assert data[section].items() <= written[section].items()
 
     def test_round_trip(self):
         s = default_filtercmp_scenario()

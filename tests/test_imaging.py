@@ -17,15 +17,8 @@ from occloc.imaging import (
     visible,
 )
 
-CAMERA = CameraModel(
-    focal_length_mm=5.0,
-    pixel_edge_mm=7.1e-3,
-    sensor_cols=640,
-    sensor_rows=320,
-    fov_full_angle_deg=120.0,
-    frame_rate_fps=30.0,
-)
-FIXTURE = Luminaire(1, Point3(0, 0, 300), Circular(85.0), 20.0, area_mm2=22700.0)
+CAMERA = CameraModel(focal_length_mm=5.0, pixel_edge_mm=7.1e-3, fov_full_angle_deg=120.0)
+FIXTURE = Luminaire(1, Point3(0, 0, 300), Circular(85.0), area_mm2=22700.0)
 
 
 class TestImageDistance:
@@ -54,16 +47,12 @@ class TestPixelCount:
         )
 
     def test_zero_area(self):
-        lum = Luminaire(1, Point3(0, 0, 300), Circular(0.0), 20.0)
+        lum = Luminaire(1, Point3(0, 0, 300), Circular(0.0))
         assert pixel_count(CAMERA, lum, 300.0) == 0.0
 
     def test_non_positive_distance(self):
         with pytest.raises(ValueError):
             pixel_count(CAMERA, FIXTURE, 0.0)
-
-    def test_quantize_floors(self):
-        eta = pixel_count(CAMERA, FIXTURE, 300.0)
-        assert pixel_count(CAMERA, FIXTURE, 300.0, quantize=True) == math.floor(eta)
 
     def test_projection_matches_far_field(self):
         # the exact thin-lens projection converges to the far-field count
@@ -81,7 +70,7 @@ class TestPixelCount:
         # for rectangular emitters the pixel count is the image area in pixels
         from occloc.geometry import Rectangular
 
-        lum = Luminaire(1, Point3(0, 0, 300), Rectangular(100.0, 200.0), 20.0)
+        lum = Luminaire(1, Point3(0, 0, 300), Rectangular(100.0, 200.0))
         proj = project(CAMERA, lum, 4000.0)
         assert proj.pixel_count == pytest.approx(
             proj.image_width_mm * proj.image_height_mm / CAMERA.pixel_edge_mm**2,
@@ -127,20 +116,20 @@ class TestDistanceFromPixels:
 
 class TestVisible:
     def test_directly_overhead(self):
-        lum = Luminaire(1, Point3(0, 0, 300), Circular(85.0), 20.0)
+        lum = Luminaire(1, Point3(0, 0, 300), Circular(85.0))
         assert visible(lum, Pose(Point3(0, 0, 100)), 120.0)
 
     def test_fov_boundary(self):
         dz = 200.0
         for angle, expected in ((59.0, True), (61.0, False)):
             lum = Luminaire(
-                1, Point3(dz * math.tan(math.radians(angle)), 0, 300), Circular(85.0), 20.0
+                1, Point3(dz * math.tan(math.radians(angle)), 0, 300), Circular(85.0)
             )
             assert visible(lum, Pose(Point3(0, 0, 100)), 120.0) is expected
 
     def test_degenerate_zero_fov(self):
-        overhead = Luminaire(1, Point3(0, 0, 300), Circular(85.0), 20.0)
-        offset = Luminaire(2, Point3(1.0, 0, 300), Circular(85.0), 20.0)
+        overhead = Luminaire(1, Point3(0, 0, 300), Circular(85.0))
+        offset = Luminaire(2, Point3(1.0, 0, 300), Circular(85.0))
         pose = Pose(Point3(0, 0, 100))
         assert visible(overhead, pose, 0.0)
         assert not visible(offset, pose, 0.0)
@@ -167,7 +156,7 @@ class TestFeasibility:
 
 def scene_luminaires(xy_list, ceiling=300.0):
     return [
-        Luminaire(i + 1, Point3(x, y, ceiling), Circular(85.0), 20.0)
+        Luminaire(i + 1, Point3(x, y, ceiling), Circular(85.0))
         for i, (x, y) in enumerate(xy_list)
     ]
 

@@ -10,13 +10,13 @@ from occloc.modem import (
     BadCrc,
     BadPreamble,
     SampledWaveform,
-    add_awgn,
     crc8,
     decode_frame,
     demodulate,
     encode_frame,
     measure_ber,
     modulate,
+    ook_ber_theoretical,
 )
 
 
@@ -103,24 +103,6 @@ class TestModulate:
             modulate(np.array([1, 0]), 2, high_level=0.5, dim_level=0.5)
 
 
-class TestAddAwgn:
-    def test_zero_sigma_identity(self):
-        wave = modulate(np.array([1, 0, 1]), 2)
-        assert add_awgn(wave, 0.0, 1) is wave
-
-    def test_reproducible(self):
-        wave = modulate(np.array([1, 0, 1]), 2)
-        a = add_awgn(wave, 0.5, 99)
-        b = add_awgn(wave, 0.5, 99)
-        assert np.array_equal(a.samples, b.samples)
-
-    def test_noise_mean_vanishes(self):
-        wave = SampledWaveform(np.zeros(1_000_000), 1)
-        noisy = add_awgn(wave, 1.0, 7)
-        # law of large numbers: |mean| below 4 sigma / sqrt(N)
-        assert abs(noisy.samples.mean()) < 4.0 / 1000.0
-
-
 class TestDemodulate:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -202,3 +184,25 @@ class TestMeasureBer:
     def test_requires_enough_bits(self):
         with pytest.raises(ValueError):
             measure_ber(1.0, 9_999, 1)
+
+
+class TestOokBerTheoretical:
+    def test_zero_snir(self):
+        assert ook_ber_theoretical(0.0) == pytest.approx(0.5)
+
+    def test_snir_nine(self):
+        assert ook_ber_theoretical(9.0) == pytest.approx(q_function(3.0), abs=1e-12)
+        assert ook_ber_theoretical(9.0) == pytest.approx(1.3499e-3, abs=1e-7)
+
+    def test_snir_four(self):
+        assert ook_ber_theoretical(4.0) == pytest.approx(2.275e-2, abs=1e-6)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            ook_ber_theoretical(-0.1)
+
+    def test_strictly_decreasing_and_bounded(self):
+        grid = np.linspace(0.0, 40.0, 200)
+        vals = [ook_ber_theoretical(v) for v in grid]
+        assert all(b < a for a, b in zip(vals, vals[1:]))
+        assert all(0.0 < v <= 0.5 for v in vals)

@@ -27,7 +27,7 @@ ANCHORS = [(450, 450), (600, 450), (450, 600), (600, 600)]
 
 def make_registry(anchors=ANCHORS):
     lums = [
-        Luminaire(i + 1, Point3(x, y, 300.0), Circular(85.0), 20.0)
+        Luminaire(i + 1, Point3(x, y, 300.0), Circular(85.0))
         for i, (x, y) in enumerate(anchors)
     ]
     return LedRegistry.from_luminaires(lums)
@@ -56,8 +56,8 @@ class TestRegistry:
 
     def test_duplicate_ids_rejected(self):
         lums = [
-            Luminaire(1, Point3(0, 0, 300), Circular(85.0), 20.0),
-            Luminaire(1, Point3(150, 0, 300), Circular(85.0), 20.0),
+            Luminaire(1, Point3(0, 0, 300), Circular(85.0)),
+            Luminaire(1, Point3(150, 0, 300), Circular(85.0)),
         ]
         with pytest.raises(ValueError):
             LedRegistry(

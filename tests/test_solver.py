@@ -525,6 +525,43 @@ class TestExactReference:
             assert [p.z for p in pool] == [float(h)]
 
 
+class TestFloorLevelPhone:
+    """A phone near the floor: ranging noise can push the lower mirror root
+    below the floor while the upper one stays above the ceiling."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        offsets=st.lists(
+            st.tuples(st.floats(-400, 400), st.floats(-400, 400)), min_size=4, max_size=8
+        ),
+        x=st.floats(400, 800),
+        y=st.floats(400, 800),
+        z=st.floats(0, 30),
+        noise=st.lists(st.floats(-30.0, 30.0), min_size=8, max_size=8),
+    )
+    def test_estimate_stays_in_the_room(self, offsets, x, y, z, noise):
+        s = np.linalg.svd(np.array(offsets) - np.mean(offsets, axis=0), compute_uv=False)
+        assume(s[-1] > 0.05 * s[0])
+        exact = measure_from(Point3(x, y, z), [(x + dx, y + dy) for dx, dy in offsets])
+        assume(all(ex.distance_cm + e > 0 for ex, e in zip(exact, noise)))
+        ms = [AnchorMeasurement(ex.anchor, ex.distance_cm + e) for ex, e in zip(exact, noise)]
+        est = estimate_position(ms, ROOM)
+        # resolve_ambiguity's rounding tolerance: a root at -6e-14 cm is the floor
+        assert -1e-9 <= est.position.z <= ROOM.ceiling_height_cm + 1e-9
+        reference = multilaterate(ms).position
+        assert (est.position.x, est.position.y) == (reference.x, reference.y)
+
+    def test_both_roots_outside_clamp_to_the_floor(self):
+        # three anchors with exact roots, but neither root inside the room
+        ms = measure_from(Point3(420, 510, 0), [(300, 450), (450, 450), (300, 600)])
+        long = [AnchorMeasurement(m.anchor, m.distance_cm + 20.0) for m in ms]
+        assert all(p.z < 0 or p.z > 300 for p in _pool(trilaterate(long)))
+        est = estimate_position(long, ROOM)
+        assert est.position.z == 0.0
+        assert est.method is Method.LEAST_SQUARES
+        assert est.candidates == ()
+
+
 def _in_extended_bounds(room: RoomConfig, p: Point3) -> bool:
     mx, my, mz = 0.1 * room.width_cm, 0.1 * room.depth_cm, 0.1 * room.ceiling_height_cm
     return (
