@@ -1,10 +1,9 @@
-"""Optical link budget: Lambertian emission, flux and power integrals, DC gain,
-pixel-level SNIR, Shannon capacity, MIMO superposition and the analytic OOK
-error curve.
+"""Pixel-channel model: Lambertian emission order, pixel-level Eb/N0 and SNIR,
+and MIMO superposition.
 
-All functions are pure. Angles are degrees, distances centimeters unless a
-name says otherwise; emitter/sensor areas arrive in mm^2 and are converted to
-cm^2 internally so area/distance^2 ratios stay dimensionless.
+Nothing in the pipeline calls these yet; they are what a noisy per-sighting
+decode would build on. The analytic OOK error curve over SNIR is
+`modem.ook_ber_theoretical`. All functions are pure.
 """
 
 from __future__ import annotations
@@ -13,41 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
-
-from .geometry import CameraModel, Luminaire
-
-PHOTOPIC_PEAK_EFFICACY_LM_PER_W = 683.0
-
-
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Tabulated emission spectrum and eye-sensitivity curve over a working band.
-
-    luminosity_* holds the standard eye response V in [0, 1]; flux_* holds the
-    spectral flux density in W/nm. Both tables must be sorted by wavelength.
-    """
-
-    lambda_min_nm: float
-    lambda_max_nm: float
-    luminosity_wavelengths_nm: tuple[float, ...]
-    luminosity_values: tuple[float, ...]
-    flux_wavelengths_nm: tuple[float, ...]
-    flux_w_per_nm: tuple[float, ...]
-    k_m_lm_per_w: float = PHOTOPIC_PEAK_EFFICACY_LM_PER_W
-
-    def __post_init__(self):
-        if self.lambda_min_nm >= self.lambda_max_nm:
-            raise ValueError("lambda_min_nm must be below lambda_max_nm")
-        if len(self.luminosity_wavelengths_nm) != len(self.luminosity_values):
-            raise ValueError("luminosity table lengths differ")
-        if len(self.flux_wavelengths_nm) != len(self.flux_w_per_nm):
-            raise ValueError("flux table lengths differ")
-        for table in (self.luminosity_wavelengths_nm, self.flux_wavelengths_nm):
-            if any(b <= a for a, b in zip(table, table[1:])):
-                raise ValueError("wavelength tables must be strictly increasing")
-        if any(not (0.0 <= v <= 1.0) for v in self.luminosity_values):
-            raise ValueError("luminosity values must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -87,128 +51,14 @@ class LinkState:
             raise ValueError("w_s must be at least 1")
 
 
-def lambertian_order(half_power_semi_angle_deg: float) -> float:
+def lambertian_order(semi_angle_deg: float) -> float:
     """Exponent m of the cos^m emission lobe, from the half-power semi-angle.
 
     Defined by cos^m(angle) = 1/2, i.e. m = -ln 2 / ln(cos angle).
     """
-    if not (0.0 < half_power_semi_angle_deg < 90.0):
+    if not (0.0 < semi_angle_deg < 90.0):
         raise ValueError("half-power semi-angle must lie strictly in (0, 90) degrees")
-    return -math.log(2.0) / math.log(math.cos(math.radians(half_power_semi_angle_deg)))
-
-
-def luminous_intensity(luminaire: Luminaire, emission_angle_deg: float) -> float:
-    """On-lobe intensity I(0) * cos^m(angle), in candela."""
-    if not (0.0 <= emission_angle_deg <= 90.0):
-        raise ValueError("emission angle must lie in [0, 90] degrees")
-    m = lambertian_order(luminaire.half_power_semi_angle_deg)
-    return luminaire.center_intensity_cd * math.cos(math.radians(emission_angle_deg)) ** m
-
-
-def _overlap_grid(spectral: SpectralConfig) -> np.ndarray:
-    """Merged wavelength grid over the band where both tables and the working band overlap."""
-    lo = max(
-        spectral.lambda_min_nm,
-        spectral.luminosity_wavelengths_nm[0],
-        spectral.flux_wavelengths_nm[0],
-    )
-    hi = min(
-        spectral.lambda_max_nm,
-        spectral.luminosity_wavelengths_nm[-1],
-        spectral.flux_wavelengths_nm[-1],
-    )
-    if lo >= hi:
-        raise ValueError("spectral tables do not overlap the working band")
-    pts = np.concatenate(
-        [
-            np.asarray(spectral.luminosity_wavelengths_nm),
-            np.asarray(spectral.flux_wavelengths_nm),
-            [lo, hi],
-        ]
-    )
-    pts = np.unique(pts)
-    return pts[(pts >= lo) & (pts <= hi)]
-
-
-def luminous_flux(spectral: SpectralConfig) -> float:
-    """Eye-weighted flux K_m * integral(V * flux) over the working band, in lumens.
-
-    Trapezoidal quadrature on the merged tabulated grid; exact for piecewise-linear
-    tables whose breakpoints appear in the grid.
-    """
-    grid = _overlap_grid(spectral)
-    v = np.interp(grid, spectral.luminosity_wavelengths_nm, spectral.luminosity_values)
-    phi = np.interp(grid, spectral.flux_wavelengths_nm, spectral.flux_w_per_nm)
-    return float(spectral.k_m_lm_per_w * np.trapezoid(v * phi, grid))
-
-
-def transmitted_power(spectral: SpectralConfig, angular_steps: int = 512) -> float:
-    """Total radiated power, in watts: 2*pi times the flux density integrated over
-    polar angle [0, pi] and the working wavelength band (nested trapezoids).
-
-    The tabulated flux density carries no angular dependence, so the polar
-    integral contributes a factor of pi; it is still evaluated numerically on an
-    angular_steps-point grid so the quadrature convention stays explicit.
-    """
-    if angular_steps < 2:
-        raise ValueError("angular grid needs at least 2 points")
-    if len(spectral.flux_wavelengths_nm) == 0:
-        raise ValueError("flux table is empty")
-    lo = max(spectral.lambda_min_nm, spectral.flux_wavelengths_nm[0])
-    hi = min(spectral.lambda_max_nm, spectral.flux_wavelengths_nm[-1])
-    if lo >= hi:
-        raise ValueError("flux table does not overlap the working band")
-    pts = np.unique(np.concatenate([np.asarray(spectral.flux_wavelengths_nm), [lo, hi]]))
-    grid = pts[(pts >= lo) & (pts <= hi)]
-    phi = np.interp(grid, spectral.flux_wavelengths_nm, spectral.flux_w_per_nm)
-    band_integral = np.trapezoid(phi, grid)
-    theta = np.linspace(0.0, math.pi, angular_steps)
-    polar_integral = np.trapezoid(np.full_like(theta, band_integral), theta)
-    return float(2.0 * math.pi * polar_integral)
-
-
-def channel_dc_gain(
-    luminaire: Luminaire,
-    camera: CameraModel,
-    d_cm: float,
-    phi_deg: float,
-    theta_deg: float,
-) -> float:
-    """DC gain of the fixture-to-sensor link for emission angle phi and incidence
-    angle theta. Exactly zero at or beyond the camera's visibility semi-angle.
-
-    The aperture area is converted to cm^2 so the area over d_cm^2 ratio is
-    dimensionless. Emission beyond 90 degrees contributes nothing.
-    """
-    if d_cm <= 0:
-        raise ValueError("distance must be positive")
-    if theta_deg >= camera.fov_semi_angle_deg:
-        return 0.0
-    m = lambertian_order(luminaire.half_power_semi_angle_deg)
-    cos_phi = max(0.0, math.cos(math.radians(phi_deg)))
-    aperture_cm2 = camera.aperture_area_mm2 / 100.0
-    return (
-        (m + 1.0)
-        * aperture_cm2
-        / (2.0 * math.pi * d_cm**2)
-        * cos_phi**m
-        * camera.optical_filter_gain
-        * math.cos(math.radians(theta_deg))
-    )
-
-
-def received_power(luminaire: Luminaire, d_cm: float, phi_deg: float, psi_deg: float) -> float:
-    """Mean optical power density at the sensor: I(0) cos^m(phi) cos(psi) / d^2.
-
-    phi is the emission angle at the fixture, psi the incidence angle at the
-    sensor. Angles past 90 degrees contribute nothing.
-    """
-    if d_cm <= 0:
-        raise ValueError("distance must be positive")
-    m = lambertian_order(luminaire.half_power_semi_angle_deg)
-    cos_phi = max(0.0, math.cos(math.radians(phi_deg)))
-    cos_psi = max(0.0, math.cos(math.radians(psi_deg)))
-    return luminaire.center_intensity_cd * cos_phi**m * cos_psi / d_cm**2
+    return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
 
 
 def pixel_ebn0(noise: SensorNoiseModel) -> float:
@@ -224,14 +74,6 @@ def snir(link: LinkState) -> float:
     return link.sigma * p2 / ((1.0 - link.sigma) * p2 + link.sigma_n2)
 
 
-def channel_capacity(camera: CameraModel, link: LinkState) -> float:
-    """Shannon capacity in bit/s: frame rate * spatial channels * log2(1 + SNIR)."""
-    ratio = snir(link)
-    if ratio < 0:
-        raise ValueError("SNIR must be non-negative")
-    return camera.frame_rate_fps * link.w_s * math.log2(1.0 + ratio)
-
-
 def mimo_output(
     gains: "list[float] | np.ndarray",
     symbols: "list[float] | np.ndarray",
@@ -244,14 +86,3 @@ def mimo_output(
     if h.shape != x.shape:
         raise ValueError(f"gain/symbol length mismatch: {h.shape} vs {x.shape}")
     return float(responsivity * np.dot(h, x) + noise_sample)
-
-
-def ook_ber_theoretical(snir_linear: float) -> float:
-    """Analytic OOK bit error rate over an AWGN pixel channel: Q(sqrt(SNIR)).
-
-    Q is the standard Gaussian tail; the curve is 0.5 at zero SNIR and strictly
-    decreasing.
-    """
-    if snir_linear < 0:
-        raise ValueError("SNIR must be non-negative")
-    return float(0.5 * erfc(math.sqrt(snir_linear) / math.sqrt(2.0)))

@@ -8,44 +8,16 @@ from scipy.special import erfc
 from occloc.channel import (
     LinkState,
     SensorNoiseModel,
-    SpectralConfig,
-    channel_capacity,
-    channel_dc_gain,
     lambertian_order,
-    luminous_flux,
-    luminous_intensity,
     mimo_output,
-    ook_ber_theoretical,
     pixel_ebn0,
-    received_power,
     snir,
-    transmitted_power,
 )
-from occloc.geometry import CameraModel, Circular, Luminaire, Point3
+from occloc.modem import ook_ber_theoretical
 
 
 def q_function(x):
     return 0.5 * erfc(x / math.sqrt(2.0))
-
-
-def make_luminaire(semi_angle=20.0, intensity=1000.0):
-    return Luminaire(
-        1, Point3(0, 0, 300), Circular(85.0), semi_angle, center_intensity_cd=intensity
-    )
-
-
-def make_camera(**kw):
-    defaults = dict(
-        focal_length_mm=5.0,
-        pixel_edge_mm=7.1e-3,
-        sensor_cols=640,
-        sensor_rows=320,
-        fov_full_angle_deg=120.0,
-        frame_rate_fps=30.0,
-        aperture_area_mm2=1.2272,
-    )
-    defaults.update(kw)
-    return CameraModel(**defaults)
 
 
 class TestLambertianOrder:
@@ -68,137 +40,6 @@ class TestLambertianOrder:
     def test_half_power_definition(self, theta):
         m = lambertian_order(theta)
         assert math.cos(math.radians(theta)) ** m == pytest.approx(0.5, abs=1e-9)
-
-
-class TestLuminousIntensity:
-    def test_on_axis(self):
-        lum = make_luminaire(intensity=1234.5)
-        assert luminous_intensity(lum, 0.0) == 1234.5
-
-    def test_unity_order_at_60(self):
-        lum = make_luminaire(semi_angle=60.0, intensity=1000.0)
-        assert luminous_intensity(lum, 60.0) == pytest.approx(500.0, rel=1e-9)
-
-    def test_half_power_at_semi_angle(self):
-        lum = make_luminaire(semi_angle=20.0, intensity=1000.0)
-        assert luminous_intensity(lum, 20.0) == pytest.approx(500.0, rel=1e-3)
-
-    def test_angle_out_of_range(self):
-        with pytest.raises(ValueError):
-            luminous_intensity(make_luminaire(), 91.0)
-
-
-def flat_spectrum(level_w_per_nm, lo=400.0, hi=700.0, v=1.0):
-    return SpectralConfig(
-        lambda_min_nm=lo,
-        lambda_max_nm=hi,
-        luminosity_wavelengths_nm=(lo, hi),
-        luminosity_values=(v, v),
-        flux_wavelengths_nm=(lo, hi),
-        flux_w_per_nm=(level_w_per_nm, level_w_per_nm),
-    )
-
-
-class TestLuminousFlux:
-    def test_zero_flux(self):
-        assert luminous_flux(flat_spectrum(0.0)) == 0.0
-
-    def test_monochromatic_watt_at_peak(self):
-        # 1 W concentrated in a triangular 1 nm line at 555 nm where V = 1
-        spec = SpectralConfig(
-            lambda_min_nm=500.0,
-            lambda_max_nm=600.0,
-            luminosity_wavelengths_nm=(500.0, 600.0),
-            luminosity_values=(1.0, 1.0),
-            flux_wavelengths_nm=(554.5, 555.0, 555.5),
-            flux_w_per_nm=(0.0, 2.0, 0.0),
-        )
-        assert luminous_flux(spec) == pytest.approx(683.0, rel=1e-12)
-
-    def test_uniform_band(self):
-        # V = 1 on a 100 nm band at 0.02 W/nm: total 2 W -> 683 * 2 lm
-        spec = flat_spectrum(0.02, lo=450.0, hi=550.0)
-        assert luminous_flux(spec) == pytest.approx(683.0 * 2.0, rel=1e-12)
-
-    def test_empty_overlap(self):
-        spec = SpectralConfig(
-            lambda_min_nm=400.0,
-            lambda_max_nm=500.0,
-            luminosity_wavelengths_nm=(600.0, 700.0),
-            luminosity_values=(1.0, 1.0),
-            flux_wavelengths_nm=(400.0, 500.0),
-            flux_w_per_nm=(1.0, 1.0),
-        )
-        with pytest.raises(ValueError):
-            luminous_flux(spec)
-
-
-class TestTransmittedPower:
-    def test_zero(self):
-        assert transmitted_power(flat_spectrum(0.0)) == 0.0
-
-    def test_closed_form(self):
-        # constant 0.01 W/nm over 300 nm: 2*pi * pi * 0.01 * 300
-        spec = flat_spectrum(0.01, lo=400.0, hi=700.0)
-        expected = 2.0 * math.pi * math.pi * 0.01 * 300.0
-        assert transmitted_power(spec) == pytest.approx(expected, rel=0.01)
-
-    def test_halving_band_halves_power(self):
-        full = transmitted_power(flat_spectrum(0.01, lo=400.0, hi=700.0))
-        half = transmitted_power(flat_spectrum(0.01, lo=400.0, hi=550.0))
-        assert half == pytest.approx(full / 2.0, rel=1e-9)
-
-
-class TestChannelDcGain:
-    def test_zero_beyond_fov(self):
-        lum, cam = make_luminaire(), make_camera()
-        assert channel_dc_gain(lum, cam, 300.0, 0.0, cam.fov_semi_angle_deg + 1.0) == 0.0
-        assert channel_dc_gain(lum, cam, 300.0, 0.0, cam.fov_semi_angle_deg) == 0.0
-
-    def test_on_axis_formula(self):
-        lum, cam = make_luminaire(), make_camera()
-        m = lambertian_order(lum.half_power_semi_angle_deg)
-        expected = (m + 1) * (cam.aperture_area_mm2 / 100.0) / (2 * math.pi * 300.0**2)
-        assert channel_dc_gain(lum, cam, 300.0, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_inverse_square(self):
-        lum, cam = make_luminaire(), make_camera()
-        g1 = channel_dc_gain(lum, cam, 200.0, 10.0, 10.0)
-        g2 = channel_dc_gain(lum, cam, 400.0, 10.0, 10.0)
-        assert g2 == pytest.approx(g1 / 4.0, rel=1e-12)
-
-    def test_continuous_inside_cutoff(self):
-        lum, cam = make_luminaire(), make_camera()
-        eps = 1e-7
-        inside = channel_dc_gain(lum, cam, 300.0, 0.0, cam.fov_semi_angle_deg - eps)
-        assert inside > 0.0
-        nearly = channel_dc_gain(lum, cam, 300.0, 0.0, cam.fov_semi_angle_deg - 2 * eps)
-        assert inside == pytest.approx(nearly, rel=1e-4)
-
-
-class TestReceivedPower:
-    def test_aligned(self):
-        lum = make_luminaire(intensity=1000.0)
-        assert received_power(lum, 200.0, 0.0, 0.0) == pytest.approx(1000.0 / 200.0**2)
-
-    def test_grazing_incidence(self):
-        assert received_power(make_luminaire(), 200.0, 0.0, 90.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_worked_example(self):
-        lum = make_luminaire(semi_angle=60.0, intensity=1000.0)  # m = 1
-        got = received_power(lum, 300.0, 30.0, 30.0)
-        assert got == pytest.approx(1000.0 * 0.75 / 9e4, rel=1e-9)
-
-    def test_zero_distance(self):
-        with pytest.raises(ValueError):
-            received_power(make_luminaire(), 0.0, 0.0, 0.0)
-
-    @given(st.floats(min_value=10.0, max_value=5000.0))
-    def test_inverse_square_invariant(self, d):
-        lum = make_luminaire()
-        assert received_power(lum, d, 15.0, 25.0) * d * d == pytest.approx(
-            received_power(lum, 100.0, 15.0, 25.0) * 1e4, rel=1e-9
-        )
 
 
 class TestPixelEbn0:
@@ -236,22 +77,6 @@ class TestSnir:
         assert hi >= lo
 
 
-class TestChannelCapacity:
-    def test_zero_snir(self):
-        cam = make_camera()
-        assert channel_capacity(cam, LinkState(10.0, 0.0, 4.0, 1)) == 0.0
-
-    def test_unit_snir(self):
-        cam = make_camera(frame_rate_fps=30.0)
-        link = LinkState(math.sqrt(2.0), 1.0, 2.0, 1)  # p^2 = 2, sigma_n2 = 2 -> SNIR 1
-        assert channel_capacity(cam, link) == pytest.approx(30.0)
-
-    def test_worked_example(self):
-        cam = make_camera(frame_rate_fps=30.0)
-        link = LinkState(math.sqrt(15.0), 1.0, 1.0, 4)  # snir = 15
-        assert channel_capacity(cam, link) == pytest.approx(480.0)
-
-
 class TestMimoOutput:
     def test_all_zero(self):
         assert mimo_output([1.0, 2.0], [0.0, 0.0], 0.7, 0.0) == 0.0
@@ -268,6 +93,8 @@ class TestMimoOutput:
 
 
 class TestOokBerTheoretical:
+    """The analytic error curve over the pixel channel's SNIR."""
+
     def test_zero_snir(self):
         assert ook_ber_theoretical(0.0) == pytest.approx(0.5)
 
@@ -299,7 +126,3 @@ class TestValidation:
             SensorNoiseModel(-1.0, 1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             SensorNoiseModel(0.0, 1.0, 0.0, 1.0)
-
-    def test_spectral_tables_sorted(self):
-        with pytest.raises(ValueError):
-            SpectralConfig(400, 700, (500.0, 450.0), (1.0, 1.0), (400.0, 700.0), (1.0, 1.0))

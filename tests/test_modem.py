@@ -16,7 +16,6 @@ from occloc.modem import (
     encode_frame,
     measure_ber,
     modulate,
-    ook_ber_theoretical,
 )
 
 
@@ -185,24 +184,3 @@ class TestMeasureBer:
         with pytest.raises(ValueError):
             measure_ber(1.0, 9_999, 1)
 
-
-class TestOokBerTheoretical:
-    def test_zero_snir(self):
-        assert ook_ber_theoretical(0.0) == pytest.approx(0.5)
-
-    def test_snir_nine(self):
-        assert ook_ber_theoretical(9.0) == pytest.approx(q_function(3.0), abs=1e-12)
-        assert ook_ber_theoretical(9.0) == pytest.approx(1.3499e-3, abs=1e-7)
-
-    def test_snir_four(self):
-        assert ook_ber_theoretical(4.0) == pytest.approx(2.275e-2, abs=1e-6)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ook_ber_theoretical(-0.1)
-
-    def test_strictly_decreasing_and_bounded(self):
-        grid = np.linspace(0.0, 40.0, 200)
-        vals = [ook_ber_theoretical(v) for v in grid]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-        assert all(0.0 < v <= 0.5 for v in vals)
