@@ -67,11 +67,9 @@ from .solver import (
 from .tracker import (
     KalmanConfig,
     KalmanState,
-    constant_velocity_config,
     gain,
     initial_state,
     predict,
-    track,
     update,
 )
 from .server import (

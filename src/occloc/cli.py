@@ -35,23 +35,26 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
 
 
-def load_scenario(path: str | None, seed_override: int | None):
-    """Resolve the scenario: file (plain scenario or run manifest), seed
-    precedence --seed > file seed > OCC_SEED > built-in default.
+def load_scenario(args):
+    """Resolve the scenario: the --scenario file (plain scenario or run
+    manifest), else the built-in default (the reference filter comparison for
+    filtercmp). Seed precedence --seed > file seed > OCC_SEED > built-in default.
 
     Returns (scenario, manifest_params) where manifest_params are the extra
     run parameters echoed by a previous manifest, if one was loaded.
     """
     data: dict = {}
     manifest_params: dict = {}
-    if path is not None:
-        data = _load_json(path)
+    if args.scenario is not None:
+        data = _load_json(args.scenario)
         if isinstance(data, dict) and data.get("tool") == "occloc":
             manifest_params = data.get("params", {})
             if "scenario" not in data:
-                raise ConfigError(f"manifest {path} carries no scenario")
+                raise ConfigError(f"manifest {args.scenario} carries no scenario")
             data = data["scenario"]
-    if "seed" not in data and SEED_ENV_VAR in os.environ:
+    elif args.command == "filtercmp":
+        data = harness.scenario_to_dict(harness.default_filtercmp_scenario())
+    if (args.scenario is None or "seed" not in data) and SEED_ENV_VAR in os.environ:
         try:
             data = {**data, "seed": int(os.environ[SEED_ENV_VAR])}
         except ValueError as exc:
@@ -60,8 +63,8 @@ def load_scenario(path: str | None, seed_override: int | None):
         scenario = harness.scenario_from_dict(data)
     except harness.ScenarioError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
-    if seed_override is not None:
-        scenario = harness.scenario_from_dict({**harness.scenario_to_dict(scenario), "seed": seed_override})
+    if args.seed is not None:
+        scenario = harness.scenario_from_dict({**harness.scenario_to_dict(scenario), "seed": args.seed})
     return scenario, manifest_params
 
 
@@ -242,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-min-m", type=float, default=None, help="grid start in m (default 1)")
     p.add_argument("--d-max-m", type=float, default=None, help="grid end in m (default 120)")
     p.add_argument("--points", type=int, default=None, help="grid size (default 120)")
-    p = sub.add_parser("filtercmp", help="filtered vs raw error ensemble, write filtercmp.csv")
+    p = sub.add_parser("filtercmp", help="filtered vs raw error ensemble, write filtercmp.csv "
+                       "(default scenario: the reference filter comparison)")
     common(p)
     p.add_argument("--ensemble", type=int, default=None, help="ensemble size (default 100)")
     p = sub.add_parser("validate", help="check scenario invariants and the visibility guarantee")
@@ -263,7 +267,7 @@ def _collect_params(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario, manifest_params = load_scenario(args.scenario, args.seed)
+        scenario, manifest_params = load_scenario(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,7 @@ from .server import (
     LightingServer,
 )
 from .solver import SolverError
-from .tracker import constant_velocity_config
+from .tracker import KalmanConfig
 
 
 class ScenarioError(ValueError):
@@ -274,7 +274,7 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
     server = LightingServer(
         ceiling.registry,
         scenario.room,
-        kalman_config=constant_velocity_config(dt_s=1.0 / scenario.sampling_hz),
+        kalman_config=KalmanConfig(dt_s=1.0 / scenario.sampling_hz),
     )
     rng = np.random.default_rng(scenario.seed)
 

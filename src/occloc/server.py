@@ -28,6 +28,9 @@ from .solver import (
 from . import tracker
 
 SNAPSHOT_VERSION = 2
+PROBE_INTERVAL_MS = 2000  # a session silent this long is probed
+PROBE_LIMIT = 3  # missed probes that close a session
+HISTORY_LIMIT = 256  # per-session ring of ingest results
 
 
 class UnknownLedId(KeyError):
@@ -126,7 +129,7 @@ class Session:
     missed_probes: int = 0
     closed: bool = False
     last_position: tuple[float, float, float] | None = None
-    history: deque = field(default_factory=lambda: deque(maxlen=256))
+    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -148,16 +151,10 @@ class LightingServer:
         registry: LedRegistry,
         room: RoomConfig,
         kalman_config: tracker.KalmanConfig | None = None,
-        probe_interval_ms: int = 2000,
-        probe_limit: int = 3,
-        history_limit: int = 256,
     ):
         self.registry = registry
         self.room = room
-        self.kalman_config = kalman_config or tracker.constant_velocity_config()
-        self.probe_interval_ms = probe_interval_ms
-        self.probe_limit = probe_limit
-        self.history_limit = history_limit
+        self.kalman_config = kalman_config or tracker.KalmanConfig()
         self.sessions: dict[str, Session] = {}
         self.archive: dict[str, dict] = {}
 
@@ -228,7 +225,7 @@ class LightingServer:
         )
 
         if session is None:
-            session = Session(packet.session_id, history=deque(maxlen=self.history_limit))
+            session = Session(packet.session_id)
             self.sessions[packet.session_id] = session
         session.tracker_state = state
         session.last_seen_ms = packet.timestamp_ms
@@ -259,17 +256,17 @@ class LightingServer:
         if session.closed:
             return ProbeStatus(ProbePhase.CLOSED, session.missed_probes)
         anchor_ms = session.last_seen_ms if session.last_seen_ms is not None else 0
-        if now_ms - anchor_ms <= self.probe_interval_ms:
+        if now_ms - anchor_ms <= PROBE_INTERVAL_MS:
             return ProbeStatus(ProbePhase.ACTIVE, session.missed_probes)
         since_probe = (
             now_ms - session.last_probe_ms
             if session.last_probe_ms is not None
             else now_ms - anchor_ms
         )
-        if since_probe > self.probe_interval_ms:
+        if since_probe > PROBE_INTERVAL_MS:
             session.missed_probes += 1
             session.last_probe_ms = now_ms
-        if session.missed_probes >= self.probe_limit:
+        if session.missed_probes >= PROBE_LIMIT:
             session.closed = True
             self.archive[session_id] = self.snapshot(session_id)
             return ProbeStatus(ProbePhase.CLOSED, session.missed_probes)
@@ -317,9 +314,7 @@ class LightingServer:
             last_position=tuple(snapshot["last_position"])
             if snapshot["last_position"]
             else None,
-            history=deque(
-                (dict(e) for e in snapshot["history"]), maxlen=self.history_limit
-            ),
+            history=deque((dict(e) for e in snapshot["history"]), maxlen=HISTORY_LIMIT),
         )
         self.sessions[session.session_id] = session
 

@@ -7,64 +7,53 @@ positive semi-definite along arbitrary trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_VELOCITY_VARIANCE = 1e4  # cold-start velocity uncertainty, (cm/s)^2
 
-
-def _check_psd(matrix: np.ndarray, name: str, floor: float = -1e-9):
-    if not np.allclose(matrix, matrix.T, atol=1e-9):
-        raise ValueError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(matrix).min() < floor:
-        raise ValueError(f"{name} must be positive semi-definite")
+_H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])  # observes (x, y)
 
 
 @dataclass(frozen=True)
 class KalmanConfig:
-    """Filter matrices: state transition, observation, process and measurement
-    noise, plus the sampling interval they were built for."""
-
-    state_transition: np.ndarray
-    observation: np.ndarray
-    process_noise: np.ndarray
-    measurement_noise: np.ndarray
-    dt_s: float = 1.0
-
-    def __post_init__(self):
-        b = np.asarray(self.state_transition, dtype=float)
-        if b.shape != (4, 4) or abs(np.linalg.det(b)) < 1e-12:
-            raise ValueError("state_transition must be an invertible 4x4 matrix")
-        if np.asarray(self.observation).shape != (2, 4):
-            raise ValueError("observation must be 2x4")
-        _check_psd(np.asarray(self.process_noise, dtype=float), "process_noise")
-        _check_psd(np.asarray(self.measurement_noise, dtype=float), "measurement_noise")
-
-
-def constant_velocity_config(
-    dt_s: float = 1.0,
-    process_noise_intensity: float = 1.0,
-    measurement_noise_std_cm: float = 5.0,
-) -> KalmanConfig:
-    """Canonical constant-velocity setup for a sampling interval dt_s.
+    """Constant-velocity filter for a sampling interval dt_s.
 
     process_noise_intensity scales diag(dt^4/4, dt^4/4, dt^2, dt^2) in
-    cm^2/s^4; measurement noise is isotropic on (x, y).
+    cm^2/s^4; measurement noise is isotropic on (x, y). The state transition
+    B, process noise Q and measurement noise R are built once, here.
     """
-    dt = dt_s
-    b = np.array(
-        [
-            [1.0, 0.0, dt, 0.0],
-            [0.0, 1.0, 0.0, dt],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    h = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    q = process_noise_intensity * np.diag([dt**4 / 4.0, dt**4 / 4.0, dt**2, dt**2])
-    r = measurement_noise_std_cm**2 * np.eye(2)
-    return KalmanConfig(b, h, q, r, dt_s=dt_s)
+
+    dt_s: float = 1.0
+    process_noise_intensity: float = 1.0
+    measurement_noise_std_cm: float = 5.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.dt_s) and self.dt_s > 0):
+            raise ValueError(f"dt_s must be finite and positive, got {self.dt_s}")
+        for name in ("process_noise_intensity", "measurement_noise_std_cm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        dt = self.dt_s
+        b = np.array(
+            [
+                [1.0, 0.0, dt, 0.0],
+                [0.0, 1.0, 0.0, dt],
+                [0.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        q = self.process_noise_intensity * np.diag([dt**4 / 4.0, dt**4 / 4.0, dt**2, dt**2])
+        r = self.measurement_noise_std_cm**2 * np.eye(2)
+        object.__setattr__(self, "state_transition", b)
+        object.__setattr__(self, "process_noise", q)
+        object.__setattr__(self, "measurement_noise", r)
+
+
+constant_velocity_config = KalmanConfig  # the former factory's name, which perfbench imports
 
 
 @dataclass(frozen=True)
@@ -90,7 +79,7 @@ def initial_state(
 ) -> KalmanState:
     """Cold start: seed position from the first measurement, zero velocity,
     measurement-noise position variance and wide velocity variance."""
-    r = np.asarray(config.measurement_noise, dtype=float)
+    r = config.measurement_noise
     x = np.array([measurement_xy[0], measurement_xy[1], 0.0, 0.0])
     p = np.diag([r[0, 0], r[1, 1], velocity_variance, velocity_variance])
     return KalmanState(x, p)
@@ -98,10 +87,9 @@ def initial_state(
 
 def predict(state: KalmanState, config: KalmanConfig) -> KalmanState:
     """Propagate one interval: x <- B x, P <- B P B^T + Q."""
-    b = np.asarray(config.state_transition, dtype=float)
-    q = np.asarray(config.process_noise, dtype=float)
+    b = config.state_transition
     x = b @ state.x_vec
-    p = b @ state.p_cov @ b.T + q
+    p = b @ state.p_cov @ b.T + config.process_noise
     return KalmanState(x, 0.5 * (p + p.T))
 
 
@@ -110,10 +98,8 @@ def gain(predicted: KalmanState, config: KalmanConfig) -> np.ndarray:
 
     Raises numpy.linalg.LinAlgError when the innovation covariance is singular.
     """
-    h = np.asarray(config.observation, dtype=float)
-    r = np.asarray(config.measurement_noise, dtype=float)
-    pht = predicted.p_cov @ h.T
-    innovation_cov = h @ pht + r
+    pht = predicted.p_cov @ _H.T
+    innovation_cov = _H @ pht + config.measurement_noise
     return np.linalg.solve(innovation_cov.T, pht.T).T
 
 
@@ -121,31 +107,8 @@ def update(
     predicted: KalmanState, measurement_xy: tuple[float, float], config: KalmanConfig
 ) -> KalmanState:
     """Fold in one (x, y) measurement: x <- x + K(y - Hx), P <- (I - KH)P."""
-    h = np.asarray(config.observation, dtype=float)
     k = gain(predicted, config)
     y = np.asarray(measurement_xy, dtype=float)
-    x = predicted.x_vec + k @ (y - h @ predicted.x_vec)
-    p = (np.eye(4) - k @ h) @ predicted.p_cov
+    x = predicted.x_vec + k @ (y - _H @ predicted.x_vec)
+    p = (np.eye(4) - k @ _H) @ predicted.p_cov
     return KalmanState(x, 0.5 * (p + p.T))
-
-
-def track(
-    measurements,
-    config: KalmanConfig,
-    initial: KalmanState | None = None,
-) -> "list[KalmanState]":
-    """Run the predict/update loop over a uniformly sampled (x, y) series.
-
-    Without an explicit initial state the first measurement cold-starts the
-    filter and becomes the first output unchanged; output length always equals
-    input length.
-    """
-    states: list[KalmanState] = []
-    state = initial
-    for meas in measurements:
-        if state is None:
-            state = initial_state(tuple(meas), config)
-        else:
-            state = update(predict(state, config), tuple(meas), config)
-        states.append(state)
-    return states

@@ -1,9 +1,18 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import occloc
 from occloc.cli import main
+from occloc.harness import (
+    default_filtercmp_scenario,
+    run_filter_comparison,
+    write_filtercmp_csv,
+)
 
 
 def read(path):
@@ -73,6 +82,54 @@ class TestSeedPrecedence:
         out = tmp_path / "o"
         main(["track", "--scenario", fast_scenario, "--out", str(out)])
         assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+
+
+class TestFiltercmpDefault:
+    """Without --scenario, filtercmp runs the reference filter comparison."""
+
+    def test_writes_the_reference_run(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OCC_SEED", raising=False)
+        out = tmp_path / "o"
+        assert main(["filtercmp", "--out", str(out), "--ensemble", "3"]) == 0
+        expected = tmp_path / "expected.csv"
+        write_filtercmp_csv(run_filter_comparison(default_filtercmp_scenario(), 3), expected)
+        assert read(out / "filtercmp.csv") == read(expected)
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "env_seed, flag, seed",
+        [("5", [], 5), (None, ["--seed", "9"], 9), ("5", ["--seed", "9"], 9)],
+    )
+    def test_env_and_flag_change_the_seed(self, tmp_path, monkeypatch, env_seed, flag, seed):
+        if env_seed is None:
+            monkeypatch.delenv("OCC_SEED", raising=False)
+        else:
+            monkeypatch.setenv("OCC_SEED", env_seed)
+        out = tmp_path / "o"
+        assert main(["filtercmp", "--out", str(out), "--ensemble", "2", *flag]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+    def test_manifest_replay_is_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OCC_SEED", raising=False)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["filtercmp", "--out", str(out_a), "--ensemble", "2", "--plot"]) == 0
+        assert main(["filtercmp", "--scenario", str(out_a / "manifest.json"),
+                     "--out", str(out_b), "--plot"]) == 0
+        for name in ("filtercmp.csv", "filtercmp.svg", "manifest.json"):
+            assert read(out_a / name) == read(out_b / name)
+
+
+def test_cli_loads_every_module():
+    """A module that nothing imports is dead code; the CLI must reach them all."""
+    package_dir = Path(occloc.__file__).parent
+    expected = {"occloc" if p.stem == "__init__" else f"occloc.{p.stem}"
+                for p in package_dir.glob("*.py")}
+    env = {**os.environ, "PYTHONPATH": str(package_dir.parent)}
+    script = "import sys, occloc.cli; print(' '.join(m for m in sys.modules if 'occloc' in m))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert expected - set(loaded) == set()
 
 
 class TestOtherCommands:

@@ -41,8 +41,8 @@ def packet_from_truth(truth: Point3, ts_ms: int, anchors=ANCHORS, session="s1"):
     return DetectionPacket(session, ts_ms, records)
 
 
-def make_server(**kw):
-    return LightingServer(make_registry(), ROOM, **kw)
+def make_server():
+    return LightingServer(make_registry(), ROOM)
 
 
 class TestRegistry:
@@ -178,7 +178,7 @@ class TestProbe:
         assert server.probe_tick("s1", 2500).phase is ProbePhase.ACTIVE
 
     def test_three_silent_intervals_close(self):
-        server = make_server(probe_interval_ms=2000, probe_limit=3)
+        server = make_server()
         server.ingest(packet_from_truth(Point3(520, 510, 100), 1000))
         assert server.probe_tick("s1", 4000).phase is ProbePhase.PROBING
         assert server.probe_tick("s1", 7000).phase is ProbePhase.PROBING
@@ -188,7 +188,7 @@ class TestProbe:
         assert "s1" in server.archive
 
     def test_reply_resets_counter(self):
-        server = make_server(probe_interval_ms=2000, probe_limit=3)
+        server = make_server()
         server.ingest(packet_from_truth(Point3(520, 510, 100), 1000))
         server.probe_tick("s1", 4000)
         server.probe_tick("s1", 7000)
@@ -198,16 +198,17 @@ class TestProbe:
         assert server.probe_tick("s1", 8000).phase is ProbePhase.ACTIVE
 
     def test_closed_is_absorbing(self):
-        server = make_server(probe_interval_ms=2000, probe_limit=2)
+        server = make_server()
         server.ingest(packet_from_truth(Point3(520, 510, 100), 1000))
         server.probe_tick("s1", 4000)
         server.probe_tick("s1", 7000)
+        server.probe_tick("s1", 10000)
         assert server.probe_tick("s1", 100000).phase is ProbePhase.CLOSED
         with pytest.raises(SessionClosed):
             server.ingest(packet_from_truth(Point3(520, 510, 100), 200000))
 
     def test_rapid_ticks_count_once_per_interval(self):
-        server = make_server(probe_interval_ms=2000, probe_limit=3)
+        server = make_server()
         server.ingest(packet_from_truth(Point3(520, 510, 100), 1000))
         server.probe_tick("s1", 4000)
         server.probe_tick("s1", 4100)
@@ -230,7 +231,7 @@ class TestSnapshot:
         assert a.filtered == b.filtered
 
     def test_history_ring_evicts_oldest(self):
-        server = make_server(history_limit=256)
+        server = make_server()
         for k in range(257):
             server.ingest(packet_from_truth(Point3(500, 500, 100), 1000 * (k + 1)))
         hist = server.snapshot("s1")["history"]
@@ -243,12 +244,12 @@ class TestSnapshot:
 
     def test_restore_keeps_the_last_probe_time(self):
         def probe_after_restore(restore: bool):
-            server = make_server(probe_interval_ms=2000, probe_limit=3)
+            server = make_server()
             server.ingest(packet_from_truth(Point3(520, 510, 100), 0))
             server.probe_tick("s1", 2500)
             if restore:
                 snap = json.loads(json.dumps(server.snapshot("s1")))
-                server = make_server(probe_interval_ms=2000, probe_limit=3)
+                server = make_server()
                 server.restore_session(snap)
             return server.probe_tick("s1", 3000).missed_probes
 
@@ -277,12 +278,12 @@ class TestSnapshot:
         for kind, dt_ms, x, y in events:
             t_ms += dt_ms
             schedule.append((kind, t_ms, x, y))
-        plain = make_server(probe_limit=3)
+        plain = make_server()
         expected = [outcome(plain, *e) for e in schedule]
         for split in range(1, len(schedule) + 1):
-            first = make_server(probe_limit=3)
+            first = make_server()
             got = [outcome(first, *e) for e in schedule[:split]]
-            resumed = make_server(probe_limit=3)
+            resumed = make_server()
             resumed.restore_session(json.loads(json.dumps(first.snapshot("s1"))))
             got += [outcome(resumed, *e) for e in schedule[split:]]
             assert got == expected
