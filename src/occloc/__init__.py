@@ -22,7 +22,6 @@ from .geometry import (
 from .imaging import (
     FeasibilityRegime,
     Projection,
-    RangingConstant,
     Sighting,
     distance_from_pixels,
     feasibility,
@@ -37,7 +36,6 @@ from .modem import (
     BadCrc,
     BadPreamble,
     FrameError,
-    LedIdFrame,
     SampledWaveform,
     decode_frame,
     demodulate,

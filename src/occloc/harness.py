@@ -43,6 +43,8 @@ from .modem import (
     ook_ber_theoretical,
 )
 from .server import (
+    MAX_DISTANCE_MM,
+    MIN_DISTANCE_MM,
     DetectionPacket,
     DetectionRecord,
     LedRegistry,
@@ -64,6 +66,10 @@ DEFAULT_CAMERA = dict(focal_length_mm=5.0, pixel_edge_mm=7.1e-3, fov_full_angle_
 # Pixel-area jitter that maps to roughly 5 cm of ranging noise at the nominal
 # 2.3 m slant range of the default room (error grows with the cube of range).
 DEFAULT_PIXEL_SIGMA = 100.0
+# visibility_scan's grid: its pitch, and the wall margin inside which README's
+# visibility guarantee (at least three fixtures in view) holds.
+SCAN_STEP_CM = 10.0
+SCAN_MARGIN_CM = 75.0
 
 TRACK_HEADER = "t_s,true_x,true_y,raw_x,raw_y,kf_x,kf_y,raw_err,kf_err,visible"
 BER_HEADER = "snir_db,ber_sim,ber_theory"
@@ -207,7 +213,7 @@ def _decoded_coordinates(luminaires) -> "dict[int, tuple[int, int]]":
     decoded = {}
     for lum in luminaires:
         bits = encode_frame(int(round(lum.anchor.x)), int(round(lum.anchor.y)))
-        wave = modulate(bits, samples_per_bit=4)
+        wave = modulate(bits)
         decoded[lum.led_id] = decode_frame(demodulate(wave))
     return decoded
 
@@ -218,7 +224,7 @@ class _Ceiling:
 
     luminaires: "tuple[Luminaire, ...]"
     registry: LedRegistry
-    taus: dict
+    taus: "dict[int, float]"  # tau in mm, by led_id
     coords: "dict[int, tuple[int, int]]"
     xy: np.ndarray  # (N, 2) fixture positions, in luminaire order
     height_cm: float
@@ -293,22 +299,22 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
             d_mm = distance_from_pixels(taus[sig.led_id], sig.pixel_area)
             if scenario.distance_sigma_cm > 0:
                 d_mm += rng.normal(0.0, scenario.distance_sigma_cm * 10.0)
-            if d_mm <= 0:
+            if not MIN_DISTANCE_MM < d_mm < MAX_DISTANCE_MM:
                 continue
             detections.append(DetectionRecord(x_cm, y_cm, d_mm))
 
-        if len(detections) < 3:
-            records.append(
-                RunRecord(t_s, truth, len(sightings), None, None, None,
-                          math.nan, math.nan, False, True)
+        # The server raises InsufficientAnchors, a SolverError, for fewer than
+        # three records before it touches the session.
+        result = None
+        if detections:
+            packet = DetectionPacket(
+                "sim", int(round(1000.0 * k / scenario.sampling_hz)), tuple(detections)
             )
-            continue
-        packet = DetectionPacket(
-            "sim", int(round(1000.0 * k / scenario.sampling_hz)), tuple(detections)
-        )
-        try:
-            result = server.ingest(packet)
-        except SolverError:
+            try:
+                result = server.ingest(packet)
+            except SolverError:
+                pass
+        if result is None:
             records.append(
                 RunRecord(t_s, truth, len(sightings), None, None, None,
                           math.nan, math.nan, False, True)
@@ -362,7 +368,7 @@ class RangePoint:
 def range_boundaries_m(camera: CameraModel, luminaire: Luminaire) -> tuple[float, float]:
     """Distances where ranging degrades (4 px) and becomes impossible (1 px):
     half the ranging constant, and the ranging constant itself."""
-    tau_m = ranging_constant(camera, luminaire).tau_mm / 1000.0
+    tau_m = ranging_constant(camera, luminaire) / 1000.0
     return tau_m / 2.0, tau_m
 
 
@@ -439,22 +445,18 @@ class VisibilityScan:
     ok: bool
 
 
-def visibility_scan(
-    scenario: Scenario,
-    step_cm: float = 10.0,
-    margin_cm: float = 75.0,
-    camera_height_cm: float = 100.0,
-) -> VisibilityScan:
-    """Exhaustive grid scan of how many fixtures each interior floor position
-    sees; ok when every scanned point sees at least three."""
+def visibility_scan(scenario: Scenario, camera_height_cm: float = 100.0) -> VisibilityScan:
+    """Exhaustive grid scan, at SCAN_STEP_CM pitch, of how many fixtures each
+    floor position at least SCAN_MARGIN_CM from the walls sees; ok when every
+    scanned point sees at least three."""
     luminaires = scenario.build_luminaires()
     anchors = np.array([[l.anchor.x, l.anchor.y] for l in luminaires])
     dz = scenario.room.ceiling_height_cm - camera_height_cm
     if dz <= 0:
         raise ValueError("camera must sit below the ceiling")
     reach = dz * math.tan(math.radians(scenario.camera.fov_semi_angle_deg))
-    xs = np.arange(margin_cm, scenario.room.width_cm - margin_cm + 1e-9, step_cm)
-    ys = np.arange(margin_cm, scenario.room.depth_cm - margin_cm + 1e-9, step_cm)
+    xs = np.arange(SCAN_MARGIN_CM, scenario.room.width_cm - SCAN_MARGIN_CM + 1e-9, SCAN_STEP_CM)
+    ys = np.arange(SCAN_MARGIN_CM, scenario.room.depth_cm - SCAN_MARGIN_CM + 1e-9, SCAN_STEP_CM)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     d2 = ((pts[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)

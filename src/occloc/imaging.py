@@ -33,17 +33,6 @@ class Projection:
     pixel_count: float
 
 
-@dataclass(frozen=True)
-class RangingConstant:
-    """Per (camera, fixture) ranging constant tau = f * sqrt(S) / rho, in mm."""
-
-    tau_mm: float
-
-    def __post_init__(self):
-        if self.tau_mm <= 0:
-            raise ValueError("tau_mm must be positive")
-
-
 class FeasibilityRegime(enum.Enum):
     """Ranging quality by projected pixel area: >= 4 px full, >= 1 px degraded,
     below one pixel impossible."""
@@ -97,18 +86,20 @@ def pixel_count(camera: CameraModel, luminaire: Luminaire, d_cm: float) -> float
     )
 
 
-def ranging_constant(camera: CameraModel, luminaire: Luminaire) -> RangingConstant:
-    """tau for this camera/fixture pair; fixed once both are known."""
-    return RangingConstant(
-        camera.focal_length_mm * math.sqrt(luminaire.area_mm2) / camera.pixel_edge_mm
-    )
+def ranging_constant(camera: CameraModel, luminaire: Luminaire) -> float:
+    """tau = f * sqrt(S) / rho in mm for this camera/fixture pair; fixed once
+    both are known."""
+    tau_mm = camera.focal_length_mm * math.sqrt(luminaire.area_mm2) / camera.pixel_edge_mm
+    if tau_mm <= 0:
+        raise ValueError("tau_mm must be positive")
+    return tau_mm
 
 
-def distance_from_pixels(tau: RangingConstant, eta: float) -> float:
+def distance_from_pixels(tau_mm: float, eta: float) -> float:
     """Invert a pixel count to range, in mm: d = tau / sqrt(eta)."""
     if eta <= 0:
         raise ValueError("pixel count must be positive to invert")
-    return tau.tau_mm / math.sqrt(eta)
+    return tau_mm / math.sqrt(eta)
 
 
 def visible(luminaire: Luminaire, camera: Pose, fov_full_angle_deg: float) -> bool:

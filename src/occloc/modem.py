@@ -23,10 +23,14 @@ PREAMBLE_BITS = 8
 PAYLOAD_BITS = 32
 CRC_BITS = 8
 FRAME_BITS = PREAMBLE_BITS + PAYLOAD_BITS + CRC_BITS
+SAMPLES_PER_BIT = 4  # row exposures per bit
+HIGH_LEVEL = 1.0  # bit '1'
+DIM_LEVEL = 0.1  # bit '0': dimmed, never fully off
 
 
 class FrameError(ValueError):
-    """An undecodable sighting; callers drop the detection."""
+    """A frame whose preamble or checksum does not match; decode_frame raises
+    it rather than return wrong coordinates."""
 
 
 class BadPreamble(FrameError):
@@ -58,39 +62,19 @@ def _bits_to_int(bits: np.ndarray) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class LedIdFrame:
-    """Structured view of one broadcast: coordinate payload plus its checksum."""
-
-    x_cm: int
-    y_cm: int
-
-    def __post_init__(self):
-        for name, v in (("x_cm", self.x_cm), ("y_cm", self.y_cm)):
-            if not (0 <= v < 2**16):
-                raise ValueError(f"{name}={v} does not fit 16 bits")
-
-    @property
-    def payload(self) -> bytes:
-        return bytes([self.x_cm >> 8, self.x_cm & 0xFF, self.y_cm >> 8, self.y_cm & 0xFF])
-
-    @property
-    def crc(self) -> int:
-        return crc8(self.payload)
-
-    def bits(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                _int_to_bits(PREAMBLE, PREAMBLE_BITS),
-                _int_to_bits(int.from_bytes(self.payload, "big"), PAYLOAD_BITS),
-                _int_to_bits(self.crc, CRC_BITS),
-            ]
-        )
-
-
 def encode_frame(x_cm: int, y_cm: int) -> np.ndarray:
     """Serialize fixture coordinates into the 48-bit frame (most significant bit first)."""
-    return LedIdFrame(x_cm, y_cm).bits()
+    for name, v in (("x_cm", x_cm), ("y_cm", y_cm)):
+        if not (0 <= v < 2**16):
+            raise ValueError(f"{name}={v} does not fit 16 bits")
+    payload = bytes([x_cm >> 8, x_cm & 0xFF, y_cm >> 8, y_cm & 0xFF])
+    return np.concatenate(
+        [
+            _int_to_bits(PREAMBLE, PREAMBLE_BITS),
+            _int_to_bits(int.from_bytes(payload, "big"), PAYLOAD_BITS),
+            _int_to_bits(crc8(payload), CRC_BITS),
+        ]
+    )
 
 
 def decode_frame(bits: np.ndarray) -> tuple[int, int]:
@@ -121,18 +105,11 @@ class SampledWaveform:
             raise ValueError("sample count is not a whole number of bits")
 
 
-def modulate(
-    bits: np.ndarray,
-    samples_per_bit: int,
-    high_level: float = 1.0,
-    dim_level: float = 0.1,
-) -> SampledWaveform:
-    """Expand bits to constant-level samples: '1' -> high_level, '0' -> dim_level."""
-    if not high_level > dim_level >= 0.0:
-        raise ValueError("levels must satisfy high > dim >= 0")
-    bits = np.asarray(bits, dtype=np.uint8)
-    levels = np.where(bits == 1, high_level, dim_level)
-    return SampledWaveform(np.repeat(levels, samples_per_bit), samples_per_bit)
+def modulate(bits: np.ndarray) -> SampledWaveform:
+    """Expand bits to SAMPLES_PER_BIT constant-level samples each: '1' ->
+    HIGH_LEVEL, '0' -> DIM_LEVEL."""
+    levels = np.where(np.asarray(bits, dtype=np.uint8) == 1, HIGH_LEVEL, DIM_LEVEL)
+    return SampledWaveform(np.repeat(levels, SAMPLES_PER_BIT), SAMPLES_PER_BIT)
 
 
 def demodulate(wave: SampledWaveform, threshold: float | None = None) -> np.ndarray:

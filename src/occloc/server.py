@@ -31,6 +31,14 @@ SNAPSHOT_VERSION = 2
 PROBE_INTERVAL_MS = 2000  # a session silent this long is probed
 PROBE_LIMIT = 3  # missed probes that close a session
 HISTORY_LIMIT = 256  # per-session ring of ingest results
+# The open range a record's distance must lie in, in mm. Nothing optical
+# ranges under a micrometre, and a subnormal distance would round to 0 cm in
+# ingest. Two 16-bit centimeter coordinates lie at most about 9.3e5 mm apart,
+# so 1e7 mm passes any range in the coordinate space, while the solver's
+# squared distances (at most 1e12 cm^2) stay far from the float overflow that
+# distances near 1e155 mm reach.
+MIN_DISTANCE_MM = 1e-3
+MAX_DISTANCE_MM = 1e7
 
 
 class UnknownLedId(KeyError):
@@ -58,8 +66,10 @@ class DetectionRecord:
         for name, v in (("x_cm", self.x_cm), ("y_cm", self.y_cm)):
             if not (0 <= v < 2**16):
                 raise ValueError(f"{name}={v} does not fit 16 bits")
-        if self.distance_mm <= 0:
-            raise ValueError("distance_mm must be positive")
+        if not MIN_DISTANCE_MM < self.distance_mm < MAX_DISTANCE_MM:
+            raise ValueError(
+                f"distance_mm={self.distance_mm} outside ({MIN_DISTANCE_MM}, {MAX_DISTANCE_MM})"
+            )
 
 
 @dataclass(frozen=True)
@@ -76,14 +86,10 @@ class DetectionPacket:
 
 
 class LedRegistry:
-    """Fixture map keyed by broadcast (x_cm, y_cm); the opaque led_id rides
-    along for diagnostics only."""
+    """Fixture map from broadcast (x_cm, y_cm) to the fixture's ceiling anchor."""
 
-    def __init__(self, entries: "dict[tuple[int, int], tuple[Point3, int]]"):
-        ids = [led_id for _, led_id in entries.values()]
-        if len(set(ids)) != len(ids):
-            raise ValueError("led ids must be unique")
-        heights = {anchor.z for anchor, _ in entries.values()}
+    def __init__(self, entries: "dict[tuple[int, int], Point3]"):
+        heights = {anchor.z for anchor in entries.values()}
         if len(heights) > 1 and max(heights) - min(heights) > 1e-6:
             raise ValueError("all anchors must share the ceiling height")
         self._entries = dict(entries)
@@ -95,17 +101,14 @@ class LedRegistry:
             key = (int(round(lum.anchor.x)), int(round(lum.anchor.y)))
             if key in entries:
                 raise ValueError(f"duplicate broadcast coordinates {key}")
-            entries[key] = (lum.anchor, lum.led_id)
+            entries[key] = lum.anchor
         return cls(entries)
 
     def lookup(self, x_cm: int, y_cm: int) -> Point3:
         try:
-            return self._entries[(x_cm, y_cm)][0]
+            return self._entries[(x_cm, y_cm)]
         except KeyError:
             raise UnknownLedId(f"no fixture at ({x_cm}, {y_cm})") from None
-
-    def __len__(self):
-        return len(self._entries)
 
 
 class ProbePhase(enum.Enum):
@@ -334,18 +337,42 @@ def packet_to_line(packet: DetectionPacket) -> str:
     )
 
 
+_PACKET_FIELDS = {"session_id", "timestamp_ms", "records"}
+_RECORD_FIELDS = {"x_cm", "y_cm", "distance_mm"}
+
+
+def _check_fields(obj, fields: "set[str]", what: str):
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be a JSON object")
+    if obj.keys() != fields:
+        raise ValueError(
+            f"{what} fields: unknown {sorted(obj.keys() - fields)}, "
+            f"missing {sorted(fields - obj.keys())}"
+        )
+
+
 def packet_from_line(line: str) -> DetectionPacket:
+    """Parse one wire line; anything but a well-formed packet raises ValueError.
+
+    Coordinates and the timestamp must be JSON integers (not booleans), the
+    distance a JSON number and the session id a string."""
     obj = json.loads(line)
-    unknown = set(obj) - {"session_id", "timestamp_ms", "records"}
-    if unknown:
-        raise ValueError(f"unknown packet fields {sorted(unknown)}")
+    _check_fields(obj, _PACKET_FIELDS, "packet")
+    session_id, timestamp_ms = obj["session_id"], obj["timestamp_ms"]
+    if type(session_id) is not str or type(timestamp_ms) is not int:
+        raise ValueError("session_id must be a string and timestamp_ms an integer")
+    if type(obj["records"]) is not list:
+        raise ValueError("records must be a list")
     records = []
     for rec in obj["records"]:
-        extra = set(rec) - {"x_cm", "y_cm", "distance_mm"}
-        if extra:
-            raise ValueError(f"unknown record fields {sorted(extra)}")
-        records.append(DetectionRecord(rec["x_cm"], rec["y_cm"], rec["distance_mm"]))
-    return DetectionPacket(obj["session_id"], obj["timestamp_ms"], tuple(records))
+        _check_fields(rec, _RECORD_FIELDS, "record")
+        x_cm, y_cm, distance_mm = rec["x_cm"], rec["y_cm"], rec["distance_mm"]
+        if type(x_cm) is not int or type(y_cm) is not int:
+            raise ValueError("x_cm and y_cm must be integers")
+        if type(distance_mm) is not float and type(distance_mm) is not int:
+            raise ValueError("distance_mm must be a number")
+        records.append(DetectionRecord(x_cm, y_cm, distance_mm))
+    return DetectionPacket(session_id, timestamp_ms, tuple(records))
 
 
 def replay_packet_log(server: LightingServer, lines) -> "list[IngestResult]":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_VELOCITY_VARIANCE = 1e4  # cold-start velocity uncertainty, (cm/s)^2
+COLD_START_VELOCITY_VARIANCE = 1e4  # cold-start velocity uncertainty, (cm/s)^2
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])  # observes (x, y)
 
@@ -72,16 +72,12 @@ class KalmanState:
         return float(self.x_vec[2]), float(self.x_vec[3])
 
 
-def initial_state(
-    measurement_xy: tuple[float, float],
-    config: KalmanConfig,
-    velocity_variance: float = DEFAULT_VELOCITY_VARIANCE,
-) -> KalmanState:
+def initial_state(measurement_xy: tuple[float, float], config: KalmanConfig) -> KalmanState:
     """Cold start: seed position from the first measurement, zero velocity,
     measurement-noise position variance and wide velocity variance."""
     r = config.measurement_noise
     x = np.array([measurement_xy[0], measurement_xy[1], 0.0, 0.0])
-    p = np.diag([r[0, 0], r[1, 1], velocity_variance, velocity_variance])
+    p = np.diag([r[0, 0], r[1, 1], COLD_START_VELOCITY_VARIANCE, COLD_START_VELOCITY_VARIANCE])
     return KalmanState(x, p)
 
 

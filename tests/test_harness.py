@@ -367,7 +367,7 @@ class TestFilterComparison:
 
 class TestVisibilityGuarantee:
     def test_interior_points_see_three_fixtures(self):
-        scan = visibility_scan(default_scenario(), step_cm=10.0, margin_cm=75.0)
+        scan = visibility_scan(default_scenario())
         assert scan.ok
         assert scan.min_visible >= 3
 

@@ -81,7 +81,7 @@ class TestPixelCount:
 class TestDistanceFromPixels:
     def test_algebraic_identity(self):
         tau = ranging_constant(CAMERA, FIXTURE)
-        assert distance_from_pixels(tau, tau.tau_mm**2) == pytest.approx(1.0)
+        assert distance_from_pixels(tau, tau**2) == pytest.approx(1.0)
 
     def test_round_trip_reference(self):
         tau = ranging_constant(CAMERA, FIXTURE)
@@ -97,6 +97,11 @@ class TestDistanceFromPixels:
         tau = ranging_constant(CAMERA, FIXTURE)
         with pytest.raises(ValueError):
             distance_from_pixels(tau, 0.0)
+
+    def test_zero_area_fixture_has_no_ranging_constant(self):
+        lum = Luminaire(1, Point3(0, 0, 300), Circular(0.0))
+        with pytest.raises(ValueError, match="tau_mm must be positive"):
+            ranging_constant(CAMERA, lum)
 
     @given(st.floats(min_value=50.0, max_value=5e6))
     def test_round_trip_property(self, d_mm):

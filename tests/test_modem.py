@@ -5,8 +5,10 @@ import pytest
 from scipy.special import erfc
 
 from occloc.modem import (
-    LedIdFrame,
+    DIM_LEVEL,
     FRAME_BITS,
+    HIGH_LEVEL,
+    SAMPLES_PER_BIT,
     BadCrc,
     BadPreamble,
     SampledWaveform,
@@ -83,32 +85,28 @@ class TestEncodeFrame:
 
 class TestModulate:
     def test_two_bit_expansion(self):
-        wave = modulate(np.array([1, 0]), 2, high_level=1.0, dim_level=0.0)
-        assert list(wave.samples) == [1.0, 1.0, 0.0, 0.0]
+        wave = modulate(np.array([1, 0]))
+        assert list(wave.samples) == [1.0] * 4 + [0.1] * 4
+        assert wave.samples_per_bit == SAMPLES_PER_BIT == 4
 
     def test_identity_expansion(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
-        wave = modulate(bits, 1, 1.0, 0.0)
-        assert list(wave.samples) == [1.0, 0.0, 1.0, 1.0]
+        rows = modulate(bits).samples.reshape(-1, SAMPLES_PER_BIT)
+        levels = [HIGH_LEVEL, DIM_LEVEL, HIGH_LEVEL, HIGH_LEVEL]
+        assert (rows == np.array(levels)[:, None]).all()
 
     def test_preamble_square_wave(self):
-        spb = 3
-        wave = modulate(encode_frame(0, 0)[:8], spb, 1.0, 0.0)
-        period = 2 * spb
+        wave = modulate(encode_frame(0, 0)[:8])
+        period = 2 * SAMPLES_PER_BIT
         samples = list(wave.samples)
         assert samples[:period] * 4 == samples
-
-    def test_level_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            modulate(np.array([1, 0]), 2, high_level=0.5, dim_level=0.5)
 
 
 class TestDemodulate:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=480).astype(np.uint8)
-        wave = modulate(bits, 4, high_level=1.0, dim_level=0.1)
-        assert np.array_equal(demodulate(wave), bits)
+        assert np.array_equal(demodulate(modulate(bits)), bits)
 
     def test_all_below_threshold(self):
         wave = SampledWaveform(np.full(40, 0.2), 4)
@@ -154,16 +152,8 @@ class TestFullChainRoundTrip:
         rng = np.random.default_rng(17)
         for _ in range(10_000):
             x, y = int(rng.integers(0, 65536)), int(rng.integers(0, 65536))
-            wave = modulate(encode_frame(x, y), 4)
+            wave = modulate(encode_frame(x, y))
             assert decode_frame(demodulate(wave)) == (x, y)
-
-    def test_frame_view_matches_codec(self):
-        frame = LedIdFrame(200, 150)
-        assert frame.payload == bytes([0x00, 0xC8, 0x00, 0x96])
-        assert np.array_equal(frame.bits(), encode_frame(200, 150))
-        assert frame.crc == crc8_table_oracle(frame.payload)
-        with pytest.raises(ValueError):
-            LedIdFrame(-1, 0)
 
 
 class TestOokBerTheoretical:

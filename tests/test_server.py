@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from occloc.server import (
     packet_to_line,
     replay_packet_log,
 )
-from occloc.solver import InsufficientAnchors
+from occloc.solver import InsufficientAnchors, SolverError
 
 ROOM = RoomConfig(1219.0, 1219.0, 300.0)
 ANCHORS = [(450, 450), (600, 450), (450, 600), (600, 600)]
@@ -54,24 +55,18 @@ class TestRegistry:
         with pytest.raises(UnknownLedId):
             make_registry().lookup(1, 2)
 
-    def test_duplicate_ids_rejected(self):
+    def test_duplicate_broadcast_coordinates_rejected(self):
+        # 150.4 and 149.6 both round to the broadcast x = 150
         lums = [
-            Luminaire(1, Point3(0, 0, 300), Circular(85.0)),
-            Luminaire(1, Point3(150, 0, 300), Circular(85.0)),
+            Luminaire(1, Point3(150.4, 0, 300), Circular(85.0)),
+            Luminaire(2, Point3(149.6, 0, 300), Circular(85.0)),
         ]
-        with pytest.raises(ValueError):
-            LedRegistry(
-                {(0, 0): (lums[0].anchor, 1), (150, 0): (lums[1].anchor, 1)}
-            )
+        with pytest.raises(ValueError, match="duplicate broadcast coordinates"):
+            LedRegistry.from_luminaires(lums)
 
     def test_mixed_ceilings_rejected(self):
         with pytest.raises(ValueError):
-            LedRegistry(
-                {
-                    (0, 0): (Point3(0, 0, 300), 1),
-                    (150, 0): (Point3(150, 0, 250), 2),
-                }
-            )
+            LedRegistry({(0, 0): Point3(0, 0, 300), (150, 0): Point3(150, 0, 250)})
 
 
 class TestIngest:
@@ -317,3 +312,130 @@ class TestPacketLines:
             DetectionRecord(0, 0, 0.0)
         with pytest.raises(ValueError):
             DetectionPacket("s", 1, ())
+
+    @pytest.mark.parametrize("distance_mm", [math.nan, math.inf, -math.inf, 1e7, 1e155, 1e-3])
+    def test_record_distance_outside_the_accepted_range(self, distance_mm):
+        with pytest.raises(ValueError):
+            DetectionRecord(0, 0, distance_mm)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            '"packet"',
+            '{"session_id": "s", "timestamp_ms": 1}',
+            '{"session_id": "s", "timestamp_ms": "5", "records": []}',
+            '{"session_id": 5, "timestamp_ms": 1, "records": []}',
+            '{"session_id": "s", "timestamp_ms": true, "records": []}',
+            '{"session_id": "s", "timestamp_ms": 1.0, "records": []}',
+            '{"session_id": "s", "timestamp_ms": 1, "records": {}}',
+            '{"session_id": "s", "timestamp_ms": 1, "records": [7]}',
+            '{"session_id": "s", "timestamp_ms": 1, "records": [{"x_cm": 1, "y_cm": 2}]}',
+            '{"session_id": "s", "timestamp_ms": 1,'
+            ' "records": [{"x_cm": true, "y_cm": 2, "distance_mm": 2000.0}]}',
+            '{"session_id": "s", "timestamp_ms": 1,'
+            ' "records": [{"x_cm": 1.0, "y_cm": 2, "distance_mm": 2000.0}]}',
+            '{"session_id": "s", "timestamp_ms": 1,'
+            ' "records": [{"x_cm": 1, "y_cm": 2, "distance_mm": "2000"}]}',
+            '{"session_id": "s", "timestamp_ms": 1,'
+            ' "records": [{"x_cm": 1, "y_cm": 2, "distance_mm": false}]}',
+            '{"session_id": "s", "timestamp_ms": 1,'
+            ' "records": [{"x_cm": 1, "y_cm": 2, "distance_mm": NaN}]}',
+            '{"session_id": "s", "timestamp_ms": 1,'
+            ' "records": [{"x_cm": 1, "y_cm": 2, "distance_mm": Infinity}]}',
+            '{"session_id": "s", "timestamp_ms": 1,'
+            ' "records": [{"x_cm": 1, "y_cm": 2, "distance_mm": 1e200}]}',
+        ],
+    )
+    def test_malformed_lines_raise_value_error(self, line):
+        with pytest.raises(ValueError):
+            packet_from_line(line)
+
+    def test_integer_distance_parses(self):
+        line = (
+            '{"session_id":"s","timestamp_ms":1,'
+            '"records":[{"x_cm":1,"y_cm":2,"distance_mm":2000}]}'
+        )
+        assert packet_from_line(line).records[0].distance_mm == 2000
+
+
+# Every kind of JSON value, including the NaN and Infinity that Python's json
+# module reads and writes.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# Wire objects near the packet schema: every field present, each value either
+# plausible or any JSON value, sometimes an unknown field beside them.
+wire_records = st.fixed_dictionaries(
+    {
+        "x_cm": st.sampled_from([450, 600]) | json_values,
+        "y_cm": st.sampled_from([450, 600]) | json_values,
+        "distance_mm": st.floats(1500.0, 4000.0) | json_values,
+    },
+    optional={"bogus": json_values},
+)
+wire_packets = st.fixed_dictionaries(
+    {
+        "session_id": st.text(max_size=4) | json_values,
+        "timestamp_ms": st.integers(0, 2**64) | json_values,
+        "records": st.lists(wire_records | json_values, max_size=5) | json_values,
+    },
+    optional={"bogus": json_values},
+)
+# Packets with the schema's types, whose distances run from plausible ranges
+# to the extremes of the float range.
+distances = st.floats(1500.0, 4000.0) | st.floats() | st.integers(-(2**70), 2**70)
+typed_records = st.fixed_dictionaries(
+    {
+        "x_cm": st.sampled_from([450, 600, 9]),
+        "y_cm": st.sampled_from([450, 600, 9]),
+        "distance_mm": distances,
+    }
+)
+typed_packets = st.fixed_dictionaries(
+    {
+        "session_id": st.sampled_from(["a", "b"]),
+        "timestamp_ms": st.integers(0, 20_000),
+        "records": st.lists(typed_records, min_size=1, max_size=6),
+    }
+)
+
+
+class TestWireRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.one_of(wire_packets.map(json.dumps), json_values.map(json.dumps), st.text()))
+    def test_any_line_parses_or_raises_value_error(self, line):
+        try:
+            packet = packet_from_line(line)
+        except ValueError:
+            return
+        assert isinstance(packet, DetectionPacket)
+        assert all(isinstance(r, DetectionRecord) for r in packet.records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(typed_packets, st.none() | st.integers(0, 30_000)), min_size=1, max_size=8
+        )
+    )
+    def test_any_parsed_packet_ingests_finitely_or_raises_a_typed_error(self, events):
+        server = make_server()
+        for obj, probe_ms in events:
+            if probe_ms is not None:
+                for session_id in list(server.sessions):
+                    server.probe_tick(session_id, probe_ms)
+            try:
+                packet = packet_from_line(json.dumps(obj))
+            except ValueError:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = server.ingest(packet)
+                except (SolverError, StaleTimestamp, SessionClosed):
+                    continue
+            for point in (result.estimate.position, result.filtered, result.predicted):
+                assert all(math.isfinite(v) for v in point.as_tuple())
