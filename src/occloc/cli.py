@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,6 +20,8 @@ from . import __version__
 from . import harness, plots
 
 SEED_ENV_VAR = "OCC_SEED"
+MAX_GRID_POINTS = 100_000  # largest sweep grid a command builds
+MAX_SNIR_DB = 300.0  # |SNIR| bound of the BER grid; 10^(SNIR/10) overflows past about 3,080 dB
 
 
 class ConfigError(Exception):
@@ -92,14 +95,20 @@ def _param(args, manifest_params, name, default):
     return default
 
 
+def _out_path(args, name: str) -> str:
+    """Where an output file goes. The directory is made at the first write, so
+    a command whose flags fail their checks leaves nothing behind."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def cmd_track(args, scenario, manifest_params) -> list[str]:
     records = harness.run_tracking(scenario)
-    out = os.path.join(args.out, "track.csv")
-    harness.write_track_csv(records, out)
+    harness.write_track_csv(records, _out_path(args, "track.csv"))
     if args.plot:
         ok = [r for r in records if not r.gap]
         plots.svg_line_chart(
-            os.path.join(args.out, "track.svg"),
+            _out_path(args, "track.svg"),
             "Tracking error over time",
             "t (s)",
             "horizontal error (cm)",
@@ -117,17 +126,29 @@ def cmd_ber(args, scenario, manifest_params) -> list[str]:
     hi = float(_param(args, manifest_params, "snir-max", 15.0))
     step = float(_param(args, manifest_params, "snir-step", 1.0))
     bits = int(_param(args, manifest_params, "bits", 100_000))
+    if not -MAX_SNIR_DB <= lo <= hi <= MAX_SNIR_DB:
+        raise ConfigError(
+            f"--snir-min {lo} and --snir-max {hi} must satisfy "
+            f"-{MAX_SNIR_DB} <= snir-min <= snir-max <= {MAX_SNIR_DB} dB"
+        )
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"--snir-step must be finite and positive, got {step}")
+    if bits < harness.MIN_BER_BITS:
+        raise ConfigError(f"--bits must be at least {harness.MIN_BER_BITS}, got {bits}")
     grid = []
     v = lo
     while v <= hi + 1e-9:
         grid.append(round(v, 9))
+        if len(grid) > MAX_GRID_POINTS:
+            # also catches a step too small to move v past rounding
+            raise ConfigError(f"--snir-step {step} gives more than {MAX_GRID_POINTS} grid points")
         v += step
     points = harness.run_ber_sweep(grid, bits, scenario.seed)
-    harness.write_ber_csv(points, os.path.join(args.out, "ber.csv"))
+    harness.write_ber_csv(points, _out_path(args, "ber.csv"))
     outputs = ["ber.csv"]
     if args.plot:
         plots.svg_line_chart(
-            os.path.join(args.out, "ber.svg"),
+            _out_path(args, "ber.svg"),
             "OOK bit error rate vs SNIR",
             "SNIR (dB)",
             "BER",
@@ -145,18 +166,27 @@ def cmd_range(args, scenario, manifest_params) -> list[str]:
     lo = float(_param(args, manifest_params, "d-min-m", 1.0))
     hi = float(_param(args, manifest_params, "d-max-m", 120.0))
     n = int(_param(args, manifest_params, "points", 120))
-    if n < 2 or hi <= lo:
-        raise ConfigError("range sweep needs points >= 2 and d-max-m > d-min-m")
+    if n < 2 or n > MAX_GRID_POINTS or not lo < hi < math.inf:
+        raise ConfigError(
+            f"range sweep needs 2 <= --points <= {MAX_GRID_POINTS} and a finite "
+            f"--d-max-m > --d-min-m, got {n} points over [{lo}, {hi}] m"
+        )
+    # pixel_count's far-field model needs every fixture beyond the focal length
+    if not lo * 100.0 * 10.0 > scenario.camera.focal_length_mm:
+        raise ConfigError(
+            f"--d-min-m must exceed the camera's focal length "
+            f"({scenario.camera.focal_length_mm} mm), got {lo} m"
+        )
     grid = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
     fixture = scenario.fixture.make_luminaire(
         1, harness.Point3(0.0, 0.0, scenario.room.ceiling_height_cm)
     )
     points = harness.run_range_sweep(scenario.camera, fixture, grid)
-    harness.write_range_csv(points, os.path.join(args.out, "range.csv"))
+    harness.write_range_csv(points, _out_path(args, "range.csv"))
     outputs = ["range.csv"]
     if args.plot:
         plots.svg_line_chart(
-            os.path.join(args.out, "range.svg"),
+            _out_path(args, "range.svg"),
             "Projected pixel area vs distance",
             "distance (m)",
             "pixel area",
@@ -169,12 +199,21 @@ def cmd_range(args, scenario, manifest_params) -> list[str]:
 
 def cmd_filtercmp(args, scenario, manifest_params) -> list[str]:
     ensemble = int(_param(args, manifest_params, "ensemble", 100))
+    if ensemble < 1:
+        raise ConfigError(f"--ensemble must be at least 1, got {ensemble}")
+    if not scenario.distance_sigma_cm > 0:
+        raise ConfigError(
+            f"noise.distance_sigma_cm must be positive for a filter comparison, "
+            f"got {scenario.distance_sigma_cm}"
+        )
+    if scenario.tick_count() < 2:
+        raise ConfigError("duration_s * sampling_hz must give a filter comparison 2 ticks or more")
     points = harness.run_filter_comparison(scenario, ensemble_size=ensemble)
-    harness.write_filtercmp_csv(points, os.path.join(args.out, "filtercmp.csv"))
+    harness.write_filtercmp_csv(points, _out_path(args, "filtercmp.csv"))
     outputs = ["filtercmp.csv"]
     if args.plot:
         plots.svg_line_chart(
-            os.path.join(args.out, "filtercmp.svg"),
+            _out_path(args, "filtercmp.svg"),
             "Normalized delivered-position error",
             "t (s)",
             "error / initial error",
@@ -272,8 +311,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command != "validate":
-            os.makedirs(args.out, exist_ok=True)
         outputs = _COMMANDS[args.command](args, scenario, manifest_params)
         if args.command != "validate":
             params = {**manifest_params, **_collect_params(args)}

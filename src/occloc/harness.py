@@ -28,6 +28,7 @@ from .geometry import (
 )
 from .imaging import (
     FeasibilityRegime,
+    Sighting,
     feasibility,
     observe_scene,
     pixel_count,
@@ -35,6 +36,7 @@ from .imaging import (
     distance_from_pixels,
 )
 from .modem import (
+    MIN_BER_BITS,
     decode_frame,
     demodulate,
     encode_frame,
@@ -247,9 +249,13 @@ class _Ceiling:
 _ceiling_cache: "dict[tuple, _Ceiling]" = {}
 
 
+def _ceiling_key(scenario: Scenario) -> tuple:
+    return (scenario.room, scenario.camera, scenario.fixture, scenario.led_spacing_cm,
+            scenario.led_origin_cm, scenario.explicit_led_xy_cm)
+
+
 def _ceiling(scenario: Scenario) -> _Ceiling:
-    key = (scenario.room, scenario.camera, scenario.fixture, scenario.led_spacing_cm,
-           scenario.led_origin_cm, scenario.explicit_led_xy_cm)
+    key = _ceiling_key(scenario)
     ceiling = _ceiling_cache.get(key)
     if ceiling is None:
         luminaires = tuple(scenario.build_luminaires())
@@ -267,14 +273,56 @@ def _ceiling(scenario: Scenario) -> _Ceiling:
     return ceiling
 
 
+@dataclass(frozen=True)
+class _Tick:
+    """One sample of the noise-free walk: the time, the truth, the fixtures
+    inside the view cone and their noise-free sightings, both in ceiling order."""
+
+    t_s: float
+    truth: Point3
+    in_view: "tuple[Luminaire, ...]"
+    sightings: "tuple[Sighting, ...]"
+
+
+# The most recent walk, keyed by its ceiling and trajectory. It holds nothing
+# that depends on the seed or the noise, so an ensemble's members, which differ
+# only in their seeds, share it; like the ceiling, nothing may modify it.
+_walk_cache: "dict[tuple, tuple[_Tick, ...]]" = {}
+
+
+def _walk(scenario: Scenario) -> "tuple[_Tick, ...]":
+    key = (_ceiling_key(scenario), scenario.waypoints_cm, scenario.speed_cm_s,
+           scenario.sampling_hz, scenario.duration_s)
+    walk = _walk_cache.get(key)
+    if walk is None:
+        ceiling = _ceiling(scenario)
+        ticks = []
+        for k in range(scenario.tick_count()):
+            t_s = k / scenario.sampling_hz
+            truth = trajectory_point(scenario, t_s)
+            reach = ceiling.within_reach(truth)
+            sightings = tuple(observe_scene(reach, Pose(truth), scenario.camera))
+            seen = {sig.led_id for sig in sightings}
+            in_view = tuple(lum for lum in reach if lum.led_id in seen)
+            ticks.append(_Tick(t_s, truth, in_view, sightings))
+        walk = tuple(ticks)
+        _walk_cache.clear()
+        _walk_cache[key] = walk
+    return walk
+
+
 def run_tracking(scenario: Scenario) -> "list[RunRecord]":
     """Walk the trajectory and push every tick through the full pipeline:
     observe pixel areas, decode fixture IDs, invert to distances, upload a
     packet, solve and filter on the server.
 
     The ceiling set-up (fixtures, registry, ranging constants and decoded
-    broadcasts) is cached per process and reused while the room, camera and
-    fixture layout stay the same."""
+    broadcasts) and the noise-free walk (truth and sightings per tick) are
+    cached per process, so the ensemble members of a filter comparison, which
+    differ only in their seeds, build them once. Each tick then draws its noise
+    in the one order a fresh walk would: the pixel noise of every fixture in
+    view first, through observe_scene, then the distance noise of every ranged
+    sighting."""
     ceiling = _ceiling(scenario)
     taus, coords = ceiling.taus, ceiling.coords
     server = LightingServer(
@@ -283,25 +331,27 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
         kalman_config=KalmanConfig(dt_s=1.0 / scenario.sampling_hz),
     )
     rng = np.random.default_rng(scenario.seed)
+    distance_sigma_mm = scenario.distance_sigma_cm * 10.0
 
     records: list[RunRecord] = []
-    for k in range(scenario.tick_count()):
-        t_s = k / scenario.sampling_hz
-        truth = trajectory_point(scenario, t_s)
-        sightings = observe_scene(
-            ceiling.within_reach(truth), Pose(truth), scenario.camera, scenario.pixel_sigma, rng
-        )
-        detections = []
-        for sig in sightings:
-            if sig.pixel_area <= 0:
-                continue
-            x_cm, y_cm = coords[sig.led_id]
-            d_mm = distance_from_pixels(taus[sig.led_id], sig.pixel_area)
-            if scenario.distance_sigma_cm > 0:
-                d_mm += rng.normal(0.0, scenario.distance_sigma_cm * 10.0)
-            if not MIN_DISTANCE_MM < d_mm < MAX_DISTANCE_MM:
-                continue
-            detections.append(DetectionRecord(x_cm, y_cm, d_mm))
+    for k, tick in enumerate(_walk(scenario)):
+        if scenario.pixel_sigma > 0:
+            sightings = observe_scene(
+                tick.in_view, Pose(tick.truth), scenario.camera, scenario.pixel_sigma, rng
+            )
+        else:
+            sightings = tick.sightings
+        ranged = [sig for sig in sightings if sig.pixel_area > 0]
+        dists_mm = [distance_from_pixels(taus[sig.led_id], sig.pixel_area) for sig in ranged]
+        if distance_sigma_mm > 0:
+            # one draw of k values is the stream of k scalar draws
+            noise = rng.normal(0.0, distance_sigma_mm, size=len(dists_mm)).tolist()
+            dists_mm = [d + e for d, e in zip(dists_mm, noise)]
+        detections = [
+            DetectionRecord(*coords[sig.led_id], d_mm)
+            for sig, d_mm in zip(ranged, dists_mm)
+            if MIN_DISTANCE_MM < d_mm < MAX_DISTANCE_MM
+        ]
 
         # The server raises InsufficientAnchors, a SolverError, for fewer than
         # three records before it touches the session.
@@ -314,16 +364,17 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
                 result = server.ingest(packet)
             except SolverError:
                 pass
+        truth = tick.truth
         if result is None:
             records.append(
-                RunRecord(t_s, truth, len(sightings), None, None, None,
+                RunRecord(tick.t_s, truth, len(sightings), None, None, None,
                           math.nan, math.nan, False, True)
             )
             continue
         raw = result.estimate.position
         records.append(
             RunRecord(
-                t_s=t_s,
+                t_s=tick.t_s,
                 truth=truth,
                 visible=len(sightings),
                 raw=raw,
@@ -347,7 +398,7 @@ class BerPoint:
 
 def run_ber_sweep(snir_db_grid, n_bits: int, seed: int) -> "list[BerPoint]":
     """Monte-Carlo OOK error rate against the analytic curve per SNIR point."""
-    if n_bits < 10_000:
+    if n_bits < MIN_BER_BITS:
         raise ValueError("need at least 1e4 bits per point")
     points = []
     for i, db in enumerate(snir_db_grid):
@@ -414,7 +465,7 @@ def run_filter_comparison(scenario: Scenario, ensemble_size: int = 100) -> "list
         raise ValueError("scenario too short to compare")
     err_kf = np.full((ensemble_size, n - 1), np.nan)
     err_raw = np.full((ensemble_size, n - 1), np.nan)
-    truths_next = [trajectory_point(scenario, (k + 1) / scenario.sampling_hz) for k in range(n - 1)]
+    truths_next = [tick.truth for tick in _walk(scenario)[1:]]
     for j in range(ensemble_size):
         member = replace(scenario, seed=_member_seed(scenario.seed, j))
         records = run_tracking(member)

@@ -26,6 +26,7 @@ FRAME_BITS = PREAMBLE_BITS + PAYLOAD_BITS + CRC_BITS
 SAMPLES_PER_BIT = 4  # row exposures per bit
 HIGH_LEVEL = 1.0  # bit '1'
 DIM_LEVEL = 0.1  # bit '0': dimmed, never fully off
+MIN_BER_BITS = 10_000  # fewest bits a Monte-Carlo error rate is measured over
 
 
 class FrameError(ValueError):
@@ -135,7 +136,7 @@ def measure_ber(snir_linear: float, n_bits: int, seed: int) -> float:
     """
     if snir_linear < 0:
         raise ValueError("SNIR must be non-negative")
-    if n_bits < 10_000:
+    if n_bits < MIN_BER_BITS:
         raise ValueError("need at least 1e4 bits for a meaningful error rate")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=n_bits).astype(np.uint8)

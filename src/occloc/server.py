@@ -298,15 +298,22 @@ class LightingServer:
         }
 
     def restore_session(self, snapshot: dict):
-        """Rebuild a session from a snapshot dict (inverse of snapshot)."""
+        """Rebuild a session from a snapshot dict (inverse of snapshot).
+
+        The filter state must be 4 finite numbers x and a finite, symmetric 4x4
+        matrix p; anything else raises ValueError naming the field, before the
+        session is registered."""
         if snapshot.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snapshot.get('version')}")
         state = None
         if snapshot["tracker"] is not None:
-            state = tracker.KalmanState(
-                np.array(snapshot["tracker"]["x"], dtype=float),
-                np.array(snapshot["tracker"]["p"], dtype=float),
-            )
+            if type(snapshot["tracker"]) is not dict:
+                raise ValueError("snapshot field tracker must be an object or null")
+            x = _state_array(snapshot["tracker"], "x", (4,))
+            p = _state_array(snapshot["tracker"], "p", (4, 4))
+            if not np.array_equal(p, p.T):
+                raise ValueError("snapshot field tracker.p must be symmetric")
+            state = tracker.KalmanState(x, p)
         session = Session(
             session_id=snapshot["session_id"],
             tracker_state=state,
@@ -320,6 +327,21 @@ class LightingServer:
             history=deque((dict(e) for e in snapshot["history"]), maxlen=HISTORY_LIMIT),
         )
         self.sessions[session.session_id] = session
+
+
+def _state_array(state: dict, name: str, shape: tuple) -> np.ndarray:
+    """A snapshot's tracker.<name> as a float array; it must hold finite
+    numbers (not strings or booleans) in the given shape."""
+    try:
+        array = np.array(state.get(name), dtype=float)
+        numeric = np.asarray(state.get(name)).dtype.kind in "iuf"
+    except (TypeError, ValueError, OverflowError):
+        array, numeric = None, False
+    if not numeric or array.shape != shape or not np.isfinite(array).all():
+        raise ValueError(
+            f"snapshot field tracker.{name} must be {' x '.join(map(str, shape))} finite numbers"
+        )
+    return array
 
 
 def packet_to_line(packet: DetectionPacket) -> str:

@@ -19,7 +19,9 @@ solutions of source localization problems", IEEE TSP).
 One thin SVD of the centered horizontal anchor matrix serves every solve: its
 singular values decide collinearity, and it solves for p. Collinear anchors
 fix p only along their line, which is the rank-one part of the same solve; the
-rest is a circle of radius sqrt(m) around the line, a CollinearFamily.
+rest is a circle of radius sqrt(m) around the line, a CollinearFamily. The SVD
+and everything else that depends on the anchors alone is cached per process,
+keyed by the anchor tuple, so a set seen before costs only its distance terms.
 """
 
 from __future__ import annotations
@@ -126,37 +128,79 @@ class PositionEstimate:
     family: CollinearFamily | None = None
 
 
-class _Anchors:
-    """The measurements as arrays on their common ceiling plane, with the one
-    thin SVD of the centered horizontal anchor matrix that every solve shares."""
+class _AnchorGeometry:
+    """What a solve derives from the anchor positions alone: the xyz array,
+    the common ceiling height h, the centroid, the centered horizontal anchor
+    matrix with its thin SVD and collinearity flag, and the centered |c|^2
+    term of fit_xy. Its arrays are read-only, since solves share them."""
 
-    def __init__(self, measurements):
-        self.xyz = np.array(
-            [[m.anchor.x, m.anchor.y, m.anchor.z] for m in measurements], dtype=float
-        )
+    __slots__ = ("xyz", "h", "centroid", "centered", "u", "s", "vt", "collinear", "c2_centered")
+
+    def __init__(self, anchors: "tuple[Point3, ...]"):
+        # + 0.0 turns -0.0 into 0.0: Point3 equality does not tell them apart,
+        # so anchor tuples that are equal keys must give identical arrays
+        self.xyz = np.array([[a.x + 0.0, a.y + 0.0, a.z + 0.0] for a in anchors], dtype=float)
         if np.ptp(self.xyz[:, 2]) > CEILING_TOLERANCE_CM:
             raise ValueError("anchors must share one ceiling height")
-        self.dists = np.array([m.distance_cm for m in measurements], dtype=float)
         # sum / n is np.mean's arithmetic without its per-call overhead
-        self.n = len(self.dists)
-        self.h = float(self.xyz[:, 2].sum()) / self.n
-        self.centroid = self.xyz[:, :2].sum(axis=0) / self.n
+        n = len(anchors)
+        self.h = float(self.xyz[:, 2].sum()) / n
+        self.centroid = self.xyz[:, :2].sum(axis=0) / n
         self.centered = self.xyz[:, :2] - self.centroid
         self.u, self.s, self.vt = np.linalg.svd(self.centered, full_matrices=False)
         # coincident anchors count as collinear
         self.collinear = bool(self.s[0] == 0.0 or self.s[-1] <= COLLINEARITY_RTOL * self.s[0])
+        c2 = (self.centered**2).sum(axis=1)
+        self.c2_centered = c2 - c2.sum() / n
+        for array in (self.xyz, self.centroid, self.centered, self.u, self.s, self.vt,
+                      self.c2_centered):
+            array.setflags(write=False)
+
+
+# Anchor geometries by anchor tuple, oldest first. A server's phones move under
+# one fixture grid and an ensemble's members walk the same truth, so the same
+# anchor sets recur: the 100 members of the reference filter comparison hold
+# 14 sets between them, and a 64-phone, 55 s fleet log about 1,700, at about
+# 2 KB each. A set that fails its checks is never stored, so it raises again
+# on every call.
+ANCHOR_CACHE_SIZE = 2048
+_anchor_cache: "dict[tuple[Point3, ...], _AnchorGeometry]" = {}
+
+
+def _anchor_geometry(anchors: "tuple[Point3, ...]") -> _AnchorGeometry:
+    geometry = _anchor_cache.get(anchors)
+    if geometry is None:
+        geometry = _AnchorGeometry(anchors)
+        if len(_anchor_cache) >= ANCHOR_CACHE_SIZE:
+            del _anchor_cache[next(iter(_anchor_cache))]
+        _anchor_cache[anchors] = geometry
+    return geometry
+
+
+class _Anchors:
+    """One call's measurements: the anchor geometry, shared by every solve over
+    the same anchors and cached per process, with this call's distances.
+
+    Every solve path (three anchors, least squares, collinear family, floor
+    clamp) reads the one cached SVD, so a warm cache gives the bits a cold one
+    does."""
+
+    def __init__(self, measurements):
+        self.geometry = _anchor_geometry(tuple(m.anchor for m in measurements))
+        self.dists = np.array([m.distance_cm for m in measurements], dtype=float)
+        self.n = len(self.dists)
 
     def fit_xy(self, rank: int) -> tuple[np.ndarray, float, float]:
         """The least-squares horizontal position over the first `rank` singular
         directions (2 for a plane, 1 along a line), m = mean(d^2 - rho^2) and
         mean(d^2), the scale m is rounded at."""
-        c2 = (self.centered**2).sum(axis=1)
+        g = self.geometry
         d2 = self.dists**2
         d2_mean = float(d2.sum()) / self.n
-        rhs = (c2 - c2.sum() / self.n) - (d2 - d2_mean)
-        p = ((self.u[:, :rank].T @ rhs) / (2.0 * self.s[:rank])) @ self.vt[:rank]
-        rho2 = ((self.centered - p) ** 2).sum(axis=1)
-        return self.centroid + p, float((d2 - rho2).sum()) / self.n, d2_mean
+        rhs = g.c2_centered - (d2 - d2_mean)
+        p = ((g.u[:, :rank].T @ rhs) / (2.0 * g.s[:rank])) @ g.vt[:rank]
+        rho2 = ((g.centered - p) ** 2).sum(axis=1)
+        return g.centroid + p, float((d2 - rho2).sum()) / self.n, d2_mean
 
     def mirror_pair(self, allow_approximate: bool) -> tuple[list[Point3], bool]:
         """Candidates sorted by z ascending, and whether they are exact roots.
@@ -165,32 +209,34 @@ class _Anchors:
         approximation is allowed, gives the vertex z = h.
         """
         (x, y), m, d2_mean = self.fit_xy(2)
+        h = self.geometry.h
         if m >= -1e-10 * d2_mean:
             r = math.sqrt(max(m, 0.0))
-            zs, exact = sorted({self.h - r, self.h + r}), True
+            zs, exact = sorted({h - r, h + r}), True
         elif allow_approximate:
-            zs, exact = [self.h], False
+            zs, exact = [h], False
         else:
             raise NoRealRoot(f"sphere constraint has no real solution (m = {m:.3g} cm^2)")
         return [Point3(x, y, z) for z in zs], exact
 
     def family(self) -> CollinearFamily:
         """The circle of solutions around collinear anchors."""
-        if self.s[0] == 0.0:
+        g = self.geometry
+        if g.s[0] == 0.0:
             raise DegenerateAnchors("anchors coincide")
-        direction = self.vt[0]
-        if np.ptp(self.centered @ direction) <= 1e-9:
+        direction = g.vt[0]
+        if np.ptp(g.centered @ direction) <= 1e-9:
             raise DegenerateAnchors("anchors coincide along the line")
         (x, y), m, _ = self.fit_xy(1)
         return CollinearFamily(
-            line_point=Point3(x, y, self.h),
+            line_point=Point3(x, y, g.h),
             direction=(float(direction[0]), float(direction[1]), 0.0),
             radius_cm=math.sqrt(max(m, 0.0)),
         )
 
     def residual_cm(self, position: Point3) -> float:
         """RMS of (distance to anchor - measured distance) over all anchors."""
-        gaps = np.linalg.norm(self.xyz - position.as_tuple(), axis=1) - self.dists
+        gaps = np.linalg.norm(self.geometry.xyz - position.as_tuple(), axis=1) - self.dists
         return math.sqrt(float((gaps**2).sum()) / self.n)
 
 
@@ -231,7 +277,7 @@ def trilaterate(measurements) -> PositionEstimate:
     if len(measurements) != 3:
         raise ValueError(f"trilaterate takes exactly 3 measurements, got {len(measurements)}")
     anchors = _Anchors(measurements)
-    if anchors.collinear:
+    if anchors.geometry.collinear:
         raise CollinearAnchors("anchors are collinear; use trilaterate_collinear")
     pool, _ = anchors.mirror_pair(allow_approximate=False)
     return _estimate(anchors, pool[0], pool, Method.TRILATERATION)
@@ -248,7 +294,7 @@ def trilaterate_collinear(measurements, camera_height_cm: float | None = None) -
     if len(measurements) < 2:
         raise InsufficientAnchors("collinear solve needs at least 2 anchors")
     anchors = _Anchors(measurements)
-    if not anchors.collinear:
+    if not anchors.geometry.collinear:
         raise ValueError("anchors are not collinear")
     family = anchors.family()
     pool = _rim_points(family, camera_height_cm)
@@ -266,7 +312,7 @@ def multilaterate(measurements) -> PositionEstimate:
     if len(measurements) < 4:
         raise ValueError(f"multilaterate takes at least 4 measurements, got {len(measurements)}")
     anchors = _Anchors(measurements)
-    if anchors.collinear:
+    if anchors.geometry.collinear:
         raise RankDeficient("anchors are collinear")
     pool, _ = anchors.mirror_pair(allow_approximate=True)
     return _estimate(anchors, pool[0], pool, Method.LEAST_SQUARES)
@@ -306,10 +352,10 @@ def estimate_position(
     if len(measurements) < 3:
         raise InsufficientAnchors(f"need at least 3 anchors, got {len(measurements)}")
     anchors = _Anchors(measurements)
-    if abs(anchors.xyz[0, 2] - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
+    if abs(anchors.geometry.xyz[0, 2] - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
         raise ValueError("anchor height disagrees with the room ceiling")
 
-    if anchors.collinear:
+    if anchors.geometry.collinear:
         family = anchors.family()
         pool = _rim_points(family, None if prior is None else prior.z)
         if not any(-1e-9 <= p.z <= room.ceiling_height_cm + 1e-9 for p in pool):

@@ -81,12 +81,44 @@ def initial_state(measurement_xy: tuple[float, float], config: KalmanConfig) -> 
     return KalmanState(x, p)
 
 
+# Covariance memos, oldest first. The predicted P, the gain and the posterior
+# P depend only on the configuration and the incoming P, not on the
+# measurements, so every cold-started filter walks one covariance sequence
+# (with the default configuration it reaches a float fixed point after 59
+# updates), which every phone and ensemble member repeats. A key holds the
+# shape and dtype along with the bytes, so only a bit-identical input finds an
+# entry; stored arrays are read-only.
+COVARIANCE_MEMO_SIZE = 1024
+_predict_memo: "dict[tuple, np.ndarray]" = {}
+_update_memo: "dict[tuple, tuple[np.ndarray, np.ndarray]]" = {}
+
+
+def _memo_key(config: KalmanConfig, p_cov: np.ndarray) -> tuple:
+    return (config, p_cov.shape, p_cov.dtype, p_cov.tobytes())
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _remember(memo: dict, key: tuple, value):
+    if len(memo) >= COVARIANCE_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 def predict(state: KalmanState, config: KalmanConfig) -> KalmanState:
     """Propagate one interval: x <- B x, P <- B P B^T + Q."""
     b = config.state_transition
     x = b @ state.x_vec
-    p = b @ state.p_cov @ b.T + config.process_noise
-    return KalmanState(x, 0.5 * (p + p.T))
+    key = _memo_key(config, state.p_cov)
+    p = _predict_memo.get(key)
+    if p is None:
+        p = b @ state.p_cov @ b.T + config.process_noise
+        p = _remember(_predict_memo, key, _frozen(0.5 * (p + p.T)))
+    return KalmanState(x, p)
 
 
 def gain(predicted: KalmanState, config: KalmanConfig) -> np.ndarray:
@@ -103,8 +135,13 @@ def update(
     predicted: KalmanState, measurement_xy: tuple[float, float], config: KalmanConfig
 ) -> KalmanState:
     """Fold in one (x, y) measurement: x <- x + K(y - Hx), P <- (I - KH)P."""
-    k = gain(predicted, config)
+    key = _memo_key(config, predicted.p_cov)
+    cached = _update_memo.get(key)
+    if cached is None:
+        k = gain(predicted, config)
+        p = (np.eye(4) - k @ _H) @ predicted.p_cov
+        cached = _remember(_update_memo, key, (_frozen(k), _frozen(0.5 * (p + p.T))))
+    k, p = cached
     y = np.asarray(measurement_xy, dtype=float)
     x = predicted.x_vec + k @ (y - _H @ predicted.x_vec)
-    p = (np.eye(4) - k @ _H) @ predicted.p_cov
-    return KalmanState(x, 0.5 * (p + p.T))
+    return KalmanState(x, p)

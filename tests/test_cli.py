@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,11 @@ import occloc
 from occloc.cli import main
 from occloc.harness import (
     default_filtercmp_scenario,
+    default_scenario,
     run_filter_comparison,
+    run_tracking,
     write_filtercmp_csv,
+    write_track_csv,
 )
 
 
@@ -119,6 +124,35 @@ class TestFiltercmpDefault:
             assert read(out_a / name) == read(out_b / name)
 
 
+class TestPinnedDigests:
+    """SHA-256 of reference outputs. The per-process caches (ceiling, walk,
+    anchor geometries, covariance memos) must leave every byte as it was; the
+    last digest also pins the order of the noise draws, pixel noise first,
+    then distance noise."""
+
+    def test_default_track_csv(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OCC_SEED", raising=False)
+        assert main(["track", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256(read(tmp_path / "track.csv")).hexdigest() == (
+            "67d75c66be70915776abaa01c213ebee8b6c2d9b999ba32ab95e98415ed62e4d"
+        )
+
+    def test_default_filtercmp_csv(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OCC_SEED", raising=False)
+        assert main(["filtercmp", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256(read(tmp_path / "filtercmp.csv")).hexdigest() == (
+            "14978c366f2cef40b30e453f48c31ebfbdb0565ee348947d2c0a8a5e0101ada0"
+        )
+
+    def test_tracking_with_pixel_and_distance_noise(self, tmp_path):
+        scenario = replace(default_scenario(), distance_sigma_cm=3.0, seed=11)
+        assert scenario.pixel_sigma > 0
+        write_track_csv(run_tracking(scenario), tmp_path / "track.csv")
+        assert hashlib.sha256(read(tmp_path / "track.csv")).hexdigest() == (
+            "ad3d21a5368500c5c582ec0e85efa643be5381e21aec23c11f4280fd4ccfcd54"
+        )
+
+
 def test_cli_loads_every_module():
     """A module that nothing imports is dead code; the CLI must reach them all."""
     package_dir = Path(occloc.__file__).parent
@@ -167,6 +201,42 @@ class TestOtherCommands:
         lines = (out / "filtercmp.csv").read_text().splitlines()
         assert lines[0] == "t_s,err_kf_norm,err_raw_norm"
         assert len(lines) == 6  # ticks 0..4 score against the next truth
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["filtercmp", "--ensemble", "0"], "--ensemble"),
+            (["ber", "--bits", "10"], "--bits"),
+            (["range", "--d-min-m", "0"], "--d-min-m"),
+            (["range", "--d-min-m", "0.004"], "--d-min-m"),
+            (["range", "--points", "1"], "--points"),
+            (["ber", "--snir-min", "5", "--snir-max", "1"], "--snir-max"),
+            (["ber", "--snir-min", "nan"], "--snir-min"),
+            (["ber", "--snir-min", "3990", "--snir-max", "4000"], "--snir-max"),
+        ],
+        ids=["ensemble-0", "bits-10", "d-min-0", "d-min-in-focal-length", "points-1",
+             "snir-max-below-min", "snir-min-nan", "snir-max-overflows"],
+    )
+    def test_out_of_range_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out), "--plot"]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf", "1e-12"])
+    def test_snir_step_that_cannot_build_a_grid_exits_2(self, tmp_path, capsys, step):
+        out = tmp_path / "o"
+        assert main(["ber", "--snir-step", step, "--bits", "10000", "--out", str(out)]) == 2
+        assert "--snir-step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_filtercmp_without_distance_noise_names_the_field(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"duration_s": 6.0}))
+        out = tmp_path / "o"
+        assert main(["filtercmp", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert "noise.distance_sigma_cm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_ok(self, capsys):
         assert main(["validate"]) == 0

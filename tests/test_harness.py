@@ -206,8 +206,9 @@ class TestRunTracking:
 
 
 def _cold(fn, *args):
-    """fn(*args) as a new process would run it, with no ceiling cached."""
+    """fn(*args) as a new process would run it, with no ceiling or walk cached."""
     harness._ceiling_cache.clear()
+    harness._walk_cache.clear()
     return fn(*args)
 
 
@@ -234,6 +235,48 @@ class TestCeilingCache:
         s = default_filtercmp_scenario()
         cold = _cold(run_filter_comparison, s, 5)
         assert run_filter_comparison(s, 5) == cold
+
+
+class TestWalkCache:
+    """The noise-free walk is cached per process and rebuilt when anything it
+    depends on changes; it holds nothing that depends on the seed or noise."""
+
+    BASE = replace(default_scenario(), duration_s=8.0, distance_sigma_cm=2.0)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            replace(BASE, waypoints_cm=((300.0, 300.0, 100.0), (900.0, 300.0, 100.0))),
+            replace(BASE, speed_cm_s=25.0),
+            replace(BASE, sampling_hz=2.0),
+            replace(BASE, duration_s=9.0),
+            replace(BASE, led_spacing_cm=140.0),
+        ],
+        ids=["waypoints", "speed", "sampling", "duration", "ceiling"],
+    )
+    def test_a_changed_walk_is_rebuilt(self, other):
+        cold_base, cold_other = _cold(run_tracking, self.BASE), _cold(run_tracking, other)
+        assert cold_other != cold_base
+        assert run_tracking(self.BASE) == cold_base
+        assert run_tracking(other) == cold_other
+        assert len(harness._walk_cache) == len(harness._ceiling_cache) == 1
+
+    @pytest.mark.parametrize("pixel_sigma", [0.0, 100.0])
+    def test_members_with_other_seeds_share_the_walk(self, pixel_sigma):
+        base = replace(self.BASE, pixel_sigma=pixel_sigma)
+        for seed in (3, 4):
+            member = replace(base, seed=seed)
+            cold = _cold(run_tracking, member)
+            run_tracking(replace(base, seed=seed + 100))  # warms the walk with other noise
+            assert run_tracking(member) == cold
+
+    def test_walk_matches_the_trajectory(self):
+        s = self.BASE
+        walk = _cold(harness._walk, s)
+        assert [t.t_s for t in walk] == [k / s.sampling_hz for k in range(s.tick_count())]
+        assert [t.truth for t in walk] == [trajectory_point(s, t.t_s) for t in walk]
+        for tick in walk:
+            assert [sig.led_id for sig in tick.sightings] == [lum.led_id for lum in tick.in_view]
 
 
 class TestViewWindow:

@@ -293,6 +293,78 @@ class TestSnapshot:
             server.restore_session(snap)
 
 
+def _snapshot_with_state(x, p):
+    server = make_server()
+    server.ingest(packet_from_truth(Point3(500, 500, 100), 1000))
+    snap = json.loads(json.dumps(server.snapshot("s1")))
+    snap["tracker"] = {"x": x, "p": p}
+    return snap
+
+
+class TestRestoreTrackerState:
+    """restore_session takes a filter state only as 4 finite numbers x and a
+    finite, symmetric 4x4 matrix p; anything else raises ValueError naming the
+    field, and no session is registered."""
+
+    GOOD_X = [500.0, 500.0, 0.0, 0.0]
+    GOOD_P = np.diag([25.0, 25.0, 1e4, 1e4]).tolist()
+
+    @pytest.mark.parametrize(
+        "x, p, field",
+        [
+            (GOOD_X, np.ones((2, 8)).tolist(), "tracker.p"),
+            (GOOD_X[:3], GOOD_P, "tracker.x"),
+            (GOOD_X + [0.0], GOOD_P, "tracker.x"),
+            ([500.0, math.nan, 0.0, 0.0], GOOD_P, "tracker.x"),
+            (["500", 500.0, 0.0, 0.0], GOOD_P, "tracker.x"),
+            ([True, False, True, False], GOOD_P, "tracker.x"),
+            (None, GOOD_P, "tracker.x"),
+            (GOOD_X, [[1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], "tracker.p"),
+            (GOOD_X, [[math.inf, 0.0, 0.0, 0.0]] + GOOD_P[1:], "tracker.p"),
+            (GOOD_X, GOOD_P[:3], "tracker.p"),
+            (GOOD_X, [[1.0, 0.0], [0.0, 1.0, 0.0, 0.0]] + GOOD_P[2:], "tracker.p"),
+        ],
+    )
+    def test_bad_state_is_rejected(self, x, p, field):
+        server = make_server()
+        with pytest.raises(ValueError, match=field):
+            server.restore_session(_snapshot_with_state(x, p))
+        assert server.sessions == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=6),
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        values=st.lists(
+            st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf]),
+            min_size=64,
+            max_size=64,
+        ),
+        symmetrize=st.booleans(),
+    )
+    def test_restore_accepts_exactly_the_valid_states(self, x, shape, values, symmetrize):
+        p = np.array(values[: shape[0] * shape[1]]).reshape(shape)
+        if symmetrize and shape[0] == shape[1]:
+            p = np.triu(p) + np.triu(p, 1).T
+        valid = (
+            len(x) == 4
+            and all(math.isfinite(v) for v in x)
+            and p.shape == (4, 4)
+            and bool(np.isfinite(p).all())
+            and bool((p == p.T).all())
+        )
+        server = make_server()
+        snap = _snapshot_with_state(x, p.tolist())
+        if valid:
+            server.restore_session(snap)
+            assert server.snapshot("s1") == snap
+        else:
+            with pytest.raises(ValueError, match="snapshot field tracker"):
+                server.restore_session(snap)
+            assert server.sessions == {}
+
+
 class TestPacketLines:
     def test_round_trip(self):
         pkt = packet_from_truth(Point3(520, 510, 100), 1234)

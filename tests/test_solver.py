@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from occloc import solver
 from occloc.geometry import Point3, RoomConfig, distance
 from occloc.solver import (
     CEILING_TOLERANCE_CM,
@@ -605,3 +606,144 @@ class TestCeilingTolerance:
         # the mirror candidate lies above the ceiling, but no farther than a range
         reach = max(m.distance_cm for m in ms)
         assert all(abs(p.z - 300.0) <= reach for p in _pool(est))
+
+
+def _outcome(solve, *args) -> str:
+    """What a solve gives, as text that tells every float bit apart: the
+    estimate's repr, or the type and message of what it raised."""
+    try:
+        return repr(solve(*args))
+    except ValueError as exc:  # SolverError is a ValueError
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _every_outcome(ms, prior):
+    """The outcome of every entry point that takes this many measurements."""
+    outcomes = [
+        _outcome(estimate_position, ms, ROOM, prior),
+        _outcome(trilaterate_collinear, ms, None if prior is None else prior.z),
+    ]
+    if len(ms) == 3:
+        outcomes.append(_outcome(trilaterate, ms))
+    if len(ms) >= 4:
+        outcomes.append(_outcome(multilaterate, ms))
+    return outcomes
+
+
+class TestAnchorCache:
+    """The per-process anchor-geometry cache changes no result: a solve over an
+    anchor set that an earlier solve, with other distances, put in the cache
+    gives the bits of a solve with the cache empty."""
+
+    @staticmethod
+    def _warm_and_cold(anchors, dists, other_dists, prior=None):
+        """Outcomes with the cache warmed and cold. The warm-up solves a set
+        shifted by 37 cm first, so that a lookup matching on less than the
+        anchors themselves would find a wrong entry, then the same anchors with
+        other distances."""
+        ms = [AnchorMeasurement(a, d) for a, d in zip(anchors, dists)]
+        shifted = [Point3(a.x + 37.0, a.y, a.z) for a in anchors]
+        solver._anchor_cache.clear()
+        cold = _every_outcome(ms, prior)
+        solver._anchor_cache.clear()
+        for warm_up, ds in ((shifted, dists), (anchors, other_dists)):
+            _every_outcome([AnchorMeasurement(a, d) for a, d in zip(warm_up, ds)], prior)
+        warm = _every_outcome(ms, prior)
+        return warm, cold, ms
+
+    @pytest.mark.parametrize(
+        "truth, anchors_xy, offset_cm, prior, method, z",
+        [
+            (Point3(50, 60, 100), [(0, 0), (150, 0), (0, 150)], 0.0, None,
+             Method.TRILATERATION, None),
+            (Point3(230, 40, 100), [(200, 0), (200, 150), (200, 300)], 0.0,
+             Point3(228, 42, 100), Method.COLLINEAR_FAMILY, None),
+            # both mirror roots outside the room: the estimate is clamped to the floor
+            (Point3(420, 510, 0), [(300, 450), (450, 450), (300, 600)], 20.0, None,
+             Method.LEAST_SQUARES, 0.0),
+        ],
+        ids=["three-anchor", "collinear", "floor-clamped"],
+    )
+    def test_each_path_warm_equals_cold(self, truth, anchors_xy, offset_cm, prior, method, z):
+        exact = measure_from(truth, anchors_xy)
+        anchors = [m.anchor for m in exact]
+        dists = [m.distance_cm + offset_cm for m in exact]
+        warm, cold, ms = self._warm_and_cold(anchors, dists, [d + 3.0 for d in dists], prior)
+        assert warm == cold
+        est = estimate_position(ms, ROOM, prior)
+        assert est.method is method
+        if z is not None:
+            assert est.position.z == z
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        offsets=st.lists(
+            st.tuples(st.floats(-400, 400), st.floats(-400, 400)), min_size=3, max_size=8
+        ),
+        collinear=st.booleans(),
+        x=st.floats(300, 900),
+        y=st.floats(300, 900),
+        z=st.floats(0, 290),
+        noise=st.lists(st.floats(-30.0, 30.0), min_size=16, max_size=16),
+        with_prior=st.booleans(),
+    )
+    def test_warm_equals_cold(self, offsets, collinear, x, y, z, noise, with_prior):
+        if collinear:
+            offsets = [(dx, 0.5 * dx) for dx, _ in offsets]
+        truth = Point3(x, y, z)
+        anchors = [Point3(x + dx, y + dy, 300.0) for dx, dy in offsets]
+        exact = [distance(truth, a) for a in anchors]
+        dists = [max(d + e, 1e-3) for d, e in zip(exact, noise[:8])]
+        other = [max(d + e, 1e-3) for d, e in zip(exact, noise[8:])]
+        prior = Point3(x + 5.0, y - 5.0, z) if with_prior else None
+        warm, cold, _ = self._warm_and_cold(anchors, dists, other, prior)
+        assert warm == cold
+
+    def test_signed_zero_anchors_share_one_geometry(self):
+        dists = [120.0, 130.0, 140.0, 150.0]
+        plus = [Point3(0.0, 0.0, 300), Point3(150, 0.0, 300), Point3(0.0, 150, 300),
+                Point3(-150, 150, 300)]
+        minus = [Point3(-0.0, -0.0, 300), Point3(150, -0.0, 300), Point3(-0.0, 150, 300),
+                 Point3(-150, 150, 300)]
+        solver._anchor_cache.clear()
+        cold = _every_outcome([AnchorMeasurement(a, d) for a, d in zip(minus, dists)], None)
+        solver._anchor_cache.clear()
+        _every_outcome([AnchorMeasurement(a, d) for a, d in zip(plus, dists)], None)
+        warm = _every_outcome([AnchorMeasurement(a, d) for a, d in zip(minus, dists)], None)
+        assert warm == cold
+
+    @settings(max_examples=50, deadline=None)
+    @given(dz=st.floats(2 * CEILING_TOLERANCE_CM, 50.0), which=st.integers(0, 3))
+    def test_mixed_heights_raise_on_every_call(self, dz, which):
+        anchors = [Point3(x, y, 300.0) for x, y in [(0, 0), (150, 0), (0, 150), (150, 150)]]
+        anchors[which] = Point3(anchors[which].x, anchors[which].y, 300.0 - dz)
+        ms = [AnchorMeasurement(a, 200.0) for a in anchors]
+        for _ in range(3):
+            for solve in (lambda: estimate_position(ms, ROOM), lambda: multilaterate(ms)):
+                with pytest.raises(ValueError, match="share one ceiling"):
+                    solve()
+        assert tuple(anchors) not in solver._anchor_cache
+
+    def test_cached_arrays_are_read_only(self):
+        ms = measure_from(Point3(50, 60, 100), [(0, 0), (150, 0), (0, 150), (150, 150)])
+        estimate_position(ms, ROOM)
+        geometry = solver._anchor_cache[tuple(m.anchor for m in ms)]
+        for name in ("xyz", "centroid", "centered", "u", "s", "vt", "c2_centered"):
+            array = getattr(geometry, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_cache_stays_within_its_bound(self):
+        solver._anchor_cache.clear()
+        sets = []
+        for i in range(solver.ANCHOR_CACHE_SIZE + 10):
+            x0 = 0.25 * i
+            ms = measure_from(Point3(x0 + 50, 60, 100), [(x0, 0), (x0 + 150, 0), (x0, 150)])
+            estimate_position(ms, ROOM)
+            sets.append(tuple(m.anchor for m in ms))
+            assert len(solver._anchor_cache) <= solver.ANCHOR_CACHE_SIZE
+        assert len(solver._anchor_cache) == solver.ANCHOR_CACHE_SIZE
+        # the oldest sets went first
+        assert all(s not in solver._anchor_cache for s in sets[:10])
+        assert all(s in solver._anchor_cache for s in sets[10:])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from occloc import tracker
 from occloc.tracker import (
     KalmanConfig,
     KalmanState,
@@ -195,3 +196,85 @@ class TestConfigValidation:
     def test_rejects_out_of_range_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             KalmanConfig(**{field: value})
+
+
+_H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+def reference_predict(x, p, cfg):
+    """predict's arithmetic with no memo."""
+    b = cfg.state_transition
+    p = b @ p @ b.T + cfg.process_noise
+    return b @ x, 0.5 * (p + p.T)
+
+
+def reference_update(x, p, measurement_xy, cfg):
+    """update's arithmetic with no memo."""
+    pht = p @ _H.T
+    k = np.linalg.solve((_H @ pht + cfg.measurement_noise).T, pht.T).T
+    x = x + k @ (np.asarray(measurement_xy, dtype=float) - _H @ x)
+    p = (np.eye(4) - k @ _H) @ p
+    return x, 0.5 * (p + p.T)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCovarianceMemo:
+    """The covariance memos change no result, hold read-only arrays and stay
+    within their bound."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        configs=st.lists(
+            st.tuples(st.floats(0.05, 5.0), st.floats(0.0, 100.0), st.floats(0.1, 50.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        measurements=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=2, max_size=70
+        ),
+    )
+    def test_memo_equals_the_uncached_recursion(self, configs, measurements):
+        # the second pass over each configuration finds every covariance memoized
+        for dt, q, std in configs + configs:
+            cfg = KalmanConfig(dt, q, std)
+            state = initial_state(measurements[0], cfg)
+            x, p = state.x_vec, state.p_cov
+            for meas in measurements[1:]:
+                predicted = predict(state, cfg)
+                x, p = reference_predict(x, p, cfg)
+                assert same_bits(predicted.x_vec, x) and same_bits(predicted.p_cov, p)
+                state = update(predicted, meas, cfg)
+                x, p = reference_update(x, p, meas, cfg)
+                assert same_bits(state.x_vec, x) and same_bits(state.p_cov, p)
+
+    def test_memoized_arrays_are_read_only(self):
+        cfg = config()
+        predicted = predict(initial_state((0.0, 0.0), cfg), cfg)
+        posterior = update(predicted, (1.0, 2.0), cfg)
+        k, p = tracker._update_memo[tracker._memo_key(cfg, predicted.p_cov)]
+        for array in (predicted.p_cov, posterior.p_cov, k, p):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_same_bytes_in_another_shape_or_dtype_miss(self):
+        cfg = config()
+        p = predict(initial_state((0.0, 0.0), cfg), cfg).p_cov
+        predict(KalmanState(np.zeros(4), p), cfg)
+        with pytest.raises(ValueError):  # a 2x8 matrix does not multiply B
+            predict(KalmanState(np.zeros(4), p.reshape(2, 8)), cfg)
+        as_ints = p.view(np.int64)
+        predicted = predict(KalmanState(np.zeros(4), as_ints), cfg)
+        assert same_bits(predicted.p_cov, reference_predict(np.zeros(4), as_ints, cfg)[1])
+
+    def test_tables_stay_within_their_bound(self):
+        cfg = config()
+        for i in range(tracker.COVARIANCE_MEMO_SIZE + 10):
+            state = KalmanState(np.zeros(4), np.diag([25.0 + i, 25.0, 1e4, 1e4]))
+            update(predict(state, cfg), (0.0, 0.0), cfg)
+            assert len(tracker._predict_memo) <= tracker.COVARIANCE_MEMO_SIZE
+            assert len(tracker._update_memo) <= tracker.COVARIANCE_MEMO_SIZE
+        assert len(tracker._predict_memo) == tracker.COVARIANCE_MEMO_SIZE
