@@ -21,7 +21,6 @@ from . import harness, plots
 
 SEED_ENV_VAR = "OCC_SEED"
 MAX_GRID_POINTS = 100_000  # largest sweep grid a command builds
-MAX_SNIR_DB = 300.0  # |SNIR| bound of the BER grid; 10^(SNIR/10) overflows past about 3,080 dB
 
 
 class ConfigError(Exception):
@@ -126,10 +125,10 @@ def cmd_ber(args, scenario, manifest_params) -> list[str]:
     hi = float(_param(args, manifest_params, "snir-max", 15.0))
     step = float(_param(args, manifest_params, "snir-step", 1.0))
     bits = int(_param(args, manifest_params, "bits", 100_000))
-    if not -MAX_SNIR_DB <= lo <= hi <= MAX_SNIR_DB:
+    if not -harness.MAX_SNIR_DB <= lo <= hi <= harness.MAX_SNIR_DB:
         raise ConfigError(
             f"--snir-min {lo} and --snir-max {hi} must satisfy "
-            f"-{MAX_SNIR_DB} <= snir-min <= snir-max <= {MAX_SNIR_DB} dB"
+            f"-{harness.MAX_SNIR_DB} <= snir-min <= snir-max <= {harness.MAX_SNIR_DB} dB"
         )
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"--snir-step must be finite and positive, got {step}")

@@ -63,8 +63,9 @@ class RoomConfig:
 
     def __post_init__(self):
         for name in ("width_cm", "depth_cm", "ceiling_height_cm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,10 @@ class CameraModel:
     fov_full_angle_deg: float
 
     def __post_init__(self):
-        if self.focal_length_mm <= 0:
-            raise ValueError("focal_length_mm must be positive")
-        if self.pixel_edge_mm <= 0:
-            raise ValueError("pixel_edge_mm must be positive")
+        if not (math.isfinite(self.focal_length_mm) and self.focal_length_mm > 0):
+            raise ValueError("focal_length_mm must be finite and positive")
+        if not (math.isfinite(self.pixel_edge_mm) and self.pixel_edge_mm > 0):
+            raise ValueError("pixel_edge_mm must be finite and positive")
         if not (0.0 < self.fov_full_angle_deg < 180.0):
             raise ValueError("fov_full_angle_deg must lie in (0, 180)")
 

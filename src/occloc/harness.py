@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,6 +78,7 @@ TRACK_HEADER = "t_s,true_x,true_y,raw_x,raw_y,kf_x,kf_y,raw_err,kf_err,visible"
 BER_HEADER = "snir_db,ber_sim,ber_theory"
 RANGE_HEADER = "d_m,eta,regime"
 FILTERCMP_HEADER = "t_s,err_kf_norm,err_raw_norm"
+MAX_SNIR_DB = 300.0  # |SNIR| bound of the BER sweep; 10^(SNIR/10) overflows past about 3,080 dB
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,18 @@ class Scenario:
     seed: int = 1
 
     def __post_init__(self):
+        # NaN passes every range check below, and a finite duration and rate
+        # can still give an infinite tick count
+        fix = self.fixture
+        numbers = (
+            self.led_spacing_cm, *self.led_origin_cm, self.speed_cm_s, self.sampling_hz,
+            self.duration_s, self.duration_s * self.sampling_hz, self.pixel_sigma,
+            self.distance_sigma_cm, *(c for xy in self.explicit_led_xy_cm or () for c in xy),
+            *(v for v in (fix.radius_mm, fix.width_mm, fix.height_mm, fix.area_mm2)
+              if v is not None),
+        )
+        if not all(math.isfinite(v) for v in numbers):
+            raise ScenarioError("scenario values must be finite")
         if self.sampling_hz <= 0:
             raise ScenarioError("sampling_hz must be positive")
         if self.led_spacing_cm <= 0:
@@ -178,7 +192,9 @@ class Scenario:
 def trajectory_point(scenario: Scenario, t_s: float) -> Point3:
     """Truth position after walking the waypoint polyline for t_s seconds,
     clamped at the final waypoint."""
-    wps = [Point3(*wp) for wp in scenario.waypoints_cm]
+    # + 0.0 turns -0.0 into 0.0: scenarios that differ only there are equal
+    # keys of the walk cache, so they must walk the same truth
+    wps = [Point3(x + 0.0, y + 0.0, z + 0.0) for x, y, z in scenario.waypoints_cm]
     if len(wps) == 1 or scenario.speed_cm_s == 0:
         return wps[0]
     target = scenario.speed_cm_s * t_s
@@ -226,7 +242,7 @@ class _Ceiling:
 
     luminaires: "tuple[Luminaire, ...]"
     registry: LedRegistry
-    taus: "dict[int, float]"  # tau in mm, by led_id
+    tau_mm: float  # every fixture is stamped from the one FixtureSpec
     coords: "dict[int, tuple[int, int]]"
     xy: np.ndarray  # (N, 2) fixture positions, in luminaire order
     height_cm: float
@@ -243,36 +259,6 @@ class _Ceiling:
         return [self.luminaires[i] for i in near]
 
 
-# The most recent ceiling, keyed by the scenario fields that define it; an
-# ensemble's members share theirs, so it is built once per comparison. Every
-# run reads the same objects, so nothing may modify them.
-_ceiling_cache: "dict[tuple, _Ceiling]" = {}
-
-
-def _ceiling_key(scenario: Scenario) -> tuple:
-    return (scenario.room, scenario.camera, scenario.fixture, scenario.led_spacing_cm,
-            scenario.led_origin_cm, scenario.explicit_led_xy_cm)
-
-
-def _ceiling(scenario: Scenario) -> _Ceiling:
-    key = _ceiling_key(scenario)
-    ceiling = _ceiling_cache.get(key)
-    if ceiling is None:
-        luminaires = tuple(scenario.build_luminaires())
-        ceiling = _Ceiling(
-            luminaires=luminaires,
-            registry=LedRegistry.from_luminaires(luminaires),
-            taus={lum.led_id: ranging_constant(scenario.camera, lum) for lum in luminaires},
-            coords=_decoded_coordinates(luminaires),
-            xy=np.array([[lum.anchor.x, lum.anchor.y] for lum in luminaires]).reshape(-1, 2),
-            height_cm=scenario.room.ceiling_height_cm,
-            reach_per_dz=math.tan(math.radians(scenario.camera.fov_semi_angle_deg)),
-        )
-        _ceiling_cache.clear()
-        _ceiling_cache[key] = ceiling
-    return ceiling
-
-
 @dataclass(frozen=True)
 class _Tick:
     """One sample of the noise-free walk: the time, the truth, the fixtures
@@ -284,31 +270,40 @@ class _Tick:
     sightings: "tuple[Sighting, ...]"
 
 
-# The most recent walk, keyed by its ceiling and trajectory. It holds nothing
-# that depends on the seed or the noise, so an ensemble's members, which differ
-# only in their seeds, share it; like the ceiling, nothing may modify it.
-_walk_cache: "dict[tuple, tuple[_Tick, ...]]" = {}
+def _noise_free(scenario: Scenario) -> Scenario:
+    """The scenario without its seed and noise: the key of its walk."""
+    return replace(scenario, seed=0, pixel_sigma=0.0, distance_sigma_cm=0.0)
 
 
-def _walk(scenario: Scenario) -> "tuple[_Tick, ...]":
-    key = (_ceiling_key(scenario), scenario.waypoints_cm, scenario.speed_cm_s,
-           scenario.sampling_hz, scenario.duration_s)
-    walk = _walk_cache.get(key)
-    if walk is None:
-        ceiling = _ceiling(scenario)
-        ticks = []
-        for k in range(scenario.tick_count()):
-            t_s = k / scenario.sampling_hz
-            truth = trajectory_point(scenario, t_s)
-            reach = ceiling.within_reach(truth)
-            sightings = tuple(observe_scene(reach, Pose(truth), scenario.camera))
-            seen = {sig.led_id for sig in sightings}
-            in_view = tuple(lum for lum in reach if lum.led_id in seen)
-            ticks.append(_Tick(t_s, truth, in_view, sightings))
-        walk = tuple(ticks)
-        _walk_cache.clear()
-        _walk_cache[key] = walk
-    return walk
+# The most recent walk with its ceiling. It holds nothing that depends on the
+# seed or the noise, so an ensemble's members, which differ only in their
+# seeds, share it. Every run reads the same objects, so nothing may modify them.
+@lru_cache(maxsize=1)
+def _walk(scenario: Scenario) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
+    """The ceiling and the noise-free walk of a _noise_free scenario."""
+    luminaires = tuple(scenario.build_luminaires())
+    height = scenario.room.ceiling_height_cm
+    ceiling = _Ceiling(
+        luminaires=luminaires,
+        registry=LedRegistry.from_luminaires(luminaires),
+        tau_mm=ranging_constant(
+            scenario.camera, scenario.fixture.make_luminaire(0, Point3(0.0, 0.0, height))
+        ),
+        coords=_decoded_coordinates(luminaires),
+        xy=np.array([[lum.anchor.x, lum.anchor.y] for lum in luminaires]).reshape(-1, 2),
+        height_cm=height,
+        reach_per_dz=math.tan(math.radians(scenario.camera.fov_semi_angle_deg)),
+    )
+    ticks = []
+    for k in range(scenario.tick_count()):
+        t_s = k / scenario.sampling_hz
+        truth = trajectory_point(scenario, t_s)
+        reach = ceiling.within_reach(truth)
+        sightings = tuple(observe_scene(reach, Pose(truth), scenario.camera))
+        seen = {sig.led_id for sig in sightings}
+        in_view = tuple(lum for lum in reach if lum.led_id in seen)
+        ticks.append(_Tick(t_s, truth, in_view, sightings))
+    return ceiling, tuple(ticks)
 
 
 def run_tracking(scenario: Scenario) -> "list[RunRecord]":
@@ -316,15 +311,15 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
     observe pixel areas, decode fixture IDs, invert to distances, upload a
     packet, solve and filter on the server.
 
-    The ceiling set-up (fixtures, registry, ranging constants and decoded
+    The ceiling set-up (fixtures, registry, ranging constant and decoded
     broadcasts) and the noise-free walk (truth and sightings per tick) are
     cached per process, so the ensemble members of a filter comparison, which
     differ only in their seeds, build them once. Each tick then draws its noise
     in the one order a fresh walk would: the pixel noise of every fixture in
     view first, through observe_scene, then the distance noise of every ranged
     sighting."""
-    ceiling = _ceiling(scenario)
-    taus, coords = ceiling.taus, ceiling.coords
+    ceiling, walk = _walk(_noise_free(scenario))
+    tau_mm, coords = ceiling.tau_mm, ceiling.coords
     server = LightingServer(
         ceiling.registry,
         scenario.room,
@@ -334,7 +329,7 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
     distance_sigma_mm = scenario.distance_sigma_cm * 10.0
 
     records: list[RunRecord] = []
-    for k, tick in enumerate(_walk(scenario)):
+    for k, tick in enumerate(walk):
         if scenario.pixel_sigma > 0:
             sightings = observe_scene(
                 tick.in_view, Pose(tick.truth), scenario.camera, scenario.pixel_sigma, rng
@@ -342,7 +337,7 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
         else:
             sightings = tick.sightings
         ranged = [sig for sig in sightings if sig.pixel_area > 0]
-        dists_mm = [distance_from_pixels(taus[sig.led_id], sig.pixel_area) for sig in ranged]
+        dists_mm = [distance_from_pixels(tau_mm, sig.pixel_area) for sig in ranged]
         if distance_sigma_mm > 0:
             # one draw of k values is the stream of k scalar draws
             noise = rng.normal(0.0, distance_sigma_mm, size=len(dists_mm)).tolist()
@@ -397,14 +392,18 @@ class BerPoint:
 
 
 def run_ber_sweep(snir_db_grid, n_bits: int, seed: int) -> "list[BerPoint]":
-    """Monte-Carlo OOK error rate against the analytic curve per SNIR point."""
+    """Monte-Carlo OOK error rate against the analytic curve per SNIR point,
+    each within +/- MAX_SNIR_DB."""
     if n_bits < MIN_BER_BITS:
         raise ValueError("need at least 1e4 bits per point")
+    grid = [float(db) for db in snir_db_grid]
+    if not all(abs(db) <= MAX_SNIR_DB for db in grid):
+        raise ValueError(f"SNIR values must be finite and within +/-{MAX_SNIR_DB} dB")
     points = []
-    for i, db in enumerate(snir_db_grid):
-        lin = 10.0 ** (float(db) / 10.0)
+    for i, db in enumerate(grid):
+        lin = 10.0 ** (db / 10.0)
         points.append(
-            BerPoint(float(db), measure_ber(lin, n_bits, seed + i), ook_ber_theoretical(lin))
+            BerPoint(db, measure_ber(lin, n_bits, seed + i), ook_ber_theoretical(lin))
         )
     return points
 
@@ -465,7 +464,7 @@ def run_filter_comparison(scenario: Scenario, ensemble_size: int = 100) -> "list
         raise ValueError("scenario too short to compare")
     err_kf = np.full((ensemble_size, n - 1), np.nan)
     err_raw = np.full((ensemble_size, n - 1), np.nan)
-    truths_next = [tick.truth for tick in _walk(scenario)[1:]]
+    truths_next = [tick.truth for tick in _walk(_noise_free(scenario))[1][1:]]
     for j in range(ensemble_size):
         member = replace(scenario, seed=_member_seed(scenario.seed, j))
         records = run_tracking(member)

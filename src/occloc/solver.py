@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,9 +133,15 @@ class _AnchorGeometry:
     """What a solve derives from the anchor positions alone: the xyz array,
     the common ceiling height h, the centroid, the centered horizontal anchor
     matrix with its thin SVD and collinearity flag, and the centered |c|^2
-    term of fit_xy. Its arrays are read-only, since solves share them."""
+    term of fit_xy. Its methods take one call's distances. Its arrays are
+    read-only, since solves share them.
 
-    __slots__ = ("xyz", "h", "centroid", "centered", "u", "s", "vt", "collinear", "c2_centered")
+    Every solve path (three anchors, least squares, collinear family, floor
+    clamp) reads the one SVD, so a cached geometry gives the bits a fresh one
+    does."""
+
+    __slots__ = ("xyz", "n", "h", "centroid", "centered", "u", "s", "vt", "collinear",
+                 "c2_centered")
 
     def __init__(self, anchors: "tuple[Point3, ...]"):
         # + 0.0 turns -0.0 into 0.0: Point3 equality does not tell them apart,
@@ -143,7 +150,7 @@ class _AnchorGeometry:
         if np.ptp(self.xyz[:, 2]) > CEILING_TOLERANCE_CM:
             raise ValueError("anchors must share one ceiling height")
         # sum / n is np.mean's arithmetic without its per-call overhead
-        n = len(anchors)
+        n = self.n = len(anchors)
         self.h = float(self.xyz[:, 2].sum()) / n
         self.centroid = self.xyz[:, :2].sum(axis=0) / n
         self.centered = self.xyz[:, :2] - self.centroid
@@ -156,60 +163,25 @@ class _AnchorGeometry:
                       self.c2_centered):
             array.setflags(write=False)
 
-
-# Anchor geometries by anchor tuple, oldest first. A server's phones move under
-# one fixture grid and an ensemble's members walk the same truth, so the same
-# anchor sets recur: the 100 members of the reference filter comparison hold
-# 14 sets between them, and a 64-phone, 55 s fleet log about 1,700, at about
-# 2 KB each. A set that fails its checks is never stored, so it raises again
-# on every call.
-ANCHOR_CACHE_SIZE = 2048
-_anchor_cache: "dict[tuple[Point3, ...], _AnchorGeometry]" = {}
-
-
-def _anchor_geometry(anchors: "tuple[Point3, ...]") -> _AnchorGeometry:
-    geometry = _anchor_cache.get(anchors)
-    if geometry is None:
-        geometry = _AnchorGeometry(anchors)
-        if len(_anchor_cache) >= ANCHOR_CACHE_SIZE:
-            del _anchor_cache[next(iter(_anchor_cache))]
-        _anchor_cache[anchors] = geometry
-    return geometry
-
-
-class _Anchors:
-    """One call's measurements: the anchor geometry, shared by every solve over
-    the same anchors and cached per process, with this call's distances.
-
-    Every solve path (three anchors, least squares, collinear family, floor
-    clamp) reads the one cached SVD, so a warm cache gives the bits a cold one
-    does."""
-
-    def __init__(self, measurements):
-        self.geometry = _anchor_geometry(tuple(m.anchor for m in measurements))
-        self.dists = np.array([m.distance_cm for m in measurements], dtype=float)
-        self.n = len(self.dists)
-
-    def fit_xy(self, rank: int) -> tuple[np.ndarray, float, float]:
+    def fit_xy(self, dists: np.ndarray, rank: int) -> tuple[np.ndarray, float, float]:
         """The least-squares horizontal position over the first `rank` singular
         directions (2 for a plane, 1 along a line), m = mean(d^2 - rho^2) and
         mean(d^2), the scale m is rounded at."""
-        g = self.geometry
-        d2 = self.dists**2
+        d2 = dists**2
         d2_mean = float(d2.sum()) / self.n
-        rhs = g.c2_centered - (d2 - d2_mean)
-        p = ((g.u[:, :rank].T @ rhs) / (2.0 * g.s[:rank])) @ g.vt[:rank]
-        rho2 = ((g.centered - p) ** 2).sum(axis=1)
-        return g.centroid + p, float((d2 - rho2).sum()) / self.n, d2_mean
+        rhs = self.c2_centered - (d2 - d2_mean)
+        p = ((self.u[:, :rank].T @ rhs) / (2.0 * self.s[:rank])) @ self.vt[:rank]
+        rho2 = ((self.centered - p) ** 2).sum(axis=1)
+        return self.centroid + p, float((d2 - rho2).sum()) / self.n, d2_mean
 
-    def mirror_pair(self, allow_approximate: bool) -> tuple[list[Point3], bool]:
+    def mirror_pair(self, dists: np.ndarray, allow_approximate: bool) -> tuple[list[Point3], bool]:
         """Candidates sorted by z ascending, and whether they are exact roots.
 
         A negative m beyond rounding either raises NoRealRoot or, when
         approximation is allowed, gives the vertex z = h.
         """
-        (x, y), m, d2_mean = self.fit_xy(2)
-        h = self.geometry.h
+        (x, y), m, d2_mean = self.fit_xy(dists, 2)
+        h = self.h
         if m >= -1e-10 * d2_mean:
             r = math.sqrt(max(m, 0.0))
             zs, exact = sorted({h - r, h + r}), True
@@ -219,34 +191,49 @@ class _Anchors:
             raise NoRealRoot(f"sphere constraint has no real solution (m = {m:.3g} cm^2)")
         return [Point3(x, y, z) for z in zs], exact
 
-    def family(self) -> CollinearFamily:
+    def family(self, dists: np.ndarray) -> CollinearFamily:
         """The circle of solutions around collinear anchors."""
-        g = self.geometry
-        if g.s[0] == 0.0:
+        if self.s[0] == 0.0:
             raise DegenerateAnchors("anchors coincide")
-        direction = g.vt[0]
-        if np.ptp(g.centered @ direction) <= 1e-9:
+        direction = self.vt[0]
+        if np.ptp(self.centered @ direction) <= 1e-9:
             raise DegenerateAnchors("anchors coincide along the line")
-        (x, y), m, _ = self.fit_xy(1)
+        (x, y), m, _ = self.fit_xy(dists, 1)
         return CollinearFamily(
-            line_point=Point3(x, y, g.h),
+            line_point=Point3(x, y, self.h),
             direction=(float(direction[0]), float(direction[1]), 0.0),
             radius_cm=math.sqrt(max(m, 0.0)),
         )
 
-    def residual_cm(self, position: Point3) -> float:
+    def residual_cm(self, dists: np.ndarray, position: Point3) -> float:
         """RMS of (distance to anchor - measured distance) over all anchors."""
-        gaps = np.linalg.norm(self.geometry.xyz - position.as_tuple(), axis=1) - self.dists
+        gaps = np.linalg.norm(self.xyz - position.as_tuple(), axis=1) - dists
         return math.sqrt(float((gaps**2).sum()) / self.n)
 
 
-def _estimate(anchors: _Anchors, position: Point3, pool, method: Method,
-              family: CollinearFamily | None = None) -> PositionEstimate:
+# Anchor geometries by anchor tuple, least recently used out first. A server's
+# phones move under one fixture grid and an ensemble's members walk the same
+# truth, so the same anchor sets recur: the 100 members of the reference filter
+# comparison hold 14 sets between them, and a 64-phone, 55 s fleet log about
+# 1,700, at about 2 KB each. A set that fails its checks raises, so it is never
+# stored and raises again on every call.
+ANCHOR_CACHE_SIZE = 2048
+_anchor_geometry = lru_cache(maxsize=ANCHOR_CACHE_SIZE)(_AnchorGeometry)
+
+
+def _measured(measurements) -> "tuple[_AnchorGeometry, np.ndarray]":
+    """The cached geometry of the measurements' anchors, and their distances."""
+    geometry = _anchor_geometry(tuple(m.anchor for m in measurements))
+    return geometry, np.array([m.distance_cm for m in measurements], dtype=float)
+
+
+def _estimate(geometry: _AnchorGeometry, dists: np.ndarray, position: Point3, pool,
+              method: Method, family: CollinearFamily | None = None) -> PositionEstimate:
     """The chosen position; the rest of the pool stays as candidates."""
     return PositionEstimate(
         position=position,
         candidates=tuple(c for c in pool if c != position),
-        residual_cm=anchors.residual_cm(position),
+        residual_cm=geometry.residual_cm(dists, position),
         method=method,
         family=family,
     )
@@ -276,11 +263,11 @@ def trilaterate(measurements) -> PositionEstimate:
     """
     if len(measurements) != 3:
         raise ValueError(f"trilaterate takes exactly 3 measurements, got {len(measurements)}")
-    anchors = _Anchors(measurements)
-    if anchors.geometry.collinear:
+    geometry, dists = _measured(measurements)
+    if geometry.collinear:
         raise CollinearAnchors("anchors are collinear; use trilaterate_collinear")
-    pool, _ = anchors.mirror_pair(allow_approximate=False)
-    return _estimate(anchors, pool[0], pool, Method.TRILATERATION)
+    pool, _ = geometry.mirror_pair(dists, allow_approximate=False)
+    return _estimate(geometry, dists, pool[0], pool, Method.TRILATERATION)
 
 
 def trilaterate_collinear(measurements, camera_height_cm: float | None = None) -> PositionEstimate:
@@ -293,12 +280,12 @@ def trilaterate_collinear(measurements, camera_height_cm: float | None = None) -
     """
     if len(measurements) < 2:
         raise InsufficientAnchors("collinear solve needs at least 2 anchors")
-    anchors = _Anchors(measurements)
-    if not anchors.geometry.collinear:
+    geometry, dists = _measured(measurements)
+    if not geometry.collinear:
         raise ValueError("anchors are not collinear")
-    family = anchors.family()
+    family = geometry.family(dists)
     pool = _rim_points(family, camera_height_cm)
-    return _estimate(anchors, pool[0], pool, Method.COLLINEAR_FAMILY, family)
+    return _estimate(geometry, dists, pool[0], pool, Method.COLLINEAR_FAMILY, family)
 
 
 def multilaterate(measurements) -> PositionEstimate:
@@ -311,11 +298,11 @@ def multilaterate(measurements) -> PositionEstimate:
     """
     if len(measurements) < 4:
         raise ValueError(f"multilaterate takes at least 4 measurements, got {len(measurements)}")
-    anchors = _Anchors(measurements)
-    if anchors.geometry.collinear:
+    geometry, dists = _measured(measurements)
+    if geometry.collinear:
         raise RankDeficient("anchors are collinear")
-    pool, _ = anchors.mirror_pair(allow_approximate=True)
-    return _estimate(anchors, pool[0], pool, Method.LEAST_SQUARES)
+    pool, _ = geometry.mirror_pair(dists, allow_approximate=True)
+    return _estimate(geometry, dists, pool[0], pool, Method.LEAST_SQUARES)
 
 
 def resolve_ambiguity(candidates, room: RoomConfig, prior: Point3 | None = None) -> Point3:
@@ -351,12 +338,12 @@ def estimate_position(
     """
     if len(measurements) < 3:
         raise InsufficientAnchors(f"need at least 3 anchors, got {len(measurements)}")
-    anchors = _Anchors(measurements)
-    if abs(anchors.geometry.xyz[0, 2] - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
+    geometry, dists = _measured(measurements)
+    if abs(geometry.xyz[0, 2] - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
         raise ValueError("anchor height disagrees with the room ceiling")
 
-    if anchors.geometry.collinear:
-        family = anchors.family()
+    if geometry.collinear:
+        family = geometry.family(dists)
         pool = _rim_points(family, None if prior is None else prior.z)
         if not any(-1e-9 <= p.z <= room.ceiling_height_cm + 1e-9 for p in pool):
             # The circle dips below the floor (or above the ceiling) at the
@@ -365,11 +352,11 @@ def estimate_position(
             z_rep = min(max(lp.z - family.radius_cm, 0.0), room.ceiling_height_cm)
             pool = family.points_at_height(z_rep) or [Point3(lp.x, lp.y, z_rep)]
         position = resolve_ambiguity(pool, room, prior)
-        return _estimate(anchors, position, pool, Method.COLLINEAR_FAMILY, family)
+        return _estimate(geometry, dists, position, pool, Method.COLLINEAR_FAMILY, family)
 
     # The exact roots are trilaterate's answer for three anchors; without
     # them the vertex is the least-squares compromise it falls back to.
-    pool, exact = anchors.mirror_pair(allow_approximate=True)
+    pool, exact = geometry.mirror_pair(dists, allow_approximate=True)
     low = pool[0]
     if low.z < -1e-9:
         # Ranging noise put the lower root below the floor, so its mirror lies
@@ -379,4 +366,4 @@ def estimate_position(
     method = (
         Method.TRILATERATION if exact and len(measurements) == 3 else Method.LEAST_SQUARES
     )
-    return _estimate(anchors, resolve_ambiguity(pool, room, prior), pool, method)
+    return _estimate(geometry, dists, resolve_ambiguity(pool, room, prior), pool, method)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,20 +82,14 @@ def initial_state(measurement_xy: tuple[float, float], config: KalmanConfig) -> 
     return KalmanState(x, p)
 
 
-# Covariance memos, oldest first. The predicted P, the gain and the posterior
-# P depend only on the configuration and the incoming P, not on the
-# measurements, so every cold-started filter walks one covariance sequence
-# (with the default configuration it reaches a float fixed point after 59
-# updates), which every phone and ensemble member repeats. A key holds the
-# shape and dtype along with the bytes, so only a bit-identical input finds an
-# entry; stored arrays are read-only.
+# Covariance memos, least recently used entry out first. The predicted P, the
+# gain and the posterior P depend only on the configuration and the incoming
+# P, not on the measurements, so every cold-started filter walks one
+# covariance sequence (with the default configuration it reaches a float fixed
+# point after 59 updates), which every phone and ensemble member repeats. A key
+# holds the shape and dtype along with the bytes, so only a bit-identical input
+# finds an entry; stored arrays are read-only.
 COVARIANCE_MEMO_SIZE = 1024
-_predict_memo: "dict[tuple, np.ndarray]" = {}
-_update_memo: "dict[tuple, tuple[np.ndarray, np.ndarray]]" = {}
-
-
-def _memo_key(config: KalmanConfig, p_cov: np.ndarray) -> tuple:
-    return (config, p_cov.shape, p_cov.dtype, p_cov.tobytes())
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -102,23 +97,26 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _remember(memo: dict, key: tuple, value):
-    if len(memo) >= COVARIANCE_MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
+@lru_cache(maxsize=COVARIANCE_MEMO_SIZE)
+def _predicted_cov(config: KalmanConfig, shape, dtype, data: bytes) -> np.ndarray:
+    b = config.state_transition
+    p = b @ np.frombuffer(data, dtype).reshape(shape) @ b.T + config.process_noise
+    return _frozen(0.5 * (p + p.T))
+
+
+@lru_cache(maxsize=COVARIANCE_MEMO_SIZE)
+def _gain_and_posterior_cov(config: KalmanConfig, shape, dtype, data: bytes):
+    p_cov = np.frombuffer(data, dtype).reshape(shape)
+    k = gain(KalmanState(None, p_cov), config)  # the gain reads the covariance alone
+    p = (np.eye(4) - k @ _H) @ p_cov
+    return _frozen(k), _frozen(0.5 * (p + p.T))
 
 
 def predict(state: KalmanState, config: KalmanConfig) -> KalmanState:
     """Propagate one interval: x <- B x, P <- B P B^T + Q."""
-    b = config.state_transition
-    x = b @ state.x_vec
-    key = _memo_key(config, state.p_cov)
-    p = _predict_memo.get(key)
-    if p is None:
-        p = b @ state.p_cov @ b.T + config.process_noise
-        p = _remember(_predict_memo, key, _frozen(0.5 * (p + p.T)))
-    return KalmanState(x, p)
+    p = state.p_cov
+    x = config.state_transition @ state.x_vec
+    return KalmanState(x, _predicted_cov(config, p.shape, p.dtype, p.tobytes()))
 
 
 def gain(predicted: KalmanState, config: KalmanConfig) -> np.ndarray:
@@ -135,13 +133,8 @@ def update(
     predicted: KalmanState, measurement_xy: tuple[float, float], config: KalmanConfig
 ) -> KalmanState:
     """Fold in one (x, y) measurement: x <- x + K(y - Hx), P <- (I - KH)P."""
-    key = _memo_key(config, predicted.p_cov)
-    cached = _update_memo.get(key)
-    if cached is None:
-        k = gain(predicted, config)
-        p = (np.eye(4) - k @ _H) @ predicted.p_cov
-        cached = _remember(_update_memo, key, (_frozen(k), _frozen(0.5 * (p + p.T))))
-    k, p = cached
+    p_cov = predicted.p_cov
+    k, p = _gain_and_posterior_cov(config, p_cov.shape, p_cov.dtype, p_cov.tobytes())
     y = np.asarray(measurement_xy, dtype=float)
     x = predicted.x_vec + k @ (y - _H @ predicted.x_vec)
     return KalmanState(x, p)

@@ -55,6 +55,20 @@ class TestTrackCommand:
         assert code == 2
         assert "fov" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data",
+        [{"trajectory": {"speed_cm_s": float("nan")}}, {"sampling_hz": float("inf")},
+         {"duration_s": float("inf")}, {"noise": {"pixel_sigma": float("nan")}}],
+        ids=["speed-nan", "sampling-inf", "duration-inf", "pixel-sigma-nan"],
+    )
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["track", "--scenario", str(bad), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_replay_is_byte_identical(self, tmp_path, fast_scenario):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["track", "--scenario", fast_scenario, "--out", str(out_a)]) == 0

@@ -111,6 +111,41 @@ class TestScenarioConfig:
         )
         assert len(run_tracking(s)) == s.tick_count()
 
+    # where each value sits in a scenario file
+    NUMBER_PATHS = {
+        "speed": ("trajectory", "speed_cm_s"),
+        "sampling": ("sampling_hz",),
+        "duration": ("duration_s",),
+        "spacing": ("led_grid", "spacing_cm"),
+        "pixel_sigma": ("noise", "pixel_sigma"),
+        "distance_sigma": ("noise", "distance_sigma_cm"),
+        "room": ("room", "width_cm"),
+        "camera": ("camera", "pixel_edge_mm"),
+        "fixture": ("fixture", "radius_mm"),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        where=st.sampled_from([*NUMBER_PATHS, "origin", "luminaire"]),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_non_finite_values_rejected(self, where, value):
+        if where == "origin":
+            data = {"led_grid": {"origin_cm": [75.0, value]}}
+        elif where == "luminaire":
+            data = {"luminaires": [[75.0, 75.0], [value, 225.0], [75.0, 225.0]]}
+        else:
+            *outer, key = self.NUMBER_PATHS[where]
+            data = {outer[0]: {key: value}} if outer else {key: value}
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(json.loads(json.dumps(data)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(duration=st.floats(1e160, 1e300), rate=st.floats(1e160, 1e300))
+    def test_an_infinite_tick_count_rejected(self, duration, rate):
+        with pytest.raises(ScenarioError, match="finite"):
+            replace(default_scenario(), duration_s=duration, sampling_hz=rate)
+
     def test_grid_count(self):
         # 1219 cm span, origin 75, spacing 150: 8 positions per axis
         assert len(default_scenario().build_luminaires()) == 64
@@ -204,11 +239,18 @@ class TestRunTracking:
         assert len(lines) == 4
         assert lines[1].split(",")[3] == "nan"
 
+    @pytest.mark.parametrize("pixel_sigma, distance_sigma_cm", [(0.0, 0.0), (100.0, 5.0)])
+    def test_empty_ceiling_gives_gap_ticks(self, pixel_sigma, distance_sigma_cm):
+        s = replace(default_scenario(), explicit_led_xy_cm=(), duration_s=4.0,
+                    pixel_sigma=pixel_sigma, distance_sigma_cm=distance_sigma_cm)
+        records = _cold(run_tracking, s)
+        assert len(records) == 4
+        assert all(r.gap and r.visible == 0 and r.raw is None for r in records)
+
 
 def _cold(fn, *args):
-    """fn(*args) as a new process would run it, with no ceiling or walk cached."""
-    harness._ceiling_cache.clear()
-    harness._walk_cache.clear()
+    """fn(*args) as a new process would run it, with no walk (or ceiling) cached."""
+    harness._walk.cache_clear()
     return fn(*args)
 
 
@@ -226,7 +268,6 @@ class TestCeilingCache:
     def test_a_changed_ceiling_is_rebuilt(self, other):
         cold_base, cold_other = _cold(run_tracking, self.BASE), _cold(run_tracking, other)
         assert cold_other != cold_base
-        harness._ceiling_cache.clear()
         assert run_tracking(self.BASE) == cold_base
         assert run_tracking(other) == cold_other
         assert run_tracking(self.BASE) == cold_base
@@ -259,7 +300,7 @@ class TestWalkCache:
         assert cold_other != cold_base
         assert run_tracking(self.BASE) == cold_base
         assert run_tracking(other) == cold_other
-        assert len(harness._walk_cache) == len(harness._ceiling_cache) == 1
+        assert harness._walk.cache_info().currsize == 1
 
     @pytest.mark.parametrize("pixel_sigma", [0.0, 100.0])
     def test_members_with_other_seeds_share_the_walk(self, pixel_sigma):
@@ -267,12 +308,25 @@ class TestWalkCache:
         for seed in (3, 4):
             member = replace(base, seed=seed)
             cold = _cold(run_tracking, member)
-            run_tracking(replace(base, seed=seed + 100))  # warms the walk with other noise
+            # warms the walk with other noise
+            run_tracking(replace(base, seed=seed + 100, pixel_sigma=50.0, distance_sigma_cm=9.0))
+            misses = harness._walk.cache_info().misses
             assert run_tracking(member) == cold
+            assert harness._walk.cache_info().misses == misses
+
+    def test_signed_zero_waypoint_warm_equals_cold(self):
+        # -0.0 == 0.0, so the two scenarios are one key of the walk cache;
+        # repr tells the signs apart where == does not
+        plus = replace(self.BASE, waypoints_cm=((0.0, 300.0, 100.0),), speed_cm_s=0.0)
+        minus = replace(plus, waypoints_cm=((-0.0, 300.0, 100.0),))
+        for first, second in ((plus, minus), (minus, plus)):
+            cold = _cold(run_tracking, second)
+            _cold(run_tracking, first)  # the walk cache now holds first's walk
+            assert repr(run_tracking(second)) == repr(cold)
 
     def test_walk_matches_the_trajectory(self):
         s = self.BASE
-        walk = _cold(harness._walk, s)
+        _, walk = _cold(harness._walk, harness._noise_free(s))
         assert [t.t_s for t in walk] == [k / s.sampling_hz for k in range(s.tick_count())]
         assert [t.truth for t in walk] == [trajectory_point(s, t.t_s) for t in walk]
         for tick in walk:
@@ -288,7 +342,7 @@ class TestViewWindow:
 
     def _same_sightings(self, position: Point3, seed: int):
         camera = self.SCENARIO.camera
-        ceiling = harness._ceiling(self.SCENARIO)
+        ceiling, _ = harness._walk(harness._noise_free(self.SCENARIO))
         pose = Pose(position)
         full = observe_scene(ceiling.luminaires, pose, camera, 100.0, np.random.default_rng(seed))
         near = observe_scene(
@@ -340,6 +394,22 @@ class TestBerSweep:
         points = run_ber_sweep(list(range(0, 16)), 10_000, seed=1)
         theories = [p.ber_theory for p in points]
         assert all(b < a for a, b in zip(theories, theories[1:]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        db=st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, 4000.0]),
+            st.floats(harness.MAX_SNIR_DB, 1e308, exclude_min=True),
+            st.floats(-1e308, -harness.MAX_SNIR_DB, exclude_max=True),
+        )
+    )
+    def test_rejects_a_value_beyond_the_bound(self, db):
+        with pytest.raises(ValueError, match="SNIR"):
+            run_ber_sweep([0.0, db], 10_000, seed=1)
+
+    def test_the_bound_itself_runs(self):
+        points = run_ber_sweep([-harness.MAX_SNIR_DB, harness.MAX_SNIR_DB], 10_000, seed=1)
+        assert all(0.0 <= p.ber_sim <= 1.0 and 0.0 <= p.ber_theory <= 1.0 for p in points)
 
     def test_rejects_tiny_runs(self):
         with pytest.raises(ValueError):

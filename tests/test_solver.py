@@ -643,9 +643,9 @@ class TestAnchorCache:
         other distances."""
         ms = [AnchorMeasurement(a, d) for a, d in zip(anchors, dists)]
         shifted = [Point3(a.x + 37.0, a.y, a.z) for a in anchors]
-        solver._anchor_cache.clear()
+        solver._anchor_geometry.cache_clear()
         cold = _every_outcome(ms, prior)
-        solver._anchor_cache.clear()
+        solver._anchor_geometry.cache_clear()
         for warm_up, ds in ((shifted, dists), (anchors, other_dists)):
             _every_outcome([AnchorMeasurement(a, d) for a, d in zip(warm_up, ds)], prior)
         warm = _every_outcome(ms, prior)
@@ -705,9 +705,9 @@ class TestAnchorCache:
                 Point3(-150, 150, 300)]
         minus = [Point3(-0.0, -0.0, 300), Point3(150, -0.0, 300), Point3(-0.0, 150, 300),
                  Point3(-150, 150, 300)]
-        solver._anchor_cache.clear()
+        solver._anchor_geometry.cache_clear()
         cold = _every_outcome([AnchorMeasurement(a, d) for a, d in zip(minus, dists)], None)
-        solver._anchor_cache.clear()
+        solver._anchor_geometry.cache_clear()
         _every_outcome([AnchorMeasurement(a, d) for a, d in zip(plus, dists)], None)
         warm = _every_outcome([AnchorMeasurement(a, d) for a, d in zip(minus, dists)], None)
         assert warm == cold
@@ -718,16 +718,20 @@ class TestAnchorCache:
         anchors = [Point3(x, y, 300.0) for x, y in [(0, 0), (150, 0), (0, 150), (150, 150)]]
         anchors[which] = Point3(anchors[which].x, anchors[which].y, 300.0 - dz)
         ms = [AnchorMeasurement(a, 200.0) for a in anchors]
+        solver._anchor_geometry.cache_clear()
         for _ in range(3):
             for solve in (lambda: estimate_position(ms, ROOM), lambda: multilaterate(ms)):
                 with pytest.raises(ValueError, match="share one ceiling"):
                     solve()
-        assert tuple(anchors) not in solver._anchor_cache
+        info = solver._anchor_geometry.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 6, 0)
 
     def test_cached_arrays_are_read_only(self):
         ms = measure_from(Point3(50, 60, 100), [(0, 0), (150, 0), (0, 150), (150, 150)])
         estimate_position(ms, ROOM)
-        geometry = solver._anchor_cache[tuple(m.anchor for m in ms)]
+        hits = solver._anchor_geometry.cache_info().hits
+        geometry = solver._anchor_geometry(tuple(m.anchor for m in ms))
+        assert solver._anchor_geometry.cache_info().hits == hits + 1
         for name in ("xyz", "centroid", "centered", "u", "s", "vt", "c2_centered"):
             array = getattr(geometry, name)
             assert not array.flags.writeable
@@ -735,15 +739,22 @@ class TestAnchorCache:
                 array[...] = 0.0
 
     def test_cache_stays_within_its_bound(self):
-        solver._anchor_cache.clear()
+        cache = solver._anchor_geometry
+        cache.cache_clear()
         sets = []
         for i in range(solver.ANCHOR_CACHE_SIZE + 10):
             x0 = 0.25 * i
             ms = measure_from(Point3(x0 + 50, 60, 100), [(x0, 0), (x0 + 150, 0), (x0, 150)])
             estimate_position(ms, ROOM)
             sets.append(tuple(m.anchor for m in ms))
-            assert len(solver._anchor_cache) <= solver.ANCHOR_CACHE_SIZE
-        assert len(solver._anchor_cache) == solver.ANCHOR_CACHE_SIZE
-        # the oldest sets went first
-        assert all(s not in solver._anchor_cache for s in sets[:10])
-        assert all(s in solver._anchor_cache for s in sets[10:])
+            assert cache.cache_info().currsize <= solver.ANCHOR_CACHE_SIZE
+        assert cache.cache_info().currsize == solver.ANCHOR_CACHE_SIZE
+        # the oldest sets went first: the newer ones all hit, then the oldest
+        # all miss (each miss evicts a set already checked)
+        hits, misses = cache.cache_info()[:2]
+        for s in sets[10:]:
+            cache(s)
+        assert cache.cache_info()[:2] == (hits + len(sets) - 10, misses)
+        for s in sets[:10]:
+            cache(s)
+        assert cache.cache_info()[:2] == (hits + len(sets) - 10, misses + 10)

@@ -254,7 +254,10 @@ class TestCovarianceMemo:
         cfg = config()
         predicted = predict(initial_state((0.0, 0.0), cfg), cfg)
         posterior = update(predicted, (1.0, 2.0), cfg)
-        k, p = tracker._update_memo[tracker._memo_key(cfg, predicted.p_cov)]
+        cov = predicted.p_cov
+        hits = tracker._gain_and_posterior_cov.cache_info().hits
+        k, p = tracker._gain_and_posterior_cov(cfg, cov.shape, cov.dtype, cov.tobytes())
+        assert tracker._gain_and_posterior_cov.cache_info().hits == hits + 1
         for array in (predicted.p_cov, posterior.p_cov, k, p):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -272,9 +275,9 @@ class TestCovarianceMemo:
 
     def test_tables_stay_within_their_bound(self):
         cfg = config()
+        memos = (tracker._predicted_cov, tracker._gain_and_posterior_cov)
         for i in range(tracker.COVARIANCE_MEMO_SIZE + 10):
             state = KalmanState(np.zeros(4), np.diag([25.0 + i, 25.0, 1e4, 1e4]))
             update(predict(state, cfg), (0.0, 0.0), cfg)
-            assert len(tracker._predict_memo) <= tracker.COVARIANCE_MEMO_SIZE
-            assert len(tracker._update_memo) <= tracker.COVARIANCE_MEMO_SIZE
-        assert len(tracker._predict_memo) == tracker.COVARIANCE_MEMO_SIZE
+            assert all(m.cache_info().currsize <= tracker.COVARIANCE_MEMO_SIZE for m in memos)
+        assert all(m.cache_info().currsize == tracker.COVARIANCE_MEMO_SIZE for m in memos)
