@@ -23,10 +23,12 @@ class Point3:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y}, {self.z})")
+        x, y, z = float(self.x), float(self.y), float(self.z)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"non-finite point ({x}, {y}, {z})")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)

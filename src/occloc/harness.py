@@ -262,12 +262,16 @@ class _Ceiling:
 @dataclass(frozen=True)
 class _Tick:
     """One sample of the noise-free walk: the time, the truth, the fixtures
-    inside the view cone and their noise-free sightings, both in ceiling order."""
+    inside the view cone and their noise-free sightings, both in ceiling order,
+    and the ranged sightings (positive pixel area) with their distances in mm,
+    as a read-only array."""
 
     t_s: float
     truth: Point3
     in_view: "tuple[Luminaire, ...]"
     sightings: "tuple[Sighting, ...]"
+    ranged: "tuple[Sighting, ...]"
+    dists_mm: np.ndarray
 
 
 def _noise_free(scenario: Scenario) -> Scenario:
@@ -302,7 +306,12 @@ def _walk(scenario: Scenario) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
         sightings = tuple(observe_scene(reach, Pose(truth), scenario.camera))
         seen = {sig.led_id for sig in sightings}
         in_view = tuple(lum for lum in reach if lum.led_id in seen)
-        ticks.append(_Tick(t_s, truth, in_view, sightings))
+        ranged = tuple(sig for sig in sightings if sig.pixel_area > 0)
+        dists_mm = np.array(
+            [distance_from_pixels(ceiling.tau_mm, sig.pixel_area) for sig in ranged], dtype=float
+        )
+        dists_mm.setflags(write=False)
+        ticks.append(_Tick(t_s, truth, in_view, sightings, ranged, dists_mm))
     return ceiling, tuple(ticks)
 
 
@@ -317,7 +326,8 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
     differ only in their seeds, build them once. Each tick then draws its noise
     in the one order a fresh walk would: the pixel noise of every fixture in
     view first, through observe_scene, then the distance noise of every ranged
-    sighting."""
+    sighting. Without pixel noise the walk's ranged distances serve as they
+    are, and the distance noise is added to them as one array."""
     ceiling, walk = _walk(_noise_free(scenario))
     tau_mm, coords = ceiling.tau_mm, ceiling.coords
     server = LightingServer(
@@ -334,17 +344,16 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
             sightings = observe_scene(
                 tick.in_view, Pose(tick.truth), scenario.camera, scenario.pixel_sigma, rng
             )
+            ranged = [sig for sig in sightings if sig.pixel_area > 0]
+            dists_mm = np.array([distance_from_pixels(tau_mm, sig.pixel_area) for sig in ranged])
         else:
-            sightings = tick.sightings
-        ranged = [sig for sig in sightings if sig.pixel_area > 0]
-        dists_mm = [distance_from_pixels(tau_mm, sig.pixel_area) for sig in ranged]
+            sightings, ranged, dists_mm = tick.sightings, tick.ranged, tick.dists_mm
         if distance_sigma_mm > 0:
             # one draw of k values is the stream of k scalar draws
-            noise = rng.normal(0.0, distance_sigma_mm, size=len(dists_mm)).tolist()
-            dists_mm = [d + e for d, e in zip(dists_mm, noise)]
+            dists_mm = dists_mm + rng.normal(0.0, distance_sigma_mm, size=len(dists_mm))
         detections = [
             DetectionRecord(*coords[sig.led_id], d_mm)
-            for sig, d_mm in zip(ranged, dists_mm)
+            for sig, d_mm in zip(ranged, dists_mm.tolist())
             if MIN_DISTANCE_MM < d_mm < MAX_DISTANCE_MM
         ]
 

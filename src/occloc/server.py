@@ -13,18 +13,14 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Luminaire, Point3, RoomConfig
-from .solver import (
-    AnchorMeasurement,
-    InsufficientAnchors,
-    PositionEstimate,
-    estimate_position,
-)
+from .solver import InsufficientAnchors, PositionEstimate, estimate_position
 from . import tracker
 
 SNAPSHOT_VERSION = 2
@@ -63,9 +59,11 @@ class DetectionRecord:
     distance_mm: float
 
     def __post_init__(self):
-        for name, v in (("x_cm", self.x_cm), ("y_cm", self.y_cm)):
-            if not (0 <= v < 2**16):
-                raise ValueError(f"{name}={v} does not fit 16 bits")
+        # one chained test for the common valid record; the loop names the field
+        if not (0 <= self.x_cm < 65536 and 0 <= self.y_cm < 65536):
+            for name, v in (("x_cm", self.x_cm), ("y_cm", self.y_cm)):
+                if not (0 <= v < 2**16):
+                    raise ValueError(f"{name}={v} does not fit 16 bits")
         if not MIN_DISTANCE_MM < self.distance_mm < MAX_DISTANCE_MM:
             raise ValueError(
                 f"distance_mm={self.distance_mm} outside ({MIN_DISTANCE_MM}, {MAX_DISTANCE_MM})"
@@ -133,6 +131,9 @@ class Session:
     closed: bool = False
     last_position: tuple[float, float, float] | None = None
     history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_LIMIT))
+    # the look-ahead of tracker_state, which the next ingest takes as its
+    # prediction; a restored session has none until its first ingest
+    ahead: tracker.KalmanState | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -186,29 +187,32 @@ class LightingServer:
                 f"timestamp {packet.timestamp_ms} does not advance past {session.last_seen_ms}"
             )
 
-        measurements = []
+        anchors = []
+        dists = []
         dropped = 0
+        lookup = self.registry.lookup
         for rec in packet.records:
             try:
-                anchor = self.registry.lookup(rec.x_cm, rec.y_cm)
+                anchors.append(lookup(rec.x_cm, rec.y_cm))
             except UnknownLedId:
                 dropped += 1
                 continue
-            measurements.append(AnchorMeasurement(anchor, rec.distance_mm / 10.0))
-        if len(measurements) < 3:
-            raise InsufficientAnchors(
-                f"{len(measurements)} resolvable records after dropping {dropped}"
-            )
+            dists.append(rec.distance_mm / 10.0)
+        if len(anchors) < 3:
+            raise InsufficientAnchors(f"{len(anchors)} resolvable records after dropping {dropped}")
 
         cold_start = session is None or session.tracker_state is None
         prior = None
         if not cold_start:
-            # one prediction serves as the solver's prior and as the update's input
-            prior_state = tracker.predict(session.tracker_state, self.kalman_config)
+            # one prediction serves as the solver's prior and as the update's
+            # input: the last ingest's look-ahead, or a fresh one after a restore
+            prior_state = session.ahead
+            if prior_state is None:
+                prior_state = tracker.predict(session.tracker_state, self.kalman_config)
             px, py = prior_state.position_xy
             prior = Point3(px, py, session.last_position[2])
 
-        estimate = estimate_position(measurements, self.room, prior)
+        estimate = estimate_position(tuple(anchors), dists, self.room, prior)
 
         if cold_start:
             state = tracker.initial_state(
@@ -231,6 +235,7 @@ class LightingServer:
             session = Session(packet.session_id)
             self.sessions[packet.session_id] = session
         session.tracker_state = state
+        session.ahead = ahead
         session.last_seen_ms = packet.timestamp_ms
         session.last_probe_ms = None
         session.missed_probes = 0
@@ -300,11 +305,20 @@ class LightingServer:
     def restore_session(self, snapshot: dict):
         """Rebuild a session from a snapshot dict (inverse of snapshot).
 
-        The filter state must be 4 finite numbers x and a finite, symmetric 4x4
-        matrix p; anything else raises ValueError naming the field, before the
-        session is registered."""
+        Every field is checked before the session is registered, and a bad one
+        raises ValueError naming it. session_id is a string; last_seen_ms and
+        last_probe_ms are integers or null; missed_probes is an integer >= 0
+        and closed a boolean; history is a list of objects. The filter state
+        tracker must be 4 finite numbers x and a finite, symmetric 4x4 matrix
+        p, or null, and last_position 3 finite numbers exactly when it is not
+        null."""
+        if type(snapshot) is not dict:
+            raise ValueError("snapshot must be an object")
         if snapshot.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snapshot.get('version')}")
+        missing = [name for name in _SNAPSHOT_FIELDS if name not in snapshot]
+        if missing:
+            raise ValueError(f"snapshot fields missing: {', '.join(missing)}")
         state = None
         if snapshot["tracker"] is not None:
             if type(snapshot["tracker"]) is not dict:
@@ -314,6 +328,8 @@ class LightingServer:
             if not np.array_equal(p, p.T):
                 raise ValueError("snapshot field tracker.p must be symmetric")
             state = tracker.KalmanState(x, p)
+        _check_session_fields(snapshot)
+        position = snapshot["last_position"]
         session = Session(
             session_id=snapshot["session_id"],
             tracker_state=state,
@@ -321,12 +337,50 @@ class LightingServer:
             last_probe_ms=snapshot["last_probe_ms"],
             missed_probes=snapshot["missed_probes"],
             closed=snapshot["closed"],
-            last_position=tuple(snapshot["last_position"])
-            if snapshot["last_position"]
-            else None,
+            last_position=None if position is None else tuple(position),
             history=deque((dict(e) for e in snapshot["history"]), maxlen=HISTORY_LIMIT),
         )
         self.sessions[session.session_id] = session
+
+
+_SNAPSHOT_FIELDS = ("session_id", "closed", "last_seen_ms", "last_probe_ms", "missed_probes",
+                    "last_position", "tracker", "history")
+
+
+def _finite_numbers(value, n: int) -> bool:
+    """Whether value is a list (or tuple) of n finite ints or floats, not booleans."""
+    if type(value) not in (list, tuple) or len(value) != n:
+        return False
+    try:
+        return all(type(v) in (int, float) and math.isfinite(v) for v in value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _check_session_fields(snapshot: dict):
+    """Raise ValueError naming the first field besides tracker that a session
+    cannot hold."""
+
+    def require(name: str, ok: bool, what: str):
+        if not ok:
+            raise ValueError(f"snapshot field {name} must be {what}")
+
+    require("session_id", type(snapshot["session_id"]) is str, "a string")
+    for name in ("last_seen_ms", "last_probe_ms"):
+        value = snapshot[name]
+        require(name, value is None or type(value) is int, "an integer or null")
+    missed = snapshot["missed_probes"]
+    require("missed_probes", type(missed) is int and missed >= 0, "an integer >= 0")
+    require("closed", type(snapshot["closed"]) is bool, "a boolean")
+    position = snapshot["last_position"]
+    require(
+        "last_position",
+        position is None if snapshot["tracker"] is None else _finite_numbers(position, 3),
+        "3 finite numbers, and null exactly when tracker is",
+    )
+    history = snapshot["history"]
+    require("history", type(history) is list and all(type(e) is dict for e in history),
+            "a list of objects")
 
 
 def _state_array(state: dict, name: str, shape: tuple) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Position estimation from anchor/distance pairs.
+"""Position estimation from ceiling anchors and their measured distances.
+
+estimate_position, the server's entry, takes the anchor tuple and one
+sequence of distances, checked in one array comparison: one per anchor, each
+finite and positive. The dedicated solvers trilaterate, multilaterate and
+trilaterate_collinear take a list of AnchorMeasurement pairs instead.
 
 Every anchor sits on one ceiling plane z = h, so the sphere equations
 |P - a_j|^2 = d_j^2 separate. Let c_j be anchor j's horizontal offset from
@@ -69,14 +74,12 @@ class NoFeasibleCandidate(SolverError):
 
 @dataclass(frozen=True)
 class AnchorMeasurement:
-    """One ranged fixture: its ceiling anchor and the measured distance in cm."""
+    """One ranged fixture: its ceiling anchor and the measured distance in cm,
+    as trilaterate, multilaterate and trilaterate_collinear take them. The
+    solvers check the distance, as estimate_position does."""
 
     anchor: Point3
     distance_cm: float
-
-    def __post_init__(self):
-        if self.distance_cm <= 0:
-            raise ValueError("distance must be positive")
 
 
 class Method(enum.Enum):
@@ -207,7 +210,9 @@ class _AnchorGeometry:
 
     def residual_cm(self, dists: np.ndarray, position: Point3) -> float:
         """RMS of (distance to anchor - measured distance) over all anchors."""
-        gaps = np.linalg.norm(self.xyz - position.as_tuple(), axis=1) - dists
+        # np.linalg.norm's own formula for real rows, without its dispatch
+        d = self.xyz - position.as_tuple()
+        gaps = np.sqrt(np.add.reduce(d * d, axis=1)) - dists
         return math.sqrt(float((gaps**2).sum()) / self.n)
 
 
@@ -221,10 +226,20 @@ ANCHOR_CACHE_SIZE = 2048
 _anchor_geometry = lru_cache(maxsize=ANCHOR_CACHE_SIZE)(_AnchorGeometry)
 
 
+def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[_AnchorGeometry, np.ndarray]":
+    """The cached geometry of the anchors, and the distances as an array. There
+    must be one distance per anchor, each finite and positive."""
+    dists = np.array(distances_cm, dtype=float)
+    if dists.shape != (len(anchors),) or not ((dists > 0) & (dists < math.inf)).all():
+        raise ValueError(f"need one finite, positive distance for each of {len(anchors)} anchors")
+    return _anchor_geometry(tuple(anchors)), dists
+
+
 def _measured(measurements) -> "tuple[_AnchorGeometry, np.ndarray]":
     """The cached geometry of the measurements' anchors, and their distances."""
-    geometry = _anchor_geometry(tuple(m.anchor for m in measurements))
-    return geometry, np.array([m.distance_cm for m in measurements], dtype=float)
+    return _resolved(
+        tuple(m.anchor for m in measurements), [m.distance_cm for m in measurements]
+    )
 
 
 def _estimate(geometry: _AnchorGeometry, dists: np.ndarray, position: Point3, pool,
@@ -325,10 +340,14 @@ def resolve_ambiguity(candidates, room: RoomConfig, prior: Point3 | None = None)
 
 
 def estimate_position(
-    measurements, room: RoomConfig, prior: Point3 | None = None
+    anchors: "tuple[Point3, ...]", distances_cm, room: RoomConfig, prior: Point3 | None = None
 ) -> PositionEstimate:
     """Full dispatch: pick the solve by anchor count and collinearity, then
     settle the candidate ambiguity against the room and the motion prior.
+
+    anchors are the ranged fixtures' ceiling points and distances_cm their
+    measured distances, in the same order: one per anchor, each finite and
+    positive, else ValueError.
 
     Three inconsistent distances (no exact intersection) degrade to the
     least-squares compromise rather than failing, and are tagged as such.
@@ -336,9 +355,9 @@ def estimate_position(
     ceiling) is raised to the floor, also tagged least-squares. Every path
     shares one factorization of the anchor geometry.
     """
-    if len(measurements) < 3:
-        raise InsufficientAnchors(f"need at least 3 anchors, got {len(measurements)}")
-    geometry, dists = _measured(measurements)
+    if len(anchors) < 3:
+        raise InsufficientAnchors(f"need at least 3 anchors, got {len(anchors)}")
+    geometry, dists = _resolved(anchors, distances_cm)
     if abs(geometry.xyz[0, 2] - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
         raise ValueError("anchor height disagrees with the room ceiling")
 
@@ -364,6 +383,6 @@ def estimate_position(
         # inside the room, the floor. That point is no exact root.
         pool, exact = [Point3(low.x, low.y, 0.0)], False
     method = (
-        Method.TRILATERATION if exact and len(measurements) == 3 else Method.LEAST_SQUARES
+        Method.TRILATERATION if exact and len(anchors) == 3 else Method.LEAST_SQUARES
     )
     return _estimate(geometry, dists, resolve_ambiguity(pool, room, prior), pool, method)

@@ -50,6 +50,14 @@ from occloc.solver import (
 )
 
 
+def estimate(measurements, room, prior=None):
+    """estimate_position over AnchorMeasurement pairs: their anchors as a
+    tuple, and their distances."""
+    return estimate_position(
+        tuple(m.anchor for m in measurements), [m.distance_cm for m in measurements], room, prior
+    )
+
+
 def report(num: int, name: str, ok: bool, detail: str = ""):
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] criterion {num:2d}: {name}" + (f" ({detail})" if detail else ""))
@@ -142,7 +150,7 @@ def test_criterion_03_worked_localization_example():
 
     # full three-distance least-squares answer, emitted for the record
     ms = [AnchorMeasurement(a, d) for a, d in zip(anchors, dists)]
-    full = estimate_position(ms, RoomConfig(1219.0, 1219.0, ceiling))
+    full = estimate(ms, RoomConfig(1219.0, 1219.0, ceiling))
     print(
         f"    three-distance least squares: y={full.family.line_point.y:.2f} cm, "
         f"drop={full.family.radius_cm:.2f} cm, residual={full.residual_cm:.2f} cm "
@@ -252,7 +260,7 @@ def test_criterion_09_geometric_dilution():
         ms = [
             AnchorMeasurement(a, distance(truth, a) + rng.normal(0.0, 2.0)) for a in anchors
         ]
-        est = estimate_position(ms, room)
+        est = estimate(ms, room)
         z_sq.append((est.position.z - truth.z) ** 2)
         xy_sq.append((est.position.x - truth.x) ** 2)
         xy_sq.append((est.position.y - truth.y) ** 2)

@@ -32,7 +32,7 @@ from occloc.harness import (
     write_range_csv,
     write_track_csv,
 )
-from occloc.imaging import FeasibilityRegime, observe_scene
+from occloc.imaging import FeasibilityRegime, distance_from_pixels, observe_scene
 from occloc.geometry import Point3, Pose
 
 
@@ -331,6 +331,58 @@ class TestWalkCache:
         assert [t.truth for t in walk] == [trajectory_point(s, t.t_s) for t in walk]
         for tick in walk:
             assert [sig.led_id for sig in tick.sightings] == [lum.led_id for lum in tick.in_view]
+
+
+class TestCachedRanges:
+    """Without pixel noise a run takes each tick's ranged distances from the
+    walk, and adds its distance noise to them as one array."""
+
+    BASE = replace(default_scenario(), duration_s=8.0, pixel_sigma=0.0, distance_sigma_cm=5.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32), sigma=st.floats(0.0, 50.0), other_seed=st.integers(0, 2**32))
+    def test_cold_equals_warm(self, seed, sigma, other_seed):
+        s = replace(self.BASE, seed=seed, distance_sigma_cm=sigma)
+        cold = _cold(run_tracking, s)
+        run_tracking(replace(s, seed=other_seed))  # the walk is warm now
+        hits = harness._walk.cache_info().hits
+        assert repr(run_tracking(s)) == repr(cold)
+        assert harness._walk.cache_info().hits == hits + 1
+
+    def test_distances_are_the_scalar_inversions(self):
+        ceiling, walk = _cold(harness._walk, harness._noise_free(self.BASE))
+        for tick in walk:
+            assert tick.ranged == tuple(sig for sig in tick.sightings if sig.pixel_area > 0)
+            assert tick.dists_mm.tolist() == [
+                distance_from_pixels(ceiling.tau_mm, sig.pixel_area) for sig in tick.ranged
+            ]
+
+    def test_noise_sum_equals_the_scalar_loop(self, monkeypatch):
+        s = self.BASE
+        sent = []
+        ingest = harness.LightingServer.ingest
+
+        def recording(server, packet):
+            sent.append([rec.distance_mm for rec in packet.records])
+            return ingest(server, packet)
+
+        monkeypatch.setattr(harness.LightingServer, "ingest", recording)
+        run_tracking(s)
+        ceiling, walk = harness._walk(harness._noise_free(s))
+        rng = np.random.default_rng(s.seed)
+        expected = []
+        for tick in walk:
+            dists = [distance_from_pixels(ceiling.tau_mm, sig.pixel_area) for sig in tick.ranged]
+            noise = [float(rng.normal(0.0, 10.0 * s.distance_sigma_cm)) for _ in dists]
+            expected.append([d + e for d, e in zip(dists, noise)])
+        assert sent == [ds for ds in expected if ds]
+
+    def test_distance_array_is_read_only(self):
+        _, walk = harness._walk(harness._noise_free(self.BASE))
+        for tick in walk:
+            assert not tick.dists_mm.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                tick.dists_mm[...] = 1.0
 
 
 class TestViewWindow:

@@ -20,6 +20,7 @@ from occloc.server import (
     packet_to_line,
     replay_packet_log,
 )
+from occloc import tracker
 from occloc.solver import InsufficientAnchors, SolverError
 
 ROOM = RoomConfig(1219.0, 1219.0, 300.0)
@@ -164,6 +165,57 @@ class TestIngest:
         b = replay_packet_log(make_server(), lines)
         assert [r.filtered for r in a] == [r.filtered for r in b]
         assert [r.predicted for r in a] == [r.predicted for r in b]
+
+
+class TestOnePredictionPerPacket:
+    """A session keeps its last look-ahead and takes it as the next packet's
+    prediction, so a warm ingest predicts once; a restored session has none
+    and predicts twice on its first ingest."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        predict = tracker.predict
+
+        def counting(state, config):
+            calls.append(state)
+            return predict(state, config)
+
+        monkeypatch.setattr(tracker, "predict", counting)
+        return calls
+
+    def test_warm_ingest_predicts_once(self, monkeypatch):
+        server = make_server()
+        calls = self._counted(monkeypatch)
+        server.ingest(packet_from_truth(Point3(500, 500, 100), 1000))
+        assert len(calls) == 1  # the cold start only looks ahead
+        for k in range(2, 6):
+            calls.clear()
+            server.ingest(packet_from_truth(Point3(500 + 5 * k, 500, 100), 1000 * k))
+            assert len(calls) == 1
+
+    def test_restored_session_predicts_afresh(self, monkeypatch):
+        server = make_server()
+        for k in range(1, 4):
+            server.ingest(packet_from_truth(Point3(500 + 5 * k, 500, 100), 1000 * k))
+        restored = make_server()
+        restored.restore_session(json.loads(json.dumps(server.snapshot("s1"))))
+        calls = self._counted(monkeypatch)
+        a = server.ingest(packet_from_truth(Point3(520, 500, 100), 4000))
+        assert len(calls) == 1
+        calls.clear()
+        b = restored.ingest(packet_from_truth(Point3(520, 500, 100), 4000))
+        assert len(calls) == 2
+        assert repr(a) == repr(b)
+
+    def test_a_failed_packet_keeps_the_look_ahead(self, monkeypatch):
+        server = make_server()
+        server.ingest(packet_from_truth(Point3(500, 500, 100), 1000))
+        calls = self._counted(monkeypatch)
+        with pytest.raises(InsufficientAnchors):
+            server.ingest(DetectionPacket("s1", 2000, (DetectionRecord(9, 9, 100.0),) * 3))
+        server.ingest(packet_from_truth(Point3(505, 500, 100), 3000))
+        assert len(calls) == 1
 
 
 class TestProbe:
@@ -365,6 +417,102 @@ class TestRestoreTrackerState:
             assert server.sessions == {}
 
 
+def _valid_snapshot():
+    server = make_server()
+    server.ingest(packet_from_truth(Point3(500, 500, 100), 1000))
+    server.probe_tick("s1", 4000)
+    return json.loads(json.dumps(server.snapshot("s1")))
+
+
+def _cold_snapshot():
+    """A valid snapshot of a session that has no filter state yet."""
+    return {**_valid_snapshot(), "tracker": None, "last_position": None, "history": []}
+
+
+_ANY = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | st.lists(
+    st.integers(), max_size=3) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+_BAD_FIELDS = {
+    "session_id": _ANY.filter(lambda v: type(v) is not str),
+    "last_seen_ms": _ANY.filter(lambda v: v is not None and type(v) is not int),
+    "last_probe_ms": _ANY.filter(lambda v: v is not None and type(v) is not int),
+    "missed_probes": _ANY.filter(lambda v: type(v) is not int or v < 0),
+    "closed": _ANY.filter(lambda v: type(v) is not bool),
+    "last_position": st.one_of(
+        st.none(),
+        st.lists(st.floats(-1e3, 1e3), max_size=6).filter(lambda v: len(v) != 3),
+        st.lists(st.sampled_from([math.nan, math.inf, -math.inf, True, "1", None, 10**400, 1.0]),
+                 min_size=3, max_size=3).filter(lambda v: v != [1.0, 1.0, 1.0]),
+        _ANY.filter(lambda v: type(v) is not list),
+    ),
+    "history": st.one_of(
+        _ANY.filter(lambda v: type(v) is not list),
+        st.lists(_ANY.filter(lambda v: type(v) is not dict), min_size=1, max_size=3),
+    ),
+}
+
+
+class TestRestoreSessionFields:
+    """restore_session checks every session field before it registers the
+    session; a bad one raises ValueError naming it, where it used to pass and
+    make the next ingest or probe_tick raise an untyped error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(_BAD_FIELDS)))
+    def test_bad_field_is_rejected(self, data, name):
+        snap = _valid_snapshot()
+        snap[name] = data.draw(_BAD_FIELDS[name], label=name)
+        server = make_server()
+        with pytest.raises(ValueError, match=f"snapshot field {name} "):
+            server.restore_session(snap)
+        assert server.sessions == {}
+
+    @pytest.mark.parametrize("value", [[1.0, 2.0, 3.0], [0, 0, 0]])
+    def test_a_position_without_a_filter_state_is_rejected(self, value):
+        server = make_server()
+        with pytest.raises(ValueError, match="snapshot field last_position"):
+            server.restore_session({**_cold_snapshot(), "last_position": value})
+        assert server.sessions == {}
+
+    @pytest.mark.parametrize("name", ["session_id", "closed", "tracker", "history"])
+    def test_missing_field_is_named(self, name):
+        snap = _valid_snapshot()
+        del snap[name]
+        with pytest.raises(ValueError, match=f"snapshot fields missing: {name}"):
+            make_server().restore_session(snap)
+
+    def test_a_non_object_is_rejected(self):
+        with pytest.raises(ValueError, match="snapshot must be an object"):
+            make_server().restore_session([("version", 2)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cold=st.booleans(),
+        last_seen_ms=st.none() | st.integers(0, 10**6),
+        last_probe_ms=st.none() | st.integers(0, 10**6),
+        missed_probes=st.integers(0, 5),
+        closed=st.booleans(),
+        position=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.integers(0, 300)),
+        t_ms=st.integers(0, 2 * 10**6),
+    )
+    def test_accepted_sessions_ingest_and_probe_with_typed_errors(
+        self, cold, last_seen_ms, last_probe_ms, missed_probes, closed, position, t_ms
+    ):
+        snap = {**(_cold_snapshot() if cold else _valid_snapshot()),
+                "last_seen_ms": last_seen_ms, "last_probe_ms": last_probe_ms,
+                "missed_probes": missed_probes, "closed": closed}
+        if not cold:
+            snap["last_position"] = list(position)
+        server = make_server()
+        server.restore_session(snap)
+        assert server.snapshot("s1") == snap
+        server.probe_tick("s1", t_ms)
+        try:
+            result = server.ingest(packet_from_truth(Point3(520, 510, 100), t_ms))
+        except (SessionClosed, StaleTimestamp):
+            return
+        assert math.isfinite(result.filtered.x) and math.isfinite(result.predicted.y)
+
+
 class TestPacketLines:
     def test_round_trip(self):
         pkt = packet_from_truth(Point3(520, 510, 100), 1234)
@@ -384,6 +532,37 @@ class TestPacketLines:
             DetectionRecord(0, 0, 0.0)
         with pytest.raises(ValueError):
             DetectionPacket("s", 1, ())
+
+    @pytest.mark.parametrize(
+        "x_cm, y_cm, distance_mm, message",
+        [
+            (-1, 0, 100.0, "x_cm=-1 does not fit 16 bits"),
+            (65536, 0, 100.0, "x_cm=65536 does not fit 16 bits"),
+            (0, -1, 100.0, "y_cm=-1 does not fit 16 bits"),
+            (0, 65536, 100.0, "y_cm=65536 does not fit 16 bits"),
+            (70000, -5, 100.0, "x_cm=70000 does not fit 16 bits"),
+            (math.nan, 0, 100.0, "x_cm=nan does not fit 16 bits"),
+            (0, math.inf, 100.0, "y_cm=inf does not fit 16 bits"),
+            (65535, 65535, 0.0, "distance_mm=0.0 outside (0.001, 10000000.0)"),
+            (0, 0, math.nan, "distance_mm=nan outside (0.001, 10000000.0)"),
+            (-1, 0, 0.0, "x_cm=-1 does not fit 16 bits"),
+        ],
+    )
+    def test_each_bad_field_names_itself(self, x_cm, y_cm, distance_mm, message):
+        with pytest.raises(ValueError) as info:
+            DetectionRecord(x_cm, y_cm, distance_mm)
+        assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.integers(-3, 2**16 + 3), y=st.integers(-3, 2**16 + 3))
+    def test_coordinates_fit_16_bits_exactly(self, x, y):
+        if 0 <= x < 2**16 and 0 <= y < 2**16:
+            assert DetectionRecord(x, y, 100.0).x_cm == x
+        else:
+            name, v = ("x_cm", x) if not 0 <= x < 2**16 else ("y_cm", y)
+            with pytest.raises(ValueError) as info:
+                DetectionRecord(x, y, 100.0)
+            assert str(info.value) == f"{name}={v} does not fit 16 bits"
 
     @pytest.mark.parametrize("distance_mm", [math.nan, math.inf, -math.inf, 1e7, 1e155, 1e-3])
     def test_record_distance_outside_the_accepted_range(self, distance_mm):

@@ -27,6 +27,14 @@ from occloc.solver import (
 ROOM = RoomConfig(1219.0, 1219.0, 300.0)
 
 
+def estimate(measurements, room, prior=None):
+    """estimate_position over AnchorMeasurement pairs: their anchors as a
+    tuple, and their distances."""
+    return estimate_position(
+        tuple(m.anchor for m in measurements), [m.distance_cm for m in measurements], room, prior
+    )
+
+
 def measure_from(truth: Point3, anchors_xy, ceiling=300.0):
     """Forward-distance oracle: exact measurements from a known truth."""
     out = []
@@ -83,14 +91,14 @@ class TestBuildSystem:
         for n in (3, 5):
             exact = measure_from(Point3(50, 60, 100), anchors[:n])
             ms = [AnchorMeasurement(m.anchor, m.distance_cm + rng.normal(0, 5.0)) for m in exact]
-            a = estimate_position(ms, ROOM)
-            b = estimate_position(ms[::-1], ROOM)
+            a = estimate(ms, ROOM)
+            b = estimate(ms[::-1], ROOM)
             assert distance(a.position, b.position) <= 1e-9
             assert a.method is b.method
 
     def test_too_few(self):
         with pytest.raises(InsufficientAnchors):
-            estimate_position(measure_from(Point3(0, 0, 0), [(0, 0), (1, 1)]), ROOM)
+            estimate(measure_from(Point3(0, 0, 0), [(0, 0), (1, 1)]), ROOM)
 
     def test_mixed_ceilings(self):
         ms = [
@@ -99,7 +107,81 @@ class TestBuildSystem:
             AnchorMeasurement(Point3(0, 1, 300), 1.0),
         ]
         with pytest.raises(ValueError):
-            estimate_position(ms, ROOM)
+            estimate(ms, ROOM)
+
+
+class TestDistanceArguments:
+    """estimate_position takes the anchor tuple and one distance per anchor,
+    each finite and positive; anything else raises ValueError."""
+
+    ANCHORS = tuple(Point3(x, y, 300.0) for x, y in [(300, 450), (450, 450), (300, 600),
+                                                     (450, 600), (600, 450), (600, 600)])
+    BAD = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 6),
+        dists=st.lists(st.floats(1.0, 1e4), min_size=7, max_size=7),
+        extra=st.integers(-3, 1),
+        bad=st.lists(st.tuples(st.integers(0, 6), BAD), max_size=3),
+    )
+    def test_bad_distances_raise(self, n, dists, extra, bad):
+        for where, value in bad:
+            dists[where] = value
+        dists = dists[: n + extra]
+        assume(extra != 0 or bad and min(where for where, _ in bad) < n)
+        with pytest.raises(ValueError, match="finite, positive distance"):
+            estimate_position(self.ANCHORS[:n], dists, ROOM)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(3, 6), dists=st.lists(st.floats(150.0, 400.0), min_size=6, max_size=6))
+    def test_any_sequence_of_distances_solves_alike(self, n, dists):
+        anchors, dists = self.ANCHORS[:n], dists[:n]
+        outcomes = {
+            _outcome(estimate_position, anchors, ds, ROOM, None)
+            for ds in (dists, tuple(dists), np.array(dists))
+        }
+        assert len(outcomes) == 1
+        ms = [AnchorMeasurement(a, d) for a, d in zip(anchors, dists)]
+        assert outcomes == {_outcome(estimate, ms, ROOM, None)}
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "solve, n", [(trilaterate, 3), (multilaterate, 4), (trilaterate_collinear, 3)]
+    )
+    def test_dedicated_solvers_check_their_distances(self, solve, n, bad):
+        if solve is trilaterate_collinear:
+            anchors = [Point3(200, 150 * k, 300) for k in range(n)]
+        else:
+            anchors = self.ANCHORS[:n]
+        ms = [AnchorMeasurement(a, 250.0) for a in anchors[1:]]
+        with pytest.raises(ValueError, match="finite, positive distance"):
+            solve([AnchorMeasurement(anchors[0], bad), *ms])
+
+    def test_a_list_of_anchors_solves_like_the_tuple(self):
+        dists = [200.0, 210.0, 220.0, 230.0]
+        anchors = self.ANCHORS[:4]
+        assert repr(estimate_position(list(anchors), dists, ROOM)) == repr(
+            estimate_position(anchors, dists, ROOM)
+        )
+
+
+class TestResidual:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        xy=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=3,
+                    max_size=20),
+        ceiling=st.floats(-1e6, 1e6),
+        position=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        dists=st.lists(st.floats(1e-3, 1e7), min_size=20, max_size=20),
+    )
+    def test_residual_matches_the_norm_formula(self, xy, ceiling, position, dists):
+        geometry = solver._AnchorGeometry(tuple(Point3(x, y, ceiling) for x, y in xy))
+        dists = np.array(dists[: len(xy)])
+        p = Point3(*position)
+        gaps = np.linalg.norm(geometry.xyz - p.as_tuple(), axis=1) - dists
+        expected = math.sqrt(float((gaps**2).sum()) / len(xy))
+        assert geometry.residual_cm(dists, p).hex() == expected.hex()
 
 
 class TestTrilaterate:
@@ -176,7 +258,7 @@ class TestTrilaterate:
             return
         truth = Point3(*rng.uniform(100, 900, size=2), rng.uniform(0, ceiling - 50))
         ms = measure_from(truth, [tuple(a) for a in anchors], ceiling)
-        est = estimate_position(ms, room)
+        est = estimate(ms, room)
         assert distance(est.position, truth) < 1e-6
 
 
@@ -306,21 +388,21 @@ class TestEstimatePosition:
     def test_three_anchor_truth(self):
         truth = Point3(420, 510, 110)
         ms = measure_from(truth, [(300, 450), (450, 450), (300, 600)])
-        est = estimate_position(ms, ROOM)
+        est = estimate(ms, ROOM)
         assert distance(est.position, truth) < 1e-6
         assert est.method is Method.TRILATERATION
 
     def test_five_anchors_tagged_least_squares(self):
         truth = Point3(420, 510, 110)
         ms = measure_from(truth, [(300, 450), (450, 450), (300, 600), (450, 600), (600, 450)])
-        est = estimate_position(ms, ROOM)
+        est = estimate(ms, ROOM)
         assert est.method is Method.LEAST_SQUARES
         assert distance(est.position, truth) < 1e-6
 
     def test_two_anchors_insufficient(self):
         ms = measure_from(Point3(100, 100, 50), [(0, 0), (150, 0)])
         with pytest.raises(InsufficientAnchors):
-            estimate_position(ms, ROOM)
+            estimate(ms, ROOM)
 
     def test_noisy_three_anchor_fallback(self):
         # distances inconsistent: exact intersection impossible, least-squares
@@ -332,14 +414,14 @@ class TestEstimatePosition:
             AnchorMeasurement(ms[1].anchor, ms[1].distance_cm * 0.8),
             ms[2],
         ]
-        est = estimate_position(bumped, ROOM)
+        est = estimate(bumped, ROOM)
         assert est.method is Method.LEAST_SQUARES
         assert est.residual_cm > 0.0
 
     def test_prior_steers_collinear_case(self):
         truth = Point3(230, 40, 100)
         ms = measure_from(truth, [(200, 0), (200, 150), (200, 300)])
-        est = estimate_position(ms, ROOM, prior=Point3(228, 42, 100))
+        est = estimate(ms, ROOM, prior=Point3(228, 42, 100))
         assert distance(est.position, truth) < 1e-6
 
     def test_collinear_circle_dipping_below_floor(self):
@@ -350,7 +432,7 @@ class TestEstimatePosition:
             AnchorMeasurement(Point3(200, 150, 300), math.hypot(110, 350)),
             AnchorMeasurement(Point3(200, 300, 300), math.hypot(260, 350)),
         ]
-        est = estimate_position(ms, ROOM)
+        est = estimate(ms, ROOM)
         assert est.position.z == pytest.approx(0.0, abs=1e-9)
         assert est.position.y == pytest.approx(40.0, abs=1e-6)
         assert 0 <= est.position.x <= ROOM.width_cm
@@ -358,18 +440,18 @@ class TestEstimatePosition:
     def test_room_mismatch(self):
         ms = measure_from(Point3(100, 100, 50), [(0, 0), (150, 0), (0, 150)], ceiling=250.0)
         with pytest.raises(ValueError):
-            estimate_position(ms, ROOM)
+            estimate(ms, ROOM)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(9)
         truth = Point3(400, 500, 90)
         anchors = [(300, 450), (450, 450), (300, 600), (500, 550)]
-        base = estimate_position(measure_from(truth, anchors), ROOM)
+        base = estimate(measure_from(truth, anchors), ROOM)
         for _ in range(10):
             dx, dy = rng.uniform(-100, 100, size=2)
             shifted_truth = Point3(truth.x + dx, truth.y + dy, truth.z)
             shifted_anchors = [(x + dx, y + dy) for x, y in anchors]
-            est = estimate_position(measure_from(shifted_truth, shifted_anchors), ROOM)
+            est = estimate(measure_from(shifted_truth, shifted_anchors), ROOM)
             assert est.position.x == pytest.approx(base.position.x + dx, abs=1e-6)
             assert est.position.y == pytest.approx(base.position.y + dy, abs=1e-6)
             assert est.position.z == pytest.approx(base.position.z, abs=1e-6)
@@ -377,11 +459,11 @@ class TestEstimatePosition:
     def test_residual_zero_iff_consistent(self):
         truth = Point3(420, 510, 110)
         anchors = [(300, 450), (450, 450), (300, 600), (450, 600)]
-        exact = estimate_position(measure_from(truth, anchors), ROOM)
+        exact = estimate(measure_from(truth, anchors), ROOM)
         assert exact.residual_cm <= 1e-9
         ms = measure_from(truth, anchors)
         noisy = [AnchorMeasurement(ms[0].anchor, ms[0].distance_cm + 1.0), *ms[1:]]
-        assert estimate_position(noisy, ROOM).residual_cm > 1e-9
+        assert estimate(noisy, ROOM).residual_cm > 1e-9
 
 
 class TestWorkedExample:
@@ -415,7 +497,7 @@ class TestWorkedExample:
             AnchorMeasurement(Point3(x, y, ceiling), d)
             for (x, y), d in zip(self.ANCHORS, (self.D1, self.D2, self.D3))
         ]
-        est = estimate_position(ms, RoomConfig(1219, 1219, ceiling))
+        est = estimate(ms, RoomConfig(1219, 1219, ceiling))
         assert est.method is Method.COLLINEAR_FAMILY
         assert est.residual_cm > 1.0
 
@@ -434,7 +516,7 @@ class TestGeometricDilution:
                 AnchorMeasurement(m.anchor, m.distance_cm + rng.normal(0, 2.0))
                 for m in measure_from(truth, anchors)
             ]
-            est = estimate_position(ms, ROOM)
+            est = estimate(ms, ROOM)
             z_sq.append((est.position.z - truth.z) ** 2)
             xy_sq.append((est.position.x - truth.x) ** 2)
             xy_sq.append((est.position.y - truth.y) ** 2)
@@ -462,13 +544,13 @@ class TestSinglePass:
     def test_pool_matches_multilaterate(self, n, x, y, z, noise):
         exact = measure_from(Point3(x, y, z), self.GRID[:n])
         ms = [AnchorMeasurement(m.anchor, m.distance_cm + e) for m, e in zip(exact, noise)]
-        est = estimate_position(ms, ROOM)
+        est = estimate(ms, ROOM)
         assert est.method is Method.LEAST_SQUARES
         assert _pool(est) == _pool(multilaterate(ms))
 
     def test_three_consistent_anchors_match_trilaterate(self):
         ms = measure_from(Point3(420, 510, 110), self.GRID[:3])
-        est = estimate_position(ms, ROOM)
+        est = estimate(ms, ROOM)
         assert est.method is Method.TRILATERATION
         assert _pool(est) == _pool(trilaterate(ms))
 
@@ -483,7 +565,7 @@ class TestSinglePass:
             trilaterate(bumped)
         x, y, h, m = exact_reference(bumped)
         assert m < 0
-        est = estimate_position(bumped, ROOM)
+        est = estimate(bumped, ROOM)
         assert est.method is Method.LEAST_SQUARES
         assert est.candidates == ()
         assert est.position.z == ROOM.ceiling_height_cm
@@ -513,7 +595,7 @@ class TestExactReference:
         rx, ry, h, m = exact_reference(ms)
         # resolve_ambiguity rejects a pool with no candidate inside the room
         assume(m < 0 or math.sqrt(m) <= ROOM.ceiling_height_cm)
-        est = estimate_position(ms, ROOM)
+        est = estimate(ms, ROOM)
         pool = sorted(_pool(est), key=lambda p: p.z)
         for p in pool:
             assert p.x == pytest.approx(float(rx), abs=1e-9)
@@ -546,7 +628,7 @@ class TestFloorLevelPhone:
         exact = measure_from(Point3(x, y, z), [(x + dx, y + dy) for dx, dy in offsets])
         assume(all(ex.distance_cm + e > 0 for ex, e in zip(exact, noise)))
         ms = [AnchorMeasurement(ex.anchor, ex.distance_cm + e) for ex, e in zip(exact, noise)]
-        est = estimate_position(ms, ROOM)
+        est = estimate(ms, ROOM)
         # resolve_ambiguity's rounding tolerance: a root at -6e-14 cm is the floor
         assert -1e-9 <= est.position.z <= ROOM.ceiling_height_cm + 1e-9
         reference = multilaterate(ms).position
@@ -557,7 +639,7 @@ class TestFloorLevelPhone:
         ms = measure_from(Point3(420, 510, 0), [(300, 450), (450, 450), (300, 600)])
         long = [AnchorMeasurement(m.anchor, m.distance_cm + 20.0) for m in ms]
         assert all(p.z < 0 or p.z > 300 for p in _pool(trilaterate(long)))
-        est = estimate_position(long, ROOM)
+        est = estimate(long, ROOM)
         assert est.position.z == 0.0
         assert est.method is Method.LEAST_SQUARES
         assert est.candidates == ()
@@ -587,7 +669,7 @@ class TestCeilingTolerance:
         ms = [AnchorMeasurement(a, distance(truth, a) + rng.normal(0, 1.0)) for a in anchors]
         zs = sorted(p.z for p in _pool(multilaterate(ms)))
         assert zs == pytest.approx([99.77, 500.23], abs=0.01)
-        assert estimate_position(ms, self.SMALL_ROOM).position.z == pytest.approx(99.77, abs=0.01)
+        assert estimate(ms, self.SMALL_ROOM).position.z == pytest.approx(99.77, abs=0.01)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -601,7 +683,7 @@ class TestCeilingTolerance:
         truth = Point3(x, y, z)
         anchors = [Point3(ax, ay, 300.0 + dz) for (ax, ay), dz in zip(self.CORNERS, raises)]
         ms = [AnchorMeasurement(a, distance(truth, a) + e) for a, e in zip(anchors, noise)]
-        est = estimate_position(ms, self.SMALL_ROOM)
+        est = estimate(ms, self.SMALL_ROOM)
         assert _in_extended_bounds(self.SMALL_ROOM, est.position)
         # the mirror candidate lies above the ceiling, but no farther than a range
         reach = max(m.distance_cm for m in ms)
@@ -620,7 +702,7 @@ def _outcome(solve, *args) -> str:
 def _every_outcome(ms, prior):
     """The outcome of every entry point that takes this many measurements."""
     outcomes = [
-        _outcome(estimate_position, ms, ROOM, prior),
+        _outcome(estimate, ms, ROOM, prior),
         _outcome(trilaterate_collinear, ms, None if prior is None else prior.z),
     ]
     if len(ms) == 3:
@@ -670,7 +752,7 @@ class TestAnchorCache:
         dists = [m.distance_cm + offset_cm for m in exact]
         warm, cold, ms = self._warm_and_cold(anchors, dists, [d + 3.0 for d in dists], prior)
         assert warm == cold
-        est = estimate_position(ms, ROOM, prior)
+        est = estimate(ms, ROOM, prior)
         assert est.method is method
         if z is not None:
             assert est.position.z == z
@@ -720,7 +802,7 @@ class TestAnchorCache:
         ms = [AnchorMeasurement(a, 200.0) for a in anchors]
         solver._anchor_geometry.cache_clear()
         for _ in range(3):
-            for solve in (lambda: estimate_position(ms, ROOM), lambda: multilaterate(ms)):
+            for solve in (lambda: estimate(ms, ROOM), lambda: multilaterate(ms)):
                 with pytest.raises(ValueError, match="share one ceiling"):
                     solve()
         info = solver._anchor_geometry.cache_info()
@@ -728,7 +810,7 @@ class TestAnchorCache:
 
     def test_cached_arrays_are_read_only(self):
         ms = measure_from(Point3(50, 60, 100), [(0, 0), (150, 0), (0, 150), (150, 150)])
-        estimate_position(ms, ROOM)
+        estimate(ms, ROOM)
         hits = solver._anchor_geometry.cache_info().hits
         geometry = solver._anchor_geometry(tuple(m.anchor for m in ms))
         assert solver._anchor_geometry.cache_info().hits == hits + 1
@@ -745,7 +827,7 @@ class TestAnchorCache:
         for i in range(solver.ANCHOR_CACHE_SIZE + 10):
             x0 = 0.25 * i
             ms = measure_from(Point3(x0 + 50, 60, 100), [(x0, 0), (x0 + 150, 0), (x0, 150)])
-            estimate_position(ms, ROOM)
+            estimate(ms, ROOM)
             sets.append(tuple(m.anchor for m in ms))
             assert cache.cache_info().currsize <= solver.ANCHOR_CACHE_SIZE
         assert cache.cache_info().currsize == solver.ANCHOR_CACHE_SIZE
