@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 PREAMBLE = 0xAA
 PREAMBLE_BITS = 8
@@ -157,4 +156,4 @@ def ook_ber_theoretical(snir_linear: float) -> float:
     """
     if snir_linear < 0:
         raise ValueError("SNIR must be non-negative")
-    return float(0.5 * erfc(math.sqrt(snir_linear) / math.sqrt(2.0)))
+    return 0.5 * math.erfc(math.sqrt(snir_linear) / math.sqrt(2.0))

@@ -384,18 +384,19 @@ def _check_session_fields(snapshot: dict):
 
 
 def _state_array(state: dict, name: str, shape: tuple) -> np.ndarray:
-    """A snapshot's tracker.<name> as a float array; it must hold finite
-    numbers (not strings or booleans) in the given shape."""
-    try:
-        array = np.array(state.get(name), dtype=float)
-        numeric = np.asarray(state.get(name)).dtype.kind in "iuf"
-    except (TypeError, ValueError, OverflowError):
-        array, numeric = None, False
-    if not numeric or array.shape != shape or not np.isfinite(array).all():
+    """A snapshot's tracker.<name> as a float array; each element must be a
+    finite int or float (not a string or boolean), in the given shape."""
+    value = state.get(name)
+    if len(shape) == 1:
+        ok = _finite_numbers(value, shape[0])
+    else:
+        ok = (type(value) in (list, tuple) and len(value) == shape[0]
+              and all(_finite_numbers(row, shape[1]) for row in value))
+    if not ok:
         raise ValueError(
             f"snapshot field tracker.{name} must be {' x '.join(map(str, shape))} finite numbers"
         )
-    return array
+    return np.array(value, dtype=float)
 
 
 def packet_to_line(packet: DetectionPacket) -> str:

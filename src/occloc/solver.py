@@ -2,8 +2,9 @@
 
 estimate_position, the server's entry, takes the anchor tuple and one
 sequence of distances, checked in one array comparison: one per anchor, each
-finite and positive. The dedicated solvers trilaterate, multilaterate and
-trilaterate_collinear take a list of AnchorMeasurement pairs instead.
+positive and below MAX_DISTANCE_CM. The dedicated solvers trilaterate,
+multilaterate and trilaterate_collinear take a list of AnchorMeasurement
+pairs instead.
 
 Every anchor sits on one ceiling plane z = h, so the sphere equations
 |P - a_j|^2 = d_j^2 separate. Let c_j be anchor j's horizontal offset from
@@ -226,12 +227,22 @@ ANCHOR_CACHE_SIZE = 2048
 _anchor_geometry = lru_cache(maxsize=ANCHOR_CACHE_SIZE)(_AnchorGeometry)
 
 
+# Every distance must lie below this. fit_xy sums the n squared distances and
+# squares the offset it fits from them again, so n * d^2 and those squares must
+# stay finite: past about 1.3e154 cm, d^2 alone overflows. 1e12 cm keeps every
+# such square finite and lies far beyond any room.
+MAX_DISTANCE_CM = 1e12
+
+
 def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[_AnchorGeometry, np.ndarray]":
     """The cached geometry of the anchors, and the distances as an array. There
-    must be one distance per anchor, each finite and positive."""
+    must be one distance per anchor, each positive and below MAX_DISTANCE_CM."""
     dists = np.array(distances_cm, dtype=float)
-    if dists.shape != (len(anchors),) or not ((dists > 0) & (dists < math.inf)).all():
-        raise ValueError(f"need one finite, positive distance for each of {len(anchors)} anchors")
+    if dists.shape != (len(anchors),) or not ((dists > 0) & (dists < MAX_DISTANCE_CM)).all():
+        raise ValueError(
+            f"need one finite, positive distance under {MAX_DISTANCE_CM:g} cm for each of "
+            f"{len(anchors)} anchors"
+        )
     return _anchor_geometry(tuple(anchors)), dists
 
 
@@ -346,8 +357,8 @@ def estimate_position(
     settle the candidate ambiguity against the room and the motion prior.
 
     anchors are the ranged fixtures' ceiling points and distances_cm their
-    measured distances, in the same order: one per anchor, each finite and
-    positive, else ValueError.
+    measured distances, in the same order: one per anchor, each positive and
+    below MAX_DISTANCE_CM, else ValueError.
 
     Three inconsistent distances (no exact intersection) degrade to the
     least-squares compromise rather than failing, and are tagged as such.

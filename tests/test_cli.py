@@ -158,6 +158,13 @@ class TestPinnedDigests:
             "14978c366f2cef40b30e453f48c31ebfbdb0565ee348947d2c0a8a5e0101ada0"
         )
 
+    def test_default_ber_csv(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OCC_SEED", raising=False)
+        assert main(["ber", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256(read(tmp_path / "ber.csv")).hexdigest() == (
+            "4d189f39794d2f03b6a50f51185d3d55d119e72da9b21b8edd3350f1c8d0e363"
+        )
+
     def test_tracking_with_pixel_and_distance_noise(self, tmp_path):
         scenario = replace(default_scenario(), distance_sigma_cm=3.0, seed=11)
         assert scenario.pixel_sigma > 0
@@ -178,6 +185,25 @@ def test_cli_loads_every_module():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert expected - set(loaded) == set()
+
+
+def test_runs_without_scipy(tmp_path, fast_scenario):
+    """The package needs numpy alone: with every scipy import made to fail,
+    import occloc and the track and ber commands still work."""
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import occloc\n"
+        "from occloc.cli import main\n"
+        "out, scenario = sys.argv[1:]\n"
+        "assert main(['track', '--scenario', scenario, '--out', out + '/track']) == 0\n"
+        "assert main(['ber', '--out', out + '/ber', '--snir-max', '3', '--bits', '10000']) == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(occloc.__file__).parent.parent)}
+    subprocess.run([sys.executable, "-c", script, str(tmp_path), fast_scenario], env=env,
+                   check=True)
+    assert (tmp_path / "track" / "track.csv").exists()
+    assert (tmp_path / "ber" / "ber.csv").exists()
 
 
 class TestOtherCommands:

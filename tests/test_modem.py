@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -178,6 +179,21 @@ class TestOokBerTheoretical:
         vals = [ook_ber_theoretical(v) for v in grid]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert all(0.0 < v <= 0.5 for v in vals)
+
+    def test_within_4_ulp_of_a_50_digit_reference(self):
+        """Over -60...30 dB in 0.01 dB steps, against 0.5 * erfc(x) at 50 digits
+        for the same float x. scipy.special.erfc was up to 243 ulp off here.
+        math.erfc is the C library's: glibc 2.36's reaches 2.2 ulp on this
+        grid and 3.4 ulp at random points of the range."""
+        with mpmath.workdps(50):
+            worst = 0.0
+            for k in range(-6000, 3001):
+                snir = 10.0 ** (k / 1000.0)
+                x = math.sqrt(snir) / math.sqrt(2.0)
+                exact = mpmath.mpf(0.5) * mpmath.erfc(mpmath.mpf(x))
+                error = abs(mpmath.mpf(ook_ber_theoretical(snir)) - exact)
+                worst = max(worst, float(error) / math.ulp(float(exact)))
+        assert worst <= 4.0
 
 
 class TestMeasureBer:

@@ -384,6 +384,22 @@ class TestRestoreTrackerState:
             server.restore_session(_snapshot_with_state(x, p))
         assert server.sessions == {}
 
+    @settings(max_examples=100, deadline=None)
+    @given(field=st.sampled_from(["x", "p"]), where=st.integers(0, 15), flag=st.booleans())
+    def test_a_boolean_among_numbers_is_rejected(self, field, where, flag):
+        """numpy reads [True, 500.0, ...] as floats, so a boolean mixed with
+        numbers once restored as 1.0 or 0.0."""
+        x, p = list(self.GOOD_X), [list(row) for row in self.GOOD_P]
+        if field == "x":
+            x[where % 4] = flag
+        else:
+            i, j = divmod(where, 4)
+            p[i][j] = p[j][i] = flag
+        server = make_server()
+        with pytest.raises(ValueError, match=f"tracker.{field}"):
+            server.restore_session(_snapshot_with_state(x, p))
+        assert server.sessions == {}
+
     @settings(max_examples=200, deadline=None)
     @given(
         x=st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=6),

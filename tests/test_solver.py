@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -112,11 +113,15 @@ class TestBuildSystem:
 
 class TestDistanceArguments:
     """estimate_position takes the anchor tuple and one distance per anchor,
-    each finite and positive; anything else raises ValueError."""
+    each positive and below MAX_DISTANCE_CM; anything else raises ValueError."""
 
     ANCHORS = tuple(Point3(x, y, 300.0) for x, y in [(300, 450), (450, 450), (300, 600),
                                                      (450, 600), (600, 450), (600, 600)])
-    BAD = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+    LINE = tuple(Point3(200.0 + 150 * k, 450.0, 300.0) for k in range(6))
+    # a distance past the bound once overflowed d^2 in fit_xy, with numpy
+    # warnings and a non-finite Point3 in place of this ValueError
+    BAD = (st.floats(max_value=0.0) | st.floats(min_value=solver.MAX_DISTANCE_CM)
+           | st.sampled_from([math.nan, math.inf, -math.inf]))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -145,7 +150,7 @@ class TestDistanceArguments:
         ms = [AnchorMeasurement(a, d) for a, d in zip(anchors, dists)]
         assert outcomes == {_outcome(estimate, ms, ROOM, None)}
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e200])
     @pytest.mark.parametrize(
         "solve, n", [(trilaterate, 3), (multilaterate, 4), (trilaterate_collinear, 3)]
     )
@@ -157,6 +162,26 @@ class TestDistanceArguments:
         ms = [AnchorMeasurement(a, 250.0) for a in anchors[1:]]
         with pytest.raises(ValueError, match="finite, positive distance"):
             solve([AnchorMeasurement(anchors[0], bad), *ms])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(3, 6),
+        log_dists=st.lists(st.floats(-3.0, math.log10(solver.MAX_DISTANCE_CM)), min_size=6,
+                           max_size=6),
+        collinear=st.booleans(),
+    )
+    def test_distances_below_the_bound_stay_finite(self, n, log_dists, collinear):
+        """Up to the bound, every square the solve takes stays finite: it gives
+        an estimate or a SolverError, never a numpy warning."""
+        dists = [min(10.0**e, math.nextafter(solver.MAX_DISTANCE_CM, 0.0)) for e in log_dists[:n]]
+        anchors = self.LINE[:n] if collinear else self.ANCHORS[:n]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                est = estimate_position(anchors, dists, ROOM)
+            except solver.SolverError:
+                return
+        assert math.isfinite(est.residual_cm)
 
     def test_a_list_of_anchors_solves_like_the_tuple(self):
         dists = [200.0, 210.0, 220.0, 230.0]
