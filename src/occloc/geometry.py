@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point3:
     """A world-frame point, components in centimeters."""
 
@@ -22,13 +22,14 @@ class Point3:
     y: float
     z: float
 
-    def __post_init__(self):
-        x, y, z = float(self.x), float(self.y), float(self.z)
+    def __init__(self, x: float, y: float, z: float):
+        # converts and checks first, then sets each field once
+        x, y, z = float(x), float(y), float(z)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"non-finite point ({x}, {y}, {z})")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise ValueError(f"non-finite point ({x}, {y}, {z})")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)

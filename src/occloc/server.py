@@ -49,7 +49,7 @@ class SessionClosed(ValueError):
     """The session was closed by the probe state machine."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DetectionRecord:
     """One wire record: slot 1 carries the fixture's broadcast centimeter
     coordinates, slot 2 the measured distance in millimeters."""
@@ -58,16 +58,20 @@ class DetectionRecord:
     y_cm: int
     distance_mm: float
 
-    def __post_init__(self):
-        # one chained test for the common valid record; the loop names the field
-        if not (0 <= self.x_cm < 65536 and 0 <= self.y_cm < 65536):
-            for name, v in (("x_cm", self.x_cm), ("y_cm", self.y_cm)):
+    def __init__(self, x_cm: int, y_cm: int, distance_mm: float):
+        # checks first, then sets each field once; one chained test for the
+        # common valid record, and the loop names the field
+        if not (0 <= x_cm < 65536 and 0 <= y_cm < 65536):
+            for name, v in (("x_cm", x_cm), ("y_cm", y_cm)):
                 if not (0 <= v < 2**16):
                     raise ValueError(f"{name}={v} does not fit 16 bits")
-        if not MIN_DISTANCE_MM < self.distance_mm < MAX_DISTANCE_MM:
+        if not MIN_DISTANCE_MM < distance_mm < MAX_DISTANCE_MM:
             raise ValueError(
-                f"distance_mm={self.distance_mm} outside ({MIN_DISTANCE_MM}, {MAX_DISTANCE_MM})"
+                f"distance_mm={distance_mm} outside ({MIN_DISTANCE_MM}, {MAX_DISTANCE_MM})"
             )
+        object.__setattr__(self, "x_cm", x_cm)
+        object.__setattr__(self, "y_cm", y_cm)
+        object.__setattr__(self, "distance_mm", distance_mm)
 
 
 @dataclass(frozen=True)

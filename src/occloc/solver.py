@@ -1,7 +1,7 @@
 """Position estimation from ceiling anchors and their measured distances.
 
 estimate_position, the server's entry, takes the anchor tuple and one
-sequence of distances, checked in one array comparison: one per anchor, each
+sequence of distances, checked in one pass: one per anchor, each a number,
 positive and below MAX_DISTANCE_CM. The dedicated solvers trilaterate,
 multilaterate and trilaterate_collinear take a list of AnchorMeasurement
 pairs instead.
@@ -22,12 +22,16 @@ when noise drives m negative, the least-violating point z = h (Manolakis 1996,
 trilateration", IEEE TAES; Beck, Stoica & Li 2008, "Exact and approximate
 solutions of source localization problems", IEEE TSP).
 
-One thin SVD of the centered horizontal anchor matrix serves every solve: its
-singular values decide collinearity, and it solves for p. Collinear anchors
-fix p only along their line, which is the rank-one part of the same solve; the
-rest is a circle of radius sqrt(m) around the line, a CollinearFamily. The SVD
-and everything else that depends on the anchors alone is cached per process,
-keyed by the anchor tuple, so a set seen before costs only its distance terms.
+Everything that depends on the anchors alone is a solve plan, built once per
+anchor set and cached per process, keyed by the anchor tuple. One thin SVD of
+the centered horizontal anchor matrix builds it: its singular values decide
+collinearity, and it gives the least-squares map from the right-hand sides to
+p. Collinear anchors fix p only along their line, which is the rank-one part
+of the same map; the rest is a circle of radius sqrt(m) around the line, a
+CollinearFamily. The plan holds Python floats only, so a solve over a set seen
+before is a few sums over its n distances (math.fsum, math.hypot), with no
+array call: at n = 3 to 17, numpy's per-call dispatch cost more than its
+arithmetic.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from math import fsum, hypot
+from operator import mul
 
 import numpy as np
 
@@ -43,6 +49,22 @@ from .geometry import Point3, RoomConfig, distance
 
 CEILING_TOLERANCE_CM = 1e-6
 COLLINEARITY_RTOL = 1e-9
+# A singular value of the centered anchor xy below this counts as zero: below
+# it on the larger one the anchors coincide, and below it on the smaller one
+# they lie on a line, whatever the ratio of the two. The least-squares map
+# scales by 1/(2s), so a smaller s could carry the distance terms past the
+# float range: at anchors 1e-150 cm apart, a 1e4 cm^2 term becomes 1e154 cm
+# and its square overflows.
+SINGULAR_FLOOR_CM = 1e-6
+# Every distance, and every anchor coordinate, must lie below this in
+# magnitude. Past about 1.3e154 cm, d^2 alone overflows, and math.fsum raises
+# OverflowError when a partial sum overflows, not only the total. Below
+# 1e12 cm each d^2 and each centered |c|^2 stays under 1e25 cm^2, and with
+# SINGULAR_FLOOR_CM each coefficient of the least-squares map stays under
+# 1/(2 * 1e-6 cm), so p stays under n * 1e31 cm and every square and partial
+# sum a solve takes stays far inside the float range. 1e12 cm lies far beyond
+# any room.
+MAX_DISTANCE_CM = 1e12
 
 
 class SolverError(ValueError):
@@ -134,57 +156,76 @@ class PositionEstimate:
 
 
 class _AnchorGeometry:
-    """What a solve derives from the anchor positions alone: the xyz array,
-    the common ceiling height h, the centroid, the centered horizontal anchor
-    matrix with its thin SVD and collinearity flag, and the centered |c|^2
-    term of fit_xy. Its methods take one call's distances. Its arrays are
-    read-only, since solves share them.
+    """The solve plan of one anchor set: everything a solve derives from the
+    anchor positions alone, held as Python floats and tuples, so that a solve
+    is a few scalar sums with no array dispatch.
+
+    One thin SVD of the centered horizontal anchor matrix C = U S V^T builds
+    it. It decides collinearity, and it gives the least-squares map
+    M = V_r diag(1/2s_r) U_r^T over the first r singular directions, r = 2
+    for a plane and 1 along a line, stored as its two coefficient rows. The
+    plan also holds the anchor xy, absolute and centered, the centered |c|^2
+    term of fit_xy, the centroid, the common ceiling height h and the
+    direction of the line, which family needs.
 
     Every solve path (three anchors, least squares, collinear family, floor
-    clamp) reads the one SVD, so a cached geometry gives the bits a fresh one
+    clamp) reads the one plan, so a cached plan gives the bits a fresh one
     does."""
 
-    __slots__ = ("xyz", "n", "h", "centroid", "centered", "u", "s", "vt", "collinear",
-                 "c2_centered")
+    __slots__ = ("n", "h", "ax", "ay", "centroid", "cx", "cy", "c2_centered", "lsq_map",
+                 "coincident", "collinear", "direction")
 
     def __init__(self, anchors: "tuple[Point3, ...]"):
         # + 0.0 turns -0.0 into 0.0: Point3 equality does not tell them apart,
-        # so anchor tuples that are equal keys must give identical arrays
-        self.xyz = np.array([[a.x + 0.0, a.y + 0.0, a.z + 0.0] for a in anchors], dtype=float)
-        if np.ptp(self.xyz[:, 2]) > CEILING_TOLERANCE_CM:
+        # so anchor tuples that are equal keys must give identical plans
+        xyz = [(a.x + 0.0, a.y + 0.0, a.z + 0.0) for a in anchors]
+        if not all(abs(v) < MAX_DISTANCE_CM for a in xyz for v in a):
+            raise ValueError(f"anchor coordinates must lie under {MAX_DISTANCE_CM:g} cm")
+        self.ax, self.ay, zs = (tuple(column) for column in zip(*xyz))
+        if max(zs) - min(zs) > CEILING_TOLERANCE_CM:
             raise ValueError("anchors must share one ceiling height")
-        # sum / n is np.mean's arithmetic without its per-call overhead
         n = self.n = len(anchors)
-        self.h = float(self.xyz[:, 2].sum()) / n
-        self.centroid = self.xyz[:, :2].sum(axis=0) / n
-        self.centered = self.xyz[:, :2] - self.centroid
-        self.u, self.s, self.vt = np.linalg.svd(self.centered, full_matrices=False)
-        # coincident anchors count as collinear
-        self.collinear = bool(self.s[0] == 0.0 or self.s[-1] <= COLLINEARITY_RTOL * self.s[0])
-        c2 = (self.centered**2).sum(axis=1)
-        self.c2_centered = c2 - c2.sum() / n
-        for array in (self.xyz, self.centroid, self.centered, self.u, self.s, self.vt,
-                      self.c2_centered):
-            array.setflags(write=False)
+        # exactly z0 when every anchor sits at z0
+        self.h = zs[0] + fsum(z - zs[0] for z in zs) / n
+        cx0, cy0 = self.centroid = (fsum(self.ax) / n, fsum(self.ay) / n)
+        self.cx = tuple(x - cx0 for x in self.ax)
+        self.cy = tuple(y - cy0 for y in self.ay)
+        c2 = [x * x + y * y for x, y in zip(self.cx, self.cy)]
+        c2_mean = fsum(c2) / n
+        self.c2_centered = tuple(c - c2_mean for c in c2)
+        u, s, vt = np.linalg.svd(np.array([self.cx, self.cy]).T, full_matrices=False)
+        self.coincident = bool(s[0] < SINGULAR_FLOOR_CM)
+        self.collinear = bool(self.coincident or s[-1] < SINGULAR_FLOOR_CM
+                              or s[-1] <= COLLINEARITY_RTOL * s[0])
+        self.direction = tuple(vt[0].tolist())
+        r = 1 if self.collinear else 2
+        self.lsq_map = None if self.coincident else tuple(
+            map(tuple, ((vt[:r].T / (2.0 * s[:r])) @ u[:, :r].T).tolist())
+        )
 
-    def fit_xy(self, dists: np.ndarray, rank: int) -> tuple[np.ndarray, float, float]:
-        """The least-squares horizontal position over the first `rank` singular
-        directions (2 for a plane, 1 along a line), m = mean(d^2 - rho^2) and
-        mean(d^2), the scale m is rounded at."""
-        d2 = dists**2
-        d2_mean = float(d2.sum()) / self.n
-        rhs = self.c2_centered - (d2 - d2_mean)
-        p = ((self.u[:, :rank].T @ rhs) / (2.0 * self.s[:rank])) @ self.vt[:rank]
-        rho2 = ((self.centered - p) ** 2).sum(axis=1)
-        return self.centroid + p, float((d2 - rho2).sum()) / self.n, d2_mean
+    def fit_xy(self, dists: "list[float]") -> "tuple[tuple[float, float], float, float]":
+        """The least-squares horizontal position (along the line, for collinear
+        anchors), m = mean(d^2 - rho^2) and mean(d^2), the scale m is rounded
+        at."""
+        n = self.n
+        d2 = [d * d for d in dists]
+        d2_mean = fsum(d2) / n
+        rhs = [c - (e - d2_mean) for c, e in zip(self.c2_centered, d2)]
+        mx, my = self.lsq_map
+        px = fsum(map(mul, mx, rhs))
+        py = fsum(map(mul, my, rhs))
+        m = fsum([e - ((cx - px) * (cx - px) + (cy - py) * (cy - py))
+                  for e, cx, cy in zip(d2, self.cx, self.cy)]) / n
+        cx0, cy0 = self.centroid
+        return (cx0 + px, cy0 + py), m, d2_mean
 
-    def mirror_pair(self, dists: np.ndarray, allow_approximate: bool) -> tuple[list[Point3], bool]:
+    def mirror_pair(self, dists: "list[float]", allow_approximate: bool) -> tuple[list[Point3], bool]:
         """Candidates sorted by z ascending, and whether they are exact roots.
 
         A negative m beyond rounding either raises NoRealRoot or, when
         approximation is allowed, gives the vertex z = h.
         """
-        (x, y), m, d2_mean = self.fit_xy(dists, 2)
+        (x, y), m, d2_mean = self.fit_xy(dists)
         h = self.h
         if m >= -1e-10 * d2_mean:
             r = math.sqrt(max(m, 0.0))
@@ -195,50 +236,47 @@ class _AnchorGeometry:
             raise NoRealRoot(f"sphere constraint has no real solution (m = {m:.3g} cm^2)")
         return [Point3(x, y, z) for z in zs], exact
 
-    def family(self, dists: np.ndarray) -> CollinearFamily:
+    def family(self, dists: "list[float]") -> CollinearFamily:
         """The circle of solutions around collinear anchors."""
-        if self.s[0] == 0.0:
-            raise DegenerateAnchors("anchors coincide")
-        direction = self.vt[0]
-        if np.ptp(self.centered @ direction) <= 1e-9:
-            raise DegenerateAnchors("anchors coincide along the line")
-        (x, y), m, _ = self.fit_xy(dists, 1)
+        if self.coincident:
+            raise DegenerateAnchors(f"anchors coincide within {SINGULAR_FLOOR_CM:g} cm")
+        (x, y), m, _ = self.fit_xy(dists)
+        ux, uy = self.direction
         return CollinearFamily(
             line_point=Point3(x, y, self.h),
-            direction=(float(direction[0]), float(direction[1]), 0.0),
+            direction=(ux, uy, 0.0),
             radius_cm=math.sqrt(max(m, 0.0)),
         )
 
-    def residual_cm(self, dists: np.ndarray, position: Point3) -> float:
-        """RMS of (distance to anchor - measured distance) over all anchors."""
-        # np.linalg.norm's own formula for real rows, without its dispatch
-        d = self.xyz - position.as_tuple()
-        gaps = np.sqrt(np.add.reduce(d * d, axis=1)) - dists
-        return math.sqrt(float((gaps**2).sum()) / self.n)
+    def residual_cm(self, dists: "list[float]", position: Point3) -> float:
+        """RMS of (distance to anchor - measured distance) over all anchors,
+        each taken at the common height h."""
+        x, y, dz = position.x, position.y, self.h - position.z
+        gaps = [hypot(ax - x, ay - y, dz) - d for ax, ay, d in zip(self.ax, self.ay, dists)]
+        return math.sqrt(fsum(map(mul, gaps, gaps)) / self.n)
 
 
-# Anchor geometries by anchor tuple, least recently used out first. A server's
+# Anchor plans by anchor tuple, least recently used out first. A server's
 # phones move under one fixture grid and an ensemble's members walk the same
 # truth, so the same anchor sets recur: the 100 members of the reference filter
 # comparison hold 14 sets between them, and a 64-phone, 55 s fleet log about
-# 1,700, at about 2 KB each. A set that fails its checks raises, so it is never
-# stored and raises again on every call.
+# 1,700. A set that fails its checks raises, so it is never stored and raises
+# again on every call.
 ANCHOR_CACHE_SIZE = 2048
 _anchor_geometry = lru_cache(maxsize=ANCHOR_CACHE_SIZE)(_AnchorGeometry)
 
 
-# Every distance must lie below this. fit_xy sums the n squared distances and
-# squares the offset it fits from them again, so n * d^2 and those squares must
-# stay finite: past about 1.3e154 cm, d^2 alone overflows. 1e12 cm keeps every
-# such square finite and lies far beyond any room.
-MAX_DISTANCE_CM = 1e12
-
-
-def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[_AnchorGeometry, np.ndarray]":
-    """The cached geometry of the anchors, and the distances as an array. There
-    must be one distance per anchor, each positive and below MAX_DISTANCE_CM."""
-    dists = np.array(distances_cm, dtype=float)
-    if dists.shape != (len(anchors),) or not ((dists > 0) & (dists < MAX_DISTANCE_CM)).all():
+def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[_AnchorGeometry, list[float]]":
+    """The cached plan of the anchors, and the distances as a list of floats.
+    There must be one distance per anchor, each a number, positive and below
+    MAX_DISTANCE_CM."""
+    try:
+        # a string would iterate as its characters, each a number or not
+        dists = None if isinstance(distances_cm, (str, bytes)) else list(map(float, distances_cm))
+    except (TypeError, ValueError):  # not a sequence of numbers
+        dists = None
+    if (dists is None or len(dists) != len(anchors)
+            or not all(0.0 < d < MAX_DISTANCE_CM for d in dists)):
         raise ValueError(
             f"need one finite, positive distance under {MAX_DISTANCE_CM:g} cm for each of "
             f"{len(anchors)} anchors"
@@ -246,14 +284,14 @@ def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[_AnchorGeom
     return _anchor_geometry(tuple(anchors)), dists
 
 
-def _measured(measurements) -> "tuple[_AnchorGeometry, np.ndarray]":
+def _measured(measurements) -> "tuple[_AnchorGeometry, list[float]]":
     """The cached geometry of the measurements' anchors, and their distances."""
     return _resolved(
         tuple(m.anchor for m in measurements), [m.distance_cm for m in measurements]
     )
 
 
-def _estimate(geometry: _AnchorGeometry, dists: np.ndarray, position: Point3, pool,
+def _estimate(geometry: _AnchorGeometry, dists: "list[float]", position: Point3, pool,
               method: Method, family: CollinearFamily | None = None) -> PositionEstimate:
     """The chosen position; the rest of the pool stays as candidates."""
     return PositionEstimate(
@@ -369,7 +407,7 @@ def estimate_position(
     if len(anchors) < 3:
         raise InsufficientAnchors(f"need at least 3 anchors, got {len(anchors)}")
     geometry, dists = _resolved(anchors, distances_cm)
-    if abs(geometry.xyz[0, 2] - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
+    if abs(geometry.h - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
         raise ValueError("anchor height disagrees with the room ceiling")
 
     if geometry.collinear:

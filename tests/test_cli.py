@@ -148,14 +148,14 @@ class TestPinnedDigests:
         monkeypatch.delenv("OCC_SEED", raising=False)
         assert main(["track", "--out", str(tmp_path)]) == 0
         assert hashlib.sha256(read(tmp_path / "track.csv")).hexdigest() == (
-            "67d75c66be70915776abaa01c213ebee8b6c2d9b999ba32ab95e98415ed62e4d"
+            "9d556c7f569d7ac50d80038545594b1b2a0b38e154b076f48b98d74e593e42c3"
         )
 
     def test_default_filtercmp_csv(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OCC_SEED", raising=False)
         assert main(["filtercmp", "--out", str(tmp_path)]) == 0
         assert hashlib.sha256(read(tmp_path / "filtercmp.csv")).hexdigest() == (
-            "14978c366f2cef40b30e453f48c31ebfbdb0565ee348947d2c0a8a5e0101ada0"
+            "8e57ccf6a4cab7c969419da72f79bd3a83d5d0abc5a2c1f139b3c49a7e9157a2"
         )
 
     def test_default_ber_csv(self, tmp_path, monkeypatch):
@@ -170,7 +170,7 @@ class TestPinnedDigests:
         assert scenario.pixel_sigma > 0
         write_track_csv(run_tracking(scenario), tmp_path / "track.csv")
         assert hashlib.sha256(read(tmp_path / "track.csv")).hexdigest() == (
-            "ad3d21a5368500c5c582ec0e85efa643be5381e21aec23c11f4280fd4ccfcd54"
+            "3ae2728cb2e7fff2d395965ca9a2691344a00f5da03ea79323780c0e8d03bbca"
         )
 
 

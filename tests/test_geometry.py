@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +96,21 @@ class TestTypes:
     def test_point_requires_finite(self):
         with pytest.raises(ValueError):
             Point3(math.nan, 0, 0)
+
+    def test_point_is_a_frozen_value(self):
+        """Point3 sets its fields in its own __init__; it keeps the value
+        semantics a plain frozen dataclass gives."""
+        p = Point3(1, 2.5, -0.0)
+        assert (type(p.x), p.as_tuple()) == (float, (1.0, 2.5, 0.0))
+        assert p == Point3(1.0, 2.5, 0.0) and hash(p) == hash(Point3(1.0, 2.5, 0.0))
+        assert repr(p) == "Point3(x=1.0, y=2.5, z=-0.0)"
+        assert replace(p, z=3) == Point3(x=1.0, y=2.5, z=3.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            replace(p, y=math.inf)
+        with pytest.raises(FrozenInstanceError):
+            p.x = 0.0
+        assert not hasattr(p, "__dict__")
+        assert pickle.loads(pickle.dumps(p)) == p
 
     def test_pose_axis_must_be_unit(self):
         with pytest.raises(ValueError):

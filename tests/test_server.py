@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -540,6 +541,17 @@ class TestPacketLines:
         )
         with pytest.raises(ValueError):
             packet_from_line(line)
+
+    def test_record_is_a_frozen_value(self):
+        rec = DetectionRecord(x_cm=450, y_cm=600, distance_mm=2000.0)
+        assert rec == DetectionRecord(450, 600, 2000.0)
+        assert hash(rec) == hash(DetectionRecord(450, 600, 2000.0))
+        assert repr(rec) == "DetectionRecord(x_cm=450, y_cm=600, distance_mm=2000.0)"
+        assert replace(rec, x_cm=300).x_cm == 300
+        with pytest.raises(ValueError, match="y_cm=70000"):
+            replace(rec, y_cm=70000)
+        with pytest.raises(FrozenInstanceError):
+            rec.distance_mm = 1.0
 
     def test_record_validation(self):
         with pytest.raises(ValueError):

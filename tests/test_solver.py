@@ -1,7 +1,9 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -111,6 +113,76 @@ class TestBuildSystem:
             estimate(ms, ROOM)
 
 
+class TestAnchorSpread:
+    """Anchors closer together than SINGULAR_FLOOR_CM in one or both directions
+    take the collinear path or raise DegenerateAnchors. Without that floor the
+    least-squares map divides by their singular values, and at anchors
+    1e-150 cm apart its terms overflow."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_spread=st.tuples(st.floats(-300.0, -3.0), st.floats(-300.0, -3.0)),
+        base=st.sampled_from([(0.0, 0.0), (1e-200, 0.0), (609.5, 609.5), (1219.0, 0.0)]),
+        shape=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=3,
+                       max_size=8),
+        dists=st.lists(st.floats(1.0, 1e4), min_size=8, max_size=8),
+        with_prior=st.booleans(),
+    )
+    def test_gives_an_estimate_or_a_solver_error(self, log_spread, base, shape, dists,
+                                                 with_prior):
+        sx, sy = 10.0 ** log_spread[0], 10.0 ** log_spread[1]
+        anchors = tuple(Point3(base[0] + sx * u, base[1] + sy * v, 300.0) for u, v in shape)
+        prior = Point3(600.0, 600.0, 100.0) if with_prior else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                est = estimate_position(anchors, dists[: len(anchors)], ROOM, prior)
+            except solver.SolverError:
+                return
+        assert isinstance(est, solver.PositionEstimate)
+        assert math.isfinite(est.residual_cm)
+
+    @pytest.mark.parametrize(
+        "offsets, expected",
+        [([(0, 0), (1e-150, 0), (0, 1e-150)], DegenerateAnchors),
+         ([(0, 0), (1e-7, 0), (0, 1e-7), (1e-7, 1e-7)], DegenerateAnchors),
+         ([(0, 0), (1e-3, 0), (5e-4, 5e-7)], Method.COLLINEAR_FAMILY),
+         ([(0, 0), (1e-3, 0), (0, 1e-3)], Method.LEAST_SQUARES)],
+        ids=["1e-150", "below-the-floor", "thin-triangle", "above-the-floor"],
+    )
+    def test_the_floor_picks_the_path(self, offsets, expected):
+        anchors = tuple(Point3(x, y, 300.0) for x, y in offsets)
+        dists = [100.0 + 100.0 * k for k in range(len(anchors))]
+        if isinstance(expected, Method):
+            assert estimate_position(anchors, dists, ROOM).method is expected
+        else:
+            with pytest.raises(expected):
+                estimate_position(anchors, dists, ROOM)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_coordinate=st.floats(12.0, 308.0),
+        which=st.integers(0, 2),
+        axis=st.integers(0, 2),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_far_anchors_raise(self, log_coordinate, which, axis, sign):
+        """An anchor coordinate past MAX_DISTANCE_CM raises ValueError: its
+        square, or a sum of them, would overflow."""
+        coordinate = sign * min(10.0**log_coordinate, 1.7e308)
+        xyz = [[0.0, 0.0, 300.0], [150.0, 0.0, 300.0], [0.0, 150.0, 300.0]]
+        if axis == 2:  # anchors must share one height
+            for row in xyz:
+                row[2] = coordinate
+        else:
+            xyz[which][axis] = coordinate
+        anchors = tuple(Point3(*row) for row in xyz)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="anchor coordinates"):
+                trilaterate([AnchorMeasurement(a, 200.0) for a in anchors])
+
+
 class TestDistanceArguments:
     """estimate_position takes the anchor tuple and one distance per anchor,
     each positive and below MAX_DISTANCE_CM; anything else raises ValueError."""
@@ -183,6 +255,17 @@ class TestDistanceArguments:
                 return
         assert math.isfinite(est.residual_cm)
 
+    @pytest.mark.parametrize(
+        "dists",
+        [[[250.0], [260.0], [270.0]], np.full((3, 1), 250.0), None, 250.0, [250.0, None, 270.0],
+         "250", b"250", [250.0, "x", 270.0], [250.0, 1j, 270.0], {250.0: 1}],
+        ids=["nested", "column-array", "none", "scalar", "none-inside", "str", "bytes",
+             "word-inside", "complex-inside", "dict"],
+    )
+    def test_malformed_sequences_raise(self, dists):
+        with pytest.raises(ValueError, match="finite, positive distance"):
+            estimate_position(self.ANCHORS[:3], dists, ROOM)
+
     def test_a_list_of_anchors_solves_like_the_tuple(self):
         dists = [200.0, 210.0, 220.0, 230.0]
         anchors = self.ANCHORS[:4]
@@ -200,13 +283,22 @@ class TestResidual:
         position=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
         dists=st.lists(st.floats(1e-3, 1e7), min_size=20, max_size=20),
     )
-    def test_residual_matches_the_norm_formula(self, xy, ceiling, position, dists):
-        geometry = solver._AnchorGeometry(tuple(Point3(x, y, ceiling) for x, y in xy))
-        dists = np.array(dists[: len(xy)])
+    def test_within_4_ulp_of_a_50_digit_reference(self, xy, ceiling, position, dists):
+        """Each gap |a_j - p| - d_j is off by at most about 2.5 ulp of the larger
+        of its terms, and the RMS over the gaps adds about one more."""
+        anchors = tuple(Point3(x, y, ceiling) for x, y in xy)
+        dists = dists[: len(xy)]
         p = Point3(*position)
-        gaps = np.linalg.norm(geometry.xyz - p.as_tuple(), axis=1) - dists
-        expected = math.sqrt(float((gaps**2).sum()) / len(xy))
-        assert geometry.residual_cm(dists, p).hex() == expected.hex()
+        got = solver._AnchorGeometry(anchors).residual_cm(dists, p)
+        with mpmath.workdps(50):
+            gaps = [
+                mpmath.sqrt((mpmath.mpf(a.x) - p.x) ** 2 + (mpmath.mpf(a.y) - p.y) ** 2
+                            + (mpmath.mpf(a.z) - p.z) ** 2) - d
+                for a, d in zip(anchors, dists)
+            ]
+            expected = mpmath.sqrt(mpmath.fsum(g * g for g in gaps) / len(gaps))
+            scale = max(max(distance(a, p), d) for a, d in zip(anchors, dists))
+            assert abs(got - expected) <= 4 * math.ulp(scale)
 
 
 class TestTrilaterate:
@@ -633,6 +725,120 @@ class TestExactReference:
             assert [p.z for p in pool] == [float(h)]
 
 
+class _SvdReference(solver._AnchorGeometry):
+    """The solve plan with the former array formulas in place of its float
+    sums: p = ((U_r^T rhs) / 2s_r) V_r^T over one numpy SVD of the centered
+    anchor xy, and the residual through the row norms. Paths and decisions
+    stay the plan's, so a solve through it differs only in the arithmetic."""
+
+    __slots__ = ("xyz", "centered", "u", "s", "vt", "c2c")
+
+    def __init__(self, anchors):
+        super().__init__(anchors)
+        self.xyz = np.array([a.as_tuple() for a in anchors], dtype=float)
+        self.centered = self.xyz[:, :2] - self.xyz[:, :2].mean(axis=0)
+        self.u, self.s, self.vt = np.linalg.svd(self.centered, full_matrices=False)
+        c2 = (self.centered**2).sum(axis=1)
+        self.c2c = c2 - c2.mean()
+
+    def fit_xy(self, dists):
+        rank = 1 if self.collinear else 2
+        d2 = np.asarray(dists) ** 2
+        rhs = self.c2c - (d2 - d2.mean())
+        p = ((self.u[:, :rank].T @ rhs) / (2.0 * self.s[:rank])) @ self.vt[:rank]
+        rho2 = ((self.centered - p) ** 2).sum(axis=1)
+        x, y = self.xyz[:, :2].mean(axis=0) + p
+        return (float(x), float(y)), float((d2 - rho2).mean()), float(d2.mean())
+
+    def residual_cm(self, dists, position):
+        gaps = np.linalg.norm(self.xyz - position.as_tuple(), axis=1) - dists
+        return float(np.sqrt((gaps**2).mean()))
+
+
+def _svd_reference_estimate(anchors, dists, room):
+    """estimate_position with every plan taken from _SvdReference."""
+    with mock.patch.object(solver, "_anchor_geometry", _SvdReference):
+        return estimate_position(anchors, dists, room)
+
+
+def _assert_same_estimate(est, ref, tol=1e-9):
+    assert est.method is ref.method
+    assert len(est.candidates) == len(ref.candidates)
+    for p, q in zip((est.position, *est.candidates), (ref.position, *ref.candidates)):
+        assert distance(p, q) <= tol
+    assert est.residual_cm == pytest.approx(ref.residual_cm, abs=tol)
+    assert (est.family is None) == (ref.family is None)
+    if est.family is not None:
+        assert distance(est.family.line_point, ref.family.line_point) <= tol
+        assert est.family.radius_cm == pytest.approx(ref.family.radius_cm, abs=tol)
+        dot = sum(a * b for a, b in zip(est.family.direction, ref.family.direction))
+        assert abs(dot) == pytest.approx(1.0, abs=1e-12)
+
+
+# One input for each solve path: the truth, the anchor xy, an offset added to
+# every exact distance, the method and, where the path fixes it, the z solved.
+EACH_PATH = pytest.mark.parametrize(
+    "truth, anchors_xy, offset_cm, method, z",
+    [
+        (Point3(420, 510, 110), [(300, 450), (450, 450), (300, 600), (450, 600), (600, 450)],
+         0.0, Method.LEAST_SQUARES, None),
+        (Point3(50, 60, 100), [(0, 0), (150, 0), (0, 150)], 0.0, Method.TRILATERATION, None),
+        (Point3(230, 40, 100), [(200, 0), (200, 150), (200, 300)], 0.0,
+         Method.COLLINEAR_FAMILY, None),
+        # both mirror roots outside the room: the estimate is clamped to the floor
+        (Point3(420, 510, 0), [(300, 450), (450, 450), (300, 600)], 20.0,
+         Method.LEAST_SQUARES, 0.0),
+    ],
+    ids=["least-squares", "three-anchor", "collinear", "floor-clamped"],
+)
+
+
+class TestSvdCrossCheck:
+    """The float plan against the former numpy SVD formulas, to 1e-9 cm, on
+    the least-squares, three-anchor, collinear and floor-clamp paths."""
+
+    @EACH_PATH
+    def test_each_path(self, truth, anchors_xy, offset_cm, method, z):
+        ms = measure_from(truth, anchors_xy)
+        anchors = tuple(m.anchor for m in ms)
+        dists = [m.distance_cm + offset_cm for m in ms]
+        est = estimate_position(anchors, dists, ROOM)
+        assert est.method is method
+        if z is not None:
+            assert est.position.z == z
+        _assert_same_estimate(est, _svd_reference_estimate(anchors, dists, ROOM))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.just(3) | st.integers(4, 17),
+        offsets=st.lists(
+            st.tuples(st.floats(-400, 400), st.floats(-400, 400)), min_size=17, max_size=17
+        ),
+        collinear=st.booleans(),
+        x=st.floats(300, 900),
+        y=st.floats(300, 900),
+        z=st.floats(0, 290),
+        noise=st.lists(st.floats(-30.0, 30.0), min_size=17, max_size=17),
+    )
+    def test_matches_the_svd_formulas(self, n, offsets, collinear, x, y, z, noise):
+        offsets = offsets[:n]
+        if collinear:
+            offsets = [(dx, 0.5 * dx) for dx, _ in offsets]
+        anchors = tuple(Point3(x + dx, y + dy, 300.0) for dx, dy in offsets)
+        dists = [max(distance(Point3(x, y, z), a) + e, 1e-3) for a, e in zip(anchors, noise)]
+        reference = _SvdReference(anchors)
+        assume(not reference.coincident)
+        if not reference.collinear:
+            assume(reference.s[-1] > 1e-3 * reference.s[0])
+        # away from the decisions a last-bit change may flip: m near 0, where
+        # sqrt(m) turns a rounding of m into a large step in z (and decides
+        # root or vertex), and a lower root near the floor
+        _, m, _ = reference.fit_xy(dists)
+        assume(abs(m) > 1.0 and abs(300.0 - math.sqrt(abs(m))) > 1e-3)
+        est = estimate_position(anchors, dists, ROOM)
+        _assert_same_estimate(est, _svd_reference_estimate(anchors, dists, ROOM))
+
+
 class TestFloorLevelPhone:
     """A phone near the floor: ranging noise can push the lower mirror root
     below the floor while the upper one stays above the ceiling."""
@@ -833,17 +1039,33 @@ class TestAnchorCache:
         info = solver._anchor_geometry.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 6, 0)
 
-    def test_cached_arrays_are_read_only(self):
+    def test_cached_plan_holds_floats_and_tuples_only(self):
         ms = measure_from(Point3(50, 60, 100), [(0, 0), (150, 0), (0, 150), (150, 150)])
         estimate(ms, ROOM)
         hits = solver._anchor_geometry.cache_info().hits
         geometry = solver._anchor_geometry(tuple(m.anchor for m in ms))
         assert solver._anchor_geometry.cache_info().hits == hits + 1
-        for name in ("xyz", "centroid", "centered", "u", "s", "vt", "c2_centered"):
-            array = getattr(geometry, name)
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0.0
+
+        def leaves(value):
+            if type(value) is tuple:
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        for name in solver._AnchorGeometry.__slots__:
+            value = getattr(geometry, name)
+            assert type(value) in (tuple, float, int, bool), name
+            for leaf in leaves(value):
+                assert type(leaf) in (float, int, bool, type(None)), name
+
+    @EACH_PATH
+    def test_a_cached_plan_solves_without_numpy(self, truth, anchors_xy, offset_cm, method, z):
+        ms = [AnchorMeasurement(m.anchor, m.distance_cm + offset_cm)
+              for m in measure_from(truth, anchors_xy)]
+        before = _every_outcome(ms, None)
+        with mock.patch.object(solver, "np", None):
+            assert _every_outcome(ms, None) == before
 
     def test_cache_stays_within_its_bound(self):
         cache = solver._anchor_geometry
