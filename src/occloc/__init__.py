@@ -65,7 +65,6 @@ from .solver import (
 from .tracker import (
     KalmanConfig,
     KalmanState,
-    gain,
     initial_state,
     predict,
     update,

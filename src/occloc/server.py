@@ -17,13 +17,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .geometry import Luminaire, Point3, RoomConfig
 from .solver import InsufficientAnchors, PositionEstimate, estimate_position
 from . import tracker
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 PROBE_INTERVAL_MS = 2000  # a session silent this long is probed
 PROBE_LIMIT = 3  # missed probes that close a session
 HISTORY_LIMIT = 256  # per-session ring of ingest results
@@ -65,6 +63,8 @@ class DetectionRecord:
             for name, v in (("x_cm", x_cm), ("y_cm", y_cm)):
                 if not (0 <= v < 2**16):
                     raise ValueError(f"{name}={v} does not fit 16 bits")
+        if distance_mm is True:  # compares as 1; False already fails the range
+            raise ValueError("distance_mm must be a number, not a boolean")
         if not MIN_DISTANCE_MM < distance_mm < MAX_DISTANCE_MM:
             raise ValueError(
                 f"distance_mm={distance_mm} outside ({MIN_DISTANCE_MM}, {MAX_DISTANCE_MM})"
@@ -228,9 +228,9 @@ class LightingServer:
                 (estimate.position.x, estimate.position.y),
                 self.kalman_config,
             )
-        filtered = Point3(state.x_vec[0], state.x_vec[1], estimate.position.z)
+        filtered = Point3(state.x, state.y, estimate.position.z)
         ahead = tracker.predict(state, self.kalman_config)
-        predicted = Point3(ahead.x_vec[0], ahead.x_vec[1], estimate.position.z)
+        predicted = Point3(ahead.x, ahead.y, estimate.position.z)
         out_of_bounds = not (
             self._in_extended_bounds(filtered) and self._in_extended_bounds(estimate.position)
         )
@@ -287,13 +287,11 @@ class LightingServer:
     def snapshot(self, session_id: str) -> dict:
         """Serializable record of the session: history ring plus filter state."""
         session = self.sessions[session_id]
-        if session.tracker_state is None:
-            state = None
-        else:
-            state = {
-                "x": [float(v) for v in session.tracker_state.x_vec],
-                "p": [[float(v) for v in row] for row in session.tracker_state.p_cov],
-            }
+        kf = session.tracker_state
+        state = None if kf is None else {
+            "x": [kf.x, kf.y, kf.vx, kf.vy],
+            "p": [kf.p_pos, kf.p_cross, kf.p_vel],
+        }
         return {
             "version": SNAPSHOT_VERSION,
             "session_id": session.session_id,
@@ -313,9 +311,10 @@ class LightingServer:
         raises ValueError naming it. session_id is a string; last_seen_ms and
         last_probe_ms are integers or null; missed_probes is an integer >= 0
         and closed a boolean; history is a list of objects. The filter state
-        tracker must be 4 finite numbers x and a finite, symmetric 4x4 matrix
-        p, or null, and last_position 3 finite numbers exactly when it is not
-        null."""
+        tracker must be 4 finite numbers x = (x, y, vx, vy) and the 3 finite
+        numbers p = (p_pos, p_cross, p_vel) of the per-axis covariance block,
+        or null, and last_position 3 finite numbers exactly when it is not
+        null. An earlier version's snapshot is rejected."""
         if type(snapshot) is not dict:
             raise ValueError("snapshot must be an object")
         if snapshot.get("version") != SNAPSHOT_VERSION:
@@ -327,11 +326,9 @@ class LightingServer:
         if snapshot["tracker"] is not None:
             if type(snapshot["tracker"]) is not dict:
                 raise ValueError("snapshot field tracker must be an object or null")
-            x = _state_array(snapshot["tracker"], "x", (4,))
-            p = _state_array(snapshot["tracker"], "p", (4, 4))
-            if not np.array_equal(p, p.T):
-                raise ValueError("snapshot field tracker.p must be symmetric")
-            state = tracker.KalmanState(x, p)
+            x = _state_numbers(snapshot["tracker"], "x", 4)
+            p = _state_numbers(snapshot["tracker"], "p", 3)
+            state = tracker.KalmanState(*x, *p)
         _check_session_fields(snapshot)
         position = snapshot["last_position"]
         session = Session(
@@ -387,20 +384,13 @@ def _check_session_fields(snapshot: dict):
             "a list of objects")
 
 
-def _state_array(state: dict, name: str, shape: tuple) -> np.ndarray:
-    """A snapshot's tracker.<name> as a float array; each element must be a
-    finite int or float (not a string or boolean), in the given shape."""
+def _state_numbers(state: dict, name: str, n: int) -> "list[float]":
+    """A snapshot's tracker.<name> as n floats; each must be a finite int or
+    float (not a string or boolean)."""
     value = state.get(name)
-    if len(shape) == 1:
-        ok = _finite_numbers(value, shape[0])
-    else:
-        ok = (type(value) in (list, tuple) and len(value) == shape[0]
-              and all(_finite_numbers(row, shape[1]) for row in value))
-    if not ok:
-        raise ValueError(
-            f"snapshot field tracker.{name} must be {' x '.join(map(str, shape))} finite numbers"
-        )
-    return np.array(value, dtype=float)
+    if not _finite_numbers(value, n):
+        raise ValueError(f"snapshot field tracker.{name} must be {n} finite numbers")
+    return [float(v) for v in value]
 
 
 def packet_to_line(packet: DetectionPacket) -> str:

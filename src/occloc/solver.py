@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum, hypot
+from numbers import Real
 from operator import mul
 
 import numpy as np
@@ -270,11 +271,16 @@ def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[_AnchorGeom
     """The cached plan of the anchors, and the distances as a list of floats.
     There must be one distance per anchor, each a number, positive and below
     MAX_DISTANCE_CM."""
-    try:
-        # a string would iterate as its characters, each a number or not
-        dists = None if isinstance(distances_cm, (str, bytes)) else list(map(float, distances_cm))
-    except (TypeError, ValueError):  # not a sequence of numbers
-        dists = None
+    dists = None
+    # a string would iterate as its characters, each a number or not
+    if not isinstance(distances_cm, (str, bytes)):
+        try:
+            values = list(distances_cm)
+        except TypeError:  # not iterable
+            values = []
+        # float() would also take numeric strings and booleans; numpy floats are Real
+        if all(t is not bool and issubclass(t, Real) for t in set(map(type, values))):
+            dists = list(map(float, values))
     if (dists is None or len(dists) != len(anchors)
             or not all(0.0 < d < MAX_DISTANCE_CM for d in dists)):
         raise ValueError(

@@ -6,7 +6,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from occloc import solver
 from occloc.geometry import Point3, RoomConfig, distance
@@ -192,8 +192,9 @@ class TestDistanceArguments:
     LINE = tuple(Point3(200.0 + 150 * k, 450.0, 300.0) for k in range(6))
     # a distance past the bound once overflowed d^2 in fit_xy, with numpy
     # warnings and a non-finite Point3 in place of this ValueError
+    # float() takes numeric strings and booleans, which once solved as numbers
     BAD = (st.floats(max_value=0.0) | st.floats(min_value=solver.MAX_DISTANCE_CM)
-           | st.sampled_from([math.nan, math.inf, -math.inf]))
+           | st.sampled_from([math.nan, math.inf, -math.inf, True, "250", "2e2", b"250"]))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -258,13 +259,24 @@ class TestDistanceArguments:
     @pytest.mark.parametrize(
         "dists",
         [[[250.0], [260.0], [270.0]], np.full((3, 1), 250.0), None, 250.0, [250.0, None, 270.0],
-         "250", b"250", [250.0, "x", 270.0], [250.0, 1j, 270.0], {250.0: 1}],
+         "250", b"250", [250.0, "x", 270.0], [250.0, 1j, 270.0], {250.0: 1},
+         ["250", "260", "270"], np.array(["250", "260", "270"]), [True, True, True],
+         [250.0, True, 270.0], np.array([True, True, True])],
         ids=["nested", "column-array", "none", "scalar", "none-inside", "str", "bytes",
-             "word-inside", "complex-inside", "dict"],
+             "word-inside", "complex-inside", "dict", "numeric-strings", "string-array",
+             "booleans", "boolean-inside", "boolean-array"],
     )
     def test_malformed_sequences_raise(self, dists):
         with pytest.raises(ValueError, match="finite, positive distance"):
             estimate_position(self.ANCHORS[:3], dists, ROOM)
+
+    def test_real_numbers_of_any_type_solve_alike(self):
+        anchors = self.ANCHORS[:3]
+        expected = repr(estimate_position(anchors, [250.0, 260.0, 270.0], ROOM))
+        for dists in ([250, 260, 270], np.array([250, 260, 270]),
+                      np.array([250.0, 260.0, 270.0], dtype=np.float32),
+                      [Fraction(250), np.float64(260.0), 270]):
+            assert repr(estimate_position(anchors, dists, ROOM)) == expected
 
     def test_a_list_of_anchors_solves_like_the_tuple(self):
         dists = [200.0, 210.0, 220.0, 230.0]
@@ -762,15 +774,27 @@ def _svd_reference_estimate(anchors, dists, room):
 
 
 def _assert_same_estimate(est, ref, tol=1e-9):
+    """Each point, the residual and the radius agree to tol cm or, where the
+    values are so large that tol lies below their rounding, to 4 ulp of the
+    largest of them: collinear anchors a few micrometres apart put the line
+    point near 1.5e7 cm, where one ulp is 1.9e-9 cm."""
+
+    def bound(*values):
+        return max(tol, 4 * math.ulp(max(map(abs, values))))
+
+    def same_point(p, q):
+        return distance(p, q) <= bound(*p.as_tuple(), *q.as_tuple())
+
     assert est.method is ref.method
     assert len(est.candidates) == len(ref.candidates)
     for p, q in zip((est.position, *est.candidates), (ref.position, *ref.candidates)):
-        assert distance(p, q) <= tol
-    assert est.residual_cm == pytest.approx(ref.residual_cm, abs=tol)
+        assert same_point(p, q)
+    assert abs(est.residual_cm - ref.residual_cm) <= bound(est.residual_cm, ref.residual_cm)
     assert (est.family is None) == (ref.family is None)
     if est.family is not None:
-        assert distance(est.family.line_point, ref.family.line_point) <= tol
-        assert est.family.radius_cm == pytest.approx(ref.family.radius_cm, abs=tol)
+        assert same_point(est.family.line_point, ref.family.line_point)
+        radii = est.family.radius_cm, ref.family.radius_cm
+        assert abs(radii[0] - radii[1]) <= bound(*radii)
         dot = sum(a * b for a, b in zip(est.family.direction, ref.family.direction))
         assert abs(dot) == pytest.approx(1.0, abs=1e-12)
 
@@ -820,6 +844,10 @@ class TestSvdCrossCheck:
         z=st.floats(0, 290),
         noise=st.lists(st.floats(-30.0, 30.0), min_size=17, max_size=17),
     )
+    # collinear anchors 6e-5 cm apart: both line points lie near y = -1.48e7 cm,
+    # one ulp (1.86e-9 cm) apart
+    @example(n=3, offsets=[(0.0, 0.0), (0.0, 0.0), (0.0, 6.103515625e-05)] + [(0.0, 0.0)] * 14,
+             collinear=False, x=300.0, y=300.0, z=0.0, noise=[0.0, 0.0, 3.0] + [0.0] * 14)
     def test_matches_the_svd_formulas(self, n, offsets, collinear, x, y, z, noise):
         offsets = offsets[:n]
         if collinear:

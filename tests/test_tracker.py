@@ -1,14 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from occloc import tracker
 from occloc.tracker import (
+    COLD_START_VELOCITY_VARIANCE,
     KalmanConfig,
     KalmanState,
-    gain,
     initial_state,
     predict,
     update,
@@ -17,6 +17,16 @@ from occloc.tracker import (
 
 def config(q=1.0, r=25.0, dt=1.0):
     return KalmanConfig(dt, process_noise_intensity=q, measurement_noise_std_cm=math.sqrt(r))
+
+
+def state(x=(0.0, 0.0, 0.0, 0.0), p=(0.0, 0.0, 0.0)):
+    """A filter state from its mean (x, y, vx, vy) and its per-axis block
+    (p_pos, p_cross, p_vel)."""
+    return KalmanState(*x, *p)
+
+
+def block(s: KalmanState) -> tuple[float, float, float]:
+    return s.p_pos, s.p_cross, s.p_vel
 
 
 def track(measurements, cfg):
@@ -33,82 +43,76 @@ def track(measurements, cfg):
 class TestPredict:
     def test_static_with_zero_process_noise(self):
         cfg = config(q=0.0)
-        state = KalmanState(np.array([10.0, 20.0, 0.0, 0.0]), np.eye(4) * 3.0)
-        out = predict(state, cfg)
-        assert np.allclose(out.x_vec[:2], [10.0, 20.0])
+        out = predict(state((10.0, 20.0, 0.0, 0.0), (3.0, 0.0, 3.0)), cfg)
+        assert out.position_xy == (10.0, 20.0)
         # constant-velocity propagation mixes position/velocity covariance but
         # keeps the total spread with Q = 0
-        assert out.p_cov[0, 0] == pytest.approx(6.0)
+        assert out.p_pos == pytest.approx(6.0)
 
     def test_velocity_advances_position(self):
-        cfg = config()
-        state = KalmanState(np.array([0.0, 5.0, 10.0, 0.0]), np.eye(4))
-        out = predict(state, cfg)
-        assert out.x_vec[0] == pytest.approx(10.0)
-        assert out.x_vec[1] == pytest.approx(5.0)
+        out = predict(state((0.0, 5.0, 10.0, 0.0), (1.0, 0.0, 1.0)), config())
+        assert out.position_xy == pytest.approx((10.0, 5.0))
 
     def test_trace_grows_by_process_noise(self):
         q = 0.7
-        state = KalmanState(np.zeros(4), np.eye(4) * 2.0)
+        start = state(p=(2.0, 0.0, 2.0))
         for dt in (0.1, 1.0, 3.0):
-            base = predict(state, KalmanConfig(dt, process_noise_intensity=0.0))
-            bumped = predict(state, KalmanConfig(dt, process_noise_intensity=q))
+            base = predict(start, KalmanConfig(dt, process_noise_intensity=0.0))
+            bumped = predict(start, KalmanConfig(dt, process_noise_intensity=q))
+            # the 4x4 trace is twice the block's: x and y each grow by q (dt^4/4 + dt^2)
             growth = q * (dt**4 / 2 + 2 * dt**2)
-            assert np.trace(bumped.p_cov) == pytest.approx(np.trace(base.p_cov) + growth)
+            trace = 2 * (bumped.p_pos + bumped.p_vel)
+            assert trace == pytest.approx(2 * (base.p_pos + base.p_vel) + growth)
+
+
+def gains(p, cfg):
+    """The gain (k_p, k_v) of an update of the block p, read from its outputs:
+    from a zero mean, a unit innovation moves the position by k_p and the
+    velocity by k_v, on each axis alike."""
+    out = update(state(p=p), (1.0, 1.0), cfg)
+    assert (out.x, out.vx) == (out.y, out.vy)
+    return out.x, out.vx
 
 
 class TestGain:
     def test_full_trust_when_measurement_exact(self):
         cfg = KalmanConfig(1.0, measurement_noise_std_cm=0.0)
-        state = KalmanState(np.zeros(4), np.diag([4.0, 4.0, 1.0, 1.0]))
-        k = gain(state, cfg)
-        observation = np.eye(2, 4)
-        assert np.allclose(observation @ k, np.eye(2), atol=1e-12)
+        assert gains((4.0, 0.0, 1.0), cfg) == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_zero_state_uncertainty(self):
-        cfg = config()
-        state = KalmanState(np.zeros(4), np.zeros((4, 4)))
-        assert np.allclose(gain(state, cfg), 0.0)
+        assert gains((0.0, 0.0, 0.0), config()) == (0.0, 0.0)
 
     def test_scalar_balance(self):
         # 1D reduction: P = R -> K = 1/2
-        cfg = config(r=9.0)
-        state = KalmanState(np.zeros(4), np.diag([9.0, 9.0, 0.0, 0.0]))
-        k = gain(state, cfg)
-        assert k[0, 0] == pytest.approx(0.5)
-        assert k[1, 1] == pytest.approx(0.5)
+        k_p, _ = gains((9.0, 0.0, 0.0), config(r=9.0))
+        assert k_p == pytest.approx(0.5)
 
     def test_scalar_gain_bounds(self):
         # the measurement-weighting ratio stays in [0, 1] for any variances
         rng = np.random.default_rng(4)
         for _ in range(200):
             p, r = rng.uniform(0, 100), rng.uniform(1e-3, 100)
-            cfg = config(r=r)
-            state = KalmanState(np.zeros(4), np.diag([p, p, 0.0, 0.0]))
-            k = gain(state, cfg)[0, 0]
-            assert -1e-12 <= k <= 1.0 + 1e-12
+            k_p, _ = gains((p, 0.0, 0.0), config(r=r))
+            assert -1e-12 <= k_p <= 1.0 + 1e-12
 
 
 class TestUpdate:
     def test_zero_gain_keeps_prediction(self):
-        cfg = config()
-        state = KalmanState(np.array([3.0, 4.0, 1.0, 1.0]), np.zeros((4, 4)))
-        out = update(state, (100.0, 100.0), cfg)
-        assert np.allclose(out.x_vec, state.x_vec)
+        predicted = state((3.0, 4.0, 1.0, 1.0))
+        out = update(predicted, (100.0, 100.0), config())
+        assert out == predicted
 
     def test_exact_measurement_wins(self):
         cfg = KalmanConfig(1.0, measurement_noise_std_cm=0.0)
-        state = KalmanState(np.array([3.0, 4.0, 0.0, 0.0]), np.diag([9.0, 9.0, 1.0, 1.0]))
-        out = update(state, (10.0, -2.0), cfg)
-        assert out.x_vec[0] == pytest.approx(10.0, abs=1e-9)
-        assert out.x_vec[1] == pytest.approx(-2.0, abs=1e-9)
+        out = update(state((3.0, 4.0, 0.0, 0.0), (9.0, 0.0, 1.0)), (10.0, -2.0), cfg)
+        assert out.x == pytest.approx(10.0, abs=1e-9)
+        assert out.y == pytest.approx(-2.0, abs=1e-9)
 
     def test_zero_innovation_keeps_mean_shrinks_covariance(self):
-        cfg = config()
-        state = KalmanState(np.array([3.0, 4.0, 0.5, 0.5]), np.eye(4) * 10.0)
-        out = update(state, (3.0, 4.0), cfg)
-        assert np.allclose(out.x_vec, state.x_vec)
-        assert out.p_cov[0, 0] < state.p_cov[0, 0]
+        predicted = state((3.0, 4.0, 0.5, 0.5), (10.0, 0.0, 10.0))
+        out = update(predicted, (3.0, 4.0), config())
+        assert (out.x, out.y, out.vx, out.vy) == (3.0, 4.0, 0.5, 0.5)
+        assert out.p_pos < predicted.p_pos
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -120,13 +124,16 @@ class TestUpdate:
         ),
     )
     def test_covariance_stays_symmetric_psd(self, dt, q, std, measurements):
+        """The block [[p_pos, p_cross], [p_cross, p_vel]] is symmetric by
+        construction; it stays positive semi-definite up to the rounding of
+        its largest entry: p_pos >= 0 and p_cross^2 <= p_pos p_vel."""
         cfg = KalmanConfig(dt, process_noise_intensity=q, measurement_noise_std_cm=std)
-        for state in track(measurements, cfg):
-            p = state.p_cov
-            assert np.isfinite(p).all() and np.isfinite(state.x_vec).all()
-            assert np.array_equal(p, p.T)
-            # PSD up to the rounding of the largest entry
-            assert np.linalg.eigvalsh(p).min() >= -1e-12 * np.abs(p).max()
+        for s in track(measurements, cfg):
+            p_pos, p_cross, p_vel = block(s)
+            assert all(map(math.isfinite, (s.x, s.y, s.vx, s.vy, p_pos, p_cross, p_vel)))
+            scale = max(abs(p_pos), abs(p_cross), abs(p_vel))
+            assert p_pos >= -1e-12 * scale
+            assert p_cross**2 <= p_pos * p_vel + 1e-12 * scale**2
 
 
 class TestTrack:
@@ -150,7 +157,7 @@ class TestTrack:
         rng = np.random.default_rng(2)
         meas = [tuple(rng.normal(0, 5, 2)) for _ in range(30)]
         states = track(meas, cfg)
-        pos_var = [s.p_cov[0, 0] for s in states]
+        pos_var = [s.p_pos for s in states]
         assert all(b <= a + 1e-12 for a, b in zip(pos_var[3:], pos_var[4:]))
 
     def test_velocity_converges_noise_free(self):
@@ -197,87 +204,109 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             KalmanConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "dt, q, std",
+        # both zero, and each variance underflowing to zero with the other zero
+        [(1.0, 0.0, 0.0), (1.0, 0.0, 1e-200), (1e-3, 1e-320, 0.0)],
+    )
+    def test_rejects_a_filter_without_noise(self, dt, q, std):
+        """With neither process nor measurement noise, a static phone's
+        innovation variance reaches 0: the third update once raised numpy's
+        LinAlgError, which is no ValueError."""
+        both = "process_noise_intensity and measurement_noise_std_cm"
+        with pytest.raises(ValueError, match=both):
+            KalmanConfig(dt, process_noise_intensity=q, measurement_noise_std_cm=std)
+
+    @pytest.mark.parametrize("q, std", [(0.0, 5.0), (1.0, 0.0)])
+    def test_either_noise_alone_keeps_a_static_phone_finite(self, q, std):
+        cfg = KalmanConfig(1.0, process_noise_intensity=q, measurement_noise_std_cm=std)
+        for s in track([(100.0, 200.0)] * 30, cfg):
+            assert s.position_xy == pytest.approx((100.0, 200.0))
+            assert all(map(math.isfinite, block(s)))
+
+
+def matrices(cfg):
+    """The full-matrix filter's B, Q and R, built from the configuration's
+    three numbers."""
+    dt, q = cfg.dt_s, cfg.process_noise_intensity
+    b = np.array([[1.0, 0.0, dt, 0.0], [0.0, 1.0, 0.0, dt], [0.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0]])
+    qm = q * np.diag([dt**4 / 4.0, dt**4 / 4.0, dt**2, dt**2])
+    return b, qm, cfg.measurement_noise_std_cm**2 * np.eye(2)
+
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
+def reference_initial(measurement_xy, cfg):
+    _, _, r = matrices(cfg)
+    p = np.diag([r[0, 0], r[1, 1], COLD_START_VELOCITY_VARIANCE, COLD_START_VELOCITY_VARIANCE])
+    return np.array([measurement_xy[0], measurement_xy[1], 0.0, 0.0]), p
+
+
 def reference_predict(x, p, cfg):
-    """predict's arithmetic with no memo."""
-    b = cfg.state_transition
-    p = b @ p @ b.T + cfg.process_noise
+    """The full-matrix predict: x <- B x, P <- B P B^T + Q, re-symmetrized."""
+    b, q, _ = matrices(cfg)
+    p = b @ p @ b.T + q
     return b @ x, 0.5 * (p + p.T)
 
 
 def reference_update(x, p, measurement_xy, cfg):
-    """update's arithmetic with no memo."""
+    """The full-matrix update with a solved gain, re-symmetrized."""
+    _, _, r = matrices(cfg)
     pht = p @ _H.T
-    k = np.linalg.solve((_H @ pht + cfg.measurement_noise).T, pht.T).T
+    k = np.linalg.solve((_H @ pht + r).T, pht.T).T
     x = x + k @ (np.asarray(measurement_xy, dtype=float) - _H @ x)
     p = (np.eye(4) - k @ _H) @ p
     return x, 0.5 * (p + p.T)
 
 
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def as_matrices(s: KalmanState):
+    """The state as the full-matrix filter holds it: the mean and the 4x4
+    covariance, two copies of the per-axis block."""
+    p_pos, p_cross, p_vel = block(s)
+    p = np.array([[p_pos, 0.0, p_cross, 0.0], [0.0, p_pos, 0.0, p_cross],
+                  [p_cross, 0.0, p_vel, 0.0], [0.0, p_cross, 0.0, p_vel]])
+    return np.array([s.x, s.y, s.vx, s.vy]), p
 
 
-class TestCovarianceMemo:
-    """The covariance memos change no result, hold read-only arrays and stay
-    within their bound."""
+def bits(values) -> bytes:
+    return struct.pack(f"{len(values)}d", *values)
 
-    @settings(max_examples=60, deadline=None)
+
+class TestMatchesTheMatrixFilter:
+    """The per-axis recursion against the 4x4 numpy filter it replaces: every
+    step, taken from one input state by both."""
+
+    @settings(max_examples=100, deadline=None)
     @given(
-        configs=st.lists(
-            st.tuples(st.floats(0.05, 5.0), st.floats(0.0, 100.0), st.floats(0.1, 50.0)),
-            min_size=1,
-            max_size=3,
-        ),
+        dt=st.just(1.0) | st.floats(0.05, 5.0),
+        q=st.floats(0.0, 100.0),
+        std=st.floats(0.1, 50.0),
         measurements=st.lists(
             st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=2, max_size=70
         ),
     )
-    def test_memo_equals_the_uncached_recursion(self, configs, measurements):
-        # the second pass over each configuration finds every covariance memoized
-        for dt, q, std in configs + configs:
-            cfg = KalmanConfig(dt, q, std)
-            state = initial_state(measurements[0], cfg)
-            x, p = state.x_vec, state.p_cov
-            for meas in measurements[1:]:
-                predicted = predict(state, cfg)
-                x, p = reference_predict(x, p, cfg)
-                assert same_bits(predicted.x_vec, x) and same_bits(predicted.p_cov, p)
-                state = update(predicted, meas, cfg)
-                x, p = reference_update(x, p, meas, cfg)
-                assert same_bits(state.x_vec, x) and same_bits(state.p_cov, p)
+    def test_equals_the_matrix_recursion(self, dt, q, std, measurements):
+        """Cold start and update bit for bit at any dt, predict bit for bit at
+        dt = 1. At other dt the matrix product may round dt p_vel + p_cross
+        as one fused multiply-add, depending on the CPU, so predict agrees
+        there to 1e-12 of the largest entry of the mean and of the block."""
+        cfg = KalmanConfig(dt, q, std)
 
-    def test_memoized_arrays_are_read_only(self):
-        cfg = config()
-        predicted = predict(initial_state((0.0, 0.0), cfg), cfg)
-        posterior = update(predicted, (1.0, 2.0), cfg)
-        cov = predicted.p_cov
-        hits = tracker._gain_and_posterior_cov.cache_info().hits
-        k, p = tracker._gain_and_posterior_cov(cfg, cov.shape, cov.dtype, cov.tobytes())
-        assert tracker._gain_and_posterior_cov.cache_info().hits == hits + 1
-        for array in (predicted.p_cov, posterior.p_cov, k, p):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1.0
+        def same(s, reference, exact):
+            for mine, ref in zip(as_matrices(s), reference):
+                if exact:
+                    assert bits(mine.ravel()) == bits(ref.ravel())
+                else:
+                    assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_same_bytes_in_another_shape_or_dtype_miss(self):
-        cfg = config()
-        p = predict(initial_state((0.0, 0.0), cfg), cfg).p_cov
-        predict(KalmanState(np.zeros(4), p), cfg)
-        with pytest.raises(ValueError):  # a 2x8 matrix does not multiply B
-            predict(KalmanState(np.zeros(4), p.reshape(2, 8)), cfg)
-        as_ints = p.view(np.int64)
-        predicted = predict(KalmanState(np.zeros(4), as_ints), cfg)
-        assert same_bits(predicted.p_cov, reference_predict(np.zeros(4), as_ints, cfg)[1])
-
-    def test_tables_stay_within_their_bound(self):
-        cfg = config()
-        memos = (tracker._predicted_cov, tracker._gain_and_posterior_cov)
-        for i in range(tracker.COVARIANCE_MEMO_SIZE + 10):
-            state = KalmanState(np.zeros(4), np.diag([25.0 + i, 25.0, 1e4, 1e4]))
-            update(predict(state, cfg), (0.0, 0.0), cfg)
-            assert all(m.cache_info().currsize <= tracker.COVARIANCE_MEMO_SIZE for m in memos)
-        assert all(m.cache_info().currsize == tracker.COVARIANCE_MEMO_SIZE for m in memos)
+        s = initial_state(measurements[0], cfg)
+        same(s, reference_initial(measurements[0], cfg), exact=True)
+        for meas in measurements[1:]:
+            reference = reference_predict(*as_matrices(s), cfg)
+            s = predict(s, cfg)
+            same(s, reference, exact=dt == 1.0)
+            reference = reference_update(*as_matrices(s), meas, cfg)
+            s = update(s, meas, cfg)
+            same(s, reference, exact=True)
