@@ -170,6 +170,28 @@ class Scenario:
                 raise ScenarioError(
                     f"waypoint {wp} is within the camera's focal length of the ceiling"
                 )
+        if self.explicit_led_xy_cm is not None:
+            _check_broadcasts(self.explicit_led_xy_cm)
+        else:
+            # a grid's broadcasts are the product of its rounded axes, so they
+            # are distinct and fit exactly when each axis's are
+            for origin, extent in zip(self.led_origin_cm, (self.room.width_cm, self.room.depth_cm)):
+                # more positions than 16-bit values cannot all broadcast apart
+                if (extent - origin) / self.led_spacing_cm > 2**16:
+                    raise ScenarioError(
+                        f"led_spacing_cm={self.led_spacing_cm} puts more than {2**16} fixtures "
+                        "on one grid axis, more than 16-bit broadcasts can tell apart"
+                    )
+            xs, ys = self._grid_axes()
+            if xs and ys:
+                _check_broadcasts([(x, ys[0]) for x in xs])
+                _check_broadcasts([(xs[0], y) for y in ys])
+
+    def _grid_axes(self) -> "tuple[list[float], list[float]]":
+        """The grid's fixture x and y positions."""
+        (ox, oy), spacing = self.led_origin_cm, self.led_spacing_cm
+        return (np.arange(ox, self.room.width_cm, spacing).tolist(),
+                np.arange(oy, self.room.depth_cm, spacing).tolist())
 
     def build_luminaires(self) -> "list[Luminaire]":
         """Materialize the ceiling fixtures: explicit placements, or the grid."""
@@ -177,9 +199,8 @@ class Scenario:
         if self.explicit_led_xy_cm is not None:
             coords = list(self.explicit_led_xy_cm)
         else:
-            xs = np.arange(self.led_origin_cm[0], self.room.width_cm, self.led_spacing_cm)
-            ys = np.arange(self.led_origin_cm[1], self.room.depth_cm, self.led_spacing_cm)
-            coords = [(float(x), float(y)) for x in xs for y in ys]
+            xs, ys = self._grid_axes()
+            coords = [(x, y) for x in xs for y in ys]
         return [
             self.fixture.make_luminaire(i + 1, Point3(x, y, ceiling))
             for i, (x, y) in enumerate(coords)
@@ -187,6 +208,22 @@ class Scenario:
 
     def tick_count(self) -> int:
         return int(round(self.duration_s * self.sampling_hz))
+
+
+def _check_broadcasts(fixtures_xy):
+    """Raise ScenarioError naming the first fixture whose broadcast, its x and
+    y rounded to whole centimeters, does not fit 16 bits or repeats an earlier
+    fixture's. round() rounds halves to even, so 1.5 and 2.5 both give 2."""
+    seen = {}
+    for x, y in fixtures_xy:
+        kx, ky = key = (int(round(x)), int(round(y)))
+        if not (0 <= kx < 2**16 and 0 <= ky < 2**16):
+            name, v = ("x_cm", kx) if not 0 <= kx < 2**16 else ("y_cm", ky)
+            raise ScenarioError(f"fixture ({x}, {y}) broadcasts {name}={v}, "
+                                "which does not fit 16 bits")
+        if key in seen:
+            raise ScenarioError(f"fixtures {seen[key]} and ({x}, {y}) both broadcast {key}")
+        seen[key] = (x, y)
 
 
 def trajectory_point(scenario: Scenario, t_s: float) -> Point3:

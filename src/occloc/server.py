@@ -14,17 +14,15 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .geometry import Luminaire, Point3, RoomConfig
-from .solver import InsufficientAnchors, PositionEstimate, estimate_position
+from .solver import CEILING_TOLERANCE_CM, InsufficientAnchors, PositionEstimate, estimate_position
 from . import tracker
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 PROBE_INTERVAL_MS = 2000  # a session silent this long is probed
 PROBE_LIMIT = 3  # missed probes that close a session
-HISTORY_LIMIT = 256  # per-session ring of ingest results
 # The open range a record's distance must lie in, in mm. Nothing optical
 # ranges under a micrometre, and a subnormal distance would round to 0 cm in
 # ingest. Two 16-bit centimeter coordinates lie at most about 9.3e5 mm apart,
@@ -50,7 +48,11 @@ class SessionClosed(ValueError):
 @dataclass(frozen=True, slots=True, init=False)
 class DetectionRecord:
     """One wire record: slot 1 carries the fixture's broadcast centimeter
-    coordinates, slot 2 the measured distance in millimeters."""
+    coordinates, slot 2 the measured distance in millimeters.
+
+    Coordinates are ints (not booleans) that fit 16 bits, and the distance an
+    int or float (numpy.float64 included, booleans not) in the open range
+    (MIN_DISTANCE_MM, MAX_DISTANCE_MM); anything else raises ValueError."""
 
     x_cm: int
     y_cm: int
@@ -59,12 +61,16 @@ class DetectionRecord:
     def __init__(self, x_cm: int, y_cm: int, distance_mm: float):
         # checks first, then sets each field once; one chained test for the
         # common valid record, and the loop names the field
-        if not (0 <= x_cm < 65536 and 0 <= y_cm < 65536):
+        if not (type(x_cm) is int and type(y_cm) is int
+                and 0 <= x_cm < 65536 and 0 <= y_cm < 65536):
             for name, v in (("x_cm", x_cm), ("y_cm", y_cm)):
-                if not (0 <= v < 2**16):
-                    raise ValueError(f"{name}={v} does not fit 16 bits")
-        if distance_mm is True:  # compares as 1; False already fails the range
-            raise ValueError("distance_mm must be a number, not a boolean")
+                if type(v) is not int or not (0 <= v < 2**16):
+                    raise ValueError(f"{name}={v!r} does not fit 16 bits")
+        if type(distance_mm) is not float and type(distance_mm) is not int:
+            if distance_mm is True:  # compares as 1; False fails the range below
+                raise ValueError("distance_mm must be a number, not a boolean")
+            if not isinstance(distance_mm, (int, float)):
+                raise ValueError(f"distance_mm={distance_mm!r} is not a number")
         if not MIN_DISTANCE_MM < distance_mm < MAX_DISTANCE_MM:
             raise ValueError(
                 f"distance_mm={distance_mm} outside ({MIN_DISTANCE_MM}, {MAX_DISTANCE_MM})"
@@ -76,13 +82,18 @@ class DetectionRecord:
 
 @dataclass(frozen=True)
 class DetectionPacket:
+    """A phone's upload: its session id (a string), the capture time (an int
+    that fits 64 bits, not a boolean) and at least one record."""
+
     session_id: str
     timestamp_ms: int
     records: tuple[DetectionRecord, ...]
 
     def __post_init__(self):
-        if not (0 <= self.timestamp_ms < 2**64):
-            raise ValueError("timestamp_ms must fit 64 bits")
+        if type(self.session_id) is not str:
+            raise ValueError(f"session_id={self.session_id!r} is not a string")
+        if type(self.timestamp_ms) is not int or not (0 <= self.timestamp_ms < 2**64):
+            raise ValueError(f"timestamp_ms={self.timestamp_ms!r} does not fit 64 bits")
         if len(self.records) < 1:
             raise ValueError("packet needs at least one record")
 
@@ -92,7 +103,7 @@ class LedRegistry:
 
     def __init__(self, entries: "dict[tuple[int, int], Point3]"):
         heights = {anchor.z for anchor in entries.values()}
-        if len(heights) > 1 and max(heights) - min(heights) > 1e-6:
+        if len(heights) > 1 and max(heights) - min(heights) > CEILING_TOLERANCE_CM:
             raise ValueError("all anchors must share the ceiling height")
         self._entries = dict(entries)
 
@@ -133,8 +144,9 @@ class Session:
     last_probe_ms: int | None = None
     missed_probes: int = 0
     closed: bool = False
-    last_position: tuple[float, float, float] | None = None
-    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_LIMIT))
+    # the last estimate's height, which the next solve's prior takes; set
+    # exactly when tracker_state is
+    height_cm: float | None = None
     # the look-ahead of tracker_state, which the next ingest takes as its
     # prediction; a restored session has none until its first ingest
     ahead: tracker.KalmanState | None = field(default=None, init=False, repr=False)
@@ -214,7 +226,7 @@ class LightingServer:
             if prior_state is None:
                 prior_state = tracker.predict(session.tracker_state, self.kalman_config)
             px, py = prior_state.position_xy
-            prior = Point3(px, py, session.last_position[2])
+            prior = Point3(px, py, session.height_cm)
 
         estimate = estimate_position(tuple(anchors), dists, self.room, prior)
 
@@ -243,18 +255,7 @@ class LightingServer:
         session.last_seen_ms = packet.timestamp_ms
         session.last_probe_ms = None
         session.missed_probes = 0
-        session.last_position = filtered.as_tuple()
-        session.history.append(
-            {
-                "timestamp_ms": packet.timestamp_ms,
-                "raw": list(estimate.position.as_tuple()),
-                "filtered": list(filtered.as_tuple()),
-                "predicted": list(predicted.as_tuple()),
-                "residual_cm": estimate.residual_cm,
-                "method": estimate.method.value,
-                "out_of_bounds": out_of_bounds,
-            }
-        )
+        session.height_cm = estimate.position.z
         return IngestResult(estimate, filtered, predicted, out_of_bounds, dropped, cold_start)
 
     def probe_tick(self, session_id: str, now_ms: int) -> ProbeStatus:
@@ -285,12 +286,14 @@ class LightingServer:
         return ProbeStatus(ProbePhase.PROBING, session.missed_probes)
 
     def snapshot(self, session_id: str) -> dict:
-        """Serializable record of the session: history ring plus filter state."""
+        """Serializable record of the session: its clock, liveness counters and
+        filter state, with the last height beside the filter's mean."""
         session = self.sessions[session_id]
         kf = session.tracker_state
         state = None if kf is None else {
             "x": [kf.x, kf.y, kf.vx, kf.vy],
             "p": [kf.p_pos, kf.p_cross, kf.p_vel],
+            "height_cm": session.height_cm,
         }
         return {
             "version": SNAPSHOT_VERSION,
@@ -299,9 +302,7 @@ class LightingServer:
             "last_seen_ms": session.last_seen_ms,
             "last_probe_ms": session.last_probe_ms,
             "missed_probes": session.missed_probes,
-            "last_position": list(session.last_position) if session.last_position else None,
             "tracker": state,
-            "history": [dict(entry) for entry in session.history],
         }
 
     def restore_session(self, snapshot: dict):
@@ -310,11 +311,10 @@ class LightingServer:
         Every field is checked before the session is registered, and a bad one
         raises ValueError naming it. session_id is a string; last_seen_ms and
         last_probe_ms are integers or null; missed_probes is an integer >= 0
-        and closed a boolean; history is a list of objects. The filter state
-        tracker must be 4 finite numbers x = (x, y, vx, vy) and the 3 finite
-        numbers p = (p_pos, p_cross, p_vel) of the per-axis covariance block,
-        or null, and last_position 3 finite numbers exactly when it is not
-        null. An earlier version's snapshot is rejected."""
+        and closed a boolean. The filter state tracker is null, or 4 finite
+        numbers x = (x, y, vx, vy), the 3 finite numbers p = (p_pos, p_cross,
+        p_vel) of the per-axis covariance block and the finite number
+        height_cm. An earlier version's snapshot is rejected."""
         if type(snapshot) is not dict:
             raise ValueError("snapshot must be an object")
         if snapshot.get("version") != SNAPSHOT_VERSION:
@@ -322,15 +322,18 @@ class LightingServer:
         missing = [name for name in _SNAPSHOT_FIELDS if name not in snapshot]
         if missing:
             raise ValueError(f"snapshot fields missing: {', '.join(missing)}")
-        state = None
+        state = height = None
         if snapshot["tracker"] is not None:
             if type(snapshot["tracker"]) is not dict:
                 raise ValueError("snapshot field tracker must be an object or null")
             x = _state_numbers(snapshot["tracker"], "x", 4)
             p = _state_numbers(snapshot["tracker"], "p", 3)
             state = tracker.KalmanState(*x, *p)
+            height = snapshot["tracker"].get("height_cm")
+            if not _finite_number(height):
+                raise ValueError("snapshot field tracker.height_cm must be a finite number")
+            height = float(height)
         _check_session_fields(snapshot)
-        position = snapshot["last_position"]
         session = Session(
             session_id=snapshot["session_id"],
             tracker_state=state,
@@ -338,22 +341,19 @@ class LightingServer:
             last_probe_ms=snapshot["last_probe_ms"],
             missed_probes=snapshot["missed_probes"],
             closed=snapshot["closed"],
-            last_position=None if position is None else tuple(position),
-            history=deque((dict(e) for e in snapshot["history"]), maxlen=HISTORY_LIMIT),
+            height_cm=height,
         )
         self.sessions[session.session_id] = session
 
 
 _SNAPSHOT_FIELDS = ("session_id", "closed", "last_seen_ms", "last_probe_ms", "missed_probes",
-                    "last_position", "tracker", "history")
+                    "tracker")
 
 
-def _finite_numbers(value, n: int) -> bool:
-    """Whether value is a list (or tuple) of n finite ints or floats, not booleans."""
-    if type(value) not in (list, tuple) or len(value) != n:
-        return False
+def _finite_number(value) -> bool:
+    """Whether value is a finite int or float, not a boolean."""
     try:
-        return all(type(v) in (int, float) and math.isfinite(v) for v in value)
+        return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:  # an int past the float range
         return False
 
@@ -373,22 +373,13 @@ def _check_session_fields(snapshot: dict):
     missed = snapshot["missed_probes"]
     require("missed_probes", type(missed) is int and missed >= 0, "an integer >= 0")
     require("closed", type(snapshot["closed"]) is bool, "a boolean")
-    position = snapshot["last_position"]
-    require(
-        "last_position",
-        position is None if snapshot["tracker"] is None else _finite_numbers(position, 3),
-        "3 finite numbers, and null exactly when tracker is",
-    )
-    history = snapshot["history"]
-    require("history", type(history) is list and all(type(e) is dict for e in history),
-            "a list of objects")
 
 
 def _state_numbers(state: dict, name: str, n: int) -> "list[float]":
     """A snapshot's tracker.<name> as n floats; each must be a finite int or
     float (not a string or boolean)."""
     value = state.get(name)
-    if not _finite_numbers(value, n):
+    if type(value) not in (list, tuple) or len(value) != n or not all(map(_finite_number, value)):
         raise ValueError(f"snapshot field tracker.{name} must be {n} finite numbers")
     return [float(v) for v in value]
 
@@ -429,21 +420,13 @@ def packet_from_line(line: str) -> DetectionPacket:
     distance a JSON number and the session id a string."""
     obj = json.loads(line)
     _check_fields(obj, _PACKET_FIELDS, "packet")
-    session_id, timestamp_ms = obj["session_id"], obj["timestamp_ms"]
-    if type(session_id) is not str or type(timestamp_ms) is not int:
-        raise ValueError("session_id must be a string and timestamp_ms an integer")
     if type(obj["records"]) is not list:
         raise ValueError("records must be a list")
     records = []
     for rec in obj["records"]:
         _check_fields(rec, _RECORD_FIELDS, "record")
-        x_cm, y_cm, distance_mm = rec["x_cm"], rec["y_cm"], rec["distance_mm"]
-        if type(x_cm) is not int or type(y_cm) is not int:
-            raise ValueError("x_cm and y_cm must be integers")
-        if type(distance_mm) is not float and type(distance_mm) is not int:
-            raise ValueError("distance_mm must be a number")
-        records.append(DetectionRecord(x_cm, y_cm, distance_mm))
-    return DetectionPacket(session_id, timestamp_ms, tuple(records))
+        records.append(DetectionRecord(rec["x_cm"], rec["y_cm"], rec["distance_mm"]))
+    return DetectionPacket(obj["session_id"], obj["timestamp_ms"], tuple(records))
 
 
 def replay_packet_log(server: LightingServer, lines) -> "list[IngestResult]":

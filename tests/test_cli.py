@@ -69,6 +69,25 @@ class TestTrackCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["track", "validate"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"luminaires": [[-10, 75], [225, 75], [75, 225]]}, "x_cm=-10"),
+            ({"luminaires": [[75.2, 75], [75.4, 75], [75, 225]]}, "both broadcast (75, 75)"),
+            ({"room": {"width_cm": 70000}, "luminaires": [[66000, 75], [225, 75], [75, 225]]},
+             "x_cm=66000"),
+        ],
+        ids=["negative", "clash", "past-16-bits"],
+    )
+    def test_fixture_that_cannot_broadcast_exits_2(self, tmp_path, capsys, command, data, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_replay_is_byte_identical(self, tmp_path, fast_scenario):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["track", "--scenario", fast_scenario, "--out", str(out_a)]) == 0

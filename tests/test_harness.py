@@ -34,6 +34,7 @@ from occloc.harness import (
 )
 from occloc.imaging import FeasibilityRegime, distance_from_pixels, observe_scene
 from occloc.geometry import Point3, Pose
+from occloc.server import LedRegistry
 
 
 class TestScenarioConfig:
@@ -149,6 +150,42 @@ class TestScenarioConfig:
     def test_grid_count(self):
         # 1219 cm span, origin 75, spacing 150: 8 positions per axis
         assert len(default_scenario().build_luminaires()) == 64
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"luminaires": [[-10, 75], [225, 75], [75, 225]]},
+             r"fixture \(-10.0, 75.0\) broadcasts x_cm=-10, which does not fit 16 bits"),
+            ({"luminaires": [[75, 75], [225, 75], [75, -0.6]]},
+             r"fixture \(75.0, -0.6\) broadcasts y_cm=-1,"),
+            ({"luminaires": [[75.2, 75], [75.4, 75], [75, 225]]},
+             r"fixtures \(75.2, 75.0\) and \(75.4, 75.0\) both broadcast \(75, 75\)"),
+            ({"room": {"width_cm": 70000}, "luminaires": [[66000, 75], [225, 75], [75, 225]]},
+             r"fixture \(66000.0, 75.0\) broadcasts x_cm=66000"),
+            # round() takes halves to even: 1.5 and 2.5 both broadcast 2
+            ({"led_grid": {"spacing_cm": 1.0, "origin_cm": [1.5, 75]}},
+             r"fixtures \(1.5, 75.0\) and \(2.5, 75.0\) both broadcast \(2, 75\)"),
+            ({"led_grid": {"spacing_cm": 0.5, "origin_cm": [75, 75]}},
+             r"fixtures \(75.5, 75.0\) and \(76.0, 75.0\) both broadcast \(76, 75\)"),
+            ({"room": {"width_cm": 70000}, "led_grid": {"spacing_cm": 150}},
+             r"fixture \(65625.0, 75.0\) broadcasts x_cm=65625"),
+            ({"led_grid": {"spacing_cm": 1e-9}}, "more than 65536 fixtures on one grid axis"),
+        ],
+        ids=["negative", "rounds-negative", "clash", "past-16-bits", "half-to-even",
+             "sub-cm-grid", "grid-past-16-bits", "grid-too-fine"],
+    )
+    def test_fixtures_must_broadcast_distinct_16_bit_coordinates(self, data, message):
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(data)
+
+    def test_the_16_bit_edges_are_accepted(self):
+        # 65535.4 broadcasts 65535, and -0.5 rounds to 0
+        scenario = scenario_from_dict(
+            {"room": {"width_cm": 70000}, "luminaires": [[65535.4, 75], [0, 0], [-0.5, 225]]}
+        )
+        registry = LedRegistry.from_luminaires(scenario.build_luminaires())
+        assert registry.lookup(65535, 75).x == 65535.4
+        assert registry.lookup(0, 225).x == -0.5
 
     def test_explicit_luminaires(self):
         s = scenario_from_dict({"luminaires": [[75, 75], [225, 75], [75, 225]]})

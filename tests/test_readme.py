@@ -4,6 +4,8 @@ documented API still names fails here."""
 import re
 from pathlib import Path
 
+from occloc import server
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -13,3 +15,8 @@ def test_python_examples_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "readme_example"})
     assert capsys.readouterr().out.strip()
+
+
+def test_names_the_current_snapshot_version():
+    words = " ".join(README.read_text().split())
+    assert f"snapshot version {server.SNAPSHOT_VERSION} holds" in words

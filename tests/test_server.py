@@ -270,8 +270,10 @@ class TestSnapshot:
         for k in range(5):
             server.ingest(packet_from_truth(Point3(480 + 5 * k, 500, 100), 1000 * (k + 1)))
         snap = server.snapshot("s1")
-        # version 3: the mean and the 3 numbers of the per-axis covariance block
-        assert snap["version"] == 3 and len(snap["tracker"]["p"]) == 3
+        # version 4: the mean, the 3 numbers of the per-axis covariance block
+        # and the last height, all under tracker
+        assert snap["version"] == 4 and len(snap["tracker"]["p"]) == 3
+        assert snap["tracker"]["height_cm"] == server.sessions["s1"].height_cm
         restored_server = make_server()
         restored_server.restore_session(json.loads(json.dumps(snap)))
         assert restored_server.snapshot("s1") == snap
@@ -281,13 +283,17 @@ class TestSnapshot:
         b = restored_server.ingest(packet_from_truth(Point3(520, 500, 100), 9000))
         assert a.filtered == b.filtered
 
-    def test_history_ring_evicts_oldest(self):
+    def test_version_4_format_is_pinned(self):
         server = make_server()
-        for k in range(257):
-            server.ingest(packet_from_truth(Point3(500, 500, 100), 1000 * (k + 1)))
-        hist = server.snapshot("s1")["history"]
-        assert len(hist) == 256
-        assert hist[0]["timestamp_ms"] == 2000  # the first entry was evicted
+        for k, (x, y) in enumerate([(500, 500), (510, 505), (520, 510)]):
+            server.ingest(packet_from_truth(Point3(x, y, 100), 1000 * (k + 1)))
+        assert json.dumps(server.snapshot("s1")) == (
+            '{"version": 4, "session_id": "s1", "closed": false, "last_seen_ms": 3000, '
+            '"last_probe_ms": null, "missed_probes": 0, "tracker": '
+            '{"x": [519.9875984731701, 509.9937992365851, 9.987639262245168, 4.993819631122583], '
+            '"p": [20.859187873037158, 12.567159314916637, 13.858051382286206], '
+            '"height_cm": 100.0}}'
+        )
 
     def test_unknown_session_raises(self):
         with pytest.raises(KeyError):
@@ -321,7 +327,8 @@ class TestSnapshot:
             try:
                 if kind == "probe":
                     return server.probe_tick("s1", t_ms)
-                return server.ingest(packet_from_truth(Point3(x, y, 100), t_ms)).filtered
+                # the whole answer: raw estimate, filtered, predicted, flags
+                return repr(server.ingest(packet_from_truth(Point3(x, y, 100), t_ms)))
             except (SessionClosed, StaleTimestamp) as exc:
                 return type(exc)
 
@@ -340,10 +347,11 @@ class TestSnapshot:
             assert got == expected
             assert resumed.snapshot("s1") == plain.snapshot("s1")
 
-    @pytest.mark.parametrize("version", [99, 2, 1])
+    @pytest.mark.parametrize("version", [99, 3, 2, 1])
     def test_version_checked(self, version):
-        """Version 2 held the full 4x4 covariance; version 3 holds its per-axis
-        block."""
+        """Version 2 held the full 4x4 covariance, version 3 its per-axis block
+        beside a history ring and the last position; version 4 holds the block
+        and the last height alone."""
         server = make_server()
         server.ingest(packet_from_truth(Point3(500, 500, 100), 1000))
         snap = server.snapshot("s1")
@@ -352,19 +360,19 @@ class TestSnapshot:
             server.restore_session(snap)
 
 
-def _snapshot_with_state(x, p):
+def _snapshot_with_state(x, p, height_cm=100.0):
     server = make_server()
     server.ingest(packet_from_truth(Point3(500, 500, 100), 1000))
     snap = json.loads(json.dumps(server.snapshot("s1")))
-    snap["tracker"] = {"x": x, "p": p}
+    snap["tracker"] = {"x": x, "p": p, "height_cm": height_cm}
     return snap
 
 
 class TestRestoreTrackerState:
-    """restore_session takes a filter state only as 4 finite numbers x and the
-    3 finite numbers p = (p_pos, p_cross, p_vel) of the per-axis covariance
-    block; anything else raises ValueError naming the field, and no session is
-    registered."""
+    """restore_session takes a filter state only as 4 finite numbers x, the 3
+    finite numbers p = (p_pos, p_cross, p_vel) of the per-axis covariance
+    block and one finite number height_cm; anything else raises ValueError
+    naming the field, and no session is registered."""
 
     GOOD_X = [500.0, 500.0, 0.0, 0.0]
     GOOD_P = [25.0, 0.0, 1e4]
@@ -393,6 +401,19 @@ class TestRestoreTrackerState:
             server.restore_session(_snapshot_with_state(x, p))
         assert server.sessions == {}
 
+    @pytest.mark.parametrize(
+        "height_cm",
+        [math.nan, math.inf, -math.inf, True, False, "100", None, [100.0], 10**400, "missing"],
+    )
+    def test_bad_height_is_rejected(self, height_cm):
+        snap = _snapshot_with_state(self.GOOD_X, self.GOOD_P, height_cm)
+        if height_cm == "missing":  # a filter state without the height its prior needs
+            del snap["tracker"]["height_cm"]
+        server = make_server()
+        with pytest.raises(ValueError, match="snapshot field tracker.height_cm "):
+            server.restore_session(snap)
+        assert server.sessions == {}
+
     @settings(max_examples=100, deadline=None)
     @given(field=st.sampled_from(["x", "p"]), where=st.integers(0, 11), flag=st.booleans())
     def test_a_boolean_among_numbers_is_rejected(self, field, where, flag):
@@ -412,14 +433,15 @@ class TestRestoreTrackerState:
     @given(
         x=st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=6),
         p=st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=6),
+        height_cm=st.floats(allow_nan=True, allow_infinity=True, width=64),
     )
-    def test_restore_accepts_exactly_the_valid_states(self, x, p):
+    def test_restore_accepts_exactly_the_valid_states(self, x, p, height_cm):
         """Any 3 finite numbers are a block the server restores, a slightly
         negative posterior p_vel included: no positive-definiteness check."""
         valid = (len(x) == 4 and len(p) == 3
-                 and all(math.isfinite(v) for v in x + p))
+                 and all(math.isfinite(v) for v in x + p + [height_cm]))
         server = make_server()
-        snap = _snapshot_with_state(x, p)
+        snap = _snapshot_with_state(x, p, height_cm)
         if valid:
             server.restore_session(snap)
             assert server.snapshot("s1") == snap
@@ -438,7 +460,7 @@ def _valid_snapshot():
 
 def _cold_snapshot():
     """A valid snapshot of a session that has no filter state yet."""
-    return {**_valid_snapshot(), "tracker": None, "last_position": None, "history": []}
+    return {**_valid_snapshot(), "tracker": None}
 
 
 _ANY = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | st.lists(
@@ -449,17 +471,6 @@ _BAD_FIELDS = {
     "last_probe_ms": _ANY.filter(lambda v: v is not None and type(v) is not int),
     "missed_probes": _ANY.filter(lambda v: type(v) is not int or v < 0),
     "closed": _ANY.filter(lambda v: type(v) is not bool),
-    "last_position": st.one_of(
-        st.none(),
-        st.lists(st.floats(-1e3, 1e3), max_size=6).filter(lambda v: len(v) != 3),
-        st.lists(st.sampled_from([math.nan, math.inf, -math.inf, True, "1", None, 10**400, 1.0]),
-                 min_size=3, max_size=3).filter(lambda v: v != [1.0, 1.0, 1.0]),
-        _ANY.filter(lambda v: type(v) is not list),
-    ),
-    "history": st.one_of(
-        _ANY.filter(lambda v: type(v) is not list),
-        st.lists(_ANY.filter(lambda v: type(v) is not dict), min_size=1, max_size=3),
-    ),
 }
 
 
@@ -478,14 +489,7 @@ class TestRestoreSessionFields:
             server.restore_session(snap)
         assert server.sessions == {}
 
-    @pytest.mark.parametrize("value", [[1.0, 2.0, 3.0], [0, 0, 0]])
-    def test_a_position_without_a_filter_state_is_rejected(self, value):
-        server = make_server()
-        with pytest.raises(ValueError, match="snapshot field last_position"):
-            server.restore_session({**_cold_snapshot(), "last_position": value})
-        assert server.sessions == {}
-
-    @pytest.mark.parametrize("name", ["session_id", "closed", "tracker", "history"])
+    @pytest.mark.parametrize("name", ["session_id", "closed", "tracker"])
     def test_missing_field_is_named(self, name):
         snap = _valid_snapshot()
         del snap[name]
@@ -494,7 +498,7 @@ class TestRestoreSessionFields:
 
     def test_a_non_object_is_rejected(self):
         with pytest.raises(ValueError, match="snapshot must be an object"):
-            make_server().restore_session([("version", 3)])
+            make_server().restore_session([("version", 4)])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -503,17 +507,17 @@ class TestRestoreSessionFields:
         last_probe_ms=st.none() | st.integers(0, 10**6),
         missed_probes=st.integers(0, 5),
         closed=st.booleans(),
-        position=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.integers(0, 300)),
+        height_cm=st.floats(-1e4, 1e4),
         t_ms=st.integers(0, 2 * 10**6),
     )
     def test_accepted_sessions_ingest_and_probe_with_typed_errors(
-        self, cold, last_seen_ms, last_probe_ms, missed_probes, closed, position, t_ms
+        self, cold, last_seen_ms, last_probe_ms, missed_probes, closed, height_cm, t_ms
     ):
         snap = {**(_cold_snapshot() if cold else _valid_snapshot()),
                 "last_seen_ms": last_seen_ms, "last_probe_ms": last_probe_ms,
                 "missed_probes": missed_probes, "closed": closed}
         if not cold:
-            snap["last_position"] = list(position)
+            snap["tracker"]["height_cm"] = height_cm
         server = make_server()
         server.restore_session(snap)
         assert server.snapshot("s1") == snap
@@ -571,11 +575,40 @@ class TestPacketLines:
             (-1, 0, 0.0, "x_cm=-1 does not fit 16 bits"),
             (1, 2, True, "distance_mm must be a number, not a boolean"),
             (1, 2, False, "distance_mm=False outside (0.001, 10000000.0)"),
+            (True, False, 100.0, "x_cm=True does not fit 16 bits"),
+            (0, False, 100.0, "y_cm=False does not fit 16 bits"),
+            (1.5, 2, 250.0, "x_cm=1.5 does not fit 16 bits"),
+            (1, 2.0, 250.0, "y_cm=2.0 does not fit 16 bits"),
+            ("1", 2, 250.0, "x_cm='1' does not fit 16 bits"),
+            (1, 2, "250", "distance_mm='250' is not a number"),
+            (1, 2, None, "distance_mm=None is not a number"),
         ],
     )
     def test_each_bad_field_names_itself(self, x_cm, y_cm, distance_mm, message):
         with pytest.raises(ValueError) as info:
             DetectionRecord(x_cm, y_cm, distance_mm)
+        assert str(info.value) == message
+
+    def test_a_numpy_float_distance_is_a_number(self):
+        assert DetectionRecord(1, 2, np.float64(250.0)).distance_mm == 250.0
+        with pytest.raises(ValueError, match="x_cm=np.int64"):
+            DetectionRecord(np.int64(1), 2, 250.0)
+
+    @pytest.mark.parametrize(
+        "session_id, timestamp_ms, message",
+        [
+            (5, 1, "session_id=5 is not a string"),
+            (None, 1, "session_id=None is not a string"),
+            ("s", True, "timestamp_ms=True does not fit 64 bits"),
+            ("s", 1.0, "timestamp_ms=1.0 does not fit 64 bits"),
+            ("s", "5", "timestamp_ms='5' does not fit 64 bits"),
+            ("s", -1, "timestamp_ms=-1 does not fit 64 bits"),
+            ("s", 2**64, f"timestamp_ms={2**64} does not fit 64 bits"),
+        ],
+    )
+    def test_each_bad_packet_field_names_itself(self, session_id, timestamp_ms, message):
+        with pytest.raises(ValueError) as info:
+            DetectionPacket(session_id, timestamp_ms, (DetectionRecord(1, 2, 250.0),))
         assert str(info.value) == message
 
     @settings(max_examples=200, deadline=None)
