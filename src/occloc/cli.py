@@ -56,17 +56,19 @@ def load_scenario(args):
             data = data["scenario"]
     elif args.command == "filtercmp":
         data = harness.scenario_to_dict(harness.default_filtercmp_scenario())
+    if type(data) is not dict:  # the seeds below fold into it
+        raise ConfigError("invalid scenario: scenario must be a JSON object")
     if (args.scenario is None or "seed" not in data) and SEED_ENV_VAR in os.environ:
         try:
             data = {**data, "seed": int(os.environ[SEED_ENV_VAR])}
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
+    if args.seed is not None:
+        data = {**data, "seed": args.seed}
     try:
         scenario = harness.scenario_from_dict(data)
     except harness.ScenarioError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
-    if args.seed is not None:
-        scenario = harness.scenario_from_dict({**harness.scenario_to_dict(scenario), "seed": args.seed})
     return scenario, manifest_params
 
 

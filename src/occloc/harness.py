@@ -500,6 +500,10 @@ def run_filter_comparison(scenario: Scenario, ensemble_size: int = 100) -> "list
     delivers the one-step prediction, the raw pipeline its current solve. At
     tick 0 the cold-started filter predicts zero motion, so both answers (and
     both curves, after normalization) start at the same point.
+
+    A tick where no member has an estimate scores nan, as a gap tick does in
+    track.csv; when tick 0 is such a tick there is nothing to normalize by,
+    and ValueError is raised.
     """
     if scenario.distance_sigma_cm <= 0:
         raise ValueError("filter comparison needs distance noise > 0")
@@ -522,8 +526,14 @@ def run_filter_comparison(scenario: Scenario, ensemble_size: int = 100) -> "list
                 rec.predicted.x - truth_next.x, rec.predicted.y - truth_next.y
             )
             err_raw[j, k] = math.hypot(rec.raw.x - truth_next.x, rec.raw.y - truth_next.y)
-    mean_kf = np.nanmean(err_kf, axis=0)
-    mean_raw = np.nanmean(err_raw, axis=0)
+    # a member's two errors are set together, so they share one count; the
+    # mean over no member is 0/0, nan, without nanmean's warning
+    count = np.count_nonzero(~np.isnan(err_kf), axis=0)
+    if count[0] == 0:
+        raise ValueError("no member has an estimate at tick 0 to normalize by")
+    with np.errstate(invalid="ignore"):
+        mean_kf = np.nansum(err_kf, axis=0) / count
+        mean_raw = np.nansum(err_raw, axis=0) / count
     return [
         FilterComparisonPoint(
             k / scenario.sampling_hz,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import Luminaire, Point3, RoomConfig
 from .solver import CEILING_TOLERANCE_CM, InsufficientAnchors, PositionEstimate, estimate_position
@@ -99,9 +99,17 @@ class DetectionPacket:
 
 
 class LedRegistry:
-    """Fixture map from broadcast (x_cm, y_cm) to the fixture's ceiling anchor."""
+    """Fixture map from broadcast (x_cm, y_cm) to the fixture's ceiling anchor.
+
+    Each key is a pair of ints (not booleans) that fit 16 bits, as a record's
+    coordinates must, so that every fixture can be matched."""
 
     def __init__(self, entries: "dict[tuple[int, int], Point3]"):
+        for key in entries:
+            if not (type(key) is tuple and len(key) == 2
+                    and type(key[0]) is int and 0 <= key[0] < 2**16
+                    and type(key[1]) is int and 0 <= key[1] < 2**16):
+                raise ValueError(f"broadcast coordinates {key!r} are not two 16-bit ints")
         heights = {anchor.z for anchor in entries.values()}
         if len(heights) > 1 and max(heights) - min(heights) > CEILING_TOLERANCE_CM:
             raise ValueError("all anchors must share the ceiling height")
@@ -138,18 +146,18 @@ class ProbeStatus:
 
 @dataclass
 class Session:
+    """A phone's state, complete from its first packet: the filter state, its
+    look-ahead (the next ingest's prediction), the last estimate's height
+    (the next solve's prior takes it) and the clock."""
+
     session_id: str
-    tracker_state: tracker.KalmanState | None = None
-    last_seen_ms: int | None = None
-    last_probe_ms: int | None = None
+    tracker_state: tracker.KalmanState
+    ahead: tracker.KalmanState
+    height_cm: float
+    last_seen_ms: int
+    last_probe_ms: int | None = None  # None: not probed since the last packet
     missed_probes: int = 0
     closed: bool = False
-    # the last estimate's height, which the next solve's prior takes; set
-    # exactly when tracker_state is
-    height_cm: float | None = None
-    # the look-ahead of tracker_state, which the next ingest takes as its
-    # prediction; a restored session has none until its first ingest
-    ahead: tracker.KalmanState | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -172,6 +180,11 @@ class LightingServer:
         room: RoomConfig,
         kalman_config: tracker.KalmanConfig | None = None,
     ):
+        """Raises ValueError unless every registered anchor lies within
+        CEILING_TOLERANCE_CM of the room's ceiling, which each solve requires."""
+        if any(abs(anchor.z - room.ceiling_height_cm) > CEILING_TOLERANCE_CM
+               for anchor in registry._entries.values()):
+            raise ValueError("anchor height disagrees with the room ceiling")
         self.registry = registry
         self.room = room
         self.kalman_config = kalman_config or tracker.KalmanConfig()
@@ -192,16 +205,14 @@ class LightingServer:
         """Resolve, solve, filter, predict. Failed packets (stale clock, too few
         resolvable records, solver failure) leave the session untouched."""
         session = self.sessions.get(packet.session_id)
-        if session is not None and session.closed:
-            raise SessionClosed(f"session {packet.session_id} is closed")
-        if (
-            session is not None
-            and session.last_seen_ms is not None
-            and packet.timestamp_ms <= session.last_seen_ms
-        ):
-            raise StaleTimestamp(
-                f"timestamp {packet.timestamp_ms} does not advance past {session.last_seen_ms}"
-            )
+        cold_start = session is None
+        if not cold_start:
+            if session.closed:
+                raise SessionClosed(f"session {packet.session_id} is closed")
+            if packet.timestamp_ms <= session.last_seen_ms:
+                raise StaleTimestamp(
+                    f"timestamp {packet.timestamp_ms} does not advance past {session.last_seen_ms}"
+                )
 
         anchors = []
         dists = []
@@ -217,15 +228,11 @@ class LightingServer:
         if len(anchors) < 3:
             raise InsufficientAnchors(f"{len(anchors)} resolvable records after dropping {dropped}")
 
-        cold_start = session is None or session.tracker_state is None
         prior = None
         if not cold_start:
-            # one prediction serves as the solver's prior and as the update's
-            # input: the last ingest's look-ahead, or a fresh one after a restore
-            prior_state = session.ahead
-            if prior_state is None:
-                prior_state = tracker.predict(session.tracker_state, self.kalman_config)
-            px, py = prior_state.position_xy
+            # one prediction, the last look-ahead, serves as the solver's prior
+            # and as the update's input
+            px, py = session.ahead.position_xy
             prior = Point3(px, py, session.height_cm)
 
         estimate = estimate_position(tuple(anchors), dists, self.room, prior)
@@ -236,7 +243,7 @@ class LightingServer:
             )
         else:
             state = tracker.update(
-                prior_state,
+                session.ahead,
                 (estimate.position.x, estimate.position.y),
                 self.kalman_config,
             )
@@ -247,15 +254,9 @@ class LightingServer:
             self._in_extended_bounds(filtered) and self._in_extended_bounds(estimate.position)
         )
 
-        if session is None:
-            session = Session(packet.session_id)
-            self.sessions[packet.session_id] = session
-        session.tracker_state = state
-        session.ahead = ahead
-        session.last_seen_ms = packet.timestamp_ms
-        session.last_probe_ms = None
-        session.missed_probes = 0
-        session.height_cm = estimate.position.z
+        self.sessions[packet.session_id] = Session(
+            packet.session_id, state, ahead, estimate.position.z, packet.timestamp_ms
+        )
         return IngestResult(estimate, filtered, predicted, out_of_bounds, dropped, cold_start)
 
     def probe_tick(self, session_id: str, now_ms: int) -> ProbeStatus:
@@ -268,13 +269,12 @@ class LightingServer:
         session = self.sessions[session_id]
         if session.closed:
             return ProbeStatus(ProbePhase.CLOSED, session.missed_probes)
-        anchor_ms = session.last_seen_ms if session.last_seen_ms is not None else 0
-        if now_ms - anchor_ms <= PROBE_INTERVAL_MS:
+        if now_ms - session.last_seen_ms <= PROBE_INTERVAL_MS:
             return ProbeStatus(ProbePhase.ACTIVE, session.missed_probes)
         since_probe = (
             now_ms - session.last_probe_ms
             if session.last_probe_ms is not None
-            else now_ms - anchor_ms
+            else now_ms - session.last_seen_ms
         )
         if since_probe > PROBE_INTERVAL_MS:
             session.missed_probes += 1
@@ -290,11 +290,6 @@ class LightingServer:
         filter state, with the last height beside the filter's mean."""
         session = self.sessions[session_id]
         kf = session.tracker_state
-        state = None if kf is None else {
-            "x": [kf.x, kf.y, kf.vx, kf.vy],
-            "p": [kf.p_pos, kf.p_cross, kf.p_vel],
-            "height_cm": session.height_cm,
-        }
         return {
             "version": SNAPSHOT_VERSION,
             "session_id": session.session_id,
@@ -302,52 +297,54 @@ class LightingServer:
             "last_seen_ms": session.last_seen_ms,
             "last_probe_ms": session.last_probe_ms,
             "missed_probes": session.missed_probes,
-            "tracker": state,
+            "tracker": {
+                "x": [kf.x, kf.y, kf.vx, kf.vy],
+                "p": [kf.p_pos, kf.p_cross, kf.p_vel],
+                "height_cm": session.height_cm,
+            },
         }
 
     def restore_session(self, snapshot: dict):
         """Rebuild a session from a snapshot dict (inverse of snapshot).
 
         Every field is checked before the session is registered, and a bad one
-        raises ValueError naming it. session_id is a string; last_seen_ms and
-        last_probe_ms are integers or null; missed_probes is an integer >= 0
-        and closed a boolean. The filter state tracker is null, or 4 finite
-        numbers x = (x, y, vx, vy), the 3 finite numbers p = (p_pos, p_cross,
-        p_vel) of the per-axis covariance block and the finite number
-        height_cm. An earlier version's snapshot is rejected."""
+        raises ValueError naming it. The snapshot holds exactly the keys that
+        snapshot writes, and its tracker object exactly x, p and height_cm.
+        session_id is a string; last_seen_ms is an integer and last_probe_ms
+        an integer or null; missed_probes is an integer >= 0 and closed a
+        boolean. The filter state is 4 finite numbers x = (x, y, vx, vy), the 3
+        finite numbers p = (p_pos, p_cross, p_vel) of the per-axis covariance
+        block and the finite number height_cm. An earlier version's snapshot
+        is rejected."""
         if type(snapshot) is not dict:
             raise ValueError("snapshot must be an object")
         if snapshot.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snapshot.get('version')}")
-        missing = [name for name in _SNAPSHOT_FIELDS if name not in snapshot]
-        if missing:
-            raise ValueError(f"snapshot fields missing: {', '.join(missing)}")
-        state = height = None
-        if snapshot["tracker"] is not None:
-            if type(snapshot["tracker"]) is not dict:
-                raise ValueError("snapshot field tracker must be an object or null")
-            x = _state_numbers(snapshot["tracker"], "x", 4)
-            p = _state_numbers(snapshot["tracker"], "p", 3)
-            state = tracker.KalmanState(*x, *p)
-            height = snapshot["tracker"].get("height_cm")
-            if not _finite_number(height):
-                raise ValueError("snapshot field tracker.height_cm must be a finite number")
-            height = float(height)
+        _check_fields(snapshot, _SNAPSHOT_FIELDS, "snapshot")
+        _check_fields(snapshot["tracker"], _TRACKER_FIELDS, "snapshot tracker")
+        x = _state_numbers(snapshot["tracker"], "x", 4)
+        p = _state_numbers(snapshot["tracker"], "p", 3)
+        height = snapshot["tracker"]["height_cm"]
+        if not _finite_number(height):
+            raise ValueError("snapshot field tracker.height_cm must be a finite number")
         _check_session_fields(snapshot)
+        state = tracker.KalmanState(*x, *p)
         session = Session(
             session_id=snapshot["session_id"],
             tracker_state=state,
+            ahead=tracker.predict(state, self.kalman_config),
+            height_cm=float(height),
             last_seen_ms=snapshot["last_seen_ms"],
             last_probe_ms=snapshot["last_probe_ms"],
             missed_probes=snapshot["missed_probes"],
             closed=snapshot["closed"],
-            height_cm=height,
         )
         self.sessions[session.session_id] = session
 
 
-_SNAPSHOT_FIELDS = ("session_id", "closed", "last_seen_ms", "last_probe_ms", "missed_probes",
-                    "tracker")
+_SNAPSHOT_FIELDS = {"version", "session_id", "closed", "last_seen_ms", "last_probe_ms",
+                    "missed_probes", "tracker"}
+_TRACKER_FIELDS = {"x", "p", "height_cm"}
 
 
 def _finite_number(value) -> bool:
@@ -367,9 +364,9 @@ def _check_session_fields(snapshot: dict):
             raise ValueError(f"snapshot field {name} must be {what}")
 
     require("session_id", type(snapshot["session_id"]) is str, "a string")
-    for name in ("last_seen_ms", "last_probe_ms"):
-        value = snapshot[name]
-        require(name, value is None or type(value) is int, "an integer or null")
+    require("last_seen_ms", type(snapshot["last_seen_ms"]) is int, "an integer")
+    last_probe = snapshot["last_probe_ms"]
+    require("last_probe_ms", last_probe is None or type(last_probe) is int, "an integer or null")
     missed = snapshot["missed_probes"]
     require("missed_probes", type(missed) is int and missed >= 0, "an integer >= 0")
     require("closed", type(snapshot["closed"]) is bool, "a boolean")
@@ -378,7 +375,7 @@ def _check_session_fields(snapshot: dict):
 def _state_numbers(state: dict, name: str, n: int) -> "list[float]":
     """A snapshot's tracker.<name> as n floats; each must be a finite int or
     float (not a string or boolean)."""
-    value = state.get(name)
+    value = state[name]
     if type(value) not in (list, tuple) or len(value) != n or not all(map(_finite_number, value)):
         raise ValueError(f"snapshot field tracker.{name} must be {n} finite numbers")
     return [float(v) for v in value]

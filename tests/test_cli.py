@@ -121,6 +121,28 @@ class TestSeedPrecedence:
         main(["track", "--scenario", fast_scenario, "--out", str(out)])
         assert json.loads((out / "manifest.json").read_text())["seed"] == 3
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_flag_seed_exits_2(self, tmp_path, capsys, monkeypatch, seed):
+        monkeypatch.delenv("OCC_SEED", raising=False)
+        out = tmp_path / "o"
+        assert main(["track", "--seed", seed, "--out", str(out)]) == 2
+        assert "seed must fit an unsigned 64-bit value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("env_seed, flag", [("5", []), (None, ["--seed", "9"])])
+    def test_a_seed_cannot_fold_into_a_non_object(self, tmp_path, capsys, monkeypatch,
+                                                   env_seed, flag):
+        if env_seed is None:
+            monkeypatch.delenv("OCC_SEED", raising=False)
+        else:
+            monkeypatch.setenv("OCC_SEED", env_seed)
+        scenario = tmp_path / "s.json"
+        scenario.write_text("[1, 2]")
+        out = tmp_path / "o"
+        assert main(["track", "--scenario", str(scenario), "--out", str(out), *flag]) == 2
+        assert "scenario must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFiltercmpDefault:
     """Without --scenario, filtercmp runs the reference filter comparison."""

@@ -559,6 +559,23 @@ class TestFilterComparison:
         with pytest.raises(ValueError):
             run_filter_comparison(default_scenario(), ensemble_size=2)
 
+    def test_an_all_gap_tick_scores_nan_without_a_warning(self):
+        """Fixtures in two far corners leave the middle of the walk out of
+        view: those ticks score nan, as gap ticks do in track.csv, where
+        nanmean warned of an empty slice; an all-gap tick 0 raises."""
+        data = {"luminaires": [[75, 75], [225, 75], [75, 225],
+                               [1100, 1100], [1000, 1100], [1100, 1000]],
+                "trajectory": {"waypoints_cm": [[100, 100, 100], [1100, 1100, 100]],
+                               "speed_cm_s": 50.0},
+                "duration_s": 28.0, "noise": {"distance_sigma_cm": 5.0}}
+        points = run_filter_comparison(scenario_from_dict(data), ensemble_size=3)
+        gaps = [math.isnan(p.err_kf_norm) for p in points]
+        assert gaps[0] is False and any(gaps) and not all(gaps)
+        assert gaps == [math.isnan(p.err_raw_norm) for p in points]
+        data["trajectory"]["waypoints_cm"][0] = [600, 600, 100]
+        with pytest.raises(ValueError, match="no member has an estimate at tick 0"):
+            run_filter_comparison(scenario_from_dict(data), ensemble_size=3)
+
     def test_filtered_energy_beats_raw(self):
         # delivered-position errors: the filter must not lose to the raw solver
         points = run_filter_comparison(default_filtercmp_scenario(), ensemble_size=10)

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from occloc.geometry import Circular, Luminaire, Point3, RoomConfig, distance
 from occloc.server import (
@@ -69,6 +70,31 @@ class TestRegistry:
     def test_mixed_ceilings_rejected(self):
         with pytest.raises(ValueError):
             LedRegistry({(0, 0): Point3(0, 0, 300), (150, 0): Point3(150, 0, 250)})
+
+    @pytest.mark.parametrize(
+        "key", [(-10, 5), (70000, 5), (5, 65536), (True, 5), (5.0, 5), (5, "5"), (5,), (5, 5, 5), "ab"],
+    )
+    def test_a_key_no_record_can_carry_is_rejected(self, key):
+        """A record's coordinates are two ints that fit 16 bits, so a fixture
+        under any other key could never be matched."""
+        with pytest.raises(ValueError, match="are not two 16-bit ints"):
+            LedRegistry({(0, 0): Point3(0, 0, 300), key: Point3(5, 5, 300)})
+        if type(key) is tuple and len(key) == 2 and all(type(v) is int for v in key):
+            lums = [Luminaire(1, Point3(*key, 300.0), Circular(85.0))]
+            with pytest.raises(ValueError, match="are not two 16-bit ints"):
+                LedRegistry.from_luminaires(lums)
+
+    @pytest.mark.parametrize("ceiling_cm, ok", [(300.0, True), (300.0 + 5e-7, True),
+                                                (300.0 + 2e-6, False), (250.0, False)])
+    def test_the_server_checks_the_registry_against_the_room(self, ceiling_cm, ok):
+        """An anchor off the room's ceiling would fail every solve, so the
+        server refuses it when it is built."""
+        room = RoomConfig(1219.0, 1219.0, ceiling_cm)
+        if ok:
+            LightingServer(make_registry(), room).ingest(packet_from_truth(Point3(500, 500, 100), 0))
+        else:
+            with pytest.raises(ValueError, match="anchor height disagrees with the room ceiling"):
+                LightingServer(make_registry(), room)
 
 
 class TestIngest:
@@ -170,8 +196,8 @@ class TestIngest:
 
 class TestOnePredictionPerPacket:
     """A session keeps its last look-ahead and takes it as the next packet's
-    prediction, so a warm ingest predicts once; a restored session has none
-    and predicts twice on its first ingest."""
+    prediction, so a warm ingest predicts once; restore_session computes a
+    restored session's look-ahead, so its first ingest predicts once too."""
 
     @staticmethod
     def _counted(monkeypatch):
@@ -199,14 +225,16 @@ class TestOnePredictionPerPacket:
         server = make_server()
         for k in range(1, 4):
             server.ingest(packet_from_truth(Point3(500 + 5 * k, 500, 100), 1000 * k))
+        calls = self._counted(monkeypatch)
         restored = make_server()
         restored.restore_session(json.loads(json.dumps(server.snapshot("s1"))))
-        calls = self._counted(monkeypatch)
+        assert len(calls) == 1
+        calls.clear()
         a = server.ingest(packet_from_truth(Point3(520, 500, 100), 4000))
         assert len(calls) == 1
         calls.clear()
         b = restored.ingest(packet_from_truth(Point3(520, 500, 100), 4000))
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert repr(a) == repr(b)
 
     def test_a_failed_packet_keeps_the_look_ahead(self, monkeypatch):
@@ -407,10 +435,12 @@ class TestRestoreTrackerState:
     )
     def test_bad_height_is_rejected(self, height_cm):
         snap = _snapshot_with_state(self.GOOD_X, self.GOOD_P, height_cm)
+        message = "snapshot field tracker.height_cm "
         if height_cm == "missing":  # a filter state without the height its prior needs
             del snap["tracker"]["height_cm"]
+            message = r"snapshot tracker fields: unknown \[\], missing \['height_cm'\]"
         server = make_server()
-        with pytest.raises(ValueError, match="snapshot field tracker.height_cm "):
+        with pytest.raises(ValueError, match=message):
             server.restore_session(snap)
         assert server.sessions == {}
 
@@ -458,16 +488,11 @@ def _valid_snapshot():
     return json.loads(json.dumps(server.snapshot("s1")))
 
 
-def _cold_snapshot():
-    """A valid snapshot of a session that has no filter state yet."""
-    return {**_valid_snapshot(), "tracker": None}
-
-
 _ANY = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | st.lists(
     st.integers(), max_size=3) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
 _BAD_FIELDS = {
     "session_id": _ANY.filter(lambda v: type(v) is not str),
-    "last_seen_ms": _ANY.filter(lambda v: v is not None and type(v) is not int),
+    "last_seen_ms": _ANY.filter(lambda v: type(v) is not int),
     "last_probe_ms": _ANY.filter(lambda v: v is not None and type(v) is not int),
     "missed_probes": _ANY.filter(lambda v: type(v) is not int or v < 0),
     "closed": _ANY.filter(lambda v: type(v) is not bool),
@@ -493,8 +518,38 @@ class TestRestoreSessionFields:
     def test_missing_field_is_named(self, name):
         snap = _valid_snapshot()
         del snap[name]
-        with pytest.raises(ValueError, match=f"snapshot fields missing: {name}"):
+        with pytest.raises(ValueError, match=rf"snapshot fields: unknown \[\], missing \['{name}'\]"):
             make_server().restore_session(snap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        in_tracker=st.booleans(),
+        key=st.sampled_from(["history", "last_position", "extra"]) | st.text(max_size=8),
+    )
+    def test_an_unknown_key_is_named(self, data, in_tracker, key):
+        """A key that snapshot never writes, at the top level or inside
+        tracker, is rejected by name, where it used to restore and vanish from
+        the next snapshot."""
+        snap = _valid_snapshot()
+        where = snap["tracker"] if in_tracker else snap
+        assume(key not in where)
+        where[key] = data.draw(_ANY, label="value")
+        server = make_server()
+        prefix = "snapshot tracker" if in_tracker else "snapshot"
+        with pytest.raises(ValueError, match=re.escape(f"{prefix} fields: unknown [{key!r}]")):
+            server.restore_session(snap)
+        assert server.sessions == {}
+
+    @pytest.mark.parametrize("value", [None, [], "tracker", 1])
+    def test_tracker_must_be_an_object(self, value):
+        """A session holds a filter state from its first packet, so a
+        snapshot without one (tracker null) is rejected."""
+        snap = {**_valid_snapshot(), "tracker": value}
+        server = make_server()
+        with pytest.raises(ValueError, match="snapshot tracker must be a JSON object"):
+            server.restore_session(snap)
+        assert server.sessions == {}
 
     def test_a_non_object_is_rejected(self):
         with pytest.raises(ValueError, match="snapshot must be an object"):
@@ -502,8 +557,7 @@ class TestRestoreSessionFields:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        cold=st.booleans(),
-        last_seen_ms=st.none() | st.integers(0, 10**6),
+        last_seen_ms=st.integers(0, 10**6),
         last_probe_ms=st.none() | st.integers(0, 10**6),
         missed_probes=st.integers(0, 5),
         closed=st.booleans(),
@@ -511,13 +565,11 @@ class TestRestoreSessionFields:
         t_ms=st.integers(0, 2 * 10**6),
     )
     def test_accepted_sessions_ingest_and_probe_with_typed_errors(
-        self, cold, last_seen_ms, last_probe_ms, missed_probes, closed, height_cm, t_ms
+        self, last_seen_ms, last_probe_ms, missed_probes, closed, height_cm, t_ms
     ):
-        snap = {**(_cold_snapshot() if cold else _valid_snapshot()),
-                "last_seen_ms": last_seen_ms, "last_probe_ms": last_probe_ms,
-                "missed_probes": missed_probes, "closed": closed}
-        if not cold:
-            snap["tracker"]["height_cm"] = height_cm
+        snap = {**_valid_snapshot(), "last_seen_ms": last_seen_ms,
+                "last_probe_ms": last_probe_ms, "missed_probes": missed_probes, "closed": closed}
+        snap["tracker"]["height_cm"] = height_cm
         server = make_server()
         server.restore_session(snap)
         assert server.snapshot("s1") == snap
