@@ -639,6 +639,26 @@ def _strict(d: dict, allowed: "set[str]", where: str):
         raise ScenarioError(f"unknown {where} fields: {', '.join(sorted(unknown))}")
 
 
+def _number(value, where: str) -> float:
+    """A scenario file's number as a float: a JSON int or float, not a boolean
+    or a string, which float() would also take."""
+    if type(value) not in (int, float):
+        raise ScenarioError(f"{where} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ScenarioError(f"{where} lies past the float range") from None
+
+
+def _seed(value) -> int:
+    """A scenario file's seed: an int, or a float with no fractional part."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ScenarioError(f"seed must be an integer, not {value!r}")
+    return value
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     return {
         "room": asdict(s.room),
@@ -698,18 +718,21 @@ def scenario_from_dict(data: dict) -> Scenario:
 
         grid_d = data.get("led_grid", {})
         _strict(grid_d, {"spacing_cm", "origin_cm"}, "led_grid")
-        spacing = grid_d.get("spacing_cm", base.led_spacing_cm)
+        spacing = _number(grid_d.get("spacing_cm", base.led_spacing_cm), "led_grid.spacing_cm")
         origin = tuple(grid_d.get("origin_cm", list(base.led_origin_cm)))
         if len(origin) != 2:
             raise ScenarioError("led_grid.origin_cm must be [x, y]")
+        origin = tuple(_number(v, "led_grid.origin_cm") for v in origin)
 
         lums = data.get("luminaires")
-        explicit = None if lums is None else tuple(tuple(map(float, xy)) for xy in lums)
+        explicit = None if lums is None else tuple(
+            tuple(_number(v, "luminaires") for v in xy) for xy in lums
+        )
 
         traj_d = data.get("trajectory", {})
         _strict(traj_d, {"waypoints_cm", "speed_cm_s"}, "trajectory")
         waypoints = tuple(
-            tuple(map(float, wp))
+            tuple(_number(v, "trajectory.waypoints_cm") for v in wp)
             for wp in traj_d.get("waypoints_cm", [list(wp) for wp in base.waypoints_cm])
         )
         for wp in waypoints:
@@ -723,16 +746,18 @@ def scenario_from_dict(data: dict) -> Scenario:
             room=room,
             camera=camera,
             fixture=fixture,
-            led_spacing_cm=float(spacing),
-            led_origin_cm=(float(origin[0]), float(origin[1])),
+            led_spacing_cm=spacing,
+            led_origin_cm=origin,
             explicit_led_xy_cm=explicit,
             waypoints_cm=waypoints,
-            speed_cm_s=float(traj_d.get("speed_cm_s", base.speed_cm_s)),
-            sampling_hz=float(data.get("sampling_hz", base.sampling_hz)),
-            duration_s=float(data.get("duration_s", base.duration_s)),
-            pixel_sigma=float(noise_d.get("pixel_sigma", base.pixel_sigma)),
-            distance_sigma_cm=float(noise_d.get("distance_sigma_cm", base.distance_sigma_cm)),
-            seed=int(data.get("seed", base.seed)),
+            speed_cm_s=_number(traj_d.get("speed_cm_s", base.speed_cm_s),
+                               "trajectory.speed_cm_s"),
+            sampling_hz=_number(data.get("sampling_hz", base.sampling_hz), "sampling_hz"),
+            duration_s=_number(data.get("duration_s", base.duration_s), "duration_s"),
+            pixel_sigma=_number(noise_d.get("pixel_sigma", base.pixel_sigma), "noise.pixel_sigma"),
+            distance_sigma_cm=_number(noise_d.get("distance_sigma_cm", base.distance_sigma_cm),
+                                      "noise.distance_sigma_cm"),
+            seed=_seed(data.get("seed", base.seed)),
         )
     except ScenarioError:
         raise

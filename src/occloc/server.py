@@ -15,9 +15,13 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .geometry import Luminaire, Point3, RoomConfig
-from .solver import CEILING_TOLERANCE_CM, InsufficientAnchors, PositionEstimate, estimate_position
+from .solver import CEILING_TOLERANCE_CM, AnchorPlan, InsufficientAnchors, PositionEstimate, solve
+# ingest solves through solve; perfbench's tracer still wraps the name
+# estimate_position in this module, so it stays imported here
+from .solver import estimate_position  # noqa: F401
 from . import tracker
 
 SNAPSHOT_VERSION = 4
@@ -31,6 +35,12 @@ PROBE_LIMIT = 3  # missed probes that close a session
 # distances near 1e155 mm reach.
 MIN_DISTANCE_MM = 1e-3
 MAX_DISTANCE_MM = 1e7
+# Solve plans a registry keeps, least recently used out first. A server's
+# phones move under one fixture grid and an ensemble's members walk the same
+# truth, so the same anchor sets recur: the 100 members of the reference filter
+# comparison hold 14 sets between them, and a 64-phone, 55 s fleet log about
+# 1,700.
+ANCHOR_CACHE_SIZE = 2048
 
 
 class UnknownLedId(KeyError):
@@ -83,7 +93,9 @@ class DetectionRecord:
 @dataclass(frozen=True)
 class DetectionPacket:
     """A phone's upload: its session id (a string), the capture time (an int
-    that fits 64 bits, not a boolean) and at least one record."""
+    that fits 64 bits, not a boolean) and a tuple of at least one
+    DetectionRecord. ingest relies on the records' own checks, so nothing
+    else may stand in for a record."""
 
     session_id: str
     timestamp_ms: int
@@ -94,15 +106,24 @@ class DetectionPacket:
             raise ValueError(f"session_id={self.session_id!r} is not a string")
         if type(self.timestamp_ms) is not int or not (0 <= self.timestamp_ms < 2**64):
             raise ValueError(f"timestamp_ms={self.timestamp_ms!r} does not fit 64 bits")
+        if type(self.records) is not tuple:
+            raise ValueError(f"records must be a tuple, not {type(self.records).__name__}")
         if len(self.records) < 1:
             raise ValueError("packet needs at least one record")
+        if set(map(type, self.records)) != {DetectionRecord}:
+            raise ValueError("every record must be a DetectionRecord")
 
 
 class LedRegistry:
     """Fixture map from broadcast (x_cm, y_cm) to the fixture's ceiling anchor.
 
     Each key is a pair of ints (not booleans) that fit 16 bits, as a record's
-    coordinates must, so that every fixture can be matched."""
+    coordinates must, so that every fixture can be matched. The anchors are
+    held in one tuple, in entry order, and a packet resolves to indices into
+    it. plan(indices) is the solve plan of those anchors, cached by the index
+    tuple up to ANCHOR_CACHE_SIZE sets, so every server on the registry shares
+    it. A set that fails the plan's checks raises, so it is never stored and
+    raises again on every call."""
 
     def __init__(self, entries: "dict[tuple[int, int], Point3]"):
         for key in entries:
@@ -113,7 +134,12 @@ class LedRegistry:
         heights = {anchor.z for anchor in entries.values()}
         if len(heights) > 1 and max(heights) - min(heights) > CEILING_TOLERANCE_CM:
             raise ValueError("all anchors must share the ceiling height")
-        self._entries = dict(entries)
+        anchors = self.anchors = tuple(entries.values())
+        self._index = {key: i for i, key in enumerate(entries)}
+        # the closure holds the anchors, not the registry, so no cycle keeps it
+        self.plan = lru_cache(maxsize=ANCHOR_CACHE_SIZE)(
+            lambda indices: AnchorPlan(tuple(anchors[i] for i in indices))
+        )
 
     @classmethod
     def from_luminaires(cls, luminaires: "list[Luminaire]") -> "LedRegistry":
@@ -126,10 +152,24 @@ class LedRegistry:
         return cls(entries)
 
     def lookup(self, x_cm: int, y_cm: int) -> Point3:
-        try:
-            return self._entries[(x_cm, y_cm)]
-        except KeyError:
-            raise UnknownLedId(f"no fixture at ({x_cm}, {y_cm})") from None
+        i = self._index.get((x_cm, y_cm))
+        if i is None:
+            raise UnknownLedId(f"no fixture at ({x_cm}, {y_cm})")
+        return self.anchors[i]
+
+    def resolve(self, records) -> "tuple[tuple[int, ...], list[float]]":
+        """The fixture indices of the records that match a fixture, in record
+        order, and their distances in cm as Python floats. Records that match
+        none are left out."""
+        index = self._index.get
+        indices = []
+        dists = []
+        for rec in records:
+            i = index((rec.x_cm, rec.y_cm))
+            if i is not None:
+                indices.append(i)
+                dists.append(float(rec.distance_mm) / 10.0)
+        return tuple(indices), dists
 
 
 class ProbePhase(enum.Enum):
@@ -183,7 +223,7 @@ class LightingServer:
         """Raises ValueError unless every registered anchor lies within
         CEILING_TOLERANCE_CM of the room's ceiling, which each solve requires."""
         if any(abs(anchor.z - room.ceiling_height_cm) > CEILING_TOLERANCE_CM
-               for anchor in registry._entries.values()):
+               for anchor in registry.anchors):
             raise ValueError("anchor height disagrees with the room ceiling")
         self.registry = registry
         self.room = room
@@ -214,19 +254,12 @@ class LightingServer:
                     f"timestamp {packet.timestamp_ms} does not advance past {session.last_seen_ms}"
                 )
 
-        anchors = []
-        dists = []
-        dropped = 0
-        lookup = self.registry.lookup
-        for rec in packet.records:
-            try:
-                anchors.append(lookup(rec.x_cm, rec.y_cm))
-            except UnknownLedId:
-                dropped += 1
-                continue
-            dists.append(rec.distance_mm / 10.0)
-        if len(anchors) < 3:
-            raise InsufficientAnchors(f"{len(anchors)} resolvable records after dropping {dropped}")
+        # DetectionRecord bounds every distance to (1e-4, 1e6) cm, inside the
+        # range solve takes, so the distances need no second check
+        indices, dists = self.registry.resolve(packet.records)
+        dropped = len(packet.records) - len(indices)
+        if len(indices) < 3:
+            raise InsufficientAnchors(f"{len(indices)} resolvable records after dropping {dropped}")
 
         prior = None
         if not cold_start:
@@ -235,7 +268,7 @@ class LightingServer:
             px, py = session.ahead.position_xy
             prior = Point3(px, py, session.height_cm)
 
-        estimate = estimate_position(tuple(anchors), dists, self.room, prior)
+        estimate = solve(self.registry.plan(indices), dists, self.room, prior)
 
         if cold_start:
             state = tracker.initial_state(

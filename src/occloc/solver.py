@@ -1,10 +1,14 @@
 """Position estimation from ceiling anchors and their measured distances.
 
-estimate_position, the server's entry, takes the anchor tuple and one
-sequence of distances, checked in one pass: one per anchor, each a number,
-positive and below MAX_DISTANCE_CM. The dedicated solvers trilaterate,
-multilaterate and trilaterate_collinear take a list of AnchorMeasurement
-pairs instead.
+solve is the one dispatch: it takes an AnchorPlan, the distances as a list
+of Python floats and the room. The server resolves a packet to fixture
+indices, fetches the plan from its registry's cache and solves through it;
+its records' types already bound every distance. estimate_position, the
+library entry point, takes the anchor tuple and one sequence of distances,
+checks them in one pass (one per anchor, each a number, positive and below
+MAX_DISTANCE_CM), builds the plan and solves through the same solve. The
+dedicated solvers trilaterate, multilaterate and trilaterate_collinear take a
+list of AnchorMeasurement pairs instead.
 
 Every anchor sits on one ceiling plane z = h, so the sphere equations
 |P - a_j|^2 = d_j^2 separate. Let c_j be anchor j's horizontal offset from
@@ -22,16 +26,17 @@ when noise drives m negative, the least-violating point z = h (Manolakis 1996,
 trilateration", IEEE TAES; Beck, Stoica & Li 2008, "Exact and approximate
 solutions of source localization problems", IEEE TSP).
 
-Everything that depends on the anchors alone is a solve plan, built once per
-anchor set and cached per process, keyed by the anchor tuple. One thin SVD of
-the centered horizontal anchor matrix builds it: its singular values decide
-collinearity, and it gives the least-squares map from the right-hand sides to
-p. Collinear anchors fix p only along their line, which is the rank-one part
-of the same map; the rest is a circle of radius sqrt(m) around the line, a
-CollinearFamily. The plan holds Python floats only, so a solve over a set seen
-before is a few sums over its n distances (math.fsum, math.hypot), with no
-array call: at n = 3 to 17, numpy's per-call dispatch cost more than its
-arithmetic.
+Everything that depends on the anchors alone is a solve plan, an AnchorPlan.
+The server caches one per anchor set, keyed by fixture indices (see
+occloc.server.LedRegistry.plan); the library entry points build one per call.
+One thin SVD of the centered horizontal anchor matrix builds it: its singular
+values decide collinearity, and it gives the least-squares map from the
+right-hand sides to p. Collinear anchors fix p only along their line, which is
+the rank-one part of the same map; the rest is a circle of radius sqrt(m)
+around the line, a CollinearFamily. The plan holds Python floats only, so a
+solve over a set seen before is a few sums over its n distances (math.fsum,
+math.hypot), with no array call: at n = 3 to 17, numpy's per-call dispatch
+cost more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import fsum, hypot
 from numbers import Real
 from operator import mul
@@ -156,7 +160,7 @@ class PositionEstimate:
     family: CollinearFamily | None = None
 
 
-class _AnchorGeometry:
+class AnchorPlan:
     """The solve plan of one anchor set: everything a solve derives from the
     anchor positions alone, held as Python floats and tuples, so that a solve
     is a few scalar sums with no array dispatch.
@@ -170,16 +174,14 @@ class _AnchorGeometry:
     direction of the line, which family needs.
 
     Every solve path (three anchors, least squares, collinear family, floor
-    clamp) reads the one plan, so a cached plan gives the bits a fresh one
-    does."""
+    clamp) reads the one plan, and nothing changes it after it is built, so a
+    cached plan gives the bits a fresh one does."""
 
     __slots__ = ("n", "h", "ax", "ay", "centroid", "cx", "cy", "c2_centered", "lsq_map",
                  "coincident", "collinear", "direction")
 
     def __init__(self, anchors: "tuple[Point3, ...]"):
-        # + 0.0 turns -0.0 into 0.0: Point3 equality does not tell them apart,
-        # so anchor tuples that are equal keys must give identical plans
-        xyz = [(a.x + 0.0, a.y + 0.0, a.z + 0.0) for a in anchors]
+        xyz = [(a.x, a.y, a.z) for a in anchors]
         if not all(abs(v) < MAX_DISTANCE_CM for a in xyz for v in a):
             raise ValueError(f"anchor coordinates must lie under {MAX_DISTANCE_CM:g} cm")
         self.ax, self.ay, zs = (tuple(column) for column in zip(*xyz))
@@ -257,18 +259,8 @@ class _AnchorGeometry:
         return math.sqrt(fsum(map(mul, gaps, gaps)) / self.n)
 
 
-# Anchor plans by anchor tuple, least recently used out first. A server's
-# phones move under one fixture grid and an ensemble's members walk the same
-# truth, so the same anchor sets recur: the 100 members of the reference filter
-# comparison hold 14 sets between them, and a 64-phone, 55 s fleet log about
-# 1,700. A set that fails its checks raises, so it is never stored and raises
-# again on every call.
-ANCHOR_CACHE_SIZE = 2048
-_anchor_geometry = lru_cache(maxsize=ANCHOR_CACHE_SIZE)(_AnchorGeometry)
-
-
-def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[_AnchorGeometry, list[float]]":
-    """The cached plan of the anchors, and the distances as a list of floats.
+def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[AnchorPlan, list[float]]":
+    """The plan of the anchors, and the distances as a list of floats.
     There must be one distance per anchor, each a number, positive and below
     MAX_DISTANCE_CM."""
     dists = None
@@ -287,23 +279,23 @@ def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[_AnchorGeom
             f"need one finite, positive distance under {MAX_DISTANCE_CM:g} cm for each of "
             f"{len(anchors)} anchors"
         )
-    return _anchor_geometry(tuple(anchors)), dists
+    return AnchorPlan(tuple(anchors)), dists
 
 
-def _measured(measurements) -> "tuple[_AnchorGeometry, list[float]]":
-    """The cached geometry of the measurements' anchors, and their distances."""
+def _measured(measurements) -> "tuple[AnchorPlan, list[float]]":
+    """The plan of the measurements' anchors, and their distances."""
     return _resolved(
         tuple(m.anchor for m in measurements), [m.distance_cm for m in measurements]
     )
 
 
-def _estimate(geometry: _AnchorGeometry, dists: "list[float]", position: Point3, pool,
+def _estimate(plan: AnchorPlan, dists: "list[float]", position: Point3, pool,
               method: Method, family: CollinearFamily | None = None) -> PositionEstimate:
     """The chosen position; the rest of the pool stays as candidates."""
     return PositionEstimate(
         position=position,
         candidates=tuple(c for c in pool if c != position),
-        residual_cm=geometry.residual_cm(dists, position),
+        residual_cm=plan.residual_cm(dists, position),
         method=method,
         family=family,
     )
@@ -333,11 +325,11 @@ def trilaterate(measurements) -> PositionEstimate:
     """
     if len(measurements) != 3:
         raise ValueError(f"trilaterate takes exactly 3 measurements, got {len(measurements)}")
-    geometry, dists = _measured(measurements)
-    if geometry.collinear:
+    plan, dists = _measured(measurements)
+    if plan.collinear:
         raise CollinearAnchors("anchors are collinear; use trilaterate_collinear")
-    pool, _ = geometry.mirror_pair(dists, allow_approximate=False)
-    return _estimate(geometry, dists, pool[0], pool, Method.TRILATERATION)
+    pool, _ = plan.mirror_pair(dists, allow_approximate=False)
+    return _estimate(plan, dists, pool[0], pool, Method.TRILATERATION)
 
 
 def trilaterate_collinear(measurements, camera_height_cm: float | None = None) -> PositionEstimate:
@@ -350,12 +342,12 @@ def trilaterate_collinear(measurements, camera_height_cm: float | None = None) -
     """
     if len(measurements) < 2:
         raise InsufficientAnchors("collinear solve needs at least 2 anchors")
-    geometry, dists = _measured(measurements)
-    if not geometry.collinear:
+    plan, dists = _measured(measurements)
+    if not plan.collinear:
         raise ValueError("anchors are not collinear")
-    family = geometry.family(dists)
+    family = plan.family(dists)
     pool = _rim_points(family, camera_height_cm)
-    return _estimate(geometry, dists, pool[0], pool, Method.COLLINEAR_FAMILY, family)
+    return _estimate(plan, dists, pool[0], pool, Method.COLLINEAR_FAMILY, family)
 
 
 def multilaterate(measurements) -> PositionEstimate:
@@ -368,11 +360,11 @@ def multilaterate(measurements) -> PositionEstimate:
     """
     if len(measurements) < 4:
         raise ValueError(f"multilaterate takes at least 4 measurements, got {len(measurements)}")
-    geometry, dists = _measured(measurements)
-    if geometry.collinear:
+    plan, dists = _measured(measurements)
+    if plan.collinear:
         raise RankDeficient("anchors are collinear")
-    pool, _ = geometry.mirror_pair(dists, allow_approximate=True)
-    return _estimate(geometry, dists, pool[0], pool, Method.LEAST_SQUARES)
+    pool, _ = plan.mirror_pair(dists, allow_approximate=True)
+    return _estimate(plan, dists, pool[0], pool, Method.LEAST_SQUARES)
 
 
 def resolve_ambiguity(candidates, room: RoomConfig, prior: Point3 | None = None) -> Point3:
@@ -397,12 +389,29 @@ def resolve_ambiguity(candidates, room: RoomConfig, prior: Point3 | None = None)
 def estimate_position(
     anchors: "tuple[Point3, ...]", distances_cm, room: RoomConfig, prior: Point3 | None = None
 ) -> PositionEstimate:
+    """The library entry point: check the arguments, build the anchors' plan
+    and solve through it.
+
+    anchors are the ranged fixtures' ceiling points and distances_cm their
+    measured distances, in the same order: at least three anchors, else
+    InsufficientAnchors, and one distance per anchor, each positive and below
+    MAX_DISTANCE_CM, else ValueError.
+    """
+    if len(anchors) < 3:
+        raise InsufficientAnchors(f"need at least 3 anchors, got {len(anchors)}")
+    plan, dists = _resolved(anchors, distances_cm)
+    return solve(plan, dists, room, prior)
+
+
+def solve(plan: AnchorPlan, dists: "list[float]", room: RoomConfig,
+          prior: Point3 | None = None) -> PositionEstimate:
     """Full dispatch: pick the solve by anchor count and collinearity, then
     settle the candidate ambiguity against the room and the motion prior.
 
-    anchors are the ranged fixtures' ceiling points and distances_cm their
-    measured distances, in the same order: one per anchor, each positive and
-    below MAX_DISTANCE_CM, else ValueError.
+    plan holds at least three anchors, and dists is a list of Python floats,
+    one per anchor, each in (0, MAX_DISTANCE_CM); the caller checks both, as
+    estimate_position does. The anchors must sit at the room's ceiling, else
+    ValueError.
 
     Three inconsistent distances (no exact intersection) degrade to the
     least-squares compromise rather than failing, and are tagged as such.
@@ -410,14 +419,11 @@ def estimate_position(
     ceiling) is raised to the floor, also tagged least-squares. Every path
     shares one factorization of the anchor geometry.
     """
-    if len(anchors) < 3:
-        raise InsufficientAnchors(f"need at least 3 anchors, got {len(anchors)}")
-    geometry, dists = _resolved(anchors, distances_cm)
-    if abs(geometry.h - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
+    if abs(plan.h - room.ceiling_height_cm) > CEILING_TOLERANCE_CM:
         raise ValueError("anchor height disagrees with the room ceiling")
 
-    if geometry.collinear:
-        family = geometry.family(dists)
+    if plan.collinear:
+        family = plan.family(dists)
         pool = _rim_points(family, None if prior is None else prior.z)
         if not any(-1e-9 <= p.z <= room.ceiling_height_cm + 1e-9 for p in pool):
             # The circle dips below the floor (or above the ceiling) at the
@@ -426,18 +432,16 @@ def estimate_position(
             z_rep = min(max(lp.z - family.radius_cm, 0.0), room.ceiling_height_cm)
             pool = family.points_at_height(z_rep) or [Point3(lp.x, lp.y, z_rep)]
         position = resolve_ambiguity(pool, room, prior)
-        return _estimate(geometry, dists, position, pool, Method.COLLINEAR_FAMILY, family)
+        return _estimate(plan, dists, position, pool, Method.COLLINEAR_FAMILY, family)
 
     # The exact roots are trilaterate's answer for three anchors; without
     # them the vertex is the least-squares compromise it falls back to.
-    pool, exact = geometry.mirror_pair(dists, allow_approximate=True)
+    pool, exact = plan.mirror_pair(dists, allow_approximate=True)
     low = pool[0]
     if low.z < -1e-9:
         # Ranging noise put the lower root below the floor, so its mirror lies
         # above the ceiling; like the collinear path, take the nearest height
         # inside the room, the floor. That point is no exact root.
         pool, exact = [Point3(low.x, low.y, 0.0)], False
-    method = (
-        Method.TRILATERATION if exact and len(anchors) == 3 else Method.LEAST_SQUARES
-    )
-    return _estimate(geometry, dists, resolve_ambiguity(pool, room, prior), pool, method)
+    method = Method.TRILATERATION if exact and plan.n == 3 else Method.LEAST_SQUARES
+    return _estimate(plan, dists, resolve_ambiguity(pool, room, prior), pool, method)

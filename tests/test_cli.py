@@ -69,6 +69,21 @@ class TestTrackCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [({"seed": 1.5}, "seed must be an integer"), ({"seed": "7"}, "seed must be an integer"),
+         ({"duration_s": "5"}, "duration_s must be a number"),
+         ({"sampling_hz": True}, "sampling_hz must be a number")],
+        ids=["fractional-seed", "string-seed", "string-duration", "boolean-rate"],
+    )
+    def test_mistyped_number_exits_2(self, tmp_path, capsys, data, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["track", "--scenario", str(bad), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["track", "validate"])
     @pytest.mark.parametrize(
         "data, message",

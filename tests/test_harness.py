@@ -141,6 +141,45 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioError):
             scenario_from_dict(json.loads(json.dumps(data)))
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"seed": 1.5}, "seed must be an integer, not 1.5"),
+            ({"seed": True}, "seed must be an integer, not True"),
+            ({"seed": "7"}, "seed must be an integer, not '7'"),
+            ({"seed": None}, "seed must be an integer, not None"),
+            ({"sampling_hz": True}, "sampling_hz must be a number, not True"),
+            ({"duration_s": "5"}, "duration_s must be a number, not '5'"),
+            ({"duration_s": 10**400}, "duration_s lies past the float range"),
+            ({"noise": {"pixel_sigma": "1"}}, "noise.pixel_sigma must be a number, not '1'"),
+            ({"noise": {"distance_sigma_cm": False}},
+             "noise.distance_sigma_cm must be a number, not False"),
+            ({"trajectory": {"speed_cm_s": "10"}},
+             "trajectory.speed_cm_s must be a number, not '10'"),
+            ({"trajectory": {"waypoints_cm": [[75, "75", 100]]}},
+             "trajectory.waypoints_cm must be a number, not '75'"),
+            ({"led_grid": {"spacing_cm": True}}, "led_grid.spacing_cm must be a number, not True"),
+            ({"led_grid": {"origin_cm": ["75", 75]}},
+             "led_grid.origin_cm must be a number, not '75'"),
+            ({"luminaires": [[75, 75], [225, True], [75, 225]]},
+             "luminaires must be a number, not True"),
+        ],
+        ids=["fractional-seed", "boolean-seed", "string-seed", "null-seed", "boolean-rate",
+             "string-duration", "huge-duration", "string-noise", "boolean-noise",
+             "string-speed", "string-waypoint", "boolean-spacing", "string-origin",
+             "boolean-luminaire"],
+    )
+    def test_mistyped_numbers_rejected(self, data, message):
+        """float() and int() would take these, and the manifest would echo a
+        value the file did not hold."""
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(data)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("seed, expected", [(7, 7), (7.0, 7), (0, 0), (2**64 - 1, 2**64 - 1)])
+    def test_integral_seeds_accepted(self, seed, expected):
+        assert scenario_from_dict({"seed": seed}).seed == expected
+
     @settings(max_examples=30, deadline=None)
     @given(duration=st.floats(1e160, 1e300), rate=st.floats(1e160, 1e300))
     def test_an_infinite_tick_count_rejected(self, duration, rate):

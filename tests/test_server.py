@@ -3,13 +3,17 @@ import math
 import re
 import warnings
 from dataclasses import FrozenInstanceError, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from occloc.geometry import Circular, Luminaire, Point3, RoomConfig, distance
+from occloc import server as server_module, solver
 from occloc.server import (
+    MAX_DISTANCE_MM,
+    MIN_DISTANCE_MM,
     DetectionPacket,
     DetectionRecord,
     LedRegistry,
@@ -23,7 +27,7 @@ from occloc.server import (
     replay_packet_log,
 )
 from occloc import tracker
-from occloc.solver import InsufficientAnchors, SolverError
+from occloc.solver import InsufficientAnchors, SolverError, estimate_position
 
 ROOM = RoomConfig(1219.0, 1219.0, 300.0)
 ANCHORS = [(450, 450), (600, 450), (450, 600), (600, 600)]
@@ -802,3 +806,148 @@ class TestWireRobustness:
                     continue
             for point in (result.estimate.position, result.filtered, result.predicted):
                 assert all(math.isfinite(v) for v in point.as_tuple())
+
+
+class TestPacketRecords:
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([DetectionRecord(1, 2, 250.0)], "records must be a tuple, not list"),
+            ("abc", "records must be a tuple, not str"),
+            (None, "records must be a tuple, not NoneType"),
+            (((0, 0, 2000.0),), "every record must be a DetectionRecord"),
+            ((None,), "every record must be a DetectionRecord"),
+            ((DetectionRecord(1, 2, 250.0), "abc"), "every record must be a DetectionRecord"),
+        ],
+        ids=["list", "string", "none", "plain-tuple", "none-record", "mixed"],
+    )
+    def test_records_must_be_a_tuple_of_records(self, records, message):
+        with pytest.raises(ValueError) as info:
+            DetectionPacket("a", 1, records)
+        assert str(info.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        items=st.lists(
+            json_values | st.tuples(st.integers(), st.integers(), st.floats())
+            | st.builds(dict, x_cm=st.integers(), y_cm=st.integers(), distance_mm=st.floats()),
+            min_size=1, max_size=4,
+        ),
+        at=st.integers(0, 4),
+    )
+    def test_any_item_but_a_record_is_rejected(self, items, at):
+        """A stand-in record, even one with the right fields, would reach the
+        solve unchecked, so the packet refuses it wherever it stands."""
+        records = [DetectionRecord(450, 450, 2000.0)] * 2
+        records[min(at, 2):min(at, 2)] = items
+        with pytest.raises(ValueError, match="every record must be a DetectionRecord"):
+            DetectionPacket("a", 1, tuple(records))
+
+
+def _prefixes(order, most):
+    return st.integers(0, most).map(lambda n: order[:n])
+
+
+# Indices into a 5 x 5 grid, index 5 i + j at (75 + 150 i, 75 + 150 j): a
+# random subset in random order, or part of one grid line, which is collinear.
+_fixture_subsets = st.permutations(range(25)).flatmap(lambda order: _prefixes(order, 8)) | (
+    st.integers(0, 4).flatmap(
+        lambda i: st.permutations(range(5 * i, 5 * i + 5)).flatmap(lambda o: _prefixes(o, 5))
+    )
+)
+
+
+class TestIndexResolve:
+    """ingest resolves records to fixture indices and solves from the
+    registry's plan, with the record-bounded distances unchecked; the result
+    is the library path's, estimate_position over the same anchors, floats
+    and prior."""
+
+    def test_record_bounds_lie_inside_the_solver_bounds(self):
+        assert 0 < MIN_DISTANCE_MM / 10
+        assert MAX_DISTANCE_MM / 10 < solver.MAX_DISTANCE_CM
+
+    @pytest.mark.parametrize("kind", [int, float, np.float64])
+    def test_each_distance_type_gives_the_library_result(self, kind):
+        anchors_xy = ANCHORS + [(750, 450)]
+        truths = [Point3(500, 520, 100), Point3(512, 530, 101), Point3(520, 545, 99)]
+        packets = [
+            DetectionPacket("s1", 1000 * t, tuple(
+                DetectionRecord(x, y, kind(round(10.0 * distance(truth, Point3(x, y, 300.0)))))
+                for x, y in anchors_xy
+            ))
+            for t, truth in enumerate(truths)
+        ]
+        server = LightingServer(make_registry(anchors_xy), ROOM)
+        reference = LightingServer(make_registry(anchors_xy), ROOM)
+        for packet in packets:
+            assert repr(server.ingest(packet)) == repr(_library_ingest(reference, packet))
+            indices, dists = server.registry.resolve(packet.records)
+            assert indices == tuple(range(len(anchors_xy)))
+            assert {type(d) for d in dists} == {float}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                _fixture_subsets,
+                st.lists(st.tuples(st.integers(0, 8),
+                                   st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))),
+                         max_size=3),
+                st.tuples(st.floats(0, 1200), st.floats(0, 1200), st.floats(0, 290)),
+                st.lists(st.floats(-50.0, 50.0), min_size=11, max_size=11),
+                st.sampled_from([int, float, np.float64]),
+            ),
+            min_size=1, max_size=5,
+        )
+    )
+    def test_ingest_equals_the_library_solve(self, events):
+        """Random fixture subsets in random order from a 5 x 5 grid, with
+        unregistered records among them, distances of each type, and the
+        prior of the session so far."""
+        grid = [(75 + 150 * i, 75 + 150 * j) for i in range(5) for j in range(5)]
+        registry = make_registry(grid)
+        server = LightingServer(registry, ROOM)
+        for t, (chosen, strays, truth_xyz, noise, kind) in enumerate(events):
+            truth = Point3(*truth_xyz)
+            keys = [grid[i] for i in chosen]
+            for at, xy in strays:
+                keys.insert(at, xy)
+            records = tuple(
+                DetectionRecord(*xy, kind(max(1, round(
+                    10.0 * (distance(truth, Point3(*xy, 300.0)) + e)))))
+                for xy, e in zip(keys, noise)
+            )
+            if not records:
+                continue
+            packet = DetectionPacket("s", 1000 * t, records)
+            session = server.sessions.get("s")
+            prior = None if session is None else Point3(*session.ahead.position_xy,
+                                                        session.height_cm)
+            known = [r for r in records if (r.x_cm, r.y_cm) in grid]
+            try:
+                want = repr(estimate_position(
+                    tuple(registry.lookup(r.x_cm, r.y_cm) for r in known),
+                    [float(r.distance_mm) / 10.0 for r in known], ROOM, prior,
+                ))
+            except ValueError as exc:  # SolverError is a ValueError
+                with pytest.raises(type(exc)):
+                    server.ingest(packet)
+                continue
+            result = server.ingest(packet)
+            assert repr(result.estimate) == want
+            assert result.dropped_records == len(records) - len(known)
+
+
+def _library_ingest(server: LightingServer, packet: DetectionPacket):
+    """ingest with its solve replaced by the call it made before it resolved
+    records to indices: estimate_position over the records' anchors and their
+    distance_mm / 10.0, whatever type that has."""
+    anchors = tuple(server.registry.lookup(r.x_cm, r.y_cm) for r in packet.records)
+    dists = [r.distance_mm / 10.0 for r in packet.records]
+
+    def library_solve(plan, floats, room, prior=None):
+        return estimate_position(anchors, dists, room, prior)
+
+    with mock.patch.object(server_module, "solve", library_solve):
+        return server.ingest(packet)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -10,6 +11,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from occloc import solver
 from occloc.geometry import Point3, RoomConfig, distance
+from occloc.server import (
+    ANCHOR_CACHE_SIZE,
+    DetectionPacket,
+    DetectionRecord,
+    LedRegistry,
+    LightingServer,
+)
 from occloc.solver import (
     CEILING_TOLERANCE_CM,
     AnchorMeasurement,
@@ -301,7 +309,7 @@ class TestResidual:
         anchors = tuple(Point3(x, y, ceiling) for x, y in xy)
         dists = dists[: len(xy)]
         p = Point3(*position)
-        got = solver._AnchorGeometry(anchors).residual_cm(dists, p)
+        got = solver.AnchorPlan(anchors).residual_cm(dists, p)
         with mpmath.workdps(50):
             gaps = [
                 mpmath.sqrt((mpmath.mpf(a.x) - p.x) ** 2 + (mpmath.mpf(a.y) - p.y) ** 2
@@ -737,7 +745,7 @@ class TestExactReference:
             assert [p.z for p in pool] == [float(h)]
 
 
-class _SvdReference(solver._AnchorGeometry):
+class _SvdReference(solver.AnchorPlan):
     """The solve plan with the former array formulas in place of its float
     sums: p = ((U_r^T rhs) / 2s_r) V_r^T over one numpy SVD of the centered
     anchor xy, and the residual through the row norms. Paths and decisions
@@ -769,7 +777,7 @@ class _SvdReference(solver._AnchorGeometry):
 
 def _svd_reference_estimate(anchors, dists, room):
     """estimate_position with every plan taken from _SvdReference."""
-    with mock.patch.object(solver, "_anchor_geometry", _SvdReference):
+    with mock.patch.object(solver, "AnchorPlan", _SvdReference):
         return estimate_position(anchors, dists, room)
 
 
@@ -958,39 +966,44 @@ def _outcome(solve, *args) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _every_outcome(ms, prior):
-    """The outcome of every entry point that takes this many measurements."""
-    outcomes = [
-        _outcome(estimate, ms, ROOM, prior),
-        _outcome(trilaterate_collinear, ms, None if prior is None else prior.z),
-    ]
-    if len(ms) == 3:
-        outcomes.append(_outcome(trilaterate, ms))
-    if len(ms) >= 4:
-        outcomes.append(_outcome(multilaterate, ms))
-    return outcomes
+def _registry_of(*anchor_sets):
+    """A registry holding each anchor set in turn, each fixture under its own
+    key (j, k) for anchor j of set k, and the index tuple of each set."""
+    entries = {(j, k): a for k, anchors in enumerate(anchor_sets) for j, a in enumerate(anchors)}
+    registry = LedRegistry(entries)
+    keys = list(entries)
+    return registry, [tuple(keys.index((j, k)) for j in range(len(anchors)))
+                      for k, anchors in enumerate(anchor_sets)]
 
 
-class TestAnchorCache:
-    """The per-process anchor-geometry cache changes no result: a solve over an
-    anchor set that an earlier solve, with other distances, put in the cache
-    gives the bits of a solve with the cache empty."""
+class TestPlanCache:
+    """The registry's plan cache, keyed by fixture indices, changes no result:
+    a solve from a plan that an earlier solve, with other distances, put in
+    the cache gives the bits of a solve with the cache empty, and the bits of
+    estimate_position, which builds its plan per call."""
 
     @staticmethod
     def _warm_and_cold(anchors, dists, other_dists, prior=None):
-        """Outcomes with the cache warmed and cold. The warm-up solves a set
-        shifted by 37 cm first, so that a lookup matching on less than the
-        anchors themselves would find a wrong entry, then the same anchors with
-        other distances."""
-        ms = [AnchorMeasurement(a, d) for a, d in zip(anchors, dists)]
+        """The library outcome, and the registry outcomes with the cache cold
+        and warm. The warm-up solves a set shifted by 37 cm first, so that a
+        lookup matching on less than the indices themselves would find a wrong
+        entry, then the same anchors with other distances."""
         shifted = [Point3(a.x + 37.0, a.y, a.z) for a in anchors]
-        solver._anchor_geometry.cache_clear()
-        cold = _every_outcome(ms, prior)
-        solver._anchor_geometry.cache_clear()
-        for warm_up, ds in ((shifted, dists), (anchors, other_dists)):
-            _every_outcome([AnchorMeasurement(a, d) for a, d in zip(warm_up, ds)], prior)
-        warm = _every_outcome(ms, prior)
-        return warm, cold, ms
+        registry, (indices, shifted_indices) = _registry_of(anchors, shifted)
+
+        def outcome(idx, ds):
+            return _outcome(lambda: solver.solve(registry.plan(idx), ds, ROOM, prior))
+
+        library = _outcome(estimate_position, tuple(anchors), dists, ROOM, prior)
+        registry.plan.cache_clear()
+        cold = outcome(indices, dists)
+        registry.plan.cache_clear()
+        outcome(shifted_indices, dists)
+        outcome(indices, other_dists)
+        hits = registry.plan.cache_info().hits
+        warm = outcome(indices, dists)
+        assert registry.plan.cache_info().hits == hits + 1
+        return library, cold, warm
 
     @pytest.mark.parametrize(
         "truth, anchors_xy, offset_cm, prior, method, z",
@@ -1009,9 +1022,13 @@ class TestAnchorCache:
         exact = measure_from(truth, anchors_xy)
         anchors = [m.anchor for m in exact]
         dists = [m.distance_cm + offset_cm for m in exact]
-        warm, cold, ms = self._warm_and_cold(anchors, dists, [d + 3.0 for d in dists], prior)
-        assert warm == cold
-        est = estimate(ms, ROOM, prior)
+        library, cold, warm = self._warm_and_cold(
+            anchors, dists, [d + 3.0 for d in dists], prior
+        )
+        assert warm == cold == library
+        est = estimate(
+            [AnchorMeasurement(a, d) for a, d in zip(anchors, dists)], ROOM, prior
+        )
         assert est.method is method
         if z is not None:
             assert est.position.z == z
@@ -1037,42 +1054,42 @@ class TestAnchorCache:
         dists = [max(d + e, 1e-3) for d, e in zip(exact, noise[:8])]
         other = [max(d + e, 1e-3) for d, e in zip(exact, noise[8:])]
         prior = Point3(x + 5.0, y - 5.0, z) if with_prior else None
-        warm, cold, _ = self._warm_and_cold(anchors, dists, other, prior)
-        assert warm == cold
-
-    def test_signed_zero_anchors_share_one_geometry(self):
-        dists = [120.0, 130.0, 140.0, 150.0]
-        plus = [Point3(0.0, 0.0, 300), Point3(150, 0.0, 300), Point3(0.0, 150, 300),
-                Point3(-150, 150, 300)]
-        minus = [Point3(-0.0, -0.0, 300), Point3(150, -0.0, 300), Point3(-0.0, 150, 300),
-                 Point3(-150, 150, 300)]
-        solver._anchor_geometry.cache_clear()
-        cold = _every_outcome([AnchorMeasurement(a, d) for a, d in zip(minus, dists)], None)
-        solver._anchor_geometry.cache_clear()
-        _every_outcome([AnchorMeasurement(a, d) for a, d in zip(plus, dists)], None)
-        warm = _every_outcome([AnchorMeasurement(a, d) for a, d in zip(minus, dists)], None)
-        assert warm == cold
+        library, cold, warm = self._warm_and_cold(anchors, dists, other, prior)
+        assert warm == cold == library
 
     @settings(max_examples=50, deadline=None)
     @given(dz=st.floats(2 * CEILING_TOLERANCE_CM, 50.0), which=st.integers(0, 3))
     def test_mixed_heights_raise_on_every_call(self, dz, which):
+        """The library path raises on every call; a registry refuses the set
+        when it is built, so no plan of it can be cached."""
         anchors = [Point3(x, y, 300.0) for x, y in [(0, 0), (150, 0), (0, 150), (150, 150)]]
         anchors[which] = Point3(anchors[which].x, anchors[which].y, 300.0 - dz)
         ms = [AnchorMeasurement(a, 200.0) for a in anchors]
-        solver._anchor_geometry.cache_clear()
         for _ in range(3):
             for solve in (lambda: estimate(ms, ROOM), lambda: multilaterate(ms)):
                 with pytest.raises(ValueError, match="share one ceiling"):
                     solve()
-        info = solver._anchor_geometry.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 6, 0)
+        with pytest.raises(ValueError, match="share the ceiling height"):
+            _registry_of(anchors)
+
+    def test_a_set_that_fails_its_checks_raises_on_every_call_and_is_never_stored(self):
+        """A registered anchor past MAX_DISTANCE_CM fails the plan's checks."""
+        anchors = [Point3(0, 0, 300.0), Point3(150, 0, 300.0),
+                   Point3(2 * solver.MAX_DISTANCE_CM, 150, 300.0)]
+        registry, (indices,) = _registry_of(anchors)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="anchor coordinates must lie under"):
+                registry.plan(indices)
+        info = registry.plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
     def test_cached_plan_holds_floats_and_tuples_only(self):
         ms = measure_from(Point3(50, 60, 100), [(0, 0), (150, 0), (0, 150), (150, 150)])
-        estimate(ms, ROOM)
-        hits = solver._anchor_geometry.cache_info().hits
-        geometry = solver._anchor_geometry(tuple(m.anchor for m in ms))
-        assert solver._anchor_geometry.cache_info().hits == hits + 1
+        registry, (indices,) = _registry_of([m.anchor for m in ms])
+        registry.plan(indices)
+        hits = registry.plan.cache_info().hits
+        plan = registry.plan(indices)
+        assert registry.plan.cache_info().hits == hits + 1
 
         def leaves(value):
             if type(value) is tuple:
@@ -1081,31 +1098,37 @@ class TestAnchorCache:
             else:
                 yield value
 
-        for name in solver._AnchorGeometry.__slots__:
-            value = getattr(geometry, name)
+        for name in solver.AnchorPlan.__slots__:
+            value = getattr(plan, name)
             assert type(value) in (tuple, float, int, bool), name
             for leaf in leaves(value):
                 assert type(leaf) in (float, int, bool, type(None)), name
 
     @EACH_PATH
     def test_a_cached_plan_solves_without_numpy(self, truth, anchors_xy, offset_cm, method, z):
-        ms = [AnchorMeasurement(m.anchor, m.distance_cm + offset_cm)
-              for m in measure_from(truth, anchors_xy)]
-        before = _every_outcome(ms, None)
+        ms = measure_from(truth, anchors_xy)
+        dists = [m.distance_cm + offset_cm for m in ms]
+        registry, (indices,) = _registry_of([m.anchor for m in ms])
+
+        def outcome():
+            return _outcome(lambda: solver.solve(registry.plan(indices), dists, ROOM))
+
+        before = outcome()
         with mock.patch.object(solver, "np", None):
-            assert _every_outcome(ms, None) == before
+            assert outcome() == before
+        assert registry.plan.cache_info().hits == 1
 
     def test_cache_stays_within_its_bound(self):
-        cache = solver._anchor_geometry
-        cache.cache_clear()
-        sets = []
-        for i in range(solver.ANCHOR_CACHE_SIZE + 10):
-            x0 = 0.25 * i
-            ms = measure_from(Point3(x0 + 50, 60, 100), [(x0, 0), (x0 + 150, 0), (x0, 150)])
-            estimate(ms, ROOM)
-            sets.append(tuple(m.anchor for m in ms))
-            assert cache.cache_info().currsize <= solver.ANCHOR_CACHE_SIZE
-        assert cache.cache_info().currsize == solver.ANCHOR_CACHE_SIZE
+        # 30 fixtures on a 150 cm grid hold 4,060 sets of three
+        anchors = [Point3(150.0 * (i % 6), 150.0 * (i // 6), 300.0) for i in range(30)]
+        registry, _ = _registry_of(anchors)
+        cache = registry.plan
+        sets = list(itertools.islice(itertools.combinations(range(30), 3),
+                                     ANCHOR_CACHE_SIZE + 10))
+        for s in sets:
+            cache(s)
+            assert cache.cache_info().currsize <= ANCHOR_CACHE_SIZE
+        assert cache.cache_info().currsize == ANCHOR_CACHE_SIZE
         # the oldest sets went first: the newer ones all hit, then the oldest
         # all miss (each miss evicts a set already checked)
         hits, misses = cache.cache_info()[:2]
@@ -1115,3 +1138,42 @@ class TestAnchorCache:
         for s in sets[:10]:
             cache(s)
         assert cache.cache_info()[:2] == (hits + len(sets) - 10, misses + 10)
+
+    def test_servers_on_one_registry_share_its_plans(self):
+        """A fleet replay or an ensemble member builds a fresh server on a
+        shared registry; the second server's solves find the first's plans."""
+        registry = _grid_registry([(450, 450), (600, 450), (450, 600), (600, 600)])
+        packet = _packet(Point3(500, 520, 100), 0, registry)
+        first = LightingServer(registry, ROOM).ingest(packet)
+        assert registry.plan.cache_info()[:2] == (0, 1)
+        second = LightingServer(registry, ROOM).ingest(packet)
+        assert registry.plan.cache_info()[:2] == (1, 1)
+        assert repr(second) == repr(first)
+
+    def test_a_warm_ingest_hashes_no_point(self):
+        registry = _grid_registry([(450, 450), (600, 450), (450, 600), (600, 600), (750, 450)])
+        server = LightingServer(registry, ROOM)
+        server.ingest(_packet(Point3(500, 520, 100), 0, registry))
+
+        def no_hash(self):
+            raise AssertionError("a Point3 was hashed")
+
+        with mock.patch.object(Point3, "__hash__", no_hash):
+            with pytest.raises(AssertionError, match="hashed"):
+                hash(Point3(0, 0, 0))
+            result = server.ingest(_packet(Point3(510, 525, 100), 1000, registry))
+        assert not result.cold_start
+        assert registry.plan.cache_info().hits == 1
+
+
+def _grid_registry(anchors_xy):
+    """A registry of fixtures at whole-centimetre xy on the 300 cm ceiling,
+    each broadcasting its own xy."""
+    return LedRegistry({xy: Point3(*xy, 300.0) for xy in anchors_xy})
+
+
+def _packet(truth: Point3, ts_ms: int, registry: LedRegistry):
+    """A packet with the exact distance to every fixture of the registry."""
+    return DetectionPacket("s", ts_ms, tuple(
+        DetectionRecord(int(a.x), int(a.y), 10.0 * distance(truth, a)) for a in registry.anchors
+    ))
