@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -21,6 +20,25 @@ from . import harness, plots
 
 SEED_ENV_VAR = "OCC_SEED"
 MAX_GRID_POINTS = 100_000  # largest sweep grid a command builds
+
+# Each command's run flags: name, type, default and help. The parser, the
+# resolution of each value and the manifest's params all read this table.
+FLAGS = {
+    "track": (),
+    "ber": (
+        ("snir-min", float, 0.0, "grid start in dB"),
+        ("snir-max", float, 15.0, "grid end in dB"),
+        ("snir-step", float, 1.0, "grid step in dB"),
+        ("bits", int, 100_000, "bits per point"),
+    ),
+    "range": (
+        ("d-min-m", float, 1.0, "grid start in m"),
+        ("d-max-m", float, 120.0, "grid end in m"),
+        ("points", int, 120, "grid size"),
+    ),
+    "filtercmp": (("ensemble", int, 100, "ensemble size"),),
+    "validate": (),
+}
 
 
 class ConfigError(Exception):
@@ -33,7 +51,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
 
 
@@ -51,6 +69,8 @@ def load_scenario(args):
         data = _load_json(args.scenario)
         if isinstance(data, dict) and data.get("tool") == "occloc":
             manifest_params = data.get("params", {})
+            if type(manifest_params) is not dict:
+                raise ConfigError(f"manifest {args.scenario} params must be a JSON object")
             if "scenario" not in data:
                 raise ConfigError(f"manifest {args.scenario} carries no scenario")
             data = data["scenario"]
@@ -65,11 +85,7 @@ def load_scenario(args):
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
     if args.seed is not None:
         data = {**data, "seed": args.seed}
-    try:
-        scenario = harness.scenario_from_dict(data)
-    except harness.ScenarioError as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
-    return scenario, manifest_params
+    return harness.scenario_from_dict(data), manifest_params
 
 
 def _write_manifest(out_dir, command, scenario, params, outputs):
@@ -87,13 +103,31 @@ def _write_manifest(out_dir, command, scenario, params, outputs):
         fh.write("\n")
 
 
-def _param(args, manifest_params, name, default):
-    value = getattr(args, name.replace("-", "_"))
-    if value is not None:
-        return value
-    if name in manifest_params:
-        return manifest_params[name]
-    return default
+def _checked(value, where: str, kind):
+    """A flag's value as its type: an int for an int flag, an int or a float
+    for a float flag; not a boolean, and finite as a float."""
+    if type(value) not in (int, kind):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {noun}, not {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be finite and within the float range, not {value!r}")
+    return kind(value)
+
+
+def _flags(args, manifest_params: dict) -> "tuple[dict, dict]":
+    """The command's flag values, and the params its manifest echoes. A flag
+    left off the command line takes the replayed manifest's value, checked as
+    the flag's own, else its default."""
+    values, given = {}, {}
+    for name, kind, default, _ in FLAGS[args.command]:
+        flag = getattr(args, name.replace("-", "_"))
+        if flag is not None:
+            values[name] = given[name] = _checked(flag, f"--{name}", kind)
+        elif name in manifest_params:
+            values[name] = _checked(manifest_params[name], f"manifest params.{name}", kind)
+        else:
+            values[name] = default
+    return values, {**manifest_params, **given}
 
 
 def _out_path(args, name: str) -> str:
@@ -103,7 +137,7 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def cmd_track(args, scenario, manifest_params) -> list[str]:
+def cmd_track(args, scenario, flags) -> list[str]:
     records = harness.run_tracking(scenario)
     harness.write_track_csv(records, _out_path(args, "track.csv"))
     if args.plot:
@@ -122,18 +156,15 @@ def cmd_track(args, scenario, manifest_params) -> list[str]:
     return ["track.csv"]
 
 
-def cmd_ber(args, scenario, manifest_params) -> list[str]:
-    lo = float(_param(args, manifest_params, "snir-min", 0.0))
-    hi = float(_param(args, manifest_params, "snir-max", 15.0))
-    step = float(_param(args, manifest_params, "snir-step", 1.0))
-    bits = int(_param(args, manifest_params, "bits", 100_000))
+def cmd_ber(args, scenario, flags) -> list[str]:
+    lo, hi, step, bits = (flags[k] for k in ("snir-min", "snir-max", "snir-step", "bits"))
     if not -harness.MAX_SNIR_DB <= lo <= hi <= harness.MAX_SNIR_DB:
         raise ConfigError(
             f"--snir-min {lo} and --snir-max {hi} must satisfy "
             f"-{harness.MAX_SNIR_DB} <= snir-min <= snir-max <= {harness.MAX_SNIR_DB} dB"
         )
-    if not (math.isfinite(step) and step > 0):
-        raise ConfigError(f"--snir-step must be finite and positive, got {step}")
+    if step <= 0:
+        raise ConfigError(f"--snir-step must be positive, got {step}")
     if bits < harness.MIN_BER_BITS:
         raise ConfigError(f"--bits must be at least {harness.MIN_BER_BITS}, got {bits}")
     grid = []
@@ -163,13 +194,11 @@ def cmd_ber(args, scenario, manifest_params) -> list[str]:
     return outputs
 
 
-def cmd_range(args, scenario, manifest_params) -> list[str]:
-    lo = float(_param(args, manifest_params, "d-min-m", 1.0))
-    hi = float(_param(args, manifest_params, "d-max-m", 120.0))
-    n = int(_param(args, manifest_params, "points", 120))
-    if n < 2 or n > MAX_GRID_POINTS or not lo < hi < math.inf:
+def cmd_range(args, scenario, flags) -> list[str]:
+    lo, hi, n = (flags[k] for k in ("d-min-m", "d-max-m", "points"))
+    if n < 2 or n > MAX_GRID_POINTS or hi <= lo:
         raise ConfigError(
-            f"range sweep needs 2 <= --points <= {MAX_GRID_POINTS} and a finite "
+            f"range sweep needs 2 <= --points <= {MAX_GRID_POINTS} and "
             f"--d-max-m > --d-min-m, got {n} points over [{lo}, {hi}] m"
         )
     # pixel_count's far-field model needs every fixture beyond the focal length
@@ -198,8 +227,8 @@ def cmd_range(args, scenario, manifest_params) -> list[str]:
     return outputs
 
 
-def cmd_filtercmp(args, scenario, manifest_params) -> list[str]:
-    ensemble = int(_param(args, manifest_params, "ensemble", 100))
+def cmd_filtercmp(args, scenario, flags) -> list[str]:
+    ensemble = flags["ensemble"]
     if ensemble < 1:
         raise ConfigError(f"--ensemble must be at least 1, got {ensemble}")
     if not scenario.distance_sigma_cm > 0:
@@ -227,7 +256,7 @@ def cmd_filtercmp(args, scenario, manifest_params) -> list[str]:
     return outputs
 
 
-def cmd_validate(args, scenario, manifest_params) -> list[str]:
+def cmd_validate(args, scenario, flags) -> list[str]:
     luminaires = scenario.build_luminaires()
     # scan at the highest camera position: the view cone is narrowest there
     camera_z = max(wp[2] for wp in scenario.waypoints_cm)
@@ -249,11 +278,12 @@ def cmd_validate(args, scenario, manifest_params) -> list[str]:
 
 
 _COMMANDS = {
-    "track": cmd_track,
-    "ber": cmd_ber,
-    "range": cmd_range,
-    "filtercmp": cmd_filtercmp,
-    "validate": cmd_validate,
+    "track": (cmd_track, "run the tracking pipeline, write track.csv"),
+    "ber": (cmd_ber, "OOK BER sweep, write ber.csv"),
+    "range": (cmd_range, "feasibility sweep over distance, write range.csv"),
+    "filtercmp": (cmd_filtercmp, "filtered vs raw error ensemble, write filtercmp.csv "
+                  "(default scenario: the reference filter comparison)"),
+    "validate": (cmd_validate, "check scenario invariants and the visibility guarantee"),
 }
 
 
@@ -265,61 +295,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"occloc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--scenario", help="scenario JSON (or a previous run's manifest.json)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--plot", action="store_true", help="emit SVG charts next to the CSVs")
-
-    p = sub.add_parser("track", help="run the tracking pipeline, write track.csv")
-    common(p)
-    p = sub.add_parser("ber", help="OOK BER sweep, write ber.csv")
-    common(p)
-    p.add_argument("--snir-min", type=float, default=None, help="grid start in dB (default 0)")
-    p.add_argument("--snir-max", type=float, default=None, help="grid end in dB (default 15)")
-    p.add_argument("--snir-step", type=float, default=None, help="grid step in dB (default 1)")
-    p.add_argument("--bits", type=int, default=None, help="bits per point (default 1e5)")
-    p = sub.add_parser("range", help="feasibility sweep over distance, write range.csv")
-    common(p)
-    p.add_argument("--d-min-m", type=float, default=None, help="grid start in m (default 1)")
-    p.add_argument("--d-max-m", type=float, default=None, help="grid end in m (default 120)")
-    p.add_argument("--points", type=int, default=None, help="grid size (default 120)")
-    p = sub.add_parser("filtercmp", help="filtered vs raw error ensemble, write filtercmp.csv "
-                       "(default scenario: the reference filter comparison)")
-    common(p)
-    p.add_argument("--ensemble", type=int, default=None, help="ensemble size (default 100)")
-    p = sub.add_parser("validate", help="check scenario invariants and the visibility guarantee")
-    common(p)
+        for name, kind, default, help_text in FLAGS[command]:
+            p.add_argument(f"--{name}", type=kind, help=f"{help_text} (default {default:g})")
     return parser
-
-
-def _collect_params(args) -> dict:
-    params = {}
-    for key in ("snir-min", "snir-max", "snir-step", "bits", "d-min-m", "d-max-m",
-                "points", "ensemble"):
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            params[key] = getattr(args, attr)
-    return params
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario, manifest_params = load_scenario(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        outputs = _COMMANDS[args.command](args, scenario, manifest_params)
+        flags, params = _flags(args, manifest_params)
+        outputs = _COMMANDS[args.command][0](args, scenario, flags)
         if args.command != "validate":
-            params = {**manifest_params, **_collect_params(args)}
             _write_manifest(args.out, args.command, scenario, params, outputs)
             for name in outputs:
                 print(os.path.join(args.out, name))
         return 0
-    except ConfigError as exc:
+    except (ConfigError, harness.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

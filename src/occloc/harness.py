@@ -13,7 +13,7 @@ child seeds arithmetically so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -100,15 +100,17 @@ class FixtureSpec:
             if self.width_mm is None or self.height_mm is None:
                 raise ScenarioError("rectangular fixture needs width_mm and height_mm")
             return Rectangular(self.width_mm, self.height_mm)
-        raise ScenarioError(f"unknown fixture shape {self.shape!r}")
+        raise ScenarioError(f"fixture.shape must be circular or rectangular, not {self.shape!r}")
+
+    def __post_init__(self):
+        # a fixture that cannot be stamped fails when its scenario loads
+        self.make_luminaire(0, Point3(0.0, 0.0, 0.0))
 
     def make_luminaire(self, led_id: int, anchor: Point3) -> Luminaire:
         return Luminaire(
             led_id=led_id, anchor=anchor, shape=self.make_shape(), area_mm2=self.area_mm2
         )
 
-
-DEFAULT_FIXTURE = asdict(FixtureSpec())
 
 
 @dataclass(frozen=True)
@@ -556,13 +558,15 @@ def visibility_scan(scenario: Scenario, camera_height_cm: float = 100.0) -> Visi
     floor position at least SCAN_MARGIN_CM from the walls sees; ok when every
     scanned point sees at least three."""
     luminaires = scenario.build_luminaires()
-    anchors = np.array([[l.anchor.x, l.anchor.y] for l in luminaires])
+    anchors = np.array([[l.anchor.x, l.anchor.y] for l in luminaires]).reshape(-1, 2)
     dz = scenario.room.ceiling_height_cm - camera_height_cm
     if dz <= 0:
         raise ValueError("camera must sit below the ceiling")
     reach = dz * math.tan(math.radians(scenario.camera.fov_semi_angle_deg))
     xs = np.arange(SCAN_MARGIN_CM, scenario.room.width_cm - SCAN_MARGIN_CM + 1e-9, SCAN_STEP_CM)
     ys = np.arange(SCAN_MARGIN_CM, scenario.room.depth_cm - SCAN_MARGIN_CM + 1e-9, SCAN_STEP_CM)
+    if not (xs.size and ys.size):
+        raise ScenarioError(f"the room has no point {SCAN_MARGIN_CM} cm from every wall to scan")
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     d2 = ((pts[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
@@ -633,10 +637,20 @@ def default_filtercmp_scenario() -> Scenario:
 # --- scenario <-> dict mapping (strict: unknown keys are rejected) ---------
 
 
-def _strict(d: dict, allowed: "set[str]", where: str):
-    unknown = set(d) - allowed
+def _object(value, where: str, keys) -> dict:
+    """A scenario file's object, with no key outside keys."""
+    if type(value) is not dict:
+        raise ScenarioError(f"{where} must be a JSON object, not {value!r}")
+    unknown = value.keys() - keys
     if unknown:
         raise ScenarioError(f"unknown {where} fields: {', '.join(sorted(unknown))}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if type(value) is not list:
+        raise ScenarioError(f"{where} must be a list, not {value!r}")
+    return value
 
 
 def _number(value, where: str) -> float:
@@ -650,115 +664,101 @@ def _number(value, where: str) -> float:
         raise ScenarioError(f"{where} lies past the float range") from None
 
 
-def _seed(value) -> int:
+def _point(value, where: str, n: int = 2) -> "tuple[float, ...]":
+    point = tuple(_number(v, where) for v in _list(value, where))
+    if len(point) != n:
+        raise ScenarioError(f"{where} needs [{', '.join('xyz'[:n])}], not {value!r}")
+    return point
+
+
+def _luminaires(value, where: str):  # null stands for the grid
+    return None if value is None else tuple(_point(xy, where) for xy in _list(value, where))
+
+
+def _waypoints(value, where: str):
+    return tuple(_point(wp, where, 3) for wp in _list(value, where))
+
+
+def _seed(value, where: str) -> int:
     """A scenario file's seed: an int, or a float with no fractional part."""
     if type(value) is float and value.is_integer():
         return int(value)
     if type(value) is not int:
-        raise ScenarioError(f"seed must be an integer, not {value!r}")
+        raise ScenarioError(f"{where} must be an integer, not {value!r}")
     return value
 
 
+def _fields(default):
+    """The reader of a room, camera or fixture section: default with the
+    file's values, each checked against the kind its dataclass field declares
+    and kept as the file gave it, so a manifest echoes an int as an int."""
+    kinds = {f.name: f.type for f in fields(default)}
+
+    def read(value, where: str):
+        given = _object(value, where, kinds.keys())
+        for name, v in given.items():
+            # the fixture checks its shape, the one string field, itself
+            if kinds[name] != "str" and not (v is None and "None" in kinds[name]):
+                _number(v, f"{where}.{name}")
+        if given.get("shape") == "rectangular":
+            # a rectangular fixture takes none of the circular default's sizes
+            given = {"radius_mm": None, "area_mm2": None, **given}
+        return replace(default, **given)
+
+    return read
+
+
+# Where each Scenario attribute sits in a scenario file, and its reader, which
+# takes the file's value and its path. Both directions of the mapping walk this.
+_FORMAT = {
+    "room": ("room", _fields(RoomConfig(**DEFAULT_ROOM))),
+    "camera": ("camera", _fields(CameraModel(**DEFAULT_CAMERA))),
+    "fixture": ("fixture", _fields(FixtureSpec())),
+    "led_grid": {"spacing_cm": ("led_spacing_cm", _number), "origin_cm": ("led_origin_cm", _point)},
+    "luminaires": ("explicit_led_xy_cm", _luminaires),
+    "trajectory": {"waypoints_cm": ("waypoints_cm", _waypoints),
+                   "speed_cm_s": ("speed_cm_s", _number)},
+    "sampling_hz": ("sampling_hz", _number),
+    "duration_s": ("duration_s", _number),
+    "noise": {"pixel_sigma": ("pixel_sigma", _number),
+              "distance_sigma_cm": ("distance_sigma_cm", _number)},
+    "seed": ("seed", _seed),
+}
+
+
+def _json(value):
+    """A Scenario attribute as its scenario file writes it."""
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return asdict(value) if is_dataclass(value) else value
+
+
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "room": asdict(s.room),
-        "camera": asdict(s.camera),
-        "fixture": asdict(s.fixture),
-        "led_grid": {
-            "spacing_cm": s.led_spacing_cm,
-            "origin_cm": list(s.led_origin_cm),
-        },
-        "luminaires": None
-        if s.explicit_led_xy_cm is None
-        else [list(xy) for xy in s.explicit_led_xy_cm],
-        "trajectory": {
-            "waypoints_cm": [list(wp) for wp in s.waypoints_cm],
-            "speed_cm_s": s.speed_cm_s,
-        },
-        "sampling_hz": s.sampling_hz,
-        "duration_s": s.duration_s,
-        "noise": {
-            "pixel_sigma": s.pixel_sigma,
-            "distance_sigma_cm": s.distance_sigma_cm,
-        },
-        "seed": s.seed,
-    }
+    def write(table: dict) -> dict:
+        return {key: write(entry) if type(entry) is dict else _json(getattr(s, entry[0]))
+                for key, entry in table.items()}
+    return write(_FORMAT)
+
+
+def _read(data, where: str, table: dict, values: dict):
+    """Read each value data gives into values, under its Scenario attribute."""
+    for key, value in _object(data, where or "scenario", table.keys()).items():
+        path = f"{where}.{key}" if where else key
+        if type(table[key]) is dict:
+            _read(value, path, table[key], values)
+        else:
+            attr, read = table[key]
+            values[attr] = read(value, path)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a scenario from a parsed config; absent fields take the desk-scale
-    defaults, unknown fields raise ScenarioError naming themselves."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
+    defaults. An unknown field, or a value of the wrong kind, raises
+    ScenarioError naming its path."""
+    values: dict = {}
     try:
-        _strict(
-            data,
-            {"room", "camera", "fixture", "led_grid", "luminaires", "trajectory",
-             "sampling_hz", "duration_s", "noise", "seed"},
-            "scenario",
-        )
-        base = Scenario()
-
-        room_d = data.get("room", {})
-        _strict(room_d, set(DEFAULT_ROOM), "room")
-        room = RoomConfig(**{**DEFAULT_ROOM, **room_d})
-
-        cam_d = data.get("camera", {})
-        _strict(cam_d, set(DEFAULT_CAMERA), "camera")
-        camera = CameraModel(**{**DEFAULT_CAMERA, **cam_d})
-
-        fix_d = data.get("fixture", {})
-        _strict(fix_d, set(DEFAULT_FIXTURE), "fixture")
-        merged = {**DEFAULT_FIXTURE, **fix_d}
-        if merged["shape"] == "rectangular":
-            # A rectangular override replaces the circular defaults wholesale.
-            merged["radius_mm"] = fix_d.get("radius_mm")
-            merged["area_mm2"] = fix_d.get("area_mm2")
-        fixture = FixtureSpec(**merged)
-
-        grid_d = data.get("led_grid", {})
-        _strict(grid_d, {"spacing_cm", "origin_cm"}, "led_grid")
-        spacing = _number(grid_d.get("spacing_cm", base.led_spacing_cm), "led_grid.spacing_cm")
-        origin = tuple(grid_d.get("origin_cm", list(base.led_origin_cm)))
-        if len(origin) != 2:
-            raise ScenarioError("led_grid.origin_cm must be [x, y]")
-        origin = tuple(_number(v, "led_grid.origin_cm") for v in origin)
-
-        lums = data.get("luminaires")
-        explicit = None if lums is None else tuple(
-            tuple(_number(v, "luminaires") for v in xy) for xy in lums
-        )
-
-        traj_d = data.get("trajectory", {})
-        _strict(traj_d, {"waypoints_cm", "speed_cm_s"}, "trajectory")
-        waypoints = tuple(
-            tuple(_number(v, "trajectory.waypoints_cm") for v in wp)
-            for wp in traj_d.get("waypoints_cm", [list(wp) for wp in base.waypoints_cm])
-        )
-        for wp in waypoints:
-            if len(wp) != 3:
-                raise ScenarioError(f"waypoint {list(wp)} must be [x, y, z]")
-
-        noise_d = data.get("noise", {})
-        _strict(noise_d, {"pixel_sigma", "distance_sigma_cm"}, "noise")
-
-        return Scenario(
-            room=room,
-            camera=camera,
-            fixture=fixture,
-            led_spacing_cm=spacing,
-            led_origin_cm=origin,
-            explicit_led_xy_cm=explicit,
-            waypoints_cm=waypoints,
-            speed_cm_s=_number(traj_d.get("speed_cm_s", base.speed_cm_s),
-                               "trajectory.speed_cm_s"),
-            sampling_hz=_number(data.get("sampling_hz", base.sampling_hz), "sampling_hz"),
-            duration_s=_number(data.get("duration_s", base.duration_s), "duration_s"),
-            pixel_sigma=_number(noise_d.get("pixel_sigma", base.pixel_sigma), "noise.pixel_sigma"),
-            distance_sigma_cm=_number(noise_d.get("distance_sigma_cm", base.distance_sigma_cm),
-                                      "noise.distance_sigma_cm"),
-            seed=_seed(data.get("seed", base.seed)),
-        )
+        _read(data, "", _FORMAT, values)
+        return Scenario(**values)
     except ScenarioError:
         raise
     except (TypeError, ValueError) as exc:

@@ -1,15 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import occloc
-from occloc.cli import main
+from occloc.cli import FLAGS, main
 from occloc.harness import (
     default_filtercmp_scenario,
     default_scenario,
@@ -344,3 +348,76 @@ class TestOtherCommands:
         scenario.write_text(json.dumps({"luminaires": [[75, 75], [225, 75], [75, 225]]}))
         assert main(["validate", "--scenario", str(scenario)]) == 2
         assert "visibility" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # 140 cm is narrower than twice the scan's 75 cm wall margin
+            ({"room": {"width_cm": 140, "depth_cm": 140},
+              "trajectory": {"waypoints_cm": [[70, 70, 100]]}},
+             "the room has no point 75.0 cm from every wall to scan"),
+            ({"luminaires": []}, "sees 0 < 3 fixtures"),
+        ],
+        ids=["room-too-small-to-scan", "empty-ceiling"],
+    )
+    def test_validate_on_a_scan_that_cannot_pass_exits_2(self, tmp_path, capsys, data, message):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(data))
+        assert main(["validate", "--scenario", str(scenario)]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestManifestParams:
+    """A replayed manifest's params are checked as the flags they stand for."""
+
+    @staticmethod
+    def _manifest(tmp_path, params):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"tool": "occloc", "scenario": {}, "params": params}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command, params, message",
+        [
+            ("ber", {"bits": "x"}, "manifest params.bits must be an integer, not 'x'"),
+            ("ber", {"snir-step": None}, "manifest params.snir-step must be a number, not None"),
+            ("range", {"points": 2.7}, "manifest params.points must be an integer, not 2.7"),
+            ("filtercmp", {"ensemble": True},
+             "manifest params.ensemble must be an integer, not True"),
+            ("ber", {"snir-max": float("inf")},
+             "manifest params.snir-max must be finite and within the float range, not inf"),
+            ("ber", [], "params must be a JSON object"),
+        ],
+        ids=["string-bits", "null-snir-step", "fractional-points", "boolean-ensemble",
+             "infinite-snir-max", "list-params"],
+    )
+    def test_a_param_of_the_wrong_kind_exits_2(self, tmp_path, capsys, command, params, message):
+        out = tmp_path / "o"
+        assert main([command, "--scenario", self._manifest(tmp_path, params),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        flag=st.sampled_from([(c, *f) for c, flags in FLAGS.items() for f in flags]),
+        wrong=st.one_of(
+            st.booleans(), st.text(max_size=4), st.none(),
+            st.lists(st.integers(0, 9), max_size=2),
+            st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=1),
+            st.integers(2**1024, 2**1100), st.integers(-(2**1100), -(2**1024)),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+    )
+    def test_a_wrong_kind_in_any_param_names_it(self, flag, wrong):
+        command, name, kind, _, _ = flag
+        # a finite float is the kind a float flag takes
+        assume(not (kind is float and type(wrong) is float and abs(wrong) < float("inf")))
+        with tempfile.TemporaryDirectory() as tmp:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--scenario", self._manifest(Path(tmp), {name: wrong}),
+                             "--out", os.path.join(tmp, "o")])
+            assert code == 2
+            assert f"manifest params.{name} " in err.getvalue()
+            assert not os.path.exists(os.path.join(tmp, "o"))

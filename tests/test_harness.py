@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from occloc import harness
 from occloc.harness import (
@@ -35,6 +35,22 @@ from occloc.harness import (
 from occloc.imaging import FeasibilityRegime, distance_from_pixels, observe_scene
 from occloc.geometry import Point3, Pose
 from occloc.server import LedRegistry
+
+
+def _slots(value, path=()):
+    """Every place in a scenario file, with the value there: each object key,
+    and the first entry of each list."""
+    yield path, value
+    if type(value) is dict:
+        for key, inner in value.items():
+            yield from _slots(inner, (*path, key))
+    elif type(value) is list and value:
+        yield from _slots(value[0], (*path, 0))
+
+
+# a scenario file that sets every field; the circular fixture ignores width_mm
+_FULL_FILE = scenario_to_dict(replace(default_scenario(), explicit_led_xy_cm=((75.0, 75.0),)))
+_FULL_FILE["fixture"]["width_mm"] = 120.0
 
 
 class TestScenarioConfig:
@@ -80,6 +96,29 @@ class TestScenarioConfig:
         assert written.keys() == data.keys()
         for section in ("room", "camera", "fixture"):
             assert data[section].items() <= written[section].items()
+
+    def test_readme_example_writes_what_it_wrote_before(self):
+        """The manifest echo of the README scenario, pinned value by value and
+        type by type: room, camera and fixture keep the file's ints, and every
+        other number is written as a float."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        data = json.loads(re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)[0])
+        expected = {
+            "room": {"width_cm": 1219, "depth_cm": 1219, "ceiling_height_cm": 300},
+            "camera": {"focal_length_mm": 5, "pixel_edge_mm": 0.0071, "fov_full_angle_deg": 120},
+            "fixture": {"shape": "circular", "radius_mm": 85, "width_mm": None,
+                        "height_mm": None, "area_mm2": 22700},
+            "led_grid": {"spacing_cm": 150.0, "origin_cm": [75.0, 75.0]},
+            "luminaires": [[75.0, 75.0], [225.0, 75.0]],
+            "trajectory": {"waypoints_cm": [[300.0, 300.0, 100.0], [900.0, 900.0, 100.0]],
+                           "speed_cm_s": 10.0},
+            "sampling_hz": 1.0,
+            "duration_s": 50.0,
+            "noise": {"pixel_sigma": 100.0, "distance_sigma_cm": 0.0},
+            "seed": 1,
+        }
+        written = scenario_to_dict(scenario_from_dict(data))
+        assert json.dumps(written, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
     def test_round_trip(self):
         s = default_filtercmp_scenario()
@@ -163,11 +202,37 @@ class TestScenarioConfig:
              "led_grid.origin_cm must be a number, not '75'"),
             ({"luminaires": [[75, 75], [225, True], [75, 225]]},
              "luminaires must be a number, not True"),
+            ({"room": {"width_cm": True}}, "room.width_cm must be a number, not True"),
+            ({"room": {"ceiling_height_cm": "300"}},
+             "room.ceiling_height_cm must be a number, not '300'"),
+            ({"camera": {"focal_length_mm": True}},
+             "camera.focal_length_mm must be a number, not True"),
+            ({"camera": {"fov_full_angle_deg": "120"}},
+             "camera.fov_full_angle_deg must be a number, not '120'"),
+            ({"fixture": {"radius_mm": True}}, "fixture.radius_mm must be a number, not True"),
+            ({"fixture": {"area_mm2": "22700"}}, "fixture.area_mm2 must be a number, not '22700'"),
+            ({"room": {"depth_cm": 10**400}}, "room.depth_cm lies past the float range"),
+            ({"fixture": {"shape": 1}}, "fixture.shape must be circular or rectangular, not 1"),
+            ({"fixture": {"shape": "hexagon"}},
+             "fixture.shape must be circular or rectangular, not 'hexagon'"),
+            ({"noise": []}, "noise must be a JSON object, not []"),
+            ({"trajectory": 5}, "trajectory must be a JSON object, not 5"),
+            ({"camera": None}, "camera must be a JSON object, not None"),
+            ({"luminaires": 5}, "luminaires must be a list, not 5"),
+            ({"luminaires": [[75, 75], "225, 75"]}, "luminaires must be a list, not '225, 75'"),
+            ({"trajectory": {"waypoints_cm": {"x": 300}}},
+             "trajectory.waypoints_cm must be a list, not {'x': 300}"),
+            ({"trajectory": {"waypoints_cm": [[300, 300]]}},
+             "trajectory.waypoints_cm needs [x, y, z], not [300, 300]"),
         ],
         ids=["fractional-seed", "boolean-seed", "string-seed", "null-seed", "boolean-rate",
              "string-duration", "huge-duration", "string-noise", "boolean-noise",
              "string-speed", "string-waypoint", "boolean-spacing", "string-origin",
-             "boolean-luminaire"],
+             "boolean-luminaire", "boolean-room", "string-room", "boolean-camera",
+             "string-camera", "boolean-fixture", "string-fixture", "huge-room",
+             "non-string-shape", "unknown-shape", "list-section", "number-section",
+             "null-section", "number-luminaires", "string-luminaire", "object-waypoints",
+             "short-waypoint"],
     )
     def test_mistyped_numbers_rejected(self, data, message):
         """float() and int() would take these, and the manifest would echo a
@@ -175,6 +240,39 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioError) as info:
             scenario_from_dict(data)
         assert str(info.value) == message
+
+    # the sizes a fixture may leave null, and the null that stands for the grid
+    NULLABLE = {"luminaires", "fixture.radius_mm", "fixture.width_mm", "fixture.height_mm",
+                "fixture.area_mm2"}
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        slot=st.sampled_from(list(_slots(_FULL_FILE))),
+        wrong=st.one_of(
+            st.booleans(), st.text(max_size=4), st.none(),
+            st.lists(st.integers(0, 9), max_size=2),
+            st.dictionaries(st.sampled_from(["x", "width_cm"]), st.integers(0, 9), max_size=1),
+            st.integers(2**1024, 2**1100), st.integers(-(2**1100), -(2**1024)),
+        ),
+    )
+    def test_a_wrong_kind_anywhere_names_its_path(self, slot, wrong):
+        path, value = slot
+        where = ".".join(k for k in path if type(k) is str) or "scenario"
+        # skip values of the kind the slot takes
+        assume(type(value) not in (dict, list) or type(wrong) is not type(value))
+        assume(not (wrong is None and where in self.NULLABLE))
+        assume(wrong not in ("circular", "rectangular"))
+        bad = json.loads(json.dumps(_FULL_FILE))
+        if path:
+            holder = bad
+            for key in path[:-1]:
+                holder = holder[key]
+            holder[path[-1]] = wrong
+        else:
+            bad = wrong
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(bad)
+        assert where in str(info.value)
 
     @pytest.mark.parametrize("seed, expected", [(7, 7), (7.0, 7), (0, 0), (2**64 - 1, 2**64 - 1)])
     def test_integral_seeds_accepted(self, seed, expected):
