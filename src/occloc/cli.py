@@ -20,6 +20,7 @@ from . import harness, plots
 
 SEED_ENV_VAR = "OCC_SEED"
 MAX_GRID_POINTS = 100_000  # largest sweep grid a command builds
+MAX_BER_BITS = 10**7  # most bits per BER point; each takes about 20 bytes at once
 
 # Each command's run flags: name, type, default and help. The parser, the
 # resolution of each value and the manifest's params all read this table.
@@ -46,11 +47,11 @@ class ConfigError(Exception):
 
 
 def _load_json(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"scenario file not found: {path}")
     try:
         with open(path) as fh:
             return json.load(fh)
+    except OSError as exc:  # a missing file, a directory, or a file it may not read
+        raise ConfigError(f"scenario file {path} cannot be read: {exc.strerror}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
 
@@ -165,8 +166,10 @@ def cmd_ber(args, scenario, flags) -> list[str]:
         )
     if step <= 0:
         raise ConfigError(f"--snir-step must be positive, got {step}")
-    if bits < harness.MIN_BER_BITS:
-        raise ConfigError(f"--bits must be at least {harness.MIN_BER_BITS}, got {bits}")
+    if not harness.MIN_BER_BITS <= bits <= MAX_BER_BITS:
+        raise ConfigError(
+            f"--bits must be within [{harness.MIN_BER_BITS}, {MAX_BER_BITS}], got {bits}"
+        )
     grid = []
     v = lo
     while v <= hi + 1e-9:

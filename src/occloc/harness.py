@@ -301,16 +301,20 @@ class _Ceiling:
 @dataclass(frozen=True)
 class _Tick:
     """One sample of the noise-free walk: the time, the truth, the fixtures
-    inside the view cone and their noise-free sightings, both in ceiling order,
-    and the ranged sightings (positive pixel area) with their distances in mm,
-    as a read-only array."""
+    inside the view cone, in ceiling order, and the ranged sightings (positive
+    pixel area) with their distances in mm."""
 
     t_s: float
     truth: Point3
     in_view: "tuple[Luminaire, ...]"
-    sightings: "tuple[Sighting, ...]"
     ranged: "tuple[Sighting, ...]"
-    dists_mm: np.ndarray
+    dists_mm: "tuple[float, ...]"
+
+
+def _ranged(sightings, tau_mm: float) -> "tuple[tuple[Sighting, ...], tuple[float, ...]]":
+    """The sightings with a positive pixel area, and their distances in mm."""
+    ranged = tuple(sig for sig in sightings if sig.pixel_area > 0)
+    return ranged, tuple(distance_from_pixels(tau_mm, sig.pixel_area) for sig in ranged)
 
 
 def _noise_free(scenario: Scenario) -> Scenario:
@@ -342,15 +346,10 @@ def _walk(scenario: Scenario) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
         t_s = k / scenario.sampling_hz
         truth = trajectory_point(scenario, t_s)
         reach = ceiling.within_reach(truth)
-        sightings = tuple(observe_scene(reach, Pose(truth), scenario.camera))
+        sightings = observe_scene(reach, Pose(truth), scenario.camera)
         seen = {sig.led_id for sig in sightings}
         in_view = tuple(lum for lum in reach if lum.led_id in seen)
-        ranged = tuple(sig for sig in sightings if sig.pixel_area > 0)
-        dists_mm = np.array(
-            [distance_from_pixels(ceiling.tau_mm, sig.pixel_area) for sig in ranged], dtype=float
-        )
-        dists_mm.setflags(write=False)
-        ticks.append(_Tick(t_s, truth, in_view, sightings, ranged, dists_mm))
+        ticks.append(_Tick(t_s, truth, in_view, *_ranged(sightings, ceiling.tau_mm)))
     return ceiling, tuple(ticks)
 
 
@@ -366,7 +365,9 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
     in the one order a fresh walk would: the pixel noise of every fixture in
     view first, through observe_scene, then the distance noise of every ranged
     sighting. Without pixel noise the walk's ranged distances serve as they
-    are, and the distance noise is added to them as one array."""
+    are. The distance noise of a tick is one draw of as many normals as it has
+    ranged sightings, which gives the stream of that many scalar draws, added
+    to the distances one by one."""
     ceiling, walk = _walk(_noise_free(scenario))
     tau_mm, coords = ceiling.tau_mm, ceiling.coords
     server = LightingServer(
@@ -383,16 +384,15 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
             sightings = observe_scene(
                 tick.in_view, Pose(tick.truth), scenario.camera, scenario.pixel_sigma, rng
             )
-            ranged = [sig for sig in sightings if sig.pixel_area > 0]
-            dists_mm = np.array([distance_from_pixels(tau_mm, sig.pixel_area) for sig in ranged])
+            ranged, dists_mm = _ranged(sightings, tau_mm)
         else:
-            sightings, ranged, dists_mm = tick.sightings, tick.ranged, tick.dists_mm
+            ranged, dists_mm = tick.ranged, tick.dists_mm
         if distance_sigma_mm > 0:
-            # one draw of k values is the stream of k scalar draws
-            dists_mm = dists_mm + rng.normal(0.0, distance_sigma_mm, size=len(dists_mm))
+            noise = rng.normal(0.0, distance_sigma_mm, size=len(dists_mm)).tolist()
+            dists_mm = [d + e for d, e in zip(dists_mm, noise)]
         detections = [
             DetectionRecord(*coords[sig.led_id], d_mm)
-            for sig, d_mm in zip(ranged, dists_mm.tolist())
+            for sig, d_mm in zip(ranged, dists_mm)
             if MIN_DISTANCE_MM < d_mm < MAX_DISTANCE_MM
         ]
 
@@ -407,10 +407,11 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
                 result = server.ingest(packet)
             except SolverError:
                 pass
-        truth = tick.truth
+        # every fixture in view gives one sighting, noisy or not
+        truth, visible = tick.truth, len(tick.in_view)
         if result is None:
             records.append(
-                RunRecord(tick.t_s, truth, len(sightings), None, None, None,
+                RunRecord(tick.t_s, truth, visible, None, None, None,
                           math.nan, math.nan, False, True)
             )
             continue
@@ -419,7 +420,7 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
             RunRecord(
                 t_s=tick.t_s,
                 truth=truth,
-                visible=len(sightings),
+                visible=visible,
                 raw=raw,
                 filtered=result.filtered,
                 predicted=result.predicted,
@@ -504,8 +505,8 @@ def run_filter_comparison(scenario: Scenario, ensemble_size: int = 100) -> "list
     both curves, after normalization) start at the same point.
 
     A tick where no member has an estimate scores nan, as a gap tick does in
-    track.csv; when tick 0 is such a tick there is nothing to normalize by,
-    and ValueError is raised.
+    track.csv; when tick 0 is such a tick, or every member's tick-0 error is
+    0, there is nothing to normalize by, and ValueError is raised.
     """
     if scenario.distance_sigma_cm <= 0:
         raise ValueError("filter comparison needs distance noise > 0")
@@ -514,34 +515,27 @@ def run_filter_comparison(scenario: Scenario, ensemble_size: int = 100) -> "list
     n = scenario.tick_count()
     if n < 2:
         raise ValueError("scenario too short to compare")
-    err_kf = np.full((ensemble_size, n - 1), np.nan)
-    err_raw = np.full((ensemble_size, n - 1), np.nan)
     truths_next = [tick.truth for tick in _walk(_noise_free(scenario))[1][1:]]
+    # per tick, the sums of the members' errors, added in member order, and
+    # how many members have an estimate there
+    sum_kf, sum_raw, count = [0.0] * (n - 1), [0.0] * (n - 1), [0] * (n - 1)
     for j in range(ensemble_size):
         member = replace(scenario, seed=_member_seed(scenario.seed, j))
-        records = run_tracking(member)
-        for k, truth_next in enumerate(truths_next):
-            rec = records[k]
+        for k, (rec, truth_next) in enumerate(zip(run_tracking(member), truths_next)):
             if rec.gap:
                 continue
-            err_kf[j, k] = math.hypot(
-                rec.predicted.x - truth_next.x, rec.predicted.y - truth_next.y
-            )
-            err_raw[j, k] = math.hypot(rec.raw.x - truth_next.x, rec.raw.y - truth_next.y)
-    # a member's two errors are set together, so they share one count; the
-    # mean over no member is 0/0, nan, without nanmean's warning
-    count = np.count_nonzero(~np.isnan(err_kf), axis=0)
+            sum_kf[k] += math.hypot(rec.predicted.x - truth_next.x, rec.predicted.y - truth_next.y)
+            sum_raw[k] += math.hypot(rec.raw.x - truth_next.x, rec.raw.y - truth_next.y)
+            count[k] += 1
     if count[0] == 0:
         raise ValueError("no member has an estimate at tick 0 to normalize by")
-    with np.errstate(invalid="ignore"):
-        mean_kf = np.nansum(err_kf, axis=0) / count
-        mean_raw = np.nansum(err_raw, axis=0) / count
+    mean_kf = [s / c if c else math.nan for s, c in zip(sum_kf, count)]
+    mean_raw = [s / c if c else math.nan for s, c in zip(sum_raw, count)]
+    if mean_kf[0] == 0 or mean_raw[0] == 0:
+        raise ValueError("every member's tick-0 error is 0, so there is nothing to normalize by")
     return [
-        FilterComparisonPoint(
-            k / scenario.sampling_hz,
-            float(mean_kf[k] / mean_kf[0]),
-            float(mean_raw[k] / mean_raw[0]),
-        )
+        FilterComparisonPoint(k / scenario.sampling_hz, mean_kf[k] / mean_kf[0],
+                              mean_raw[k] / mean_raw[0])
         for k in range(n - 1)
     ]
 
@@ -556,9 +550,11 @@ class VisibilityScan:
 def visibility_scan(scenario: Scenario, camera_height_cm: float = 100.0) -> VisibilityScan:
     """Exhaustive grid scan, at SCAN_STEP_CM pitch, of how many fixtures each
     floor position at least SCAN_MARGIN_CM from the walls sees; ok when every
-    scanned point sees at least three."""
+    scanned point sees at least three. The worst point is the first to see the
+    fewest, x-major; the scan holds the distances of one x-row at a time."""
     luminaires = scenario.build_luminaires()
-    anchors = np.array([[l.anchor.x, l.anchor.y] for l in luminaires]).reshape(-1, 2)
+    ax = np.array([l.anchor.x for l in luminaires], dtype=float)
+    ay = np.array([l.anchor.y for l in luminaires], dtype=float)
     dz = scenario.room.ceiling_height_cm - camera_height_cm
     if dz <= 0:
         raise ValueError("camera must sit below the ceiling")
@@ -567,14 +563,12 @@ def visibility_scan(scenario: Scenario, camera_height_cm: float = 100.0) -> Visi
     ys = np.arange(SCAN_MARGIN_CM, scenario.room.depth_cm - SCAN_MARGIN_CM + 1e-9, SCAN_STEP_CM)
     if not (xs.size and ys.size):
         raise ScenarioError(f"the room has no point {SCAN_MARGIN_CM} cm from every wall to scan")
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    d2 = ((pts[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
-    counts = (d2 <= reach * reach).sum(axis=1)
-    worst = int(np.argmin(counts))
+    dy2 = (ys[:, None] - ay) ** 2
+    counts = np.array([((x - ax) ** 2 + dy2 <= reach * reach).sum(axis=1) for x in xs.tolist()])
+    i, j = np.unravel_index(np.argmin(counts), counts.shape)
     return VisibilityScan(
-        min_visible=int(counts[worst]),
-        worst_xy_cm=(float(pts[worst, 0]), float(pts[worst, 1])),
+        min_visible=int(counts[i, j]),
+        worst_xy_cm=(float(xs[i]), float(ys[j])),
         ok=bool(counts.min() >= 3),
     )
 

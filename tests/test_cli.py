@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import occloc
-from occloc.cli import FLAGS, main
+from occloc.cli import FLAGS, MAX_BER_BITS, main
 from occloc.harness import (
     default_filtercmp_scenario,
     default_scenario,
@@ -51,6 +51,13 @@ class TestTrackCommand:
         code = main(["track", "--scenario", "/no/such/file.json", "--out", str(tmp_path)])
         assert code == 2
         assert "/no/such/file.json" in capsys.readouterr().err
+
+    def test_directory_as_scenario_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["track", "--scenario", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario file {tmp_path} cannot be read: Is a directory" in err
+        assert not out.exists()
 
     def test_invalid_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -307,6 +314,7 @@ class TestOtherCommands:
         [
             (["filtercmp", "--ensemble", "0"], "--ensemble"),
             (["ber", "--bits", "10"], "--bits"),
+            (["ber", "--bits", str(MAX_BER_BITS + 1)], "--bits"),
             (["range", "--d-min-m", "0"], "--d-min-m"),
             (["range", "--d-min-m", "0.004"], "--d-min-m"),
             (["range", "--points", "1"], "--points"),
@@ -314,8 +322,8 @@ class TestOtherCommands:
             (["ber", "--snir-min", "nan"], "--snir-min"),
             (["ber", "--snir-min", "3990", "--snir-max", "4000"], "--snir-max"),
         ],
-        ids=["ensemble-0", "bits-10", "d-min-0", "d-min-in-focal-length", "points-1",
-             "snir-max-below-min", "snir-min-nan", "snir-max-overflows"],
+        ids=["ensemble-0", "bits-10", "bits-past-the-cap", "d-min-0", "d-min-in-focal-length",
+             "points-1", "snir-max-below-min", "snir-min-nan", "snir-max-overflows"],
     )
     def test_out_of_range_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "o"

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,9 +14,13 @@ from occloc.harness import (
     BER_HEADER,
     FILTERCMP_HEADER,
     RANGE_HEADER,
+    SCAN_MARGIN_CM,
+    SCAN_STEP_CM,
     TRACK_HEADER,
+    FilterComparisonPoint,
     Scenario,
     ScenarioError,
+    VisibilityScan,
     default_filtercmp_scenario,
     default_scenario,
     range_boundaries_m,
@@ -33,7 +38,7 @@ from occloc.harness import (
     write_track_csv,
 )
 from occloc.imaging import FeasibilityRegime, distance_from_pixels, observe_scene
-from occloc.geometry import Point3, Pose
+from occloc.geometry import Point3, Pose, RoomConfig
 from occloc.server import LedRegistry
 
 
@@ -500,16 +505,17 @@ class TestWalkCache:
 
     def test_walk_matches_the_trajectory(self):
         s = self.BASE
-        _, walk = _cold(harness._walk, harness._noise_free(s))
+        ceiling, walk = _cold(harness._walk, harness._noise_free(s))
         assert [t.t_s for t in walk] == [k / s.sampling_hz for k in range(s.tick_count())]
         assert [t.truth for t in walk] == [trajectory_point(s, t.t_s) for t in walk]
         for tick in walk:
-            assert [sig.led_id for sig in tick.sightings] == [lum.led_id for lum in tick.in_view]
+            seen = observe_scene(ceiling.luminaires, Pose(tick.truth), s.camera)
+            assert [sig.led_id for sig in seen] == [lum.led_id for lum in tick.in_view]
 
 
 class TestCachedRanges:
     """Without pixel noise a run takes each tick's ranged distances from the
-    walk, and adds its distance noise to them as one array."""
+    walk, and adds its distance noise to them one by one."""
 
     BASE = replace(default_scenario(), duration_s=8.0, pixel_sigma=0.0, distance_sigma_cm=5.0)
 
@@ -526,10 +532,11 @@ class TestCachedRanges:
     def test_distances_are_the_scalar_inversions(self):
         ceiling, walk = _cold(harness._walk, harness._noise_free(self.BASE))
         for tick in walk:
-            assert tick.ranged == tuple(sig for sig in tick.sightings if sig.pixel_area > 0)
-            assert tick.dists_mm.tolist() == [
+            seen = observe_scene(tick.in_view, Pose(tick.truth), self.BASE.camera)
+            assert tick.ranged == tuple(sig for sig in seen if sig.pixel_area > 0)
+            assert tick.dists_mm == tuple(
                 distance_from_pixels(ceiling.tau_mm, sig.pixel_area) for sig in tick.ranged
-            ]
+            )
 
     def test_noise_sum_equals_the_scalar_loop(self, monkeypatch):
         s = self.BASE
@@ -551,12 +558,12 @@ class TestCachedRanges:
             expected.append([d + e for d, e in zip(dists, noise)])
         assert sent == [ds for ds in expected if ds]
 
-    def test_distance_array_is_read_only(self):
+    def test_distances_are_a_tuple_of_floats(self):
+        # every run reads the cached walk, so no run may change its distances
         _, walk = harness._walk(harness._noise_free(self.BASE))
         for tick in walk:
-            assert not tick.dists_mm.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                tick.dists_mm[...] = 1.0
+            assert type(tick.dists_mm) is tuple
+            assert all(type(d) is float for d in tick.dists_mm)
 
 
 class TestViewWindow:
@@ -713,6 +720,49 @@ class TestFilterComparison:
         with pytest.raises(ValueError, match="no member has an estimate at tick 0"):
             run_filter_comparison(scenario_from_dict(data), ensemble_size=3)
 
+    # a 4 x 3 fixture block in one corner: the walk leaves it at about tick 19,
+    # and with strong pixel noise some members lose it earlier than others
+    GAP_FILE = {"luminaires": [[x, y] for x in (75, 225, 375, 525) for y in (150, 300, 450)],
+                "trajectory": {"waypoints_cm": [[100, 300, 100], [1100, 300, 100]],
+                               "speed_cm_s": 40.0},
+                "duration_s": 25.0, "noise": {"distance_sigma_cm": 5.0}}
+
+    @pytest.mark.parametrize("pixel_sigma", [0.0, 8000.0])
+    def test_equals_the_means_of_the_ensemble_arrays(self, pixel_sigma):
+        """The per-tick running sums give, bit for bit, the means of the
+        members' errors held as (ensemble, ticks) arrays with nan at the gaps:
+        nansum down each column, divided by the column's member count."""
+        s = replace(scenario_from_dict(self.GAP_FILE), pixel_sigma=pixel_sigma)
+        size, n = 4, s.tick_count()
+        truths = [trajectory_point(s, k / s.sampling_hz) for k in range(1, n)]
+        err_kf, err_raw = np.full((size, n - 1), np.nan), np.full((size, n - 1), np.nan)
+        for j in range(size):
+            records = run_tracking(replace(s, seed=harness._member_seed(s.seed, j)))
+            for k, (rec, truth) in enumerate(zip(records, truths)):
+                if not rec.gap:
+                    err_kf[j, k] = math.hypot(rec.predicted.x - truth.x, rec.predicted.y - truth.y)
+                    err_raw[j, k] = math.hypot(rec.raw.x - truth.x, rec.raw.y - truth.y)
+        count = np.count_nonzero(~np.isnan(err_kf), axis=0)
+        assert (count == 0).any()
+        assert pixel_sigma == 0 or ((0 < count) & (count < size)).any()
+        with np.errstate(invalid="ignore"):
+            mean_kf = np.nansum(err_kf, axis=0) / count
+            mean_raw = np.nansum(err_raw, axis=0) / count
+        expected = [
+            FilterComparisonPoint(k / s.sampling_hz, float(mean_kf[k] / mean_kf[0]),
+                                  float(mean_raw[k] / mean_raw[0]))
+            for k in range(n - 1)
+        ]
+        assert repr(run_filter_comparison(s, size)) == repr(expected)
+
+    def test_a_tick_0_error_of_zero_raises(self):
+        # distance noise far below a float's resolution leaves a static
+        # phone's every tick-0 solve exact, so there is no error to divide by
+        s = replace(default_scenario(), waypoints_cm=((600.0, 600.0, 100.0),), speed_cm_s=0.0,
+                    pixel_sigma=0.0, distance_sigma_cm=1e-300, duration_s=4.0)
+        with pytest.raises(ValueError, match="nothing to normalize by"):
+            run_filter_comparison(s, 3)
+
     def test_filtered_energy_beats_raw(self):
         # delivered-position errors: the filter must not lose to the raw solver
         points = run_filter_comparison(default_filtercmp_scenario(), ensemble_size=10)
@@ -721,11 +771,59 @@ class TestFilterComparison:
         assert kf_rms <= raw_rms
 
 
+def _whole_grid_scan(scenario: Scenario, camera_height_cm: float) -> VisibilityScan:
+    """visibility_scan over one (points, fixtures, 2) array of offsets: the
+    reference that the row-by-row scan must match."""
+    anchors = np.array([[l.anchor.x, l.anchor.y] for l in scenario.build_luminaires()])
+    anchors = anchors.reshape(-1, 2)
+    dz = scenario.room.ceiling_height_cm - camera_height_cm
+    reach = dz * math.tan(math.radians(scenario.camera.fov_semi_angle_deg))
+    room = scenario.room
+    xs = np.arange(SCAN_MARGIN_CM, room.width_cm - SCAN_MARGIN_CM + 1e-9, SCAN_STEP_CM)
+    ys = np.arange(SCAN_MARGIN_CM, room.depth_cm - SCAN_MARGIN_CM + 1e-9, SCAN_STEP_CM)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    d2 = ((pts[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
+    counts = (d2 <= reach * reach).sum(axis=1)
+    worst = int(np.argmin(counts))
+    return VisibilityScan(int(counts[worst]), (float(pts[worst, 0]), float(pts[worst, 1])),
+                          bool(counts.min() >= 3))
+
+
 class TestVisibilityGuarantee:
     def test_interior_points_see_three_fixtures(self):
         scan = visibility_scan(default_scenario())
         assert scan.ok
         assert scan.min_visible >= 3
+
+    def test_memory_stays_below_the_whole_grid(self):
+        # a 20 m room's whole grid of offsets, 186 x 186 points by 196
+        # fixtures, takes over 100 MiB
+        s = replace(default_scenario(), room=RoomConfig(2000.0, 2000.0, 300.0))
+        tracemalloc.start()
+        try:
+            scan = visibility_scan(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scan.ok
+        assert peak < 8 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.lists(st.tuples(st.integers(0, 1300), st.integers(0, 1300)),
+                        max_size=16, unique=True),
+        width=st.sampled_from([160.0, 700.0, 1219.0]),
+        depth=st.sampled_from([300.0, 1000.0]),
+        camera_height=st.sampled_from([0.0, 100.0, 250.0, 299.0]),
+    )
+    def test_matches_the_whole_grid_scan(self, layout, width, depth, camera_height):
+        # whole-cm fixtures and camera heights give many ties in the counts,
+        # so the first worst point in x-major order is what is checked
+        s = replace(default_scenario(), room=RoomConfig(width, depth, 300.0),
+                    explicit_led_xy_cm=tuple((float(x), float(y)) for x, y in layout),
+                    waypoints_cm=((80.0, 80.0, 100.0),))
+        assert visibility_scan(s, camera_height) == _whole_grid_scan(s, camera_height)
 
 
 class TestCsvWriters:

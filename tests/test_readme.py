@@ -5,7 +5,9 @@ import re
 from pathlib import Path
 
 from occloc import server
-from occloc.cli import FLAGS
+from occloc.cli import FLAGS, MAX_BER_BITS, MAX_GRID_POINTS
+from occloc.harness import MAX_SNIR_DB
+from occloc.modem import MIN_BER_BITS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +31,12 @@ def test_command_line_block_names_every_flag_with_its_default():
     for command, flags in FLAGS.items():
         for name, _, default, _ in flags:
             assert f"--{name} {default:g}" in lines[command], (command, name)
+
+
+def test_exit_code_paragraph_states_the_bounds():
+    """The flag bounds the exit-code paragraph names are the constants' values."""
+    words = " ".join(re.search(r"\nExit codes: (.*?)\n\n", README.read_text(), re.S)
+                     .group(1).split())
+    for phrase in (f"`--bits` below {MIN_BER_BITS:,} or above {MAX_BER_BITS:,},",
+                   f"more than {MAX_GRID_POINTS:,} points", f"beyond ±{MAX_SNIR_DB:g} dB"):
+        assert phrase in words, phrase
