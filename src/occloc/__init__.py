@@ -45,7 +45,6 @@ from .modem import (
     ook_ber_theoretical,
 )
 from .solver import (
-    AnchorMeasurement,
     CollinearAnchors,
     CollinearFamily,
     DegenerateAnchors,
@@ -54,7 +53,6 @@ from .solver import (
     NoFeasibleCandidate,
     NoRealRoot,
     PositionEstimate,
-    RankDeficient,
     SolverError,
     estimate_position,
     multilaterate,

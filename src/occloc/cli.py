@@ -52,7 +52,9 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:  # a missing file, a directory, or a file it may not read
         raise ConfigError(f"scenario file {path} cannot be read: {exc.strerror}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
+    # a JSONDecodeError, an int too long to convert, or nesting past the
+    # parser's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
 
 

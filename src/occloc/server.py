@@ -343,12 +343,12 @@ class LightingServer:
         Every field is checked before the session is registered, and a bad one
         raises ValueError naming it. The snapshot holds exactly the keys that
         snapshot writes, and its tracker object exactly x, p and height_cm.
-        session_id is a string; last_seen_ms is an integer and last_probe_ms
-        an integer or null; missed_probes is an integer >= 0 and closed a
-        boolean. The filter state is 4 finite numbers x = (x, y, vx, vy), the 3
-        finite numbers p = (p_pos, p_cross, p_vel) of the per-axis covariance
-        block and the finite number height_cm. An earlier version's snapshot
-        is rejected."""
+        session_id is a string; last_seen_ms is an integer in [0, 2**64), the
+        packet timestamp range, and last_probe_ms one too or null;
+        missed_probes is an integer >= 0 and closed a boolean. The filter
+        state is 4 finite numbers x = (x, y, vx, vy), the 3 finite numbers
+        p = (p_pos, p_cross, p_vel) of the per-axis covariance block and the
+        finite number height_cm. An earlier version's snapshot is rejected."""
         if type(snapshot) is not dict:
             raise ValueError("snapshot must be an object")
         if snapshot.get("version") != SNAPSHOT_VERSION:
@@ -388,6 +388,11 @@ def _finite_number(value) -> bool:
         return False
 
 
+def _clock(value) -> bool:
+    """Whether value is a time a packet can carry: an int in [0, 2**64)."""
+    return type(value) is int and 0 <= value < 2**64
+
+
 def _check_session_fields(snapshot: dict):
     """Raise ValueError naming the first field besides tracker that a session
     cannot hold."""
@@ -397,9 +402,11 @@ def _check_session_fields(snapshot: dict):
             raise ValueError(f"snapshot field {name} must be {what}")
 
     require("session_id", type(snapshot["session_id"]) is str, "a string")
-    require("last_seen_ms", type(snapshot["last_seen_ms"]) is int, "an integer")
+    # a clock past the packet clock range would make every packet stale
+    require("last_seen_ms", _clock(snapshot["last_seen_ms"]), "an integer in [0, 2**64)")
     last_probe = snapshot["last_probe_ms"]
-    require("last_probe_ms", last_probe is None or type(last_probe) is int, "an integer or null")
+    require("last_probe_ms", last_probe is None or _clock(last_probe),
+            "an integer in [0, 2**64) or null")
     missed = snapshot["missed_probes"]
     require("missed_probes", type(missed) is int and missed >= 0, "an integer >= 0")
     require("closed", type(snapshot["closed"]) is bool, "a boolean")
@@ -447,8 +454,12 @@ def packet_from_line(line: str) -> DetectionPacket:
     """Parse one wire line; anything but a well-formed packet raises ValueError.
 
     Coordinates and the timestamp must be JSON integers (not booleans), the
-    distance a JSON number and the session id a string."""
-    obj = json.loads(line)
+    distance a JSON number and the session id a string. JSON nested deeper
+    than the parser's recursion limit is malformed too."""
+    try:
+        obj = json.loads(line)
+    except RecursionError:
+        raise ValueError("packet nests too deeply to parse") from None
     _check_fields(obj, _PACKET_FIELDS, "packet")
     if type(obj["records"]) is not list:
         raise ValueError("records must be a list")

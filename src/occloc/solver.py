@@ -6,9 +6,7 @@ indices, fetches the plan from its registry's cache and solves through it;
 its records' types already bound every distance. estimate_position, the
 library entry point, takes the anchor tuple and one sequence of distances,
 checks them in one pass (one per anchor, each a number, positive and below
-MAX_DISTANCE_CM), builds the plan and solves through the same solve. The
-dedicated solvers trilaterate, multilaterate and trilaterate_collinear take a
-list of AnchorMeasurement pairs instead.
+MAX_DISTANCE_CM), builds the plan and solves through the same solve.
 
 Every anchor sits on one ceiling plane z = h, so the sphere equations
 |P - a_j|^2 = d_j^2 separate. Let c_j be anchor j's horizontal offset from
@@ -70,6 +68,9 @@ SINGULAR_FLOOR_CM = 1e-6
 # sum a solve takes stays far inside the float range. 1e12 cm lies far beyond
 # any room.
 MAX_DISTANCE_CM = 1e12
+# A candidate this far below the floor or above the ceiling still counts as
+# inside the room: a root that rounding put at -6e-14 cm is the floor.
+ROOM_TOLERANCE_CM = 1e-9
 
 
 class SolverError(ValueError):
@@ -81,7 +82,7 @@ class InsufficientAnchors(SolverError):
 
 
 class CollinearAnchors(SolverError):
-    """Anchors lie on one line; the triangle solver does not apply."""
+    """Anchors lie on one line; trilaterate and multilaterate need a plane."""
 
 
 class DegenerateAnchors(SolverError):
@@ -92,22 +93,8 @@ class NoRealRoot(SolverError):
     """Measured distances admit no exact sphere intersection (noise too large)."""
 
 
-class RankDeficient(SolverError):
-    """The multilateration system carries less than the expected rank."""
-
-
 class NoFeasibleCandidate(SolverError):
     """Every candidate lies outside the room's vertical extent."""
-
-
-@dataclass(frozen=True)
-class AnchorMeasurement:
-    """One ranged fixture: its ceiling anchor and the measured distance in cm,
-    as trilaterate, multilaterate and trilaterate_collinear take them. The
-    solvers check the distance, as estimate_position does."""
-
-    anchor: Point3
-    distance_cm: float
 
 
 class Method(enum.Enum):
@@ -282,13 +269,6 @@ def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[AnchorPlan,
     return AnchorPlan(tuple(anchors)), dists
 
 
-def _measured(measurements) -> "tuple[AnchorPlan, list[float]]":
-    """The plan of the measurements' anchors, and their distances."""
-    return _resolved(
-        tuple(m.anchor for m in measurements), [m.distance_cm for m in measurements]
-    )
-
-
 def _estimate(plan: AnchorPlan, dists: "list[float]", position: Point3, pool,
               method: Method, family: CollinearFamily | None = None) -> PositionEstimate:
     """The chosen position; the rest of the pool stays as candidates."""
@@ -315,7 +295,7 @@ def _rim_points(family: CollinearFamily, camera_height_cm: float | None) -> "lis
     return at_height
 
 
-def trilaterate(measurements) -> PositionEstimate:
+def trilaterate(anchors: "tuple[Point3, ...]", distances_cm) -> PositionEstimate:
     """Exact three-anchor solve; both mirror candidates satisfy every sphere
     equation when the distances are consistent.
 
@@ -323,16 +303,17 @@ def trilaterate(measurements) -> PositionEstimate:
     bounds or a motion prior. Raises CollinearAnchors for in-line anchors and
     NoRealRoot when the distances are inconsistent beyond tolerance.
     """
-    if len(measurements) != 3:
-        raise ValueError(f"trilaterate takes exactly 3 measurements, got {len(measurements)}")
-    plan, dists = _measured(measurements)
+    if len(anchors) != 3:
+        raise ValueError(f"trilaterate takes exactly 3 anchors, got {len(anchors)}")
+    plan, dists = _resolved(anchors, distances_cm)
     if plan.collinear:
         raise CollinearAnchors("anchors are collinear; use trilaterate_collinear")
     pool, _ = plan.mirror_pair(dists, allow_approximate=False)
     return _estimate(plan, dists, pool[0], pool, Method.TRILATERATION)
 
 
-def trilaterate_collinear(measurements, camera_height_cm: float | None = None) -> PositionEstimate:
+def trilaterate_collinear(anchors: "tuple[Point3, ...]", distances_cm,
+                          camera_height_cm: float | None = None) -> PositionEstimate:
     """Solve for anchors on one line (two or more).
 
     Distance differences pin the coordinate along the line; the remainder is a
@@ -340,9 +321,9 @@ def trilaterate_collinear(measurements, camera_height_cm: float | None = None) -
     height the at-height family members become the position/candidates;
     without one the circle's lowest point is reported.
     """
-    if len(measurements) < 2:
+    if len(anchors) < 2:
         raise InsufficientAnchors("collinear solve needs at least 2 anchors")
-    plan, dists = _measured(measurements)
+    plan, dists = _resolved(anchors, distances_cm)
     if not plan.collinear:
         raise ValueError("anchors are not collinear")
     family = plan.family(dists)
@@ -350,19 +331,19 @@ def trilaterate_collinear(measurements, camera_height_cm: float | None = None) -
     return _estimate(plan, dists, pool[0], pool, Method.COLLINEAR_FAMILY, family)
 
 
-def multilaterate(measurements) -> PositionEstimate:
+def multilaterate(anchors: "tuple[Point3, ...]", distances_cm) -> PositionEstimate:
     """Least-squares solve over four or more anchors.
 
     The centered solve fixes x and y; the mean sphere equation resolves z
     (mirror pair, lower one reported first). Inconsistent distances fall back
     to the least-violating point, with the mismatch visible in the residual.
-    Collinear anchors raise RankDeficient.
+    Collinear anchors raise CollinearAnchors.
     """
-    if len(measurements) < 4:
-        raise ValueError(f"multilaterate takes at least 4 measurements, got {len(measurements)}")
-    plan, dists = _measured(measurements)
+    if len(anchors) < 4:
+        raise ValueError(f"multilaterate takes at least 4 anchors, got {len(anchors)}")
+    plan, dists = _resolved(anchors, distances_cm)
     if plan.collinear:
-        raise RankDeficient("anchors are collinear")
+        raise CollinearAnchors("anchors are collinear; use trilaterate_collinear")
     pool, _ = plan.mirror_pair(dists, allow_approximate=True)
     return _estimate(plan, dists, pool[0], pool, Method.LEAST_SQUARES)
 
@@ -372,9 +353,8 @@ def resolve_ambiguity(candidates, room: RoomConfig, prior: Point3 | None = None)
     nearest the prior, or the lowest when no prior is available."""
     if not candidates:
         raise NoFeasibleCandidate("no candidates supplied")
-    feasible = [
-        c for c in candidates if -1e-9 <= c.z <= room.ceiling_height_cm + 1e-9
-    ]
+    top = room.ceiling_height_cm + ROOM_TOLERANCE_CM
+    feasible = [c for c in candidates if -ROOM_TOLERANCE_CM <= c.z <= top]
     if not feasible:
         raise NoFeasibleCandidate(
             f"all {len(candidates)} candidates outside [0, {room.ceiling_height_cm}] cm"
@@ -425,7 +405,8 @@ def solve(plan: AnchorPlan, dists: "list[float]", room: RoomConfig,
     if plan.collinear:
         family = plan.family(dists)
         pool = _rim_points(family, None if prior is None else prior.z)
-        if not any(-1e-9 <= p.z <= room.ceiling_height_cm + 1e-9 for p in pool):
+        top = room.ceiling_height_cm + ROOM_TOLERANCE_CM
+        if not any(-ROOM_TOLERANCE_CM <= p.z <= top for p in pool):
             # The circle dips below the floor (or above the ceiling) at the
             # chosen height; re-slice it at the nearest height inside the room.
             lp = family.line_point
@@ -438,7 +419,7 @@ def solve(plan: AnchorPlan, dists: "list[float]", room: RoomConfig,
     # them the vertex is the least-squares compromise it falls back to.
     pool, exact = plan.mirror_pair(dists, allow_approximate=True)
     low = pool[0]
-    if low.z < -1e-9:
+    if low.z < -ROOM_TOLERANCE_CM:
         # Ranging noise put the lower root below the floor, so its mirror lies
         # above the ceiling; like the collinear path, take the nearest height
         # inside the room, the floor. That point is no exact root.

@@ -33,9 +33,9 @@ class KalmanConfig:
     process_noise_intensity q scales diag(dt^4/4, dt^4/4, dt^2, dt^2) in
     cm^2/s^4; measurement noise is isotropic on (x, y). The per-axis noise
     terms q_pos = q dt^4/4, q_vel = q dt^2 and r2 = std^2 are computed once,
-    here. Process and measurement noise may not both vanish: the innovation
-    variance p_pos + r2 of a static phone then reaches 0 and the gain is
-    undefined.
+    here, and must be finite, else ValueError. Process and measurement noise
+    may not both vanish: the innovation variance p_pos + r2 of a static phone
+    then reaches 0 and the gain is undefined.
     """
 
     dt_s: float = 1.0
@@ -50,14 +50,24 @@ class KalmanConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         dt, q = self.dt_s, self.process_noise_intensity
-        q_pos, r2 = q * (dt**4 / 4.0), self.measurement_noise_std_cm**2
+        try:  # float ** raises OverflowError where * gives inf
+            q_pos, q_vel = q * (dt**4 / 4.0), q * dt**2
+            r2 = self.measurement_noise_std_cm**2
+            finite = all(map(math.isfinite, (q_pos, q_vel, r2)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"dt_s={dt}, process_noise_intensity={q} and measurement_noise_std_cm="
+                f"{self.measurement_noise_std_cm} put a noise term past the float range"
+            )
         if q_pos == 0.0 and r2 == 0.0:
             raise ValueError(
                 "process_noise_intensity and measurement_noise_std_cm must not both be zero "
                 f"(or underflow to a zero variance), got {q} and {self.measurement_noise_std_cm}"
             )
         object.__setattr__(self, "q_pos", q_pos)
-        object.__setattr__(self, "q_vel", q * dt**2)
+        object.__setattr__(self, "q_vel", q_vel)
         object.__setattr__(self, "r2", r2)
 
 

@@ -42,20 +42,11 @@ from occloc.imaging import (
 )
 from occloc.modem import BadCrc, BadPreamble, decode_frame, encode_frame
 from occloc.solver import (
-    AnchorMeasurement,
     Method,
     estimate_position,
     trilaterate,
     trilaterate_collinear,
 )
-
-
-def estimate(measurements, room, prior=None):
-    """estimate_position over AnchorMeasurement pairs: their anchors as a
-    tuple, and their distances."""
-    return estimate_position(
-        tuple(m.anchor for m in measurements), [m.distance_cm for m in measurements], room, prior
-    )
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -105,15 +96,13 @@ def test_criterion_02_trilateration_exactness():
         if abs(u[0] * v[1] - u[1] * v[0]) < 1e3:
             continue
         truth = Point3(rng.uniform(0, 1000), rng.uniform(0, 1000), rng.uniform(0, ceiling - 10))
-        ms = [
-            AnchorMeasurement(Point3(x, y, ceiling), distance(truth, Point3(x, y, ceiling)))
-            for x, y in anchors
-        ]
-        est = trilaterate(ms)
+        points = tuple(Point3(x, y, ceiling) for x, y in anchors)
+        dists = [distance(truth, a) for a in points]
+        est = trilaterate(points, dists)
         candidates = (est.position, *est.candidates)
         pos_err = min(distance(c, truth) for c in candidates)
         sphere_err = max(
-            abs(distance(c, m.anchor) - m.distance_cm) for c in candidates for m in ms
+            abs(distance(c, a) - d) for c in candidates for a, d in zip(points, dists)
         )
         worst_pos = max(worst_pos, pos_err)
         worst_sphere = max(worst_sphere, sphere_err)
@@ -128,11 +117,8 @@ def test_criterion_03_worked_localization_example():
     ceiling = 400.0
     d1, d2, d3 = 320.0, 317.5, 410.37
     # consistent pair plus the anchor-line constraint
-    pair = [
-        AnchorMeasurement(Point3(200.0, 0.0, ceiling), d1),
-        AnchorMeasurement(Point3(200.0, 300.0, ceiling), d3),
-    ]
-    est = trilaterate_collinear(pair)
+    pair = (Point3(200.0, 0.0, ceiling), Point3(200.0, 300.0, ceiling))
+    est = trilaterate_collinear(pair, [d1, d3])
     y = est.family.line_point.y
     depth = est.family.radius_cm  # vertical drop below the fixture line
     x = est.position.x
@@ -149,8 +135,7 @@ def test_criterion_03_worked_localization_example():
     ok_inconsistent = best > 1.0
 
     # full three-distance least-squares answer, emitted for the record
-    ms = [AnchorMeasurement(a, d) for a, d in zip(anchors, dists)]
-    full = estimate(ms, RoomConfig(1219.0, 1219.0, ceiling))
+    full = estimate_position(anchors, dists, RoomConfig(1219.0, 1219.0, ceiling))
     print(
         f"    three-distance least squares: y={full.family.line_point.y:.2f} cm, "
         f"drop={full.family.radius_cm:.2f} cm, residual={full.residual_cm:.2f} cm "
@@ -257,10 +242,8 @@ def test_criterion_09_geometric_dilution():
     anchors = [Point3(x, y, 300.0) for x, y in ((225, 225), (975, 225), (225, 975), (975, 975))]
     z_sq, xy_sq = [], []
     for _ in range(1000):
-        ms = [
-            AnchorMeasurement(a, distance(truth, a) + rng.normal(0.0, 2.0)) for a in anchors
-        ]
-        est = estimate(ms, room)
+        dists = [distance(truth, a) + rng.normal(0.0, 2.0) for a in anchors]
+        est = estimate_position(anchors, dists, room)
         z_sq.append((est.position.z - truth.z) ** 2)
         xy_sq.append((est.position.x - truth.x) ** 2)
         xy_sq.append((est.position.y - truth.y) ** 2)

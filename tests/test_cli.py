@@ -59,6 +59,32 @@ class TestTrackCommand:
         assert f"scenario file {tmp_path} cannot be read: Is a directory" in err
         assert not out.exists()
 
+    def test_deeply_nested_scenario_exits_2(self, tmp_path, capsys):
+        """The JSON parser raises RecursionError here, which once ended the
+        command with a traceback and exit 1."""
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        out = tmp_path / "o"
+        assert main(["track", "--scenario", str(bad), "--out", str(out)]) == 2
+        assert f"scenario file {bad} is not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "validate"])
+    @pytest.mark.parametrize("data", [{"sampling_hz": 1e-100, "duration_s": 1e100},
+                                      {"sampling_hz": 5e-324}],
+                             ids=["dt4-overflows", "dt-is-inf"])
+    def test_sampling_interval_the_filter_cannot_hold_exits_2(self, tmp_path, capsys, command,
+                                                               data):
+        """validate once passed these and track failed at run time: with an
+        uncaught OverflowError, or with exit 1."""
+        bad = tmp_path / "slow.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert f"sampling_hz={data['sampling_hz']} gives a sampling interval" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_invalid_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"camera": {"fov_full_angle_deg": 200}}))

@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from occloc import harness
 from occloc.harness import (
     BER_HEADER,
     FILTERCMP_HEADER,
+    MAX_FIXTURES,
     RANGE_HEADER,
     SCAN_MARGIN_CM,
     SCAN_STEP_CM,
@@ -292,6 +294,50 @@ class TestScenarioConfig:
     def test_grid_count(self):
         # 1219 cm span, origin 75, spacing 150: 8 positions per axis
         assert len(default_scenario().build_luminaires()) == 64
+
+    @pytest.mark.parametrize(
+        "rate, duration",
+        # 1e100 s between ticks: dt**4 overflowed in KalmanConfig at run time;
+        # 1 / 5e-324 is inf, which it refused only when track ran
+        [(1e-100, 1e100), (5e-324, 50.0)],
+        ids=["dt4-overflows", "dt-is-inf"],
+    )
+    def test_a_sampling_interval_the_filter_cannot_hold_is_rejected(self, rate, duration):
+        with pytest.raises(ScenarioError, match=f"sampling_hz={rate} gives a sampling interval"):
+            scenario_from_dict({"sampling_hz": rate, "duration_s": duration})
+
+    @pytest.mark.parametrize("spacing", [20.0, 2.0])
+    def test_a_grid_past_the_fixture_cap_is_refused_before_it_is_built(self, spacing):
+        """A 650 m room at 20 cm spacing once loaded with 10,562,500 fixtures,
+        about 3.4 GiB of luminaires once built."""
+        fixture = harness.FixtureSpec()  # which stamps one fixture to check itself
+        tracemalloc.start()
+        try:
+            with mock.patch.object(harness.FixtureSpec, "make_luminaire",
+                                   side_effect=AssertionError("a fixture was built")):
+                with pytest.raises(ScenarioError, match=f"more than the {MAX_FIXTURES}"):
+                    Scenario(room=RoomConfig(65000.0, 65000.0, 300.0), fixture=fixture,
+                             led_spacing_cm=spacing, led_origin_cm=(10.0, 10.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_the_fixture_cap_is_inclusive(self):
+        # a 1 cm grid from the origin: 512 x 512 fixtures is the cap itself
+        square = Scenario(room=RoomConfig(512.0, 512.0, 300.0), led_spacing_cm=1.0,
+                          led_origin_cm=(0.0, 0.0), waypoints_cm=((80.0, 80.0, 100.0),))
+        assert MAX_FIXTURES == 512 * 512
+        with pytest.raises(ScenarioError, match="places 262656 fixtures"):
+            replace(square, room=RoomConfig(513.0, 512.0, 300.0))
+        with pytest.raises(ScenarioError, match="places 262145 fixtures"):
+            replace(square, explicit_led_xy_cm=((75.0, 75.0),) * (MAX_FIXTURES + 1))
+
+    def test_a_hall_is_within_the_fixture_cap(self):
+        # perfbench's hall: 200 m square under a 150 cm grid
+        hall = Scenario(room=RoomConfig(20000.0, 20000.0, 300.0), led_spacing_cm=150.0,
+                        waypoints_cm=((500.0, 500.0, 100.0),))
+        assert len(hall.build_luminaires()) == 17_689
 
     @pytest.mark.parametrize(
         "data, message",
@@ -808,6 +854,19 @@ class TestVisibilityGuarantee:
             tracemalloc.stop()
         assert scan.ok
         assert peak < 8 * 2**20
+
+    def test_a_60_m_room_keeps_one_row_of_fixtures(self):
+        # the scan once held a (ys x fixtures) offset matrix and an (xs x ys)
+        # count array for the whole scan: 18.4 MiB here
+        s = replace(default_scenario(), room=RoomConfig(6000.0, 6000.0, 300.0))
+        tracemalloc.start()
+        try:
+            scan = visibility_scan(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scan == VisibilityScan(8, (75.0, 75.0), True)
+        assert peak < 6 * 2**20
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from occloc import server
 from occloc.cli import FLAGS, MAX_BER_BITS, MAX_GRID_POINTS
-from occloc.harness import MAX_SNIR_DB
+from occloc.harness import MAX_FIXTURES, MAX_SNIR_DB
 from occloc.modem import MIN_BER_BITS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,5 +38,6 @@ def test_exit_code_paragraph_states_the_bounds():
     words = " ".join(re.search(r"\nExit codes: (.*?)\n\n", README.read_text(), re.S)
                      .group(1).split())
     for phrase in (f"`--bits` below {MIN_BER_BITS:,} or above {MAX_BER_BITS:,},",
-                   f"more than {MAX_GRID_POINTS:,} points", f"beyond ±{MAX_SNIR_DB:g} dB"):
+                   f"more than {MAX_GRID_POINTS:,} points", f"beyond ±{MAX_SNIR_DB:g} dB",
+                   f"more than {MAX_FIXTURES:,} fixtures (`harness.MAX_FIXTURES`)"):
         assert phrase in words, phrase

@@ -494,10 +494,13 @@ def _valid_snapshot():
 
 _ANY = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | st.lists(
     st.integers(), max_size=3) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+# integers a packet timestamp cannot hold
+_OUTSIDE_THE_CLOCK = st.integers(max_value=-1) | st.integers(min_value=2**64)
 _BAD_FIELDS = {
     "session_id": _ANY.filter(lambda v: type(v) is not str),
-    "last_seen_ms": _ANY.filter(lambda v: type(v) is not int),
-    "last_probe_ms": _ANY.filter(lambda v: v is not None and type(v) is not int),
+    "last_seen_ms": _ANY.filter(lambda v: type(v) is not int) | _OUTSIDE_THE_CLOCK,
+    "last_probe_ms": _ANY.filter(lambda v: v is not None and type(v) is not int)
+    | _OUTSIDE_THE_CLOCK,
     "missed_probes": _ANY.filter(lambda v: type(v) is not int or v < 0),
     "closed": _ANY.filter(lambda v: type(v) is not bool),
 }
@@ -554,6 +557,25 @@ class TestRestoreSessionFields:
         with pytest.raises(ValueError, match="snapshot tracker must be a JSON object"):
             server.restore_session(snap)
         assert server.sessions == {}
+
+    @pytest.mark.parametrize("name", ["last_seen_ms", "last_probe_ms"])
+    @pytest.mark.parametrize("value", [2**64, -1])
+    def test_clocks_stay_within_the_packet_clock_range(self, name, value):
+        """A last_seen_ms of 2**64 once restored: the session then found every
+        packet stale and every probe active, so it could neither ingest nor
+        close."""
+        snap = {**_valid_snapshot(), name: value}
+        server = make_server()
+        with pytest.raises(ValueError, match=rf"snapshot field {name} must be an integer "
+                                             r"in \[0, 2\*\*64\)"):
+            server.restore_session(snap)
+        assert server.sessions == {}
+
+    def test_the_last_packet_time_is_accepted_as_a_clock(self):
+        snap = {**_valid_snapshot(), "last_seen_ms": 2**64 - 1, "last_probe_ms": 2**64 - 1}
+        server = make_server()
+        server.restore_session(snap)
+        assert server.snapshot("s1") == snap
 
     def test_a_non_object_is_rejected(self):
         with pytest.raises(ValueError, match="snapshot must be an object"):
@@ -716,6 +738,13 @@ class TestPacketLines:
     )
     def test_malformed_lines_raise_value_error(self, line):
         with pytest.raises(ValueError):
+            packet_from_line(line)
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, '{"a":' * 100_000],
+                             ids=["arrays", "objects"])
+    def test_nesting_past_the_recursion_limit_raises_value_error(self, line):
+        """The JSON parser raises RecursionError here, which is no ValueError."""
+        with pytest.raises(ValueError, match="nests too deeply"):
             packet_from_line(line)
 
     def test_integer_distance_parses(self):

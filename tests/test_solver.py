@@ -20,14 +20,12 @@ from occloc.server import (
 )
 from occloc.solver import (
     CEILING_TOLERANCE_CM,
-    AnchorMeasurement,
     CollinearAnchors,
     DegenerateAnchors,
     InsufficientAnchors,
     Method,
     NoFeasibleCandidate,
     NoRealRoot,
-    RankDeficient,
     estimate_position,
     multilaterate,
     resolve_ambiguity,
@@ -38,28 +36,18 @@ from occloc.solver import (
 ROOM = RoomConfig(1219.0, 1219.0, 300.0)
 
 
-def estimate(measurements, room, prior=None):
-    """estimate_position over AnchorMeasurement pairs: their anchors as a
-    tuple, and their distances."""
-    return estimate_position(
-        tuple(m.anchor for m in measurements), [m.distance_cm for m in measurements], room, prior
-    )
-
-
 def measure_from(truth: Point3, anchors_xy, ceiling=300.0):
-    """Forward-distance oracle: exact measurements from a known truth."""
-    out = []
-    for x, y in anchors_xy:
-        anchor = Point3(x, y, ceiling)
-        out.append(AnchorMeasurement(anchor, distance(truth, anchor)))
-    return out
+    """Forward-distance oracle: the anchors on the ceiling, and the exact
+    distance from a known truth to each."""
+    anchors = tuple(Point3(x, y, ceiling) for x, y in anchors_xy)
+    return anchors, [distance(truth, a) for a in anchors]
 
 
-def sphere_misfits(measurements, p: Point3):
-    return [abs(distance(p, m.anchor) - m.distance_cm) for m in measurements]
+def sphere_misfits(anchors, dists, p: Point3):
+    return [abs(distance(p, a) - d) for a, d in zip(anchors, dists)]
 
 
-def exact_reference(measurements):
+def exact_reference(anchors, dists):
     """The centered solve in exact rational arithmetic.
 
     Solves the normal equations of 2 c_j . p = (|c_j|^2 - mean |c|^2) -
@@ -67,10 +55,10 @@ def exact_reference(measurements):
     the position, the mean anchor height and m = mean(d^2 - rho^2), the
     squared height offset (negative when the distances admit no real root).
     """
-    n = len(measurements)
-    ax = [Fraction(meas.anchor.x) for meas in measurements]
-    ay = [Fraction(meas.anchor.y) for meas in measurements]
-    d2 = [Fraction(meas.distance_cm) ** 2 for meas in measurements]
+    n = len(anchors)
+    ax = [Fraction(a.x) for a in anchors]
+    ay = [Fraction(a.y) for a in anchors]
+    d2 = [Fraction(d) ** 2 for d in dists]
     cx0, cy0 = sum(ax) / n, sum(ay) / n
     cx = [x - cx0 for x in ax]
     cy = [y - cy0 for y in ay]
@@ -88,7 +76,7 @@ def exact_reference(measurements):
     py = (sxx * by - sxy * bx) / det
     rho2 = [(x - px) ** 2 + (y - py) ** 2 for x, y in zip(cx, cy)]
     m = sum(b - r for b, r in zip(d2, rho2)) / n
-    h = sum(Fraction(meas.anchor.z) for meas in measurements) / n
+    h = sum(Fraction(a.z) for a in anchors) / n
     return cx0 + px, cy0 + py, h, m
 
 
@@ -100,25 +88,21 @@ class TestBuildSystem:
         rng = np.random.default_rng(4)
         anchors = [(0, 0), (150, 0), (0, 150), (150, 150), (300, 75)]
         for n in (3, 5):
-            exact = measure_from(Point3(50, 60, 100), anchors[:n])
-            ms = [AnchorMeasurement(m.anchor, m.distance_cm + rng.normal(0, 5.0)) for m in exact]
-            a = estimate(ms, ROOM)
-            b = estimate(ms[::-1], ROOM)
+            points, exact = measure_from(Point3(50, 60, 100), anchors[:n])
+            dists = [d + rng.normal(0, 5.0) for d in exact]
+            a = estimate_position(points, dists, ROOM)
+            b = estimate_position(points[::-1], dists[::-1], ROOM)
             assert distance(a.position, b.position) <= 1e-9
             assert a.method is b.method
 
     def test_too_few(self):
         with pytest.raises(InsufficientAnchors):
-            estimate(measure_from(Point3(0, 0, 0), [(0, 0), (1, 1)]), ROOM)
+            estimate_position(*measure_from(Point3(0, 0, 0), [(0, 0), (1, 1)]), ROOM)
 
     def test_mixed_ceilings(self):
-        ms = [
-            AnchorMeasurement(Point3(0, 0, 300), 1.0),
-            AnchorMeasurement(Point3(1, 0, 299), 1.0),
-            AnchorMeasurement(Point3(0, 1, 300), 1.0),
-        ]
+        anchors = (Point3(0, 0, 300), Point3(1, 0, 299), Point3(0, 1, 300))
         with pytest.raises(ValueError):
-            estimate(ms, ROOM)
+            estimate_position(anchors, [1.0, 1.0, 1.0], ROOM)
 
 
 class TestAnchorSpread:
@@ -188,7 +172,7 @@ class TestAnchorSpread:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="anchor coordinates"):
-                trilaterate([AnchorMeasurement(a, 200.0) for a in anchors])
+                trilaterate(anchors, [200.0] * 3)
 
 
 class TestDistanceArguments:
@@ -228,8 +212,11 @@ class TestDistanceArguments:
             for ds in (dists, tuple(dists), np.array(dists))
         }
         assert len(outcomes) == 1
-        ms = [AnchorMeasurement(a, d) for a, d in zip(anchors, dists)]
-        assert outcomes == {_outcome(estimate, ms, ROOM, None)}
+        # the dedicated solvers take the same sequences alike
+        dedicated = trilaterate if n == 3 else multilaterate
+        assert len({
+            _outcome(dedicated, anchors, ds) for ds in (dists, tuple(dists), np.array(dists))
+        }) == 1
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e200])
     @pytest.mark.parametrize(
@@ -240,9 +227,8 @@ class TestDistanceArguments:
             anchors = [Point3(200, 150 * k, 300) for k in range(n)]
         else:
             anchors = self.ANCHORS[:n]
-        ms = [AnchorMeasurement(a, 250.0) for a in anchors[1:]]
         with pytest.raises(ValueError, match="finite, positive distance"):
-            solve([AnchorMeasurement(anchors[0], bad), *ms])
+            solve(anchors, [bad] + [250.0] * (n - 1))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -324,13 +310,13 @@ class TestResidual:
 class TestTrilaterate:
     def test_mirror_candidates(self):
         truth = Point3(50, 50, 0)
-        ms = measure_from(truth, [(0, 0), (150, 0), (0, 150)])
-        est = trilaterate(ms)
+        anchors, dists = measure_from(truth, [(0, 0), (150, 0), (0, 150)])
+        est = trilaterate(anchors, dists)
         assert distance(est.position, truth) < 1e-6
         assert len(est.candidates) == 1
         assert distance(est.candidates[0], Point3(50, 50, 600)) < 1e-6
         for cand in (est.position, *est.candidates):
-            assert max(sphere_misfits(ms, cand)) < 1e-6
+            assert max(sphere_misfits(anchors, dists, cand)) < 1e-6
         assert est.method is Method.TRILATERATION
         assert est.residual_cm < 1e-9
 
@@ -339,27 +325,23 @@ class TestTrilaterate:
         anchors = [(0.0, 0.0), (150.0, 0.0), (75.0, 75.0 * math.sqrt(3.0))]
         cx, cy = 75.0, 75.0 / math.sqrt(3.0) * 1.5  # centroid of equilateral triangle
         truth = Point3(cx, cy, 80.0)
-        est = trilaterate(measure_from(truth, anchors))
+        est = trilaterate(*measure_from(truth, anchors))
         assert est.position.x == pytest.approx(cx, abs=1e-6)
         assert est.position.y == pytest.approx(cy, abs=1e-6)
 
     def test_collinear_rejected(self):
-        ms = measure_from(Point3(200, 40, 100), [(200, 0), (200, 150), (200, 300)])
+        anchors, dists = measure_from(Point3(200, 40, 100), [(200, 0), (200, 150), (200, 300)])
         with pytest.raises(CollinearAnchors):
-            trilaterate(ms)
+            trilaterate(anchors, dists)
 
     def test_inconsistent_distances_no_real_root(self):
-        ms = [
-            AnchorMeasurement(Point3(0, 0, 300), 300.5),
-            AnchorMeasurement(Point3(150, 0, 300), 300.5),
-            AnchorMeasurement(Point3(0, 150, 300), 2000.0),
-        ]
+        anchors = (Point3(0, 0, 300), Point3(150, 0, 300), Point3(0, 150, 300))
         with pytest.raises(NoRealRoot):
-            trilaterate(ms)
+            trilaterate(anchors, [300.5, 300.5, 2000.0])
 
     def test_wrong_count(self):
         with pytest.raises(ValueError):
-            trilaterate(measure_from(Point3(1, 1, 0), [(0, 0), (1, 0), (0, 1), (1, 1)]))
+            trilaterate(*measure_from(Point3(1, 1, 0), [(0, 0), (1, 0), (0, 1), (1, 1)]))
 
     def test_mirror_structure(self):
         # candidates share (x, y) and mirror across the anchor plane
@@ -373,7 +355,7 @@ class TestTrilaterate:
                 (truth.x + spread, truth.y - spread),
                 (truth.x, truth.y + spread),
             ]
-            est = trilaterate(measure_from(truth, anchors, ceiling))
+            est = trilaterate(*measure_from(truth, anchors, ceiling))
             if not est.candidates:
                 continue
             a, b = est.position, est.candidates[0]
@@ -394,8 +376,7 @@ class TestTrilaterate:
         if area < 1e3:
             return
         truth = Point3(*rng.uniform(100, 900, size=2), rng.uniform(0, ceiling - 50))
-        ms = measure_from(truth, [tuple(a) for a in anchors], ceiling)
-        est = estimate(ms, room)
+        est = estimate_position(*measure_from(truth, [tuple(a) for a in anchors], ceiling), room)
         assert distance(est.position, truth) < 1e-6
 
 
@@ -403,7 +384,7 @@ class TestTrilaterateCollinear:
     def test_exact_recovery_with_height(self):
         truth = Point3(200, 40, 100)
         ms = measure_from(truth, [(200, 0), (200, 150), (200, 300)])
-        est = trilaterate_collinear(ms, camera_height_cm=100.0)
+        est = trilaterate_collinear(*ms, camera_height_cm=100.0)
         assert distance(est.position, truth) < 1e-6
         assert est.method is Method.COLLINEAR_FAMILY
         assert est.family is not None
@@ -414,13 +395,13 @@ class TestTrilaterateCollinear:
     def test_family_without_height_reports_circle_bottom(self):
         truth = Point3(200, 40, 100)
         ms = measure_from(truth, [(200, 0), (200, 150), (200, 300)])
-        est = trilaterate_collinear(ms)
+        est = trilaterate_collinear(*ms)
         assert est.position.z == pytest.approx(100.0, abs=1e-9)
 
     def test_two_points_at_height(self):
         truth = Point3(230, 40, 100)  # off the anchor plane: two mirror points
         ms = measure_from(truth, [(200, 0), (200, 150), (200, 300)])
-        est = trilaterate_collinear(ms, camera_height_cm=100.0)
+        est = trilaterate_collinear(*ms, camera_height_cm=100.0)
         pts = [est.position, *est.candidates]
         assert len(pts) == 2
         assert any(distance(p, truth) < 1e-6 for p in pts)
@@ -430,30 +411,26 @@ class TestTrilaterateCollinear:
     def test_truth_on_line_degenerates(self):
         truth = Point3(200, 70, 300)
         ms = measure_from(truth, [(200, 0), (200, 150), (200, 300)])
-        est = trilaterate_collinear(ms)
+        est = trilaterate_collinear(*ms)
         assert est.family.radius_cm == pytest.approx(0.0, abs=1e-5)
         assert distance(est.position, truth) < 1e-5
 
     def test_mirrored_truths_same_family(self):
         ms_left = measure_from(Point3(150, 40, 100), [(200, 0), (200, 150), (200, 300)])
         ms_right = measure_from(Point3(250, 40, 100), [(200, 0), (200, 150), (200, 300)])
-        fam_l = trilaterate_collinear(ms_left).family
-        fam_r = trilaterate_collinear(ms_right).family
+        fam_l = trilaterate_collinear(*ms_left).family
+        fam_r = trilaterate_collinear(*ms_right).family
         assert distance(fam_l.line_point, fam_r.line_point) < 1e-9
         assert fam_l.radius_cm == pytest.approx(fam_r.radius_cm, abs=1e-9)
 
     def test_coincident_anchors(self):
-        ms = [
-            AnchorMeasurement(Point3(10, 10, 300), 100.0),
-            AnchorMeasurement(Point3(10, 10, 300), 120.0),
-        ]
         with pytest.raises(DegenerateAnchors):
-            trilaterate_collinear(ms)
+            trilaterate_collinear((Point3(10, 10, 300), Point3(10, 10, 300)), [100.0, 120.0])
 
     def test_non_collinear_rejected(self):
         ms = measure_from(Point3(50, 50, 100), [(0, 0), (150, 0), (0, 150)])
         with pytest.raises(ValueError):
-            trilaterate_collinear(ms)
+            trilaterate_collinear(*ms)
 
 
 class TestMultilaterate:
@@ -462,15 +439,15 @@ class TestMultilaterate:
         for _ in range(50):
             truth = Point3(*rng.uniform(200, 1000, size=2), rng.uniform(0, 250))
             anchors = [tuple(a) for a in rng.uniform(0, 1200, size=(5, 2))]
-            est = multilaterate(measure_from(truth, anchors))
+            est = multilaterate(*measure_from(truth, anchors))
             assert distance(est.position, truth) < 1e-6
             assert est.method is Method.LEAST_SQUARES
 
     def test_duplicated_measurements_identical(self):
         truth = Point3(300, 400, 120)
-        ms = measure_from(truth, [(0, 0), (600, 0), (0, 600), (600, 600)])
-        a = multilaterate(ms)
-        b = multilaterate(ms + ms)
+        anchors, dists = measure_from(truth, [(0, 0), (600, 0), (0, 600), (600, 600)])
+        a = multilaterate(anchors, dists)
+        b = multilaterate(anchors + anchors, dists + dists)
         assert distance(a.position, b.position) < 1e-9
 
     def test_perturbed_distance_raises_residual(self):
@@ -483,23 +460,19 @@ class TestMultilaterate:
                 (truth.x - 200, truth.y + 200),
                 (truth.x + 200, truth.y + 200),
             ]
-            ms = measure_from(truth, anchors)
-            bumped = [
-                AnchorMeasurement(ms[0].anchor, ms[0].distance_cm + 5.0),
-                *ms[1:],
-            ]
-            est = multilaterate(bumped)
+            points, dists = measure_from(truth, anchors)
+            est = multilaterate(points, [dists[0] + 5.0, *dists[1:]])
             assert est.residual_cm > 0.0
             assert distance(est.position, truth) < 15.0
 
-    def test_collinear_rank_deficient(self):
+    def test_collinear_rejected(self):
         ms = measure_from(Point3(200, 40, 100), [(200, 0), (200, 100), (200, 200), (200, 300)])
-        with pytest.raises(RankDeficient):
-            multilaterate(ms)
+        with pytest.raises(CollinearAnchors):
+            multilaterate(*ms)
 
     def test_wrong_count(self):
         with pytest.raises(ValueError):
-            multilaterate(measure_from(Point3(1, 1, 0), [(0, 0), (1, 0), (0, 1)]))
+            multilaterate(*measure_from(Point3(1, 1, 0), [(0, 0), (1, 0), (0, 1)]))
 
 
 class TestResolveAmbiguity:
@@ -525,51 +498,43 @@ class TestEstimatePosition:
     def test_three_anchor_truth(self):
         truth = Point3(420, 510, 110)
         ms = measure_from(truth, [(300, 450), (450, 450), (300, 600)])
-        est = estimate(ms, ROOM)
+        est = estimate_position(*ms, ROOM)
         assert distance(est.position, truth) < 1e-6
         assert est.method is Method.TRILATERATION
 
     def test_five_anchors_tagged_least_squares(self):
         truth = Point3(420, 510, 110)
         ms = measure_from(truth, [(300, 450), (450, 450), (300, 600), (450, 600), (600, 450)])
-        est = estimate(ms, ROOM)
+        est = estimate_position(*ms, ROOM)
         assert est.method is Method.LEAST_SQUARES
         assert distance(est.position, truth) < 1e-6
 
     def test_two_anchors_insufficient(self):
         ms = measure_from(Point3(100, 100, 50), [(0, 0), (150, 0)])
         with pytest.raises(InsufficientAnchors):
-            estimate(ms, ROOM)
+            estimate_position(*ms, ROOM)
 
     def test_noisy_three_anchor_fallback(self):
         # distances inconsistent: exact intersection impossible, least-squares
         # compromise returned instead of an error
         truth = Point3(420, 510, 110)
-        ms = measure_from(truth, [(300, 450), (450, 450), (300, 600)])
-        bumped = [
-            AnchorMeasurement(ms[0].anchor, ms[0].distance_cm * 1.25),
-            AnchorMeasurement(ms[1].anchor, ms[1].distance_cm * 0.8),
-            ms[2],
-        ]
-        est = estimate(bumped, ROOM)
+        anchors, dists = measure_from(truth, [(300, 450), (450, 450), (300, 600)])
+        est = estimate_position(anchors, [dists[0] * 1.25, dists[1] * 0.8, dists[2]], ROOM)
         assert est.method is Method.LEAST_SQUARES
         assert est.residual_cm > 0.0
 
     def test_prior_steers_collinear_case(self):
         truth = Point3(230, 40, 100)
         ms = measure_from(truth, [(200, 0), (200, 150), (200, 300)])
-        est = estimate(ms, ROOM, prior=Point3(228, 42, 100))
+        est = estimate_position(*ms, ROOM, prior=Point3(228, 42, 100))
         assert distance(est.position, truth) < 1e-6
 
     def test_collinear_circle_dipping_below_floor(self):
         # distances larger than the ceiling drop: the circle's lowest point is
         # underground, so the estimate comes from the floor-level slice
-        ms = [
-            AnchorMeasurement(Point3(200, 0, 300), math.hypot(40, 350)),
-            AnchorMeasurement(Point3(200, 150, 300), math.hypot(110, 350)),
-            AnchorMeasurement(Point3(200, 300, 300), math.hypot(260, 350)),
-        ]
-        est = estimate(ms, ROOM)
+        anchors = (Point3(200, 0, 300), Point3(200, 150, 300), Point3(200, 300, 300))
+        dists = [math.hypot(40, 350), math.hypot(110, 350), math.hypot(260, 350)]
+        est = estimate_position(anchors, dists, ROOM)
         assert est.position.z == pytest.approx(0.0, abs=1e-9)
         assert est.position.y == pytest.approx(40.0, abs=1e-6)
         assert 0 <= est.position.x <= ROOM.width_cm
@@ -577,18 +542,18 @@ class TestEstimatePosition:
     def test_room_mismatch(self):
         ms = measure_from(Point3(100, 100, 50), [(0, 0), (150, 0), (0, 150)], ceiling=250.0)
         with pytest.raises(ValueError):
-            estimate(ms, ROOM)
+            estimate_position(*ms, ROOM)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(9)
         truth = Point3(400, 500, 90)
         anchors = [(300, 450), (450, 450), (300, 600), (500, 550)]
-        base = estimate(measure_from(truth, anchors), ROOM)
+        base = estimate_position(*measure_from(truth, anchors), ROOM)
         for _ in range(10):
             dx, dy = rng.uniform(-100, 100, size=2)
             shifted_truth = Point3(truth.x + dx, truth.y + dy, truth.z)
             shifted_anchors = [(x + dx, y + dy) for x, y in anchors]
-            est = estimate(measure_from(shifted_truth, shifted_anchors), ROOM)
+            est = estimate_position(*measure_from(shifted_truth, shifted_anchors), ROOM)
             assert est.position.x == pytest.approx(base.position.x + dx, abs=1e-6)
             assert est.position.y == pytest.approx(base.position.y + dy, abs=1e-6)
             assert est.position.z == pytest.approx(base.position.z, abs=1e-6)
@@ -596,11 +561,11 @@ class TestEstimatePosition:
     def test_residual_zero_iff_consistent(self):
         truth = Point3(420, 510, 110)
         anchors = [(300, 450), (450, 450), (300, 600), (450, 600)]
-        exact = estimate(measure_from(truth, anchors), ROOM)
+        points, dists = measure_from(truth, anchors)
+        exact = estimate_position(points, dists, ROOM)
         assert exact.residual_cm <= 1e-9
-        ms = measure_from(truth, anchors)
-        noisy = [AnchorMeasurement(ms[0].anchor, ms[0].distance_cm + 1.0), *ms[1:]]
-        assert estimate(noisy, ROOM).residual_cm > 1e-9
+        noisy = [dists[0] + 1.0, *dists[1:]]
+        assert estimate_position(points, noisy, ROOM).residual_cm > 1e-9
 
 
 class TestWorkedExample:
@@ -612,11 +577,8 @@ class TestWorkedExample:
 
     def test_consistent_pair_recovers_published_point(self):
         ceiling = 300.0
-        ms = [
-            AnchorMeasurement(Point3(200, 0, ceiling), self.D1),
-            AnchorMeasurement(Point3(200, 300, ceiling), self.D3),
-        ]
-        est = trilaterate_collinear(ms)
+        anchors = (Point3(200, 0, ceiling), Point3(200, 300, ceiling))
+        est = trilaterate_collinear(anchors, [self.D1, self.D3])
         # published answer: y = 40, vertical offset 317.5 below the fixtures
         assert est.family.line_point.y == pytest.approx(40.0, abs=0.1)
         assert est.family.radius_cm == pytest.approx(317.5, abs=0.5)
@@ -630,11 +592,9 @@ class TestWorkedExample:
 
     def test_three_distance_solve_has_large_residual(self):
         ceiling = 300.0
-        ms = [
-            AnchorMeasurement(Point3(x, y, ceiling), d)
-            for (x, y), d in zip(self.ANCHORS, (self.D1, self.D2, self.D3))
-        ]
-        est = estimate(ms, RoomConfig(1219, 1219, ceiling))
+        anchors = tuple(Point3(x, y, ceiling) for x, y in self.ANCHORS)
+        est = estimate_position(anchors, [self.D1, self.D2, self.D3],
+                                RoomConfig(1219, 1219, ceiling))
         assert est.method is Method.COLLINEAR_FAMILY
         assert est.residual_cm > 1.0
 
@@ -647,13 +607,10 @@ class TestGeometricDilution:
         rng = np.random.default_rng(21)
         truth = Point3(600, 600, 100)
         anchors = [(225, 225), (975, 225), (225, 975), (975, 975)]
+        points, exact = measure_from(truth, anchors)
         z_sq, xy_sq = [], []
         for _ in range(300):
-            ms = [
-                AnchorMeasurement(m.anchor, m.distance_cm + rng.normal(0, 2.0))
-                for m in measure_from(truth, anchors)
-            ]
-            est = estimate(ms, ROOM)
+            est = estimate_position(points, [d + rng.normal(0, 2.0) for d in exact], ROOM)
             z_sq.append((est.position.z - truth.z) ** 2)
             xy_sq.append((est.position.x - truth.x) ** 2)
             xy_sq.append((est.position.y - truth.y) ** 2)
@@ -679,30 +636,26 @@ class TestSinglePass:
         noise=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
     )
     def test_pool_matches_multilaterate(self, n, x, y, z, noise):
-        exact = measure_from(Point3(x, y, z), self.GRID[:n])
-        ms = [AnchorMeasurement(m.anchor, m.distance_cm + e) for m, e in zip(exact, noise)]
-        est = estimate(ms, ROOM)
+        anchors, exact = measure_from(Point3(x, y, z), self.GRID[:n])
+        dists = [d + e for d, e in zip(exact, noise)]
+        est = estimate_position(anchors, dists, ROOM)
         assert est.method is Method.LEAST_SQUARES
-        assert _pool(est) == _pool(multilaterate(ms))
+        assert _pool(est) == _pool(multilaterate(anchors, dists))
 
     def test_three_consistent_anchors_match_trilaterate(self):
         ms = measure_from(Point3(420, 510, 110), self.GRID[:3])
-        est = estimate(ms, ROOM)
+        est = estimate_position(*ms, ROOM)
         assert est.method is Method.TRILATERATION
-        assert _pool(est) == _pool(trilaterate(ms))
+        assert _pool(est) == _pool(trilaterate(*ms))
 
     def test_three_inconsistent_anchors_fall_back_to_the_vertex(self):
-        ms = measure_from(Point3(420, 510, 110), self.GRID[:3])
-        bumped = [
-            AnchorMeasurement(ms[0].anchor, ms[0].distance_cm * 1.25),
-            AnchorMeasurement(ms[1].anchor, ms[1].distance_cm * 0.8),
-            ms[2],
-        ]
+        anchors, dists = measure_from(Point3(420, 510, 110), self.GRID[:3])
+        bumped = [dists[0] * 1.25, dists[1] * 0.8, dists[2]]
         with pytest.raises(NoRealRoot):
-            trilaterate(bumped)
-        x, y, h, m = exact_reference(bumped)
+            trilaterate(anchors, bumped)
+        x, y, h, m = exact_reference(anchors, bumped)
         assert m < 0
-        est = estimate(bumped, ROOM)
+        est = estimate_position(anchors, bumped, ROOM)
         assert est.method is Method.LEAST_SQUARES
         assert est.candidates == ()
         assert est.position.z == ROOM.ceiling_height_cm
@@ -726,18 +679,18 @@ class TestExactReference:
     def test_matches_the_rational_solve(self, offsets, x, y, z, noise):
         s = np.linalg.svd(np.array(offsets) - np.mean(offsets, axis=0), compute_uv=False)
         assume(s[-1] > 0.05 * s[0])
-        exact = measure_from(Point3(x, y, z), [(x + dx, y + dy) for dx, dy in offsets])
-        assume(all(ex.distance_cm + e > 0 for ex, e in zip(exact, noise)))
-        ms = [AnchorMeasurement(ex.anchor, ex.distance_cm + e) for ex, e in zip(exact, noise)]
-        rx, ry, h, m = exact_reference(ms)
+        anchors, exact = measure_from(Point3(x, y, z), [(x + dx, y + dy) for dx, dy in offsets])
+        assume(all(d + e > 0 for d, e in zip(exact, noise)))
+        dists = [d + e for d, e in zip(exact, noise)]
+        rx, ry, h, m = exact_reference(anchors, dists)
         # resolve_ambiguity rejects a pool with no candidate inside the room
         assume(m < 0 or math.sqrt(m) <= ROOM.ceiling_height_cm)
-        est = estimate(ms, ROOM)
+        est = estimate_position(anchors, dists, ROOM)
         pool = sorted(_pool(est), key=lambda p: p.z)
         for p in pool:
             assert p.x == pytest.approx(float(rx), abs=1e-9)
             assert p.y == pytest.approx(float(ry), abs=1e-9)
-        assert (est.method is Method.TRILATERATION) == (len(ms) == 3 and m >= 0)
+        assert (est.method is Method.TRILATERATION) == (len(anchors) == 3 and m >= 0)
         if m >= 0:
             r = math.sqrt(m)
             assert [p.z for p in pool] == pytest.approx([float(h) - r, float(h) + r], abs=1e-6)
@@ -831,9 +784,8 @@ class TestSvdCrossCheck:
 
     @EACH_PATH
     def test_each_path(self, truth, anchors_xy, offset_cm, method, z):
-        ms = measure_from(truth, anchors_xy)
-        anchors = tuple(m.anchor for m in ms)
-        dists = [m.distance_cm + offset_cm for m in ms]
+        anchors, exact = measure_from(truth, anchors_xy)
+        dists = [d + offset_cm for d in exact]
         est = estimate_position(anchors, dists, ROOM)
         assert est.method is method
         if z is not None:
@@ -892,21 +844,21 @@ class TestFloorLevelPhone:
     def test_estimate_stays_in_the_room(self, offsets, x, y, z, noise):
         s = np.linalg.svd(np.array(offsets) - np.mean(offsets, axis=0), compute_uv=False)
         assume(s[-1] > 0.05 * s[0])
-        exact = measure_from(Point3(x, y, z), [(x + dx, y + dy) for dx, dy in offsets])
-        assume(all(ex.distance_cm + e > 0 for ex, e in zip(exact, noise)))
-        ms = [AnchorMeasurement(ex.anchor, ex.distance_cm + e) for ex, e in zip(exact, noise)]
-        est = estimate(ms, ROOM)
+        anchors, exact = measure_from(Point3(x, y, z), [(x + dx, y + dy) for dx, dy in offsets])
+        assume(all(d + e > 0 for d, e in zip(exact, noise)))
+        dists = [d + e for d, e in zip(exact, noise)]
+        est = estimate_position(anchors, dists, ROOM)
         # resolve_ambiguity's rounding tolerance: a root at -6e-14 cm is the floor
         assert -1e-9 <= est.position.z <= ROOM.ceiling_height_cm + 1e-9
-        reference = multilaterate(ms).position
+        reference = multilaterate(anchors, dists).position
         assert (est.position.x, est.position.y) == (reference.x, reference.y)
 
     def test_both_roots_outside_clamp_to_the_floor(self):
         # three anchors with exact roots, but neither root inside the room
-        ms = measure_from(Point3(420, 510, 0), [(300, 450), (450, 450), (300, 600)])
-        long = [AnchorMeasurement(m.anchor, m.distance_cm + 20.0) for m in ms]
-        assert all(p.z < 0 or p.z > 300 for p in _pool(trilaterate(long)))
-        est = estimate(long, ROOM)
+        anchors, dists = measure_from(Point3(420, 510, 0), [(300, 450), (450, 450), (300, 600)])
+        long = [d + 20.0 for d in dists]
+        assert all(p.z < 0 or p.z > 300 for p in _pool(trilaterate(anchors, long)))
+        est = estimate_position(anchors, long, ROOM)
         assert est.position.z == 0.0
         assert est.method is Method.LEAST_SQUARES
         assert est.candidates == ()
@@ -933,10 +885,11 @@ class TestCeilingTolerance:
         truth = Point3(150, 120, 100)
         anchors = [Point3(x, y, 300.0) for x, y in self.CORNERS[:4]]
         anchors[0] = Point3(0, 0, 300.0 + 9e-7)
-        ms = [AnchorMeasurement(a, distance(truth, a) + rng.normal(0, 1.0)) for a in anchors]
-        zs = sorted(p.z for p in _pool(multilaterate(ms)))
+        dists = [distance(truth, a) + rng.normal(0, 1.0) for a in anchors]
+        zs = sorted(p.z for p in _pool(multilaterate(anchors, dists)))
         assert zs == pytest.approx([99.77, 500.23], abs=0.01)
-        assert estimate(ms, self.SMALL_ROOM).position.z == pytest.approx(99.77, abs=0.01)
+        est = estimate_position(anchors, dists, self.SMALL_ROOM)
+        assert est.position.z == pytest.approx(99.77, abs=0.01)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -949,11 +902,11 @@ class TestCeilingTolerance:
     def test_anchors_within_tolerance_give_bounded_estimates(self, raises, x, y, z, noise):
         truth = Point3(x, y, z)
         anchors = [Point3(ax, ay, 300.0 + dz) for (ax, ay), dz in zip(self.CORNERS, raises)]
-        ms = [AnchorMeasurement(a, distance(truth, a) + e) for a, e in zip(anchors, noise)]
-        est = estimate(ms, self.SMALL_ROOM)
+        dists = [distance(truth, a) + e for a, e in zip(anchors, noise)]
+        est = estimate_position(anchors, dists, self.SMALL_ROOM)
         assert _in_extended_bounds(self.SMALL_ROOM, est.position)
         # the mirror candidate lies above the ceiling, but no farther than a range
-        reach = max(m.distance_cm for m in ms)
+        reach = max(dists)
         assert all(abs(p.z - 300.0) <= reach for p in _pool(est))
 
 
@@ -1019,16 +972,13 @@ class TestPlanCache:
         ids=["three-anchor", "collinear", "floor-clamped"],
     )
     def test_each_path_warm_equals_cold(self, truth, anchors_xy, offset_cm, prior, method, z):
-        exact = measure_from(truth, anchors_xy)
-        anchors = [m.anchor for m in exact]
-        dists = [m.distance_cm + offset_cm for m in exact]
+        anchors, exact = measure_from(truth, anchors_xy)
+        dists = [d + offset_cm for d in exact]
         library, cold, warm = self._warm_and_cold(
             anchors, dists, [d + 3.0 for d in dists], prior
         )
         assert warm == cold == library
-        est = estimate(
-            [AnchorMeasurement(a, d) for a, d in zip(anchors, dists)], ROOM, prior
-        )
+        est = estimate_position(anchors, dists, ROOM, prior)
         assert est.method is method
         if z is not None:
             assert est.position.z == z
@@ -1064,9 +1014,10 @@ class TestPlanCache:
         when it is built, so no plan of it can be cached."""
         anchors = [Point3(x, y, 300.0) for x, y in [(0, 0), (150, 0), (0, 150), (150, 150)]]
         anchors[which] = Point3(anchors[which].x, anchors[which].y, 300.0 - dz)
-        ms = [AnchorMeasurement(a, 200.0) for a in anchors]
+        dists = [200.0] * 4
         for _ in range(3):
-            for solve in (lambda: estimate(ms, ROOM), lambda: multilaterate(ms)):
+            for solve in (lambda: estimate_position(anchors, dists, ROOM),
+                          lambda: multilaterate(anchors, dists)):
                 with pytest.raises(ValueError, match="share one ceiling"):
                     solve()
         with pytest.raises(ValueError, match="share the ceiling height"):
@@ -1084,8 +1035,8 @@ class TestPlanCache:
         assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
     def test_cached_plan_holds_floats_and_tuples_only(self):
-        ms = measure_from(Point3(50, 60, 100), [(0, 0), (150, 0), (0, 150), (150, 150)])
-        registry, (indices,) = _registry_of([m.anchor for m in ms])
+        anchors, _ = measure_from(Point3(50, 60, 100), [(0, 0), (150, 0), (0, 150), (150, 150)])
+        registry, (indices,) = _registry_of(anchors)
         registry.plan(indices)
         hits = registry.plan.cache_info().hits
         plan = registry.plan(indices)
@@ -1106,9 +1057,9 @@ class TestPlanCache:
 
     @EACH_PATH
     def test_a_cached_plan_solves_without_numpy(self, truth, anchors_xy, offset_cm, method, z):
-        ms = measure_from(truth, anchors_xy)
-        dists = [m.distance_cm + offset_cm for m in ms]
-        registry, (indices,) = _registry_of([m.anchor for m in ms])
+        anchors, exact = measure_from(truth, anchors_xy)
+        dists = [d + offset_cm for d in exact]
+        registry, (indices,) = _registry_of(anchors)
 
         def outcome():
             return _outcome(lambda: solver.solve(registry.plan(indices), dists, ROOM))

@@ -217,6 +217,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=both):
             KalmanConfig(dt, process_noise_intensity=q, measurement_noise_std_cm=std)
 
+    @pytest.mark.parametrize(
+        "dt, q, std",
+        # dt^4 and std^2 overflow as float powers, which raise OverflowError;
+        # q times a finite dt^4/4 or dt^2 overflows to inf
+        [(1e100, 1.0, 5.0), (1e160, 0.0, 5.0), (1e3, 1e300, 5.0), (1.2, 1.5e308, 5.0),
+         (1.0, 1.0, 1e200)],
+        ids=["dt4-overflows", "dt4-overflows-without-process-noise", "q-dt4-is-inf",
+             "q-dt2-is-inf", "std2-overflows"],
+    )
+    def test_rejects_noise_terms_past_the_float_range(self, dt, q, std):
+        """A sampling interval whose noise terms leave the float range once
+        raised OverflowError, which is no ValueError, from dt**4."""
+        with pytest.raises(ValueError, match="past the float range"):
+            KalmanConfig(dt, process_noise_intensity=q, measurement_noise_std_cm=std)
+
     @pytest.mark.parametrize("q, std", [(0.0, 5.0), (1.0, 0.0)])
     def test_either_noise_alone_keeps_a_static_phone_finite(self, q, std):
         cfg = KalmanConfig(1.0, process_noise_intensity=q, measurement_noise_std_cm=std)
