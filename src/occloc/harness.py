@@ -49,7 +49,6 @@ from .server import (
     MAX_DISTANCE_MM,
     MIN_DISTANCE_MM,
     DetectionPacket,
-    DetectionRecord,
     LedRegistry,
     LightingServer,
 )
@@ -107,6 +106,14 @@ class FixtureSpec:
 
     def __post_init__(self):
         # a fixture that cannot be stamped fails when its scenario loads
+        shape = self.make_shape()
+        try:
+            area = shape.area_mm2
+        except OverflowError:  # a radius squared past the float range
+            area = math.inf
+        if area == math.inf:
+            sizes = " and ".join(f"fixture.{k}={v!r}" for k, v in asdict(shape).items())
+            raise ScenarioError(f"the area of {sizes} lies past the float range")
         self.make_luminaire(0, Point3(0.0, 0.0, 0.0))
 
     def make_luminaire(self, led_id: int, anchor: Point3) -> Luminaire:
@@ -198,6 +205,16 @@ class Scenario:
                 _check_broadcasts([(x, ys[0]) for x in xs])
                 _check_broadcasts([(xs[0], y) for y in ys])
             _check_fixture_count(len(xs) * len(ys))
+        try:  # the constant run_tracking ranges with, checked as FixtureSpec stamps a fixture
+            tau_mm = ranging_constant(self.camera, fix.make_luminaire(0, Point3(0.0, 0.0, 0.0)))
+        except ValueError:  # it underflows to 0
+            tau_mm = 0.0
+        if not 0 < tau_mm < math.inf:
+            raise ScenarioError(
+                f"camera.focal_length_mm={self.camera.focal_length_mm!r}, "
+                f"camera.pixel_edge_mm={self.camera.pixel_edge_mm!r} and the fixture's area "
+                f"give the ranging constant {tau_mm} mm, which is not positive and finite"
+            )
 
     def _grid_axes(self) -> "tuple[list[float], list[float]]":
         """The grid's fixture x and y positions."""
@@ -318,13 +335,15 @@ class _Ceiling:
 class _Tick:
     """One sample of the noise-free walk: the time, the truth, the fixtures
     inside the view cone, in ceiling order, and the ranged sightings (positive
-    pixel area) with their distances in mm."""
+    pixel area) with their distances in mm and their fixtures' decoded
+    broadcast (x_cm, y_cm)."""
 
     t_s: float
     truth: Point3
     in_view: "tuple[Luminaire, ...]"
     ranged: "tuple[Sighting, ...]"
     dists_mm: "tuple[float, ...]"
+    broadcasts: "tuple[tuple[int, int], ...]"
 
 
 def _ranged(sightings, tau_mm: float) -> "tuple[tuple[Sighting, ...], tuple[float, ...]]":
@@ -365,7 +384,9 @@ def _walk(scenario: Scenario) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
         sightings = observe_scene(reach, Pose(truth), scenario.camera)
         seen = {sig.led_id for sig in sightings}
         in_view = tuple(lum for lum in reach if lum.led_id in seen)
-        ticks.append(_Tick(t_s, truth, in_view, *_ranged(sightings, ceiling.tau_mm)))
+        ranged, dists_mm = _ranged(sightings, ceiling.tau_mm)
+        broadcasts = tuple(ceiling.coords[sig.led_id] for sig in ranged)
+        ticks.append(_Tick(t_s, truth, in_view, ranged, dists_mm, broadcasts))
     return ceiling, tuple(ticks)
 
 
@@ -381,9 +402,12 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
     in the one order a fresh walk would: the pixel noise of every fixture in
     view first, through observe_scene, then the distance noise of every ranged
     sighting. Without pixel noise the walk's ranged distances serve as they
-    are. The distance noise of a tick is one draw of as many normals as it has
-    ranged sightings, which gives the stream of that many scalar draws, added
-    to the distances one by one."""
+    are, beside the broadcast coordinates it cached for them; with it, the
+    coordinates are looked up for the noisy sightings. The distance noise of a
+    tick is one draw of as many normals as it has ranged sightings, which
+    gives the stream of that many scalar draws, added to the distances one by
+    one. The records in range go to the server as one packet of columns
+    (DetectionPacket.from_columns), and no DetectionRecord is built."""
     ceiling, walk = _walk(_noise_free(scenario))
     tau_mm, coords = ceiling.tau_mm, ceiling.coords
     server = LightingServer(
@@ -401,23 +425,26 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
                 tick.in_view, Pose(tick.truth), scenario.camera, scenario.pixel_sigma, rng
             )
             ranged, dists_mm = _ranged(sightings, tau_mm)
+            broadcasts = [coords[sig.led_id] for sig in ranged]
         else:
-            ranged, dists_mm = tick.ranged, tick.dists_mm
+            broadcasts, dists_mm = tick.broadcasts, tick.dists_mm
         if distance_sigma_mm > 0:
             noise = rng.normal(0.0, distance_sigma_mm, size=len(dists_mm)).tolist()
             dists_mm = [d + e for d, e in zip(dists_mm, noise)]
-        detections = [
-            DetectionRecord(*coords[sig.led_id], d_mm)
-            for sig, d_mm in zip(ranged, dists_mm)
-            if MIN_DISTANCE_MM < d_mm < MAX_DISTANCE_MM
-        ]
+        x_cm, y_cm, distance_mm = [], [], []
+        for (x, y), d_mm in zip(broadcasts, dists_mm):
+            if MIN_DISTANCE_MM < d_mm < MAX_DISTANCE_MM:
+                x_cm.append(x)
+                y_cm.append(y)
+                distance_mm.append(d_mm)
 
         # The server raises InsufficientAnchors, a SolverError, for fewer than
         # three records before it touches the session.
         result = None
-        if detections:
-            packet = DetectionPacket(
-                "sim", int(round(1000.0 * k / scenario.sampling_hz)), tuple(detections)
+        if distance_mm:
+            packet = DetectionPacket.from_columns(
+                "sim", int(round(1000.0 * k / scenario.sampling_hz)),
+                tuple(x_cm), tuple(y_cm), tuple(distance_mm),
             )
             try:
                 result = server.ingest(packet)

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .geometry import Luminaire, Point3, RoomConfig
 from .solver import CEILING_TOLERANCE_CM, AnchorPlan, InsufficientAnchors, PositionEstimate, solve
@@ -55,10 +56,31 @@ class SessionClosed(ValueError):
     """The session was closed by the probe state machine."""
 
 
+def _check_record(x_cm, y_cm, distance_mm):
+    """Raise ValueError naming the first field of one record that a packet
+    cannot carry."""
+    # one chained test for the common valid record, and the loop names the field
+    if not (type(x_cm) is int and type(y_cm) is int
+            and 0 <= x_cm < 65536 and 0 <= y_cm < 65536):
+        for name, v in (("x_cm", x_cm), ("y_cm", y_cm)):
+            if type(v) is not int or not (0 <= v < 2**16):
+                raise ValueError(f"{name}={v!r} does not fit 16 bits")
+    if type(distance_mm) is not float and type(distance_mm) is not int:
+        if distance_mm is True:  # compares as 1; False fails the range below
+            raise ValueError("distance_mm must be a number, not a boolean")
+        if not isinstance(distance_mm, (int, float)):
+            raise ValueError(f"distance_mm={distance_mm!r} is not a number")
+    if not MIN_DISTANCE_MM < distance_mm < MAX_DISTANCE_MM:
+        raise ValueError(
+            f"distance_mm={distance_mm} outside ({MIN_DISTANCE_MM}, {MAX_DISTANCE_MM})"
+        )
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class DetectionRecord:
     """One wire record: slot 1 carries the fixture's broadcast centimeter
-    coordinates, slot 2 the measured distance in millimeters.
+    coordinates, slot 2 the measured distance in millimeters. A packet
+    carries its records as columns; this is the view of one of them.
 
     Coordinates are ints (not booleans) that fit 16 bits, and the distance an
     int or float (numpy.float64 included, booleans not) in the open range
@@ -69,49 +91,86 @@ class DetectionRecord:
     distance_mm: float
 
     def __init__(self, x_cm: int, y_cm: int, distance_mm: float):
-        # checks first, then sets each field once; one chained test for the
-        # common valid record, and the loop names the field
-        if not (type(x_cm) is int and type(y_cm) is int
-                and 0 <= x_cm < 65536 and 0 <= y_cm < 65536):
-            for name, v in (("x_cm", x_cm), ("y_cm", y_cm)):
-                if type(v) is not int or not (0 <= v < 2**16):
-                    raise ValueError(f"{name}={v!r} does not fit 16 bits")
-        if type(distance_mm) is not float and type(distance_mm) is not int:
-            if distance_mm is True:  # compares as 1; False fails the range below
-                raise ValueError("distance_mm must be a number, not a boolean")
-            if not isinstance(distance_mm, (int, float)):
-                raise ValueError(f"distance_mm={distance_mm!r} is not a number")
-        if not MIN_DISTANCE_MM < distance_mm < MAX_DISTANCE_MM:
-            raise ValueError(
-                f"distance_mm={distance_mm} outside ({MIN_DISTANCE_MM}, {MAX_DISTANCE_MM})"
-            )
+        _check_record(x_cm, y_cm, distance_mm)
         object.__setattr__(self, "x_cm", x_cm)
         object.__setattr__(self, "y_cm", y_cm)
         object.__setattr__(self, "distance_mm", distance_mm)
 
 
-@dataclass(frozen=True)
+_fields_of = attrgetter("x_cm", "y_cm", "distance_mm")  # a record's, as a tuple
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class DetectionPacket:
     """A phone's upload: its session id (a string), the capture time (an int
-    that fits 64 bits, not a boolean) and a tuple of at least one
-    DetectionRecord. ingest relies on the records' own checks, so nothing
-    else may stand in for a record."""
+    that fits 64 bits, not a boolean) and at least one record, held as three
+    equal-length tuple columns: the broadcast coordinates x_cm and y_cm and the
+    distance_mm of each record, in record order. Each record holds what a
+    DetectionRecord holds, so ingest takes the columns unchecked.
+
+    DetectionPacket(session_id, timestamp_ms, records) takes a tuple of
+    DetectionRecords, and from_columns the three columns, which it checks in
+    one pass over the records with DetectionRecord's own check; records is the
+    per-record view of the columns. The packet is frozen, and equality and
+    hashing take its fields."""
 
     session_id: str
     timestamp_ms: int
-    records: tuple[DetectionRecord, ...]
+    x_cm: "tuple[int, ...]"
+    y_cm: "tuple[int, ...]"
+    distance_mm: "tuple[float, ...]"
 
-    def __post_init__(self):
-        if type(self.session_id) is not str:
-            raise ValueError(f"session_id={self.session_id!r} is not a string")
-        if type(self.timestamp_ms) is not int or not (0 <= self.timestamp_ms < 2**64):
-            raise ValueError(f"timestamp_ms={self.timestamp_ms!r} does not fit 64 bits")
-        if type(self.records) is not tuple:
-            raise ValueError(f"records must be a tuple, not {type(self.records).__name__}")
-        if len(self.records) < 1:
+    def __init__(self, session_id: str, timestamp_ms: int,
+                 records: "tuple[DetectionRecord, ...]"):
+        _check_header(session_id, timestamp_ms)
+        if type(records) is not tuple:
+            raise ValueError(f"records must be a tuple, not {type(records).__name__}")
+        if len(records) < 1:
             raise ValueError("packet needs at least one record")
-        if set(map(type, self.records)) != {DetectionRecord}:
+        if set(map(type, records)) != {DetectionRecord}:
             raise ValueError("every record must be a DetectionRecord")
+        self._set(session_id, timestamp_ms, *zip(*map(_fields_of, records)))
+
+    @classmethod
+    def from_columns(cls, session_id: str, timestamp_ms: int, x_cm: "tuple[int, ...]",
+                     y_cm: "tuple[int, ...]", distance_mm: "tuple[float, ...]"
+                     ) -> "DetectionPacket":
+        """The packet of three columns, checked in the order a packet of
+        DetectionRecords built from them would be: each record in turn, then
+        the session id and the time, then that there is a record at all."""
+        if not (type(x_cm) is tuple and type(y_cm) is tuple and type(distance_mm) is tuple):
+            raise ValueError("the columns must be tuples")
+        if not len(x_cm) == len(y_cm) == len(distance_mm):
+            raise ValueError(f"the columns differ in length: {len(x_cm)} x_cm, "
+                             f"{len(y_cm)} y_cm, {len(distance_mm)} distance_mm")
+        # one pass over the records: at 3 to 17 records this measured faster
+        # than whole-column tests (set(map(type, ...)), min and max)
+        for x, y, d in zip(x_cm, y_cm, distance_mm):
+            _check_record(x, y, d)
+        _check_header(session_id, timestamp_ms)
+        if not x_cm:
+            raise ValueError("packet needs at least one record")
+        packet = object.__new__(cls)
+        packet._set(session_id, timestamp_ms, x_cm, y_cm, distance_mm)
+        return packet
+
+    def _set(self, session_id, timestamp_ms, x_cm, y_cm, distance_mm):
+        object.__setattr__(self, "session_id", session_id)
+        object.__setattr__(self, "timestamp_ms", timestamp_ms)
+        object.__setattr__(self, "x_cm", x_cm)
+        object.__setattr__(self, "y_cm", y_cm)
+        object.__setattr__(self, "distance_mm", distance_mm)
+
+    @property
+    def records(self) -> "tuple[DetectionRecord, ...]":
+        return tuple(map(DetectionRecord, self.x_cm, self.y_cm, self.distance_mm))
+
+
+def _check_header(session_id, timestamp_ms):
+    if type(session_id) is not str:
+        raise ValueError(f"session_id={session_id!r} is not a string")
+    if type(timestamp_ms) is not int or not (0 <= timestamp_ms < 2**64):
+        raise ValueError(f"timestamp_ms={timestamp_ms!r} does not fit 64 bits")
 
 
 class LedRegistry:
@@ -157,18 +216,20 @@ class LedRegistry:
             raise UnknownLedId(f"no fixture at ({x_cm}, {y_cm})")
         return self.anchors[i]
 
-    def resolve(self, records) -> "tuple[tuple[int, ...], list[float]]":
-        """The fixture indices of the records that match a fixture, in record
-        order, and their distances in cm as Python floats. Records that match
-        none are left out."""
+    def resolve(self, x_cm, y_cm, distance_mm) -> "tuple[tuple[int, ...], list[float]]":
+        """The fixture indices of the records, given as a packet's columns,
+        that match a fixture, in record order, and their distances in cm as
+        Python floats. Records that match none are left out."""
+        # one loop over the columns: at 3 to 17 records it measured as fast as
+        # a map over the keys when every key is found, and faster with misses
         index = self._index.get
         indices = []
         dists = []
-        for rec in records:
-            i = index((rec.x_cm, rec.y_cm))
+        for x, y, d in zip(x_cm, y_cm, distance_mm):
+            i = index((x, y))
             if i is not None:
                 indices.append(i)
-                dists.append(float(rec.distance_mm) / 10.0)
+                dists.append(float(d) / 10.0)
         return tuple(indices), dists
 
 
@@ -254,10 +315,10 @@ class LightingServer:
                     f"timestamp {packet.timestamp_ms} does not advance past {session.last_seen_ms}"
                 )
 
-        # DetectionRecord bounds every distance to (1e-4, 1e6) cm, inside the
-        # range solve takes, so the distances need no second check
-        indices, dists = self.registry.resolve(packet.records)
-        dropped = len(packet.records) - len(indices)
+        # the packet bounds every distance to (1e-4, 1e6) cm, inside the range
+        # solve takes, so the distances need no second check
+        indices, dists = self.registry.resolve(packet.x_cm, packet.y_cm, packet.distance_mm)
+        dropped = len(packet.x_cm) - len(indices)
         if len(indices) < 3:
             raise InsufficientAnchors(f"{len(indices)} resolvable records after dropping {dropped}")
 
@@ -428,8 +489,8 @@ def packet_to_line(packet: DetectionPacket) -> str:
             "session_id": packet.session_id,
             "timestamp_ms": packet.timestamp_ms,
             "records": [
-                {"x_cm": r.x_cm, "y_cm": r.y_cm, "distance_mm": r.distance_mm}
-                for r in packet.records
+                {"x_cm": x, "y_cm": y, "distance_mm": d}
+                for x, y, d in zip(packet.x_cm, packet.y_cm, packet.distance_mm)
             ],
         },
         separators=(",", ":"),
@@ -461,13 +522,26 @@ def packet_from_line(line: str) -> DetectionPacket:
     except RecursionError:
         raise ValueError("packet nests too deeply to parse") from None
     _check_fields(obj, _PACKET_FIELDS, "packet")
-    if type(obj["records"]) is not list:
+    records = obj["records"]
+    if type(records) is not list:
         raise ValueError("records must be a list")
-    records = []
-    for rec in obj["records"]:
+    x_cm, y_cm, distance_mm = [], [], []
+    for rec in records:
+        if type(rec) is not dict or rec.keys() != _RECORD_FIELDS:
+            _raise_first_fault(records)
+        x_cm.append(rec["x_cm"])
+        y_cm.append(rec["y_cm"])
+        distance_mm.append(rec["distance_mm"])
+    return DetectionPacket.from_columns(obj["session_id"], obj["timestamp_ms"], tuple(x_cm),
+                                        tuple(y_cm), tuple(distance_mm))
+
+
+def _raise_first_fault(records: list):
+    """Raise the first fault of wire records, each checked whole in turn: its
+    fields, then its values."""
+    for rec in records:
         _check_fields(rec, _RECORD_FIELDS, "record")
-        records.append(DetectionRecord(rec["x_cm"], rec["y_cm"], rec["distance_mm"]))
-    return DetectionPacket(obj["session_id"], obj["timestamp_ms"], tuple(records))
+        _check_record(rec["x_cm"], rec["y_cm"], rec["distance_mm"])
 
 
 def replay_packet_log(server: LightingServer, lines) -> "list[IngestResult]":

@@ -85,6 +85,30 @@ class TestTrackCommand:
             capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["track", "validate"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"fixture": {"radius_mm": 1e300}},
+             "the area of fixture.radius_mm=1e+300 lies past the float range"),
+            ({"camera": {"focal_length_mm": 5e-324, "pixel_edge_mm": 7000}},
+             "camera.focal_length_mm=5e-324, camera.pixel_edge_mm=7000 and the fixture's area "
+             "give the ranging constant 0.0 mm, which is not positive and finite"),
+            ({"camera": {"pixel_edge_mm": 5e-324}}, "give the ranging constant inf mm"),
+        ],
+        ids=["area-overflows", "tau-underflows", "tau-overflows"],
+    )
+    def test_a_fixture_or_camera_that_cannot_range_exits_2(self, tmp_path, capsys, command,
+                                                           data, message):
+        """validate once ended with an OverflowError traceback or passed these,
+        and track failed at run time with exit 1."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"camera": {"fov_full_angle_deg": 200}}))

@@ -306,6 +306,24 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioError, match=f"sampling_hz={rate} gives a sampling interval"):
             scenario_from_dict({"sampling_hz": rate, "duration_s": duration})
 
+    @pytest.mark.parametrize(
+        "fixture, message",
+        [
+            ({"radius_mm": 1e300}, "the area of fixture.radius_mm=1e+300 lies past the float range"),
+            # pi r^2 rounds to inf here without an OverflowError, and the
+            # 0.1 % agreement test with area_mm2 passes against inf
+            ({"radius_mm": 1e154}, "the area of fixture.radius_mm=1e+154 lies past the float range"),
+            ({"shape": "rectangular", "width_mm": 1e200, "height_mm": 1e200},
+             "the area of fixture.width_mm=1e+200 and fixture.height_mm=1e+200 lies past the "
+             "float range"),
+        ],
+        ids=["radius-squared-overflows", "area-rounds-to-inf", "rectangle"],
+    )
+    def test_a_fixture_area_past_the_float_range_is_refused(self, fixture, message):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict({"fixture": fixture})
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("spacing", [20.0, 2.0])
     def test_a_grid_past_the_fixture_cap_is_refused_before_it_is_built(self, spacing):
         """A 650 m room at 20 cm spacing once loaded with 10,562,500 fixtures,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from occloc.geometry import Circular, Luminaire, Point3, RoomConfig, distance
-from occloc import server as server_module, solver
+from occloc import harness, server as server_module, solver
 from occloc.server import (
     MAX_DISTANCE_MM,
     MIN_DISTANCE_MM,
@@ -873,6 +873,220 @@ class TestPacketRecords:
             DetectionPacket("a", 1, tuple(records))
 
 
+# --- packets as columns -----------------------------------------------------
+
+
+def _record_parser_fields(obj, fields, what):
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be a JSON object")
+    if obj.keys() != fields:
+        raise ValueError(
+            f"{what} fields: unknown {sorted(obj.keys() - fields)}, "
+            f"missing {sorted(fields - obj.keys())}"
+        )
+
+
+def _record_parser(line):
+    """The wire parser as it was while a packet held DetectionRecords: every
+    record is checked whole, in turn, then the packet."""
+    try:
+        obj = json.loads(line)
+    except RecursionError:
+        raise ValueError("packet nests too deeply to parse") from None
+    _record_parser_fields(obj, {"session_id", "timestamp_ms", "records"}, "packet")
+    if type(obj["records"]) is not list:
+        raise ValueError("records must be a list")
+    records = []
+    for rec in obj["records"]:
+        _record_parser_fields(rec, {"x_cm", "y_cm", "distance_mm"}, "record")
+        records.append(DetectionRecord(rec["x_cm"], rec["y_cm"], rec["distance_mm"]))
+    return DetectionPacket(obj["session_id"], obj["timestamp_ms"], tuple(records))
+
+
+def _record_writer(packet):
+    """The wire writer as it was: one object per DetectionRecord."""
+    return json.dumps(
+        {
+            "session_id": packet.session_id,
+            "timestamp_ms": packet.timestamp_ms,
+            "records": [
+                {"x_cm": r.x_cm, "y_cm": r.y_cm, "distance_mm": r.distance_mm}
+                for r in packet.records
+            ],
+        },
+        separators=(",", ":"),
+    )
+
+
+def _outcome(fn, *args):
+    """What fn(*args) gives a caller: the packet's fields, with the type of
+    every value, or the ValueError's message."""
+    try:
+        packet = fn(*args)
+    except ValueError as exc:
+        return ("raises", type(exc), str(exc))
+    return ("packet", repr((packet.session_id, packet.timestamp_ms,
+                            [(r.x_cm, r.y_cm, r.distance_mm) for r in packet.records])))
+
+
+_good_coordinates = st.integers(0, 2**16 - 1)
+_good_distances = (
+    st.floats(MIN_DISTANCE_MM, MAX_DISTANCE_MM, exclude_min=True, exclude_max=True)
+    | st.integers(1, 10**7 - 1)
+    | st.floats(1500.0, 4000.0).map(np.float64)
+)
+# values a column may hold that no record takes, and some that one does
+_any_column_value = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, 2**16, MIN_DISTANCE_MM,
+                     MAX_DISTANCE_MM, 0.0, -0.0, True, False, None, "1", 1.5, 2**70]),
+    st.floats(), st.integers(-(2**70), 2**70),
+    st.floats().map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _good_coordinates, _good_distances,
+)
+
+
+@st.composite
+def _columns(draw):
+    """Three columns of valid records with up to three values replaced by
+    any column value, at any position; sometimes a column is one longer or
+    shorter than the others."""
+    n = draw(st.integers(0, 7))
+    cols = [draw(st.lists(_good_coordinates, min_size=n, max_size=n)),
+            draw(st.lists(_good_coordinates, min_size=n, max_size=n)),
+            draw(st.lists(_good_distances, min_size=n, max_size=n))]
+    if n:
+        for _ in range(draw(st.integers(0, 3))):
+            col = draw(st.integers(0, 2))
+            cols[col][draw(st.integers(0, n - 1))] = draw(_any_column_value)
+    if draw(st.integers(0, 9)) == 0:
+        col = cols[draw(st.integers(0, 2))]
+        if col and draw(st.booleans()):
+            col.pop()
+        else:
+            col.append(draw(_any_column_value))
+    return tuple(map(tuple, cols))
+
+
+def _plain(value):
+    """A column value as the JSON encoder takes it: numpy scalars as Python ones."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+class TestPacketColumns:
+    def test_columns_are_the_records_fields(self):
+        packet = DetectionPacket("s", 5, (DetectionRecord(1, 2, 250.0),
+                                          DetectionRecord(3, 4, 300)))
+        assert (packet.x_cm, packet.y_cm, packet.distance_mm) == ((1, 3), (2, 4), (250.0, 300))
+        assert packet.records == (DetectionRecord(1, 2, 250.0), DetectionRecord(3, 4, 300))
+        assert packet == DetectionPacket.from_columns("s", 5, (1, 3), (2, 4), (250.0, 300))
+        assert repr(packet) == ("DetectionPacket(session_id='s', timestamp_ms=5, x_cm=(1, 3), "
+                                "y_cm=(2, 4), distance_mm=(250.0, 300))")
+        with pytest.raises(FrozenInstanceError):
+            packet.x_cm = (5, 6)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([1], (2,), (250.0,)), "the columns must be tuples"),
+            (((1,), (2,), 250.0), "the columns must be tuples"),
+            (((1, 3), (2,), (250.0,)),
+             "the columns differ in length: 2 x_cm, 1 y_cm, 1 distance_mm"),
+        ],
+        ids=["list", "number", "unequal"],
+    )
+    def test_columns_must_be_equal_length_tuples(self, columns, message):
+        with pytest.raises(ValueError) as info:
+            DetectionPacket.from_columns("s", 5, *columns)
+        assert str(info.value) == message
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        columns=_columns(),
+        session_id=st.sampled_from(["s", ""]) | st.sampled_from([5, None]),
+        timestamp_ms=st.integers(0, 2**64 - 1) | st.sampled_from([-1, 2**64, True, 1.0]),
+    )
+    def test_from_columns_equals_the_packet_of_records(self, columns, session_id, timestamp_ms):
+        """The packet, or the message, that the records built from the same
+        columns give, with NaN, infinities, booleans, numpy scalars and
+        out-of-range values anywhere in a column."""
+        if len(set(map(len, columns))) > 1:
+            with pytest.raises(ValueError, match="^the columns differ in length"):
+                DetectionPacket.from_columns(session_id, timestamp_ms, *columns)
+            return
+        want = _outcome(lambda: DetectionPacket(session_id, timestamp_ms,
+                                                tuple(map(DetectionRecord, *columns))))
+        assert _outcome(DetectionPacket.from_columns, session_id, timestamp_ms,
+                        *columns) == want
+        if want[0] == "packet":
+            packet = DetectionPacket.from_columns(session_id, timestamp_ms, *columns)
+            reference = DetectionPacket(session_id, timestamp_ms,
+                                        tuple(map(DetectionRecord, *columns)))
+            assert packet == reference and hash(packet) == hash(reference)
+
+    @settings(max_examples=500, deadline=None)
+    @given(line=st.one_of(
+        wire_packets.map(json.dumps), json_values.map(json.dumps), st.text(),
+        typed_packets.map(json.dumps),
+        st.builds(lambda sid, ts, cols: json.dumps({
+            "session_id": sid, "timestamp_ms": ts,
+            "records": [{"x_cm": x, "y_cm": y, "distance_mm": d}
+                        for x, y, d in zip(*(map(_plain, col) for col in cols))],
+        }), st.sampled_from(["s", 5]), st.sampled_from([1, -1, True]), _columns()),
+    ))
+    def test_the_wire_parser_gives_the_record_parsers_packet_or_message(self, line):
+        """Lines with several faults report the first in the record parser's
+        order: each record whole, in turn, then the session id, the time and
+        that there is a record."""
+        assert _outcome(packet_from_line, line) == _outcome(_record_parser, line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        session_id=st.text(max_size=4),
+        timestamp_ms=st.integers(0, 2**64 - 1),
+        records=st.lists(st.builds(DetectionRecord, _good_coordinates, _good_coordinates,
+                                   _good_distances), min_size=1, max_size=6),
+    )
+    def test_the_wire_form_round_trips_in_the_record_writers_bytes(
+            self, session_id, timestamp_ms, records):
+        packet = DetectionPacket(session_id, timestamp_ms, tuple(records))
+        line = packet_to_line(packet)
+        assert line == _record_writer(packet)
+        assert packet_from_line(line) == packet
+
+
+class TestNoRecordOnTheHotPath:
+    """The timed paths carry columns: neither the filter comparison nor the
+    wire parser builds a DetectionRecord."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        init = DetectionRecord.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(DetectionRecord, "__init__", counting)
+        DetectionRecord(1, 2, 250.0)  # the count sees every record built
+        assert len(calls) == 1
+        calls.clear()
+        return calls
+
+    def test_the_filter_comparison_builds_no_record(self, built):
+        points = harness.run_filter_comparison(harness.default_filtercmp_scenario(), 3)
+        assert points and built == []
+
+    def test_the_wire_parser_builds_no_record(self, built):
+        line = json.dumps({
+            "session_id": "s", "timestamp_ms": 1000,
+            "records": [{"x_cm": 75 + 150 * i, "y_cm": 450, "distance_mm": 2000.0 + i}
+                        for i in range(6)],
+        })
+        assert len(packet_from_line(line).x_cm) == 6
+        assert built == []
+
+
 def _prefixes(order, most):
     return st.integers(0, most).map(lambda n: order[:n])
 
@@ -911,7 +1125,7 @@ class TestIndexResolve:
         reference = LightingServer(make_registry(anchors_xy), ROOM)
         for packet in packets:
             assert repr(server.ingest(packet)) == repr(_library_ingest(reference, packet))
-            indices, dists = server.registry.resolve(packet.records)
+            indices, dists = server.registry.resolve(packet.x_cm, packet.y_cm, packet.distance_mm)
             assert indices == tuple(range(len(anchors_xy)))
             assert {type(d) for d in dists} == {float}
 
