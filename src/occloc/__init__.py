@@ -80,7 +80,6 @@ from .server import (
     UnknownLedId,
     packet_from_line,
     packet_to_line,
-    replay_packet_log,
 )
 from .harness import (
     BerPoint,

@@ -71,19 +71,34 @@ class RoomConfig:
                 raise ValueError(f"{name} must be finite and positive")
 
 
+def _check_sizes(shape):
+    """Raise ValueError naming the first size of shape that is negative or not
+    finite. A zero size is an emitter too small to see."""
+    for name, value in vars(shape).items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name}={value!r} must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class Circular:
     radius_mm: float
 
+    __post_init__ = _check_sizes
+
     @property
     def area_mm2(self) -> float:
-        return math.pi * self.radius_mm**2
+        try:
+            return math.pi * self.radius_mm**2
+        except OverflowError:  # the radius squared lies past the float range
+            return math.inf
 
 
 @dataclass(frozen=True)
 class Rectangular:
     width_mm: float
     height_mm: float
+
+    __post_init__ = _check_sizes
 
     @property
     def area_mm2(self) -> float:
@@ -99,6 +114,7 @@ class Luminaire:
 
     area_mm2 may be given explicitly (e.g. a datasheet value); it must then agree
     with the shape-derived area within 0.1%. Left as None it is derived exactly.
+    Either area must be finite.
     """
 
     led_id: int
@@ -112,7 +128,9 @@ class Luminaire:
         derived = self.shape.area_mm2
         if self.area_mm2 is None:
             object.__setattr__(self, "area_mm2", derived)
-        elif abs(self.area_mm2 - derived) > 1e-3 * derived:
+        if not (math.isfinite(derived) and math.isfinite(self.area_mm2)):
+            raise ValueError(f"area_mm2 {self.area_mm2} and shape area {derived} must be finite")
+        if abs(self.area_mm2 - derived) > 1e-3 * derived:
             raise ValueError(
                 f"area_mm2 {self.area_mm2} disagrees with shape area {derived:.2f} by more than 0.1%"
             )

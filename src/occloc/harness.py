@@ -29,7 +29,6 @@ from .geometry import (
 )
 from .imaging import (
     FeasibilityRegime,
-    Sighting,
     feasibility,
     observe_scene,
     pixel_count,
@@ -107,11 +106,7 @@ class FixtureSpec:
     def __post_init__(self):
         # a fixture that cannot be stamped fails when its scenario loads
         shape = self.make_shape()
-        try:
-            area = shape.area_mm2
-        except OverflowError:  # a radius squared past the float range
-            area = math.inf
-        if area == math.inf:
+        if shape.area_mm2 == math.inf:
             sizes = " and ".join(f"fixture.{k}={v!r}" for k, v in asdict(shape).items())
             raise ScenarioError(f"the area of {sizes} lies past the float range")
         self.make_luminaire(0, Point3(0.0, 0.0, 0.0))
@@ -334,22 +329,23 @@ class _Ceiling:
 @dataclass(frozen=True)
 class _Tick:
     """One sample of the noise-free walk: the time, the truth, the fixtures
-    inside the view cone, in ceiling order, and the ranged sightings (positive
-    pixel area) with their distances in mm and their fixtures' decoded
-    broadcast (x_cm, y_cm)."""
+    inside the view cone, in ceiling order, and the decoded broadcast
+    (x_cm, y_cm) and distance in mm of each ranged sighting."""
 
     t_s: float
     truth: Point3
     in_view: "tuple[Luminaire, ...]"
-    ranged: "tuple[Sighting, ...]"
-    dists_mm: "tuple[float, ...]"
     broadcasts: "tuple[tuple[int, int], ...]"
+    dists_mm: "tuple[float, ...]"
 
 
-def _ranged(sightings, tau_mm: float) -> "tuple[tuple[Sighting, ...], tuple[float, ...]]":
-    """The sightings with a positive pixel area, and their distances in mm."""
-    ranged = tuple(sig for sig in sightings if sig.pixel_area > 0)
-    return ranged, tuple(distance_from_pixels(tau_mm, sig.pixel_area) for sig in ranged)
+def _ranged(sightings, tau_mm: float, coords
+            ) -> "tuple[tuple[tuple[int, int], ...], tuple[float, ...]]":
+    """The decoded broadcast of each sighting with a positive pixel area, and
+    its distance in mm."""
+    ranged = [sig for sig in sightings if sig.pixel_area > 0]
+    return (tuple(coords[sig.led_id] for sig in ranged),
+            tuple(distance_from_pixels(tau_mm, sig.pixel_area) for sig in ranged))
 
 
 def _noise_free(scenario: Scenario) -> Scenario:
@@ -384,9 +380,8 @@ def _walk(scenario: Scenario) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
         sightings = observe_scene(reach, Pose(truth), scenario.camera)
         seen = {sig.led_id for sig in sightings}
         in_view = tuple(lum for lum in reach if lum.led_id in seen)
-        ranged, dists_mm = _ranged(sightings, ceiling.tau_mm)
-        broadcasts = tuple(ceiling.coords[sig.led_id] for sig in ranged)
-        ticks.append(_Tick(t_s, truth, in_view, ranged, dists_mm, broadcasts))
+        broadcasts, dists_mm = _ranged(sightings, ceiling.tau_mm, ceiling.coords)
+        ticks.append(_Tick(t_s, truth, in_view, broadcasts, dists_mm))
     return ceiling, tuple(ticks)
 
 
@@ -396,7 +391,8 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
     packet, solve and filter on the server.
 
     The ceiling set-up (fixtures, registry, ranging constant and decoded
-    broadcasts) and the noise-free walk (truth and sightings per tick) are
+    broadcasts) and the noise-free walk (per tick the truth, the fixtures in
+    view and the broadcast and distance of each ranged sighting) are
     cached per process, so the ensemble members of a filter comparison, which
     differ only in their seeds, build them once. Each tick then draws its noise
     in the one order a fresh walk would: the pixel noise of every fixture in
@@ -424,8 +420,7 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
             sightings = observe_scene(
                 tick.in_view, Pose(tick.truth), scenario.camera, scenario.pixel_sigma, rng
             )
-            ranged, dists_mm = _ranged(sightings, tau_mm)
-            broadcasts = [coords[sig.led_id] for sig in ranged]
+            broadcasts, dists_mm = _ranged(sightings, tau_mm, coords)
         else:
             broadcasts, dists_mm = tick.broadcasts, tick.dists_mm
         if distance_sigma_mm > 0:
@@ -534,7 +529,9 @@ class FilterComparisonPoint:
 
 
 def _member_seed(base: int, member: int) -> int:
-    return base * 1_000_003 + member
+    """The seed of ensemble member member, reduced to the 64 bits a seed
+    holds; below about 1.8e13 the reduction leaves it as it is."""
+    return (base * 1_000_003 + member) % 2**64
 
 
 def run_filter_comparison(scenario: Scenario, ensemble_size: int = 100) -> "list[FilterComparisonPoint]":

@@ -80,7 +80,7 @@ def _check_record(x_cm, y_cm, distance_mm):
 class DetectionRecord:
     """One wire record: slot 1 carries the fixture's broadcast centimeter
     coordinates, slot 2 the measured distance in millimeters. A packet
-    carries its records as columns; this is the view of one of them.
+    carries its records as columns, and is built from a tuple of these.
 
     Coordinates are ints (not booleans) that fit 16 bits, and the distance an
     int or float (numpy.float64 included, booleans not) in the open range
@@ -110,9 +110,8 @@ class DetectionPacket:
 
     DetectionPacket(session_id, timestamp_ms, records) takes a tuple of
     DetectionRecords, and from_columns the three columns, which it checks in
-    one pass over the records with DetectionRecord's own check; records is the
-    per-record view of the columns. The packet is frozen, and equality and
-    hashing take its fields."""
+    one pass over the records with DetectionRecord's own check. The packet is
+    frozen, and equality and hashing take its fields."""
 
     session_id: str
     timestamp_ms: int
@@ -160,10 +159,6 @@ class DetectionPacket:
         object.__setattr__(self, "x_cm", x_cm)
         object.__setattr__(self, "y_cm", y_cm)
         object.__setattr__(self, "distance_mm", distance_mm)
-
-    @property
-    def records(self) -> "tuple[DetectionRecord, ...]":
-        return tuple(map(DetectionRecord, self.x_cm, self.y_cm, self.distance_mm))
 
 
 def _check_header(session_id, timestamp_ms):
@@ -386,11 +381,7 @@ class LightingServer:
         kf = session.tracker_state
         return {
             "version": SNAPSHOT_VERSION,
-            "session_id": session.session_id,
-            "closed": session.closed,
-            "last_seen_ms": session.last_seen_ms,
-            "last_probe_ms": session.last_probe_ms,
-            "missed_probes": session.missed_probes,
+            **{name: getattr(session, name) for name in _SESSION_FIELDS},
             "tracker": {
                 "x": [kf.x, kf.y, kf.vx, kf.vy],
                 "p": [kf.p_pos, kf.p_cross, kf.p_vel],
@@ -402,43 +393,31 @@ class LightingServer:
         """Rebuild a session from a snapshot dict (inverse of snapshot).
 
         Every field is checked before the session is registered, and a bad one
-        raises ValueError naming it. The snapshot holds exactly the keys that
-        snapshot writes, and its tracker object exactly x, p and height_cm.
-        session_id is a string; last_seen_ms is an integer in [0, 2**64), the
-        packet timestamp range, and last_probe_ms one too or null;
-        missed_probes is an integer >= 0 and closed a boolean. The filter
-        state is 4 finite numbers x = (x, y, vx, vy), the 3 finite numbers
-        p = (p_pos, p_cross, p_vel) of the per-axis covariance block and the
-        finite number height_cm. An earlier version's snapshot is rejected."""
+        raises ValueError naming it. The snapshot holds exactly the version,
+        the keys of _SESSION_FIELDS and tracker, and its tracker object exactly
+        the keys of _TRACKER_FIELDS. Each value must then pass its table's
+        test, the tracker's first, each table in the order snapshot writes it.
+        An earlier version's snapshot is rejected."""
         if type(snapshot) is not dict:
             raise ValueError("snapshot must be an object")
         if snapshot.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snapshot.get('version')}")
-        _check_fields(snapshot, _SNAPSHOT_FIELDS, "snapshot")
-        _check_fields(snapshot["tracker"], _TRACKER_FIELDS, "snapshot tracker")
-        x = _state_numbers(snapshot["tracker"], "x", 4)
-        p = _state_numbers(snapshot["tracker"], "p", 3)
-        height = snapshot["tracker"]["height_cm"]
-        if not _finite_number(height):
-            raise ValueError("snapshot field tracker.height_cm must be a finite number")
-        _check_session_fields(snapshot)
-        state = tracker.KalmanState(*x, *p)
+        _check_fields(snapshot, {"version", *_SESSION_FIELDS, "tracker"}, "snapshot")
+        saved = snapshot["tracker"]
+        _check_fields(saved, _TRACKER_FIELDS.keys(), "snapshot tracker")
+        for obj, table, prefix in ((saved, _TRACKER_FIELDS, "tracker."),
+                                   (snapshot, _SESSION_FIELDS, "")):
+            for name, (ok, what) in table.items():
+                if not ok(obj[name]):
+                    raise ValueError(f"snapshot field {prefix}{name} must be {what}")
+        state = tracker.KalmanState(*map(float, saved["x"]), *map(float, saved["p"]))
         session = Session(
-            session_id=snapshot["session_id"],
             tracker_state=state,
             ahead=tracker.predict(state, self.kalman_config),
-            height_cm=float(height),
-            last_seen_ms=snapshot["last_seen_ms"],
-            last_probe_ms=snapshot["last_probe_ms"],
-            missed_probes=snapshot["missed_probes"],
-            closed=snapshot["closed"],
+            height_cm=float(saved["height_cm"]),
+            **{name: snapshot[name] for name in _SESSION_FIELDS},
         )
         self.sessions[session.session_id] = session
-
-
-_SNAPSHOT_FIELDS = {"version", "session_id", "closed", "last_seen_ms", "last_probe_ms",
-                    "missed_probes", "tracker"}
-_TRACKER_FIELDS = {"x", "p", "height_cm"}
 
 
 def _finite_number(value) -> bool:
@@ -454,32 +433,28 @@ def _clock(value) -> bool:
     return type(value) is int and 0 <= value < 2**64
 
 
-def _check_session_fields(snapshot: dict):
-    """Raise ValueError naming the first field besides tracker that a session
-    cannot hold."""
+def _finite_numbers(n: int):
+    """The test of a list (or tuple) of n finite numbers."""
+    return lambda v: type(v) in (list, tuple) and len(v) == n and all(map(_finite_number, v))
 
-    def require(name: str, ok: bool, what: str):
-        if not ok:
-            raise ValueError(f"snapshot field {name} must be {what}")
 
-    require("session_id", type(snapshot["session_id"]) is str, "a string")
+# The Session attributes a snapshot carries, in the order snapshot writes
+# them: the test a restored value must pass, and what its error says it must be.
+_SESSION_FIELDS = {
+    "session_id": (lambda v: type(v) is str, "a string"),
+    "closed": (lambda v: type(v) is bool, "a boolean"),
     # a clock past the packet clock range would make every packet stale
-    require("last_seen_ms", _clock(snapshot["last_seen_ms"]), "an integer in [0, 2**64)")
-    last_probe = snapshot["last_probe_ms"]
-    require("last_probe_ms", last_probe is None or _clock(last_probe),
-            "an integer in [0, 2**64) or null")
-    missed = snapshot["missed_probes"]
-    require("missed_probes", type(missed) is int and missed >= 0, "an integer >= 0")
-    require("closed", type(snapshot["closed"]) is bool, "a boolean")
-
-
-def _state_numbers(state: dict, name: str, n: int) -> "list[float]":
-    """A snapshot's tracker.<name> as n floats; each must be a finite int or
-    float (not a string or boolean)."""
-    value = state[name]
-    if type(value) not in (list, tuple) or len(value) != n or not all(map(_finite_number, value)):
-        raise ValueError(f"snapshot field tracker.{name} must be {n} finite numbers")
-    return [float(v) for v in value]
+    "last_seen_ms": (_clock, "an integer in [0, 2**64)"),
+    "last_probe_ms": (lambda v: v is None or _clock(v), "an integer in [0, 2**64) or null"),
+    "missed_probes": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+}
+# The same for the snapshot's tracker object: the filter's mean (x, y, vx, vy),
+# the per-axis covariance block (p_pos, p_cross, p_vel) and the last height.
+_TRACKER_FIELDS = {
+    "x": (_finite_numbers(4), "4 finite numbers"),
+    "p": (_finite_numbers(3), "3 finite numbers"),
+    "height_cm": (_finite_number, "a finite number"),
+}
 
 
 def packet_to_line(packet: DetectionPacket) -> str:
@@ -542,8 +517,3 @@ def _raise_first_fault(records: list):
     for rec in records:
         _check_fields(rec, _RECORD_FIELDS, "record")
         _check_record(rec["x_cm"], rec["y_cm"], rec["distance_mm"])
-
-
-def replay_packet_log(server: LightingServer, lines) -> "list[IngestResult]":
-    """Feed a packet log (one JSON packet per line) through the server in order."""
-    return [server.ingest(packet_from_line(line)) for line in lines if line.strip()]

@@ -91,10 +91,6 @@ class KalmanState:
     def position_xy(self) -> tuple[float, float]:
         return self.x, self.y
 
-    @property
-    def velocity_xy(self) -> tuple[float, float]:
-        return self.vx, self.vy
-
 
 def initial_state(measurement_xy: tuple[float, float], config: KalmanConfig) -> KalmanState:
     """Cold start: seed position from the first measurement, zero velocity,

@@ -109,6 +109,25 @@ class TestTrackCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["track", "validate"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"fixture": {"radius_mm": -85}}, "radius_mm=-85 must be finite and non-negative"),
+            ({"fixture": {"shape": "rectangular", "width_mm": -10, "height_mm": -20}},
+             "width_mm=-10 must be finite and non-negative"),
+        ],
+        ids=["negative-radius", "negative-rectangle"],
+    )
+    def test_a_negative_fixture_size_exits_2(self, tmp_path, capsys, command, data, message):
+        """Both once loaded, and track ran them."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"camera": {"fov_full_angle_deg": 200}}))
@@ -231,6 +250,15 @@ class TestFiltercmpDefault:
         write_filtercmp_csv(run_filter_comparison(default_filtercmp_scenario(), 3), expected)
         assert read(out / "filtercmp.csv") == read(expected)
         assert json.loads((out / "manifest.json").read_text())["seed"] == 7
+
+    def test_takes_every_seed_that_track_takes(self, tmp_path, monkeypatch):
+        """The members' seeds once left the 64 bits a seed holds, and this
+        exited 2 with "seed must fit an unsigned 64-bit value"."""
+        monkeypatch.delenv("OCC_SEED", raising=False)
+        out = tmp_path / "o"
+        seed = str(2**64 - 1)
+        assert main(["filtercmp", "--out", str(out), "--ensemble", "2", "--seed", seed]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize(
         "env_seed, flag, seed",

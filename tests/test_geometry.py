@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -127,6 +128,42 @@ class TestTypes:
     def test_luminaire_area_mismatch(self):
         with pytest.raises(ValueError):
             make_luminaire(area_mm2=25000.0)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            (lambda: Circular(-85.0), "radius_mm=-85.0 must be finite and non-negative"),
+            (lambda: Circular(math.nan), "radius_mm=nan must be finite"),
+            (lambda: Circular(math.inf), "radius_mm=inf must be finite"),
+            (lambda: Rectangular(-10.0, -20.0), "width_mm=-10.0 must be finite and non-negative"),
+            (lambda: Rectangular(10.0, -20.0), "height_mm=-20.0 must be finite and non-negative"),
+            (lambda: Rectangular(10.0, math.inf), "height_mm=inf must be finite"),
+        ],
+        ids=["negative-radius", "nan-radius", "infinite-radius", "negative-rectangle",
+             "negative-height", "infinite-height"],
+    )
+    def test_a_size_that_is_negative_or_not_finite_is_refused(self, shape, message):
+        """pi r^2 and w h are positive for negative sizes, so a -85 mm radius
+        and a -10 x -20 mm rectangle were once accepted."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            shape()
+
+    def test_a_zero_size_is_kept(self):
+        assert Circular(0.0).area_mm2 == 0.0 and Rectangular(0.0, 5.0).area_mm2 == 0.0
+
+    @pytest.mark.parametrize(
+        "shape, area_mm2",
+        [(Circular(1e154), 22700.0), (Circular(1e300), None), (Circular(1e300), 22700.0),
+         (Rectangular(1e200, 1e200), None), (Circular(85.0), math.inf),
+         (Circular(85.0), math.nan)],
+        ids=["area-rounds-to-inf", "radius-squared-overflows", "overflow-beside-a-given-area",
+             "rectangle", "infinite-given-area", "nan-given-area"],
+    )
+    def test_an_area_that_is_not_finite_is_refused(self, shape, area_mm2):
+        """The 0.1 % agreement test passes against an infinite shape area and
+        against a NaN given one, so both were once built."""
+        with pytest.raises(ValueError, match="must be finite"):
+            Luminaire(1, Point3(0, 0, 0), shape, area_mm2=area_mm2)
 
     def test_luminaire_area_within_tolerance(self):
         lum = make_luminaire(area_mm2=22700.0)  # pi * 85^2 = 22698.0

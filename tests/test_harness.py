@@ -324,6 +324,23 @@ class TestScenarioConfig:
             scenario_from_dict({"fixture": fixture})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "fixture, message",
+        [
+            ({"radius_mm": -85}, "radius_mm=-85 must be finite and non-negative"),
+            ({"shape": "rectangular", "width_mm": -10, "height_mm": -20},
+             "width_mm=-10 must be finite and non-negative"),
+            ({"shape": "rectangular", "width_mm": 10, "height_mm": -20},
+             "height_mm=-20 must be finite and non-negative"),
+        ],
+        ids=["negative-radius", "negative-rectangle", "negative-height"],
+    )
+    def test_a_negative_fixture_size_is_refused(self, fixture, message):
+        """These once loaded and tracked, since pi r^2 and w h are positive."""
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict({"fixture": fixture})
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("spacing", [20.0, 2.0])
     def test_a_grid_past_the_fixture_cap_is_refused_before_it_is_built(self, spacing):
         """A 650 m room at 20 cm spacing once loaded with 10,562,500 fixtures,
@@ -597,9 +614,10 @@ class TestCachedRanges:
         ceiling, walk = _cold(harness._walk, harness._noise_free(self.BASE))
         for tick in walk:
             seen = observe_scene(tick.in_view, Pose(tick.truth), self.BASE.camera)
-            assert tick.ranged == tuple(sig for sig in seen if sig.pixel_area > 0)
+            ranged = [sig for sig in seen if sig.pixel_area > 0]
+            assert tick.broadcasts == tuple(ceiling.coords[sig.led_id] for sig in ranged)
             assert tick.dists_mm == tuple(
-                distance_from_pixels(ceiling.tau_mm, sig.pixel_area) for sig in tick.ranged
+                distance_from_pixels(ceiling.tau_mm, sig.pixel_area) for sig in ranged
             )
 
     def test_noise_sum_equals_the_scalar_loop(self, monkeypatch):
@@ -608,7 +626,7 @@ class TestCachedRanges:
         ingest = harness.LightingServer.ingest
 
         def recording(server, packet):
-            sent.append([rec.distance_mm for rec in packet.records])
+            sent.append(list(packet.distance_mm))
             return ingest(server, packet)
 
         monkeypatch.setattr(harness.LightingServer, "ingest", recording)
@@ -617,7 +635,9 @@ class TestCachedRanges:
         rng = np.random.default_rng(s.seed)
         expected = []
         for tick in walk:
-            dists = [distance_from_pixels(ceiling.tau_mm, sig.pixel_area) for sig in tick.ranged]
+            seen = observe_scene(tick.in_view, Pose(tick.truth), s.camera)
+            dists = [distance_from_pixels(ceiling.tau_mm, sig.pixel_area)
+                     for sig in seen if sig.pixel_area > 0]
             noise = [float(rng.normal(0.0, 10.0 * s.distance_sigma_cm)) for _ in dists]
             expected.append([d + e for d, e in zip(dists, noise)])
         assert sent == [ds for ds in expected if ds]
@@ -818,6 +838,16 @@ class TestFilterComparison:
             for k in range(n - 1)
         ]
         assert repr(run_filter_comparison(s, size)) == repr(expected)
+
+    def test_a_seed_near_the_top_of_its_range_runs(self):
+        """base * 1_000_003 + member once left [0, 2**64) here, so a seed that
+        track takes made the members' scenarios raise ScenarioError."""
+        top = replace(default_filtercmp_scenario(), seed=2**64 - 1)
+        points = run_filter_comparison(top, ensemble_size=2)
+        assert len(points) == top.tick_count() - 1
+        assert harness._member_seed(2**64 - 1, 1) == (2**64 - 1) * 1_000_003 % 2**64 + 1
+        # smaller seeds keep the member seeds they always had
+        assert harness._member_seed(7, 99) == 7 * 1_000_003 + 99
 
     def test_a_tick_0_error_of_zero_raises(self):
         # distance noise far below a float's resolution leaves a static

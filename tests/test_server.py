@@ -24,7 +24,6 @@ from occloc.server import (
     UnknownLedId,
     packet_from_line,
     packet_to_line,
-    replay_packet_log,
 )
 from occloc import tracker
 from occloc.solver import InsufficientAnchors, SolverError, estimate_position
@@ -129,7 +128,8 @@ class TestIngest:
         good = packet_from_truth(truth, 1000)
         bad = DetectionRecord(9, 9, 1234.0)
         result = server.ingest(
-            DetectionPacket("s1", 1000, good.records + (bad,))
+            DetectionPacket("s1", 1000, tuple(map(DetectionRecord, good.x_cm, good.y_cm,
+                                                  good.distance_mm)) + (bad,))
         )
         assert result.dropped_records == 1
         assert distance(result.estimate.position, truth) < 1e-6
@@ -192,8 +192,12 @@ class TestIngest:
         for k in range(10):
             truth = Point3(480 + 5 * k, 500 + 3 * k, 100)
             lines.append(packet_to_line(packet_from_truth(truth, 1000 * (k + 1))))
-        a = replay_packet_log(make_server(), lines)
-        b = replay_packet_log(make_server(), lines)
+
+        def replay(server):
+            return [server.ingest(packet_from_line(line)) for line in lines]
+
+        a = replay(make_server())
+        b = replay(make_server())
         assert [r.filtered for r in a] == [r.filtered for r in b]
         assert [r.predicted for r in a] == [r.predicted for r in b]
 
@@ -521,12 +525,28 @@ class TestRestoreSessionFields:
             server.restore_session(snap)
         assert server.sessions == {}
 
-    @pytest.mark.parametrize("name", ["session_id", "closed", "tracker"])
+    # every key snapshot writes, the tracker's as tracker.<key>
+    WRITTEN = ["version", "session_id", "closed", "last_seen_ms", "last_probe_ms",
+               "missed_probes", "tracker", "tracker.x", "tracker.p", "tracker.height_cm"]
+
+    def test_written_lists_every_key_snapshot_writes(self):
+        snap = _valid_snapshot()
+        assert self.WRITTEN == [*snap, *(f"tracker.{key}" for key in snap["tracker"])]
+
+    @pytest.mark.parametrize("name", WRITTEN)
     def test_missing_field_is_named(self, name):
         snap = _valid_snapshot()
-        del snap[name]
-        with pytest.raises(ValueError, match=rf"snapshot fields: unknown \[\], missing \['{name}'\]"):
-            make_server().restore_session(snap)
+        where, prefix, key = snap, "snapshot", name
+        if name.startswith("tracker."):
+            where, prefix, key = snap["tracker"], "snapshot tracker", name[len("tracker."):]
+        del where[key]
+        message = rf"{prefix} fields: unknown \[\], missing \['{key}'\]"
+        if name == "version":  # read before the other keys
+            message = "unsupported snapshot version None"
+        server = make_server()
+        with pytest.raises(ValueError, match=message):
+            server.restore_session(snap)
+        assert server.sessions == {}
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -547,6 +567,29 @@ class TestRestoreSessionFields:
         with pytest.raises(ValueError, match=re.escape(f"{prefix} fields: unknown [{key!r}]")):
             server.restore_session(snap)
         assert server.sessions == {}
+
+    def test_bad_fields_are_named_in_the_order_snapshot_writes_them(self):
+        """The tracker's fields first, then the session's, closed before the
+        clocks: one bad field is named at a time, and mending it names the
+        next."""
+        good = _valid_snapshot()
+        snap = {**good, "session_id": 1, "closed": None, "last_seen_ms": -1,
+                "last_probe_ms": -1, "missed_probes": -1,
+                "tracker": {"x": None, "p": None, "height_cm": None}}
+        named = []
+        while True:
+            try:
+                make_server().restore_session(snap)
+                break
+            except ValueError as exc:
+                name = str(exc).split()[2]
+            named.append(name)
+            where, mended = (snap["tracker"], good["tracker"]) if "." in name else (snap, good)
+            key = name.rpartition(".")[2]
+            where[key] = mended[key]
+        assert named == ["tracker.x", "tracker.p", "tracker.height_cm", "session_id", "closed",
+                         "last_seen_ms", "last_probe_ms", "missed_probes"]
+        assert snap == good
 
     @pytest.mark.parametrize("value", [None, [], "tracker", 1])
     def test_tracker_must_be_an_object(self, value):
@@ -752,7 +795,7 @@ class TestPacketLines:
             '{"session_id":"s","timestamp_ms":1,'
             '"records":[{"x_cm":1,"y_cm":2,"distance_mm":2000}]}'
         )
-        assert packet_from_line(line).records[0].distance_mm == 2000
+        assert packet_from_line(line).distance_mm[0] == 2000
 
 
 # Every kind of JSON value, including the NaN and Infinity that Python's json
@@ -809,7 +852,8 @@ class TestWireRobustness:
         except ValueError:
             return
         assert isinstance(packet, DetectionPacket)
-        assert all(isinstance(r, DetectionRecord) for r in packet.records)
+        assert all(isinstance(r, DetectionRecord)
+                   for r in map(DetectionRecord, packet.x_cm, packet.y_cm, packet.distance_mm))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -911,7 +955,7 @@ def _record_writer(packet):
             "timestamp_ms": packet.timestamp_ms,
             "records": [
                 {"x_cm": r.x_cm, "y_cm": r.y_cm, "distance_mm": r.distance_mm}
-                for r in packet.records
+                for r in map(DetectionRecord, packet.x_cm, packet.y_cm, packet.distance_mm)
             ],
         },
         separators=(",", ":"),
@@ -926,7 +970,7 @@ def _outcome(fn, *args):
     except ValueError as exc:
         return ("raises", type(exc), str(exc))
     return ("packet", repr((packet.session_id, packet.timestamp_ms,
-                            [(r.x_cm, r.y_cm, r.distance_mm) for r in packet.records])))
+                            list(zip(packet.x_cm, packet.y_cm, packet.distance_mm)))))
 
 
 _good_coordinates = st.integers(0, 2**16 - 1)
@@ -977,7 +1021,8 @@ class TestPacketColumns:
         packet = DetectionPacket("s", 5, (DetectionRecord(1, 2, 250.0),
                                           DetectionRecord(3, 4, 300)))
         assert (packet.x_cm, packet.y_cm, packet.distance_mm) == ((1, 3), (2, 4), (250.0, 300))
-        assert packet.records == (DetectionRecord(1, 2, 250.0), DetectionRecord(3, 4, 300))
+        assert tuple(map(DetectionRecord, packet.x_cm, packet.y_cm, packet.distance_mm)) == (
+            DetectionRecord(1, 2, 250.0), DetectionRecord(3, 4, 300))
         assert packet == DetectionPacket.from_columns("s", 5, (1, 3), (2, 4), (250.0, 300))
         assert repr(packet) == ("DetectionPacket(session_id='s', timestamp_ms=5, x_cm=(1, 3), "
                                 "y_cm=(2, 4), distance_mm=(250.0, 300))")
@@ -1186,8 +1231,8 @@ def _library_ingest(server: LightingServer, packet: DetectionPacket):
     """ingest with its solve replaced by the call it made before it resolved
     records to indices: estimate_position over the records' anchors and their
     distance_mm / 10.0, whatever type that has."""
-    anchors = tuple(server.registry.lookup(r.x_cm, r.y_cm) for r in packet.records)
-    dists = [r.distance_mm / 10.0 for r in packet.records]
+    anchors = tuple(server.registry.lookup(x, y) for x, y in zip(packet.x_cm, packet.y_cm))
+    dists = [d / 10.0 for d in packet.distance_mm]
 
     def library_solve(plan, floats, room, prior=None):
         return estimate_position(anchors, dists, room, prior)

@@ -148,7 +148,7 @@ class TestTrack:
     def test_cold_start_seeds_first_measurement(self):
         states = track([(7.0, 9.0), (8.0, 9.5)], config())
         assert states[0].position_xy == (7.0, 9.0)
-        assert states[0].velocity_xy == (0.0, 0.0)
+        assert (states[0].vx, states[0].vy) == (0.0, 0.0)
 
     def test_posterior_variance_non_increasing_static(self):
         # the covariance recursion is measurement-independent; it must settle
@@ -164,7 +164,7 @@ class TestTrack:
         cfg = config()
         truth = [(10.0 * k, -4.0 * k) for k in range(12)]
         states = track(truth, cfg)
-        vx, vy = states[10].velocity_xy
+        vx, vy = states[10].vx, states[10].vy
         assert vx == pytest.approx(10.0, rel=0.01)
         assert vy == pytest.approx(-4.0, rel=0.01)
 
