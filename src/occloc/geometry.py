@@ -24,7 +24,10 @@ class Point3:
 
     def __init__(self, x: float, y: float, z: float):
         # converts and checks first, then sets each field once
-        x, y, z = float(x), float(y), float(z)
+        try:
+            x, y, z = float(x), float(y), float(z)
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"non-finite point ({x}, {y}, {z})") from None
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError(f"non-finite point ({x}, {y}, {z})")
         object.__setattr__(self, "x", x)
@@ -43,6 +46,15 @@ def distance(a: Point3, b: Point3) -> float:
 UP = (0.0, 0.0, 1.0)
 
 
+def _finite(value) -> bool:
+    """math.isfinite, which raises OverflowError for an int past the float
+    range, where this returns False."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Pose:
     """Camera position plus optical-axis direction (unit vector, default straight up)."""
@@ -51,7 +63,10 @@ class Pose:
     optical_axis: tuple[float, float, float] = UP
 
     def __post_init__(self):
-        norm = math.sqrt(sum(c * c for c in self.optical_axis))
+        try:
+            norm = math.sqrt(sum(c * c for c in self.optical_axis))
+        except OverflowError:  # an int component past the float range
+            norm = math.inf
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"optical_axis must be unit length, |v| = {norm}")
 
@@ -67,7 +82,7 @@ class RoomConfig:
     def __post_init__(self):
         for name in ("width_cm", "depth_cm", "ceiling_height_cm"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (_finite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
 
 
@@ -75,7 +90,7 @@ def _check_sizes(shape):
     """Raise ValueError naming the first size of shape that is negative or not
     finite. A zero size is an emitter too small to see."""
     for name, value in vars(shape).items():
-        if not (math.isfinite(value) and value >= 0):
+        if not (_finite(value) and value >= 0):
             raise ValueError(f"{name}={value!r} must be finite and non-negative")
 
 
@@ -128,7 +143,7 @@ class Luminaire:
         derived = self.shape.area_mm2
         if self.area_mm2 is None:
             object.__setattr__(self, "area_mm2", derived)
-        if not (math.isfinite(derived) and math.isfinite(self.area_mm2)):
+        if not (_finite(derived) and _finite(self.area_mm2)):
             raise ValueError(f"area_mm2 {self.area_mm2} and shape area {derived} must be finite")
         if abs(self.area_mm2 - derived) > 1e-3 * derived:
             raise ValueError(
@@ -146,9 +161,9 @@ class CameraModel:
     fov_full_angle_deg: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.focal_length_mm) and self.focal_length_mm > 0):
+        if not (_finite(self.focal_length_mm) and self.focal_length_mm > 0):
             raise ValueError("focal_length_mm must be finite and positive")
-        if not (math.isfinite(self.pixel_edge_mm) and self.pixel_edge_mm > 0):
+        if not (_finite(self.pixel_edge_mm) and self.pixel_edge_mm > 0):
             raise ValueError("pixel_edge_mm must be finite and positive")
         if not (0.0 < self.fov_full_angle_deg < 180.0):
             raise ValueError("fov_full_angle_deg must lie in (0, 180)")

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
+from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -80,6 +82,7 @@ MAX_SNIR_DB = 300.0  # |SNIR| bound of the BER sweep; 10^(SNIR/10) overflows pas
 # At most this many fixtures on one ceiling: about 90 MiB of luminaires, at
 # some 344 B each, and 14.8 times the 17,689 of a 200 m hall at 150 cm spacing.
 MAX_FIXTURES = 2**18
+MAX_ROOM_CM = 2**16  # the most a room's width or depth may be
 
 
 @dataclass(frozen=True)
@@ -200,6 +203,13 @@ class Scenario:
                 _check_broadcasts([(x, ys[0]) for x in xs])
                 _check_broadcasts([(xs[0], y) for y in ys])
             _check_fixture_count(len(xs) * len(ys))
+        # No 16-bit broadcast names a fixture past 65,535 cm, and the
+        # visibility scan's grid grows with the floor plan.
+        for name in ("width_cm", "depth_cm"):
+            extent = getattr(self.room, name)
+            if extent > MAX_ROOM_CM:
+                raise ScenarioError(f"room.{name}={extent!r} exceeds the {MAX_ROOM_CM} cm "
+                                    "that 16-bit broadcast coordinates span")
         try:  # the constant run_tracking ranges with, checked as FixtureSpec stamps a fixture
             tau_mm = ranging_constant(self.camera, fix.make_luminaire(0, Point3(0.0, 0.0, 0.0)))
         except ValueError:  # it underflows to 0
@@ -329,36 +339,43 @@ class _Ceiling:
 @dataclass(frozen=True)
 class _Tick:
     """One sample of the noise-free walk: the time, the truth, the fixtures
-    inside the view cone, in ceiling order, and the decoded broadcast
-    (x_cm, y_cm) and distance in mm of each ranged sighting."""
+    inside the view cone, in ceiling order, and the columns of its ranged
+    sightings: the decoded broadcast x_cm and y_cm and the distance in mm of
+    each."""
 
     t_s: float
     truth: Point3
     in_view: "tuple[Luminaire, ...]"
-    broadcasts: "tuple[tuple[int, int], ...]"
+    x_cm: "tuple[int, ...]"
+    y_cm: "tuple[int, ...]"
     dists_mm: "tuple[float, ...]"
 
 
 def _ranged(sightings, tau_mm: float, coords
-            ) -> "tuple[tuple[tuple[int, int], ...], tuple[float, ...]]":
-    """The decoded broadcast of each sighting with a positive pixel area, and
-    its distance in mm."""
+            ) -> "tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]":
+    """The columns of the sightings with a positive pixel area: the decoded
+    broadcast x_cm and y_cm of each, and its distance in mm."""
     ranged = [sig for sig in sightings if sig.pixel_area > 0]
-    return (tuple(coords[sig.led_id] for sig in ranged),
-            tuple(distance_from_pixels(tau_mm, sig.pixel_area) for sig in ranged))
+    xy = [coords[sig.led_id] for sig in ranged]
+    return (tuple([x for x, _ in xy]), tuple([y for _, y in xy]),
+            tuple([distance_from_pixels(tau_mm, sig.pixel_area) for sig in ranged]))
 
 
-def _noise_free(scenario: Scenario) -> Scenario:
-    """The scenario without its seed and noise: the key of its walk."""
-    return replace(scenario, seed=0, pixel_sigma=0.0, distance_sigma_cm=0.0)
+# The Scenario fields the walk depends on: all but the seed and the two noise
+# levels. Their values, in this order, are the key of the walk cache.
+_WALK_FIELDS = tuple(f.name for f in fields(Scenario)
+                     if f.name not in ("seed", "pixel_sigma", "distance_sigma_cm"))
+_walk_key = attrgetter(*_WALK_FIELDS)
 
 
 # The most recent walk with its ceiling. It holds nothing that depends on the
 # seed or the noise, so an ensemble's members, which differ only in their
 # seeds, share it. Every run reads the same objects, so nothing may modify them.
 @lru_cache(maxsize=1)
-def _walk(scenario: Scenario) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
-    """The ceiling and the noise-free walk of a _noise_free scenario."""
+def _walk(key: tuple) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
+    """The ceiling and the noise-free walk of the scenario whose _walk_key is
+    key. Only a miss builds (and so checks) that scenario."""
+    scenario = Scenario(**dict(zip(_WALK_FIELDS, key)), pixel_sigma=0.0)
     luminaires = tuple(scenario.build_luminaires())
     height = scenario.room.ceiling_height_cm
     ceiling = _Ceiling(
@@ -380,8 +397,8 @@ def _walk(scenario: Scenario) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
         sightings = observe_scene(reach, Pose(truth), scenario.camera)
         seen = {sig.led_id for sig in sightings}
         in_view = tuple(lum for lum in reach if lum.led_id in seen)
-        broadcasts, dists_mm = _ranged(sightings, ceiling.tau_mm, ceiling.coords)
-        ticks.append(_Tick(t_s, truth, in_view, broadcasts, dists_mm))
+        columns = _ranged(sightings, ceiling.tau_mm, ceiling.coords)
+        ticks.append(_Tick(t_s, truth, in_view, *columns))
     return ceiling, tuple(ticks)
 
 
@@ -403,8 +420,10 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
     tick is one draw of as many normals as it has ranged sightings, which
     gives the stream of that many scalar draws, added to the distances one by
     one. The records in range go to the server as one packet of columns
-    (DetectionPacket.from_columns), and no DetectionRecord is built."""
-    ceiling, walk = _walk(_noise_free(scenario))
+    (DetectionPacket.from_columns), and no DetectionRecord is built: when
+    every distance is in range, the columns are the cached (or just ranged)
+    ones as they are."""
+    ceiling, walk = _walk(_walk_key(scenario))
     tau_mm, coords = ceiling.tau_mm, ceiling.coords
     server = LightingServer(
         ceiling.registry,
@@ -420,26 +439,26 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
             sightings = observe_scene(
                 tick.in_view, Pose(tick.truth), scenario.camera, scenario.pixel_sigma, rng
             )
-            broadcasts, dists_mm = _ranged(sightings, tau_mm, coords)
+            x_cm, y_cm, dists_mm = _ranged(sightings, tau_mm, coords)
         else:
-            broadcasts, dists_mm = tick.broadcasts, tick.dists_mm
+            x_cm, y_cm, dists_mm = tick.x_cm, tick.y_cm, tick.dists_mm
         if distance_sigma_mm > 0:
             noise = rng.normal(0.0, distance_sigma_mm, size=len(dists_mm)).tolist()
-            dists_mm = [d + e for d, e in zip(dists_mm, noise)]
-        x_cm, y_cm, distance_mm = [], [], []
-        for (x, y), d_mm in zip(broadcasts, dists_mm):
-            if MIN_DISTANCE_MM < d_mm < MAX_DISTANCE_MM:
-                x_cm.append(x)
-                y_cm.append(y)
-                distance_mm.append(d_mm)
+            # a list first: a tuple sized up front, not grown from an iterator
+            dists_mm = tuple([d + e for d, e in zip(dists_mm, noise)])
+        # no distance is NaN, so min and max test every one against the range
+        if dists_mm and not (MIN_DISTANCE_MM < min(dists_mm)
+                             and max(dists_mm) < MAX_DISTANCE_MM):
+            keep = [MIN_DISTANCE_MM < d < MAX_DISTANCE_MM for d in dists_mm]
+            x_cm, y_cm, dists_mm = (tuple(compress(column, keep))
+                                    for column in (x_cm, y_cm, dists_mm))
 
         # The server raises InsufficientAnchors, a SolverError, for fewer than
         # three records before it touches the session.
         result = None
-        if distance_mm:
+        if dists_mm:
             packet = DetectionPacket.from_columns(
-                "sim", int(round(1000.0 * k / scenario.sampling_hz)),
-                tuple(x_cm), tuple(y_cm), tuple(distance_mm),
+                "sim", int(round(1000.0 * k / scenario.sampling_hz)), x_cm, y_cm, dists_mm
             )
             try:
                 result = server.ingest(packet)
@@ -555,7 +574,7 @@ def run_filter_comparison(scenario: Scenario, ensemble_size: int = 100) -> "list
     n = scenario.tick_count()
     if n < 2:
         raise ValueError("scenario too short to compare")
-    truths_next = [tick.truth for tick in _walk(_noise_free(scenario))[1][1:]]
+    truths_next = [tick.truth for tick in _walk(_walk_key(scenario))[1][1:]]
     # per tick, the sums of the members' errors, added in member order, and
     # how many members have an estimate there
     sum_kf, sum_raw, count = [0.0] * (n - 1), [0.0] * (n - 1), [0] * (n - 1)

@@ -143,9 +143,13 @@ class DetectionPacket:
             raise ValueError(f"the columns differ in length: {len(x_cm)} x_cm, "
                              f"{len(y_cm)} y_cm, {len(distance_mm)} distance_mm")
         # one pass over the records: at 3 to 17 records this measured faster
-        # than whole-column tests (set(map(type, ...)), min and max)
+        # than whole-column tests (set(map(type, ...)), min and max). The
+        # common valid record passes one chained test; any other goes to
+        # _check_record, which passes it or names its first bad field.
         for x, y, d in zip(x_cm, y_cm, distance_mm):
-            _check_record(x, y, d)
+            if not (type(x) is int and type(y) is int and 0 <= x < 65536 and 0 <= y < 65536
+                    and type(d) is float and MIN_DISTANCE_MM < d < MAX_DISTANCE_MM):
+                _check_record(x, y, d)
         _check_header(session_id, timestamp_ms)
         if not x_cm:
             raise ValueError("packet needs at least one record")
@@ -243,13 +247,14 @@ class ProbeStatus:
 @dataclass
 class Session:
     """A phone's state, complete from its first packet: the filter state, its
-    look-ahead (the next ingest's prediction), the last estimate's height
-    (the next solve's prior takes it) and the clock."""
+    look-ahead (the next ingest's prediction), the next solve's prior (the
+    look-ahead's position at the last estimate's height, which the last
+    IngestResult returned as predicted) and the clock."""
 
     session_id: str
     tracker_state: tracker.KalmanState
     ahead: tracker.KalmanState
-    height_cm: float
+    prior: Point3
     last_seen_ms: int
     last_probe_ms: int | None = None  # None: not probed since the last packet
     missed_probes: int = 0
@@ -283,19 +288,17 @@ class LightingServer:
             raise ValueError("anchor height disagrees with the room ceiling")
         self.registry = registry
         self.room = room
+        # the room grown by a tenth of its size on every side
+        mx, my, mz = 0.1 * room.width_cm, 0.1 * room.depth_cm, 0.1 * room.ceiling_height_cm
+        self._bounds = (-mx, room.width_cm + mx, -my, room.depth_cm + my,
+                        -mz, room.ceiling_height_cm + mz)
         self.kalman_config = kalman_config or tracker.KalmanConfig()
         self.sessions: dict[str, Session] = {}
         self.archive: dict[str, dict] = {}
 
     def _in_extended_bounds(self, p: Point3) -> bool:
-        mx = 0.1 * self.room.width_cm
-        my = 0.1 * self.room.depth_cm
-        mz = 0.1 * self.room.ceiling_height_cm
-        return (
-            -mx <= p.x <= self.room.width_cm + mx
-            and -my <= p.y <= self.room.depth_cm + my
-            and -mz <= p.z <= self.room.ceiling_height_cm + mz
-        )
+        x_lo, x_hi, y_lo, y_hi, z_lo, z_hi = self._bounds
+        return x_lo <= p.x <= x_hi and y_lo <= p.y <= y_hi and z_lo <= p.z <= z_hi
 
     def ingest(self, packet: DetectionPacket) -> IngestResult:
         """Resolve, solve, filter, predict. Failed packets (stale clock, too few
@@ -317,13 +320,9 @@ class LightingServer:
         if len(indices) < 3:
             raise InsufficientAnchors(f"{len(indices)} resolvable records after dropping {dropped}")
 
-        prior = None
-        if not cold_start:
-            # one prediction, the last look-ahead, serves as the solver's prior
-            # and as the update's input
-            px, py = session.ahead.position_xy
-            prior = Point3(px, py, session.height_cm)
-
+        # one prediction, the last look-ahead, serves as the solver's prior
+        # and as the update's input
+        prior = None if cold_start else session.prior
         estimate = solve(self.registry.plan(indices), dists, self.room, prior)
 
         if cold_start:
@@ -344,7 +343,7 @@ class LightingServer:
         )
 
         self.sessions[packet.session_id] = Session(
-            packet.session_id, state, ahead, estimate.position.z, packet.timestamp_ms
+            packet.session_id, state, ahead, predicted, packet.timestamp_ms
         )
         return IngestResult(estimate, filtered, predicted, out_of_bounds, dropped, cold_start)
 
@@ -385,7 +384,7 @@ class LightingServer:
             "tracker": {
                 "x": [kf.x, kf.y, kf.vx, kf.vy],
                 "p": [kf.p_pos, kf.p_cross, kf.p_vel],
-                "height_cm": session.height_cm,
+                "height_cm": session.prior.z,
             },
         }
 
@@ -397,7 +396,9 @@ class LightingServer:
         the keys of _SESSION_FIELDS and tracker, and its tracker object exactly
         the keys of _TRACKER_FIELDS. Each value must then pass its table's
         test, the tracker's first, each table in the order snapshot writes it.
-        An earlier version's snapshot is rejected."""
+        A filter state whose look-ahead position leaves the float range, which
+        no solve could take as its prior, is rejected too. An earlier
+        version's snapshot is rejected."""
         if type(snapshot) is not dict:
             raise ValueError("snapshot must be an object")
         if snapshot.get("version") != SNAPSHOT_VERSION:
@@ -411,10 +412,14 @@ class LightingServer:
                 if not ok(obj[name]):
                     raise ValueError(f"snapshot field {prefix}{name} must be {what}")
         state = tracker.KalmanState(*map(float, saved["x"]), *map(float, saved["p"]))
+        ahead = tracker.predict(state, self.kalman_config)
+        if not (math.isfinite(ahead.x) and math.isfinite(ahead.y)):
+            raise ValueError("snapshot field tracker.x must be a state whose look-ahead "
+                             "position is finite")
         session = Session(
             tracker_state=state,
-            ahead=tracker.predict(state, self.kalman_config),
-            height_cm=float(saved["height_cm"]),
+            ahead=ahead,
+            prior=Point3(ahead.x, ahead.y, saved["height_cm"]),
             **{name: snapshot[name] for name in _SESSION_FIELDS},
         )
         self.sessions[session.session_id] = session

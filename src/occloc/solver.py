@@ -128,7 +128,8 @@ class CollinearFamily:
             Point3(self.line_point.x + horiz * nx, self.line_point.y + horiz * ny, z_cm),
         ]
         pts.sort(key=lambda p: (p.x, p.y))
-        return pts
+        # far from the origin the two can still round to one point
+        return pts if pts[0] != pts[1] else pts[:1]
 
 
 @dataclass(frozen=True)
@@ -271,10 +272,12 @@ def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[AnchorPlan,
 
 def _estimate(plan: AnchorPlan, dists: "list[float]", position: Point3, pool,
               method: Method, family: CollinearFamily | None = None) -> PositionEstimate:
-    """The chosen position; the rest of the pool stays as candidates."""
+    """The chosen position, which is one of the pool's points; the rest of
+    the pool stays as candidates. The pool's points are distinct, so the
+    chosen one is dropped by identity, not by comparing coordinates."""
     return PositionEstimate(
         position=position,
-        candidates=tuple(c for c in pool if c != position),
+        candidates=tuple(c for c in pool if c is not position),
         residual_cm=plan.residual_cm(dists, position),
         method=method,
         family=family,

@@ -183,6 +183,17 @@ class TestTrackCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_room_past_16_bits_exits_2(self, tmp_path, capsys):
+        """validate once scanned this room, for which numpy was asked for
+        about 745 GiB."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"room": {"depth_cm": 1e12},
+                                   "luminaires": [[100, 100], [200, 100], [100, 200]]}))
+        out = tmp_path / "o"
+        assert main(["validate", "--scenario", str(bad), "--out", str(out)]) == 2
+        assert "room.depth_cm=1000000000000.0 exceeds the 65536 cm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_replay_is_byte_identical(self, tmp_path, fast_scenario):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["track", "--scenario", fast_scenario, "--out", str(out_a)]) == 0

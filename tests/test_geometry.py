@@ -165,6 +165,31 @@ class TestTypes:
         with pytest.raises(ValueError, match="must be finite"):
             Luminaire(1, Point3(0, 0, 0), shape, area_mm2=area_mm2)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Circular(10**400), "radius_mm=1000"),
+            (lambda: Rectangular(10**400, 1), "width_mm=1000"),
+            (lambda: Rectangular(1, 10**400), "height_mm=1000"),
+            (lambda: Luminaire(1, Point3(0, 0, 0), Circular(85.0), area_mm2=10**400),
+             "must be finite"),
+            (lambda: Luminaire(1, Point3(0, 0, 0), Rectangular(10**200, 10**200)),
+             "must be finite"),
+            (lambda: RoomConfig(1000, 10**400, 300), "depth_cm must be finite"),
+            (lambda: CameraModel(10**400, 7.1e-3, 120.0), "focal_length_mm must be finite"),
+            (lambda: CameraModel(5.0, 10**400, 120.0), "pixel_edge_mm must be finite"),
+            (lambda: Point3(0, 10**400, 0), "non-finite point"),
+            (lambda: Pose(Point3(0, 0, 0), (0, 0, 10**400)), "must be unit length"),
+        ],
+        ids=["radius", "width", "height", "given-area", "int-shape-area", "room", "focal-length",
+             "pixel-edge", "point", "axis"],
+    )
+    def test_an_int_past_the_float_range_raises_value_error(self, build, message):
+        """math.isfinite and float() raise OverflowError for such an int, and
+        each of these once let it out."""
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_luminaire_area_within_tolerance(self):
         lum = make_luminaire(area_mm2=22700.0)  # pi * 85^2 = 22698.0
         assert lum.area_mm2 == 22700.0

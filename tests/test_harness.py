@@ -41,7 +41,7 @@ from occloc.harness import (
 )
 from occloc.imaging import FeasibilityRegime, distance_from_pixels, observe_scene
 from occloc.geometry import Point3, Pose, RoomConfig
-from occloc.server import LedRegistry
+from occloc.server import MAX_DISTANCE_MM, MIN_DISTANCE_MM, LedRegistry
 
 
 def _slots(value, path=()):
@@ -404,11 +404,22 @@ class TestScenarioConfig:
     def test_the_16_bit_edges_are_accepted(self):
         # 65535.4 broadcasts 65535, and -0.5 rounds to 0
         scenario = scenario_from_dict(
-            {"room": {"width_cm": 70000}, "luminaires": [[65535.4, 75], [0, 0], [-0.5, 225]]}
+            {"room": {"width_cm": 65536}, "luminaires": [[65535.4, 75], [0, 0], [-0.5, 225]]}
         )
         registry = LedRegistry.from_luminaires(scenario.build_luminaires())
         assert registry.lookup(65535, 75).x == 65535.4
         assert registry.lookup(0, 225).x == -0.5
+
+    @pytest.mark.parametrize("name", ["width_cm", "depth_cm"])
+    def test_the_room_spans_at_most_16_bits(self, name):
+        """No broadcast names a fixture past 65,535 cm, and visibility_scan
+        once asked numpy for about 745 GiB to scan a room 1e12 cm deep."""
+        data = {"room": {name: 1e12}, "luminaires": [[100, 100], [200, 100], [100, 200]]}
+        with pytest.raises(ScenarioError,
+                           match=rf"room\.{name}=1000000000000\.0 exceeds the 65536 cm"):
+            scenario_from_dict(data)
+        data["room"][name] = 2**16
+        assert getattr(scenario_from_dict(data).room, name) == 2**16
 
     def test_explicit_luminaires(self):
         s = scenario_from_dict({"luminaires": [[75, 75], [225, 75], [75, 225]]})
@@ -586,7 +597,7 @@ class TestWalkCache:
 
     def test_walk_matches_the_trajectory(self):
         s = self.BASE
-        ceiling, walk = _cold(harness._walk, harness._noise_free(s))
+        ceiling, walk = _cold(harness._walk, harness._walk_key(s))
         assert [t.t_s for t in walk] == [k / s.sampling_hz for k in range(s.tick_count())]
         assert [t.truth for t in walk] == [trajectory_point(s, t.t_s) for t in walk]
         for tick in walk:
@@ -611,11 +622,13 @@ class TestCachedRanges:
         assert harness._walk.cache_info().hits == hits + 1
 
     def test_distances_are_the_scalar_inversions(self):
-        ceiling, walk = _cold(harness._walk, harness._noise_free(self.BASE))
+        ceiling, walk = _cold(harness._walk, harness._walk_key(self.BASE))
         for tick in walk:
             seen = observe_scene(tick.in_view, Pose(tick.truth), self.BASE.camera)
             ranged = [sig for sig in seen if sig.pixel_area > 0]
-            assert tick.broadcasts == tuple(ceiling.coords[sig.led_id] for sig in ranged)
+            assert tuple(zip(tick.x_cm, tick.y_cm)) == tuple(
+                ceiling.coords[sig.led_id] for sig in ranged
+            )
             assert tick.dists_mm == tuple(
                 distance_from_pixels(ceiling.tau_mm, sig.pixel_area) for sig in ranged
             )
@@ -631,7 +644,7 @@ class TestCachedRanges:
 
         monkeypatch.setattr(harness.LightingServer, "ingest", recording)
         run_tracking(s)
-        ceiling, walk = harness._walk(harness._noise_free(s))
+        ceiling, walk = harness._walk(harness._walk_key(s))
         rng = np.random.default_rng(s.seed)
         expected = []
         for tick in walk:
@@ -642,9 +655,76 @@ class TestCachedRanges:
             expected.append([d + e for d, e in zip(dists, noise)])
         assert sent == [ds for ds in expected if ds]
 
+    @staticmethod
+    def _sent_and_scalar(s):
+        """The columns of each packet run_tracking sends, and those of each
+        packet a scalar loop that filters record by record would send, with
+        the number of ticks where that loop keeps some records but not all,
+        and the number where it keeps every record up to MAX_DISTANCE_MM."""
+        sent = []
+        ingest = harness.LightingServer.ingest
+
+        def recording(server, packet):
+            sent.append((packet.x_cm, packet.y_cm, packet.distance_mm))
+            return ingest(server, packet)
+
+        with mock.patch.object(harness.LightingServer, "ingest", recording):
+            run_tracking(s)
+        ceiling, walk = harness._walk(harness._walk_key(s))
+        rng = np.random.default_rng(s.seed)
+        expected, partial, only_far = [], 0, 0
+        for tick in walk:
+            if s.pixel_sigma > 0:
+                seen = observe_scene(tick.in_view, Pose(tick.truth), s.camera, s.pixel_sigma, rng)
+            else:
+                seen = observe_scene(tick.in_view, Pose(tick.truth), s.camera)
+            ranged = [sig for sig in seen if sig.pixel_area > 0]
+            x_cm, y_cm, distance_mm, far = [], [], [], 0
+            for sig in ranged:
+                d = (distance_from_pixels(ceiling.tau_mm, sig.pixel_area)
+                     + float(rng.normal(0.0, 10.0 * s.distance_sigma_cm)))
+                far += d >= MAX_DISTANCE_MM
+                if MIN_DISTANCE_MM < d < MAX_DISTANCE_MM:
+                    x, y = ceiling.coords[sig.led_id]
+                    x_cm.append(x)
+                    y_cm.append(y)
+                    distance_mm.append(d)
+            partial += 0 < len(distance_mm) < len(ranged)
+            only_far += far > 0 and len(distance_mm) + far == len(ranged)
+            if distance_mm:
+                expected.append((tuple(x_cm), tuple(y_cm), tuple(distance_mm)))
+        return sent, expected, partial, only_far
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        pixel_sigma=st.sampled_from([0.0, 100.0]),
+        # about 1 distance in 8 goes negative, or most leave (1e-3, 1e7) mm
+        distance_sigma_cm=st.floats(200.0, 400.0) | st.floats(5e5, 2e6),
+    )
+    def test_out_of_range_records_are_left_out_one_by_one(self, seed, pixel_sigma,
+                                                          distance_sigma_cm):
+        """Noise that pushes some distances, but not all, out of range: each
+        packet sent holds the columns a scalar loop keeps, record by record."""
+        s = replace(self.BASE, seed=seed, pixel_sigma=pixel_sigma,
+                    distance_sigma_cm=distance_sigma_cm)
+        sent, expected, partial, _ = self._sent_and_scalar(s)
+        assert partial > 0
+        assert sent == expected
+
+    def test_records_past_the_range_are_left_out(self):
+        """A tick whose distances all lie above MIN_DISTANCE_MM, some past
+        MAX_DISTANCE_MM: symmetric noise reaches it only where few fixtures
+        are in view, as under this three-fixture ceiling."""
+        s = replace(self.BASE, explicit_led_xy_cm=((225.0, 225.0), (375.0, 225.0), (225.0, 375.0)),
+                    duration_s=30.0, distance_sigma_cm=1e6, seed=0)
+        sent, expected, _, only_far = self._sent_and_scalar(s)
+        assert only_far > 0
+        assert sent == expected
+
     def test_distances_are_a_tuple_of_floats(self):
         # every run reads the cached walk, so no run may change its distances
-        _, walk = harness._walk(harness._noise_free(self.BASE))
+        _, walk = harness._walk(harness._walk_key(self.BASE))
         for tick in walk:
             assert type(tick.dists_mm) is tuple
             assert all(type(d) is float for d in tick.dists_mm)
@@ -659,7 +739,7 @@ class TestViewWindow:
 
     def _same_sightings(self, position: Point3, seed: int):
         camera = self.SCENARIO.camera
-        ceiling, _ = harness._walk(harness._noise_free(self.SCENARIO))
+        ceiling, _ = harness._walk(harness._walk_key(self.SCENARIO))
         pose = Pose(position)
         full = observe_scene(ceiling.luminaires, pose, camera, 100.0, np.random.default_rng(seed))
         near = observe_scene(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from occloc import server
 from occloc.cli import FLAGS, MAX_BER_BITS, MAX_GRID_POINTS
-from occloc.harness import MAX_FIXTURES, MAX_SNIR_DB
+from occloc.harness import MAX_FIXTURES, MAX_ROOM_CM, MAX_SNIR_DB
 from occloc.modem import MIN_BER_BITS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,5 +39,6 @@ def test_exit_code_paragraph_states_the_bounds():
                      .group(1).split())
     for phrase in (f"`--bits` below {MIN_BER_BITS:,} or above {MAX_BER_BITS:,},",
                    f"more than {MAX_GRID_POINTS:,} points", f"beyond ±{MAX_SNIR_DB:g} dB",
-                   f"more than {MAX_FIXTURES:,} fixtures (`harness.MAX_FIXTURES`)"):
+                   f"more than {MAX_FIXTURES:,} fixtures (`harness.MAX_FIXTURES`)",
+                   f"deeper than {MAX_ROOM_CM:,} cm (`harness.MAX_ROOM_CM`;"):
         assert phrase in words, phrase

@@ -309,7 +309,7 @@ class TestSnapshot:
         # version 4: the mean, the 3 numbers of the per-axis covariance block
         # and the last height, all under tracker
         assert snap["version"] == 4 and len(snap["tracker"]["p"]) == 3
-        assert snap["tracker"]["height_cm"] == server.sessions["s1"].height_cm
+        assert snap["tracker"]["height_cm"] == server.sessions["s1"].prior.z
         restored_server = make_server()
         restored_server.restore_session(json.loads(json.dumps(snap)))
         assert restored_server.snapshot("s1") == snap
@@ -407,8 +407,9 @@ def _snapshot_with_state(x, p, height_cm=100.0):
 class TestRestoreTrackerState:
     """restore_session takes a filter state only as 4 finite numbers x, the 3
     finite numbers p = (p_pos, p_cross, p_vel) of the per-axis covariance
-    block and one finite number height_cm; anything else raises ValueError
-    naming the field, and no session is registered."""
+    block and one finite number height_cm, with a mean whose look-ahead
+    position is finite; anything else raises ValueError naming the field, and
+    no session is registered."""
 
     GOOD_X = [500.0, 500.0, 0.0, 0.0]
     GOOD_P = [25.0, 0.0, 1e4]
@@ -435,6 +436,16 @@ class TestRestoreTrackerState:
         server = make_server()
         with pytest.raises(ValueError, match=field):
             server.restore_session(_snapshot_with_state(x, p))
+        assert server.sessions == {}
+
+    @pytest.mark.parametrize("x", [[1e308, 500.0, 1e308, 0.0], [500.0, -1e308, 0.0, -1e308]])
+    def test_a_look_ahead_past_the_float_range_is_rejected(self, x):
+        """Such a session was once restored, and then every ingest raised
+        building the prior from its look-ahead."""
+        server = make_server()
+        with pytest.raises(ValueError, match="snapshot field tracker.x must be a state whose "
+                                             "look-ahead position is finite"):
+            server.restore_session(_snapshot_with_state(x, self.GOOD_P))
         assert server.sessions == {}
 
     @pytest.mark.parametrize(
@@ -475,10 +486,13 @@ class TestRestoreTrackerState:
     )
     def test_restore_accepts_exactly_the_valid_states(self, x, p, height_cm):
         """Any 3 finite numbers are a block the server restores, a slightly
-        negative posterior p_vel included: no positive-definiteness check."""
-        valid = (len(x) == 4 and len(p) == 3
-                 and all(math.isfinite(v) for v in x + p + [height_cm]))
+        negative posterior p_vel included: no positive-definiteness check.
+        The mean must keep its look-ahead position finite."""
         server = make_server()
+        dt = server.kalman_config.dt_s
+        valid = (len(x) == 4 and len(p) == 3
+                 and all(math.isfinite(v) for v in x + p + [height_cm])
+                 and math.isfinite(x[0] + dt * x[2]) and math.isfinite(x[1] + dt * x[3]))
         snap = _snapshot_with_state(x, p, height_cm)
         if valid:
             server.restore_session(snap)
@@ -1132,6 +1146,117 @@ class TestNoRecordOnTheHotPath:
         assert built == []
 
 
+class TestNothingRebuiltOnTheHotPath:
+    """A warm ingest builds only the points its result returns and reuses the
+    last look-ahead point as its prior, and a member run on a warm walk
+    builds no Scenario."""
+
+    @staticmethod
+    def _counting(monkeypatch, cls, name):
+        """The calls of cls.name from now on, each as its arguments."""
+        calls = []
+        method = getattr(cls, name)
+
+        def counting(self, *args):
+            calls.append(args)
+            method(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+        return calls
+
+    def test_a_warm_ingest_builds_at_most_four_points(self, monkeypatch):
+        server = make_server()
+        server.ingest(packet_from_truth(Point3(500, 500, 100), 1000))
+        packet = packet_from_truth(Point3(510, 505, 100), 2000)
+        built = self._counting(monkeypatch, Point3, "__init__")
+        Point3(0.0, 0.0, 0.0)  # the count sees every point built
+        assert len(built) == 1
+        built.clear()
+        result = server.ingest(packet)
+        # the mirror pair, filtered and predicted
+        assert len(result.estimate.candidates) == 1
+        assert len(built) <= 4
+
+    def test_the_prior_is_the_last_predicted_point(self):
+        server = make_server()
+        for k, x in enumerate([500, 510, 520]):
+            result = server.ingest(packet_from_truth(Point3(x, 505, 100), 1000 * (k + 1)))
+            session = server.sessions["s1"]
+            assert session.prior is result.predicted
+            assert session.prior == Point3(session.ahead.x, session.ahead.y,
+                                           result.estimate.position.z)
+
+    def test_a_restored_prior_is_the_look_ahead_at_the_saved_height(self):
+        snap = {**_valid_snapshot()}
+        snap["tracker"] = {"x": [500.0, 480.0, 12.5, -3.0], "p": [25.0, 1.0, 100.0],
+                           "height_cm": 97.5}
+        server = make_server()
+        server.restore_session(snap)
+        session = server.sessions["s1"]
+        assert session.ahead == tracker.predict(session.tracker_state, server.kalman_config)
+        assert session.prior == Point3(session.ahead.x, session.ahead.y, 97.5)
+        assert session.prior.x != 500.0 and session.prior.y != 480.0
+
+    def test_a_member_on_a_warm_walk_checks_no_scenario(self, monkeypatch):
+        s = harness.default_filtercmp_scenario()
+        member = replace(s, seed=11)
+        harness.run_tracking(s)  # the walk is warm now
+        checked = self._counting(monkeypatch, harness.Scenario, "__post_init__")
+        replace(s, seed=12)  # the count sees every scenario built
+        assert len(checked) == 1
+        checked.clear()
+        assert harness.run_tracking(member)
+        assert checked == []
+
+
+class TestPriorDecidedPackets:
+    """Packets whose solve the motion prior decides, which neither benchmark
+    workload sends: ingest gives the library solve with the last result's
+    predicted point as its prior."""
+
+    @staticmethod
+    def _packet(truth, ts_ms, anchors_xy):
+        return DetectionPacket.from_columns(
+            "s1", ts_ms, tuple(x for x, _ in anchors_xy), tuple(y for _, y in anchors_xy),
+            tuple(10.0 * distance(truth, Point3(x, y, 300.0)) for x, y in anchors_xy),
+        )
+
+    @staticmethod
+    def _library(server, packet, prior):
+        anchors = tuple(server.registry.lookup(x, y) for x, y in zip(packet.x_cm, packet.y_cm))
+        dists = [d / 10.0 for d in packet.distance_mm]
+        return estimate_position(anchors, dists, server.room, prior)
+
+    def test_a_collinear_second_packet(self):
+        """The prior's height slices the collinear family's circle, and its
+        position picks one of the two points there."""
+        server = LightingServer(make_registry(ANCHORS + [(750, 450)]), ROOM)
+        first = server.ingest(self._packet(Point3(520, 510, 100), 1000, ANCHORS))
+        packet = self._packet(Point3(525, 515, 100), 2000, [(450, 450), (600, 450), (750, 450)])
+        result = server.ingest(packet)
+        assert result.estimate.method is solver.Method.COLLINEAR_FAMILY
+        assert repr(result.estimate) == repr(self._library(server, packet, first.predicted))
+        # without the prior the lowest point of the circle is taken
+        assert result.estimate.position != self._library(server, packet, None).position
+
+    def test_two_mirror_roots_inside_the_room(self):
+        """A phone within a micron of the ceiling, with the room's ceiling
+        half a micron above the fixtures: both mirror roots lie in the room,
+        so resolve_ambiguity takes the one nearer the prior."""
+        room = RoomConfig(1219.0, 1219.0, 300.0 + 5e-7)
+        anchors_xy = [(450, 450), (451, 450), (450, 451), (451, 451)]
+        server = LightingServer(make_registry(anchors_xy), room)
+        first = server.ingest(self._packet(Point3(450.4, 450.6, 300.0 - 4e-7), 1000, anchors_xy))
+        packet = self._packet(Point3(450.5, 450.5, 300.0 - 4e-7), 2000, anchors_xy)
+        result = server.ingest(packet)
+        (other,) = result.estimate.candidates
+        assert result.estimate.position.z < 300.0 < other.z <= room.ceiling_height_cm
+        assert repr(result.estimate) == repr(self._library(server, packet, first.predicted))
+        # a prior above the fixtures would take the upper root
+        above = Point3(first.predicted.x, first.predicted.y, room.ceiling_height_cm)
+        assert self._library(server, packet, above).position == other
+
+
 def _prefixes(order, most):
     return st.integers(0, most).map(lambda n: order[:n])
 
@@ -1211,7 +1336,7 @@ class TestIndexResolve:
             packet = DetectionPacket("s", 1000 * t, records)
             session = server.sessions.get("s")
             prior = None if session is None else Point3(*session.ahead.position_xy,
-                                                        session.height_cm)
+                                                        session.prior.z)
             known = [r for r in records if (r.x_cm, r.y_cm) in grid]
             try:
                 want = repr(estimate_position(

@@ -21,6 +21,7 @@ from occloc.server import (
 from occloc.solver import (
     CEILING_TOLERANCE_CM,
     CollinearAnchors,
+    CollinearFamily,
     DegenerateAnchors,
     InsufficientAnchors,
     Method,
@@ -407,6 +408,21 @@ class TestTrilaterateCollinear:
         assert any(distance(p, truth) < 1e-6 for p in pts)
         mirror = Point3(170, 40, 100)
         assert any(distance(p, mirror) < 1e-6 for p in pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(offset=st.floats(1e10, 1e11), radius=st.floats(1.0, 10.0),
+           gap=st.floats(1.0, 3.0), turn=st.floats(0.0, 2 * math.pi))
+    def test_points_at_height_are_distinct(self, offset, radius, gap, turn):
+        """Far from the origin the two points of a near-tangent slice once
+        rounded to one point, listed twice; an estimate takes its position
+        from that list and drops it from the candidates by identity."""
+        family = CollinearFamily(Point3(offset, offset, 300.0),
+                                 (math.cos(turn), math.sin(turn), 0.0), radius)
+        # a slice gap * 1e-6 cm inside the circle's rim: points about 2e-6 r apart
+        horiz = gap * 1e-6 * radius
+        pts = family.points_at_height(300.0 - math.sqrt(radius * radius - horiz * horiz))
+        assert 1 <= len(pts) <= 2
+        assert len(set(pts)) == len(pts)
 
     def test_truth_on_line_degenerates(self):
         truth = Point3(200, 70, 300)
