@@ -133,33 +133,11 @@ def _flags(args, manifest_params: dict) -> "tuple[dict, dict]":
     return values, {**manifest_params, **given}
 
 
-def _out_path(args, name: str) -> str:
-    """Where an output file goes. The directory is made at the first write, so
-    a command whose flags fail their checks leaves nothing behind."""
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+def cmd_track(scenario, flags):
+    return harness.run_tracking(scenario)
 
 
-def cmd_track(args, scenario, flags) -> list[str]:
-    records = harness.run_tracking(scenario)
-    harness.write_track_csv(records, _out_path(args, "track.csv"))
-    if args.plot:
-        ok = [r for r in records if not r.gap]
-        plots.svg_line_chart(
-            _out_path(args, "track.svg"),
-            "Tracking error over time",
-            "t (s)",
-            "horizontal error (cm)",
-            [
-                ("raw", [r.t_s for r in ok], [r.raw_err_cm for r in ok]),
-                ("filtered", [r.t_s for r in ok], [r.kf_err_cm for r in ok]),
-            ],
-        )
-        return ["track.csv", "track.svg"]
-    return ["track.csv"]
-
-
-def cmd_ber(args, scenario, flags) -> list[str]:
+def cmd_ber(scenario, flags):
     lo, hi, step, bits = (flags[k] for k in ("snir-min", "snir-max", "snir-step", "bits"))
     if not -harness.MAX_SNIR_DB <= lo <= hi <= harness.MAX_SNIR_DB:
         raise ConfigError(
@@ -180,26 +158,10 @@ def cmd_ber(args, scenario, flags) -> list[str]:
             # also catches a step too small to move v past rounding
             raise ConfigError(f"--snir-step {step} gives more than {MAX_GRID_POINTS} grid points")
         v += step
-    points = harness.run_ber_sweep(grid, bits, scenario.seed)
-    harness.write_ber_csv(points, _out_path(args, "ber.csv"))
-    outputs = ["ber.csv"]
-    if args.plot:
-        plots.svg_line_chart(
-            _out_path(args, "ber.svg"),
-            "OOK bit error rate vs SNIR",
-            "SNIR (dB)",
-            "BER",
-            [
-                ("simulated", [p.snir_db for p in points], [p.ber_sim for p in points]),
-                ("analytic", [p.snir_db for p in points], [p.ber_theory for p in points]),
-            ],
-            log_y=True,
-        )
-        outputs.append("ber.svg")
-    return outputs
+    return harness.run_ber_sweep(grid, bits, scenario.seed)
 
 
-def cmd_range(args, scenario, flags) -> list[str]:
+def cmd_range(scenario, flags):
     lo, hi, n = (flags[k] for k in ("d-min-m", "d-max-m", "points"))
     if n < 2 or n > MAX_GRID_POINTS or hi <= lo:
         raise ConfigError(
@@ -216,23 +178,10 @@ def cmd_range(args, scenario, flags) -> list[str]:
     fixture = scenario.fixture.make_luminaire(
         1, harness.Point3(0.0, 0.0, scenario.room.ceiling_height_cm)
     )
-    points = harness.run_range_sweep(scenario.camera, fixture, grid)
-    harness.write_range_csv(points, _out_path(args, "range.csv"))
-    outputs = ["range.csv"]
-    if args.plot:
-        plots.svg_line_chart(
-            _out_path(args, "range.svg"),
-            "Projected pixel area vs distance",
-            "distance (m)",
-            "pixel area",
-            [("pixel area", [p.d_m for p in points], [p.eta for p in points])],
-            log_y=True,
-        )
-        outputs.append("range.svg")
-    return outputs
+    return harness.run_range_sweep(scenario.camera, fixture, grid)
 
 
-def cmd_filtercmp(args, scenario, flags) -> list[str]:
+def cmd_filtercmp(scenario, flags):
     ensemble = flags["ensemble"]
     if ensemble < 1:
         raise ConfigError(f"--ensemble must be at least 1, got {ensemble}")
@@ -243,25 +192,10 @@ def cmd_filtercmp(args, scenario, flags) -> list[str]:
         )
     if scenario.tick_count() < 2:
         raise ConfigError("duration_s * sampling_hz must give a filter comparison 2 ticks or more")
-    points = harness.run_filter_comparison(scenario, ensemble_size=ensemble)
-    harness.write_filtercmp_csv(points, _out_path(args, "filtercmp.csv"))
-    outputs = ["filtercmp.csv"]
-    if args.plot:
-        plots.svg_line_chart(
-            _out_path(args, "filtercmp.svg"),
-            "Normalized delivered-position error",
-            "t (s)",
-            "error / initial error",
-            [
-                ("with filter", [p.t_s for p in points], [p.err_kf_norm for p in points]),
-                ("without filter", [p.t_s for p in points], [p.err_raw_norm for p in points]),
-            ],
-        )
-        outputs.append("filtercmp.svg")
-    return outputs
+    return harness.run_filter_comparison(scenario, ensemble_size=ensemble)
 
 
-def cmd_validate(args, scenario, flags) -> list[str]:
+def cmd_validate(scenario, flags):
     luminaires = scenario.build_luminaires()
     # scan at the highest camera position: the view cone is narrowest there
     camera_z = max(wp[2] for wp in scenario.waypoints_cm)
@@ -279,7 +213,6 @@ def cmd_validate(args, scenario, flags) -> list[str]:
             f"{scan.min_visible} < 3 fixtures"
         )
     print("scenario OK")
-    return []
 
 
 _COMMANDS = {
@@ -290,6 +223,41 @@ _COMMANDS = {
                   "(default scenario: the reference filter comparison)"),
     "validate": (cmd_validate, "check scenario invariants and the visibility guarantee"),
 }
+
+
+# Each command's outputs: its CSV writer, then its chart's title and axis
+# labels, x field, lines as (name, y field), and whether y is on a log scale.
+# A command writes <command>.csv, and under --plot <command>.svg beside it.
+OUTPUTS = {
+    "track": (harness.write_track_csv,
+              ("Tracking error over time", "t (s)", "horizontal error (cm)"),
+              "t_s", (("raw", "raw_err_cm"), ("filtered", "kf_err_cm")), False),
+    "ber": (harness.write_ber_csv, ("OOK bit error rate vs SNIR", "SNIR (dB)", "BER"),
+            "snir_db", (("simulated", "ber_sim"), ("analytic", "ber_theory")), True),
+    "range": (harness.write_range_csv,
+              ("Projected pixel area vs distance", "distance (m)", "pixel area"),
+              "d_m", (("pixel area", "eta"),), True),
+    "filtercmp": (harness.write_filtercmp_csv,
+                  ("Normalized delivered-position error", "t (s)", "error / initial error"),
+                  "t_s", (("with filter", "err_kf_norm"), ("without filter", "err_raw_norm")),
+                  False),
+}
+
+
+def _write_outputs(out_dir: str, command: str, rows, plot: bool) -> list[str]:
+    """Write the command's rows as OUTPUTS declares, and return the file names
+    the manifest lists. The directory is made here, after the run, so a
+    command whose flags fail their checks leaves nothing behind."""
+    write_csv, labels, x_field, lines, log_y = OUTPUTS[command]
+    os.makedirs(out_dir, exist_ok=True)
+    names = [f"{command}.csv"]
+    write_csv(rows, os.path.join(out_dir, names[0]))
+    if plot:
+        names.append(f"{command}.svg")
+        xs = [getattr(r, x_field) for r in rows]
+        series = [(name, xs, [getattr(r, y) for r in rows]) for name, y in lines]
+        plots.svg_line_chart(os.path.join(out_dir, names[1]), *labels, series, log_y=log_y)
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,8 +284,9 @@ def main(argv=None) -> int:
     try:
         scenario, manifest_params = load_scenario(args)
         flags, params = _flags(args, manifest_params)
-        outputs = _COMMANDS[args.command][0](args, scenario, flags)
-        if args.command != "validate":
+        rows = _COMMANDS[args.command][0](scenario, flags)
+        if args.command in OUTPUTS:
+            outputs = _write_outputs(args.out, args.command, rows, args.plot)
             _write_manifest(args.out, args.command, scenario, params, outputs)
             for name in outputs:
                 print(os.path.join(args.out, name))

@@ -46,7 +46,7 @@ def distance(a: Point3, b: Point3) -> float:
 UP = (0.0, 0.0, 1.0)
 
 
-def _finite(value) -> bool:
+def finite(value) -> bool:
     """math.isfinite, which raises OverflowError for an int past the float
     range, where this returns False."""
     try:
@@ -82,7 +82,7 @@ class RoomConfig:
     def __post_init__(self):
         for name in ("width_cm", "depth_cm", "ceiling_height_cm"):
             value = getattr(self, name)
-            if not (_finite(value) and value > 0):
+            if not (finite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
 
 
@@ -90,7 +90,7 @@ def _check_sizes(shape):
     """Raise ValueError naming the first size of shape that is negative or not
     finite. A zero size is an emitter too small to see."""
     for name, value in vars(shape).items():
-        if not (_finite(value) and value >= 0):
+        if not (finite(value) and value >= 0):
             raise ValueError(f"{name}={value!r} must be finite and non-negative")
 
 
@@ -143,7 +143,7 @@ class Luminaire:
         derived = self.shape.area_mm2
         if self.area_mm2 is None:
             object.__setattr__(self, "area_mm2", derived)
-        if not (_finite(derived) and _finite(self.area_mm2)):
+        if not (finite(derived) and finite(self.area_mm2)):
             raise ValueError(f"area_mm2 {self.area_mm2} and shape area {derived} must be finite")
         if abs(self.area_mm2 - derived) > 1e-3 * derived:
             raise ValueError(
@@ -161,9 +161,9 @@ class CameraModel:
     fov_full_angle_deg: float
 
     def __post_init__(self):
-        if not (_finite(self.focal_length_mm) and self.focal_length_mm > 0):
+        if not (finite(self.focal_length_mm) and self.focal_length_mm > 0):
             raise ValueError("focal_length_mm must be finite and positive")
-        if not (_finite(self.pixel_edge_mm) and self.pixel_edge_mm > 0):
+        if not (finite(self.pixel_edge_mm) and self.pixel_edge_mm > 0):
             raise ValueError("pixel_edge_mm must be finite and positive")
         if not (0.0 < self.fov_full_angle_deg < 180.0):
             raise ValueError("fov_full_angle_deg must lie in (0, 180)")

@@ -28,6 +28,7 @@ from .geometry import (
     Pose,
     Rectangular,
     RoomConfig,
+    finite,
 )
 from .imaging import (
     FeasibilityRegime,
@@ -146,12 +147,13 @@ class Scenario:
         fix = self.fixture
         numbers = (
             self.led_spacing_cm, *self.led_origin_cm, self.speed_cm_s, self.sampling_hz,
-            self.duration_s, self.duration_s * self.sampling_hz, self.pixel_sigma,
+            self.duration_s, self.pixel_sigma,
             self.distance_sigma_cm, *(c for xy in self.explicit_led_xy_cm or () for c in xy),
             *(v for v in (fix.radius_mm, fix.width_mm, fix.height_mm, fix.area_mm2)
               if v is not None),
         )
-        if not all(math.isfinite(v) for v in numbers):
+        # the product only once both factors are within the float range
+        if not (all(map(finite, numbers)) and finite(self.duration_s * self.sampling_hz)):
             raise ScenarioError("scenario values must be finite")
         if self.sampling_hz <= 0:
             raise ScenarioError("sampling_hz must be positive")
@@ -502,9 +504,10 @@ def run_ber_sweep(snir_db_grid, n_bits: int, seed: int) -> "list[BerPoint]":
     each within +/- MAX_SNIR_DB."""
     if n_bits < MIN_BER_BITS:
         raise ValueError("need at least 1e4 bits per point")
-    grid = [float(db) for db in snir_db_grid]
-    if not all(abs(db) <= MAX_SNIR_DB for db in grid):
+    grid = list(snir_db_grid)
+    if not all(finite(db) and abs(db) <= MAX_SNIR_DB for db in grid):
         raise ValueError(f"SNIR values must be finite and within +/-{MAX_SNIR_DB} dB")
+    grid = list(map(float, grid))
     points = []
     for i, db in enumerate(grid):
         lin = 10.0 ** (db / 10.0)
@@ -530,7 +533,10 @@ def range_boundaries_m(camera: CameraModel, luminaire: Luminaire) -> tuple[float
 
 def run_range_sweep(camera: CameraModel, luminaire: Luminaire, d_grid_m) -> "list[RangePoint]":
     """Pixel area and feasibility regime along an ascending distance grid."""
-    grid = [float(d) for d in d_grid_m]
+    grid = list(d_grid_m)
+    if not all(map(finite, grid)):
+        raise ValueError("distance grid values must be finite")
+    grid = list(map(float, grid))
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("distance grid must be strictly ascending")
     points = []
@@ -613,6 +619,8 @@ def visibility_scan(scenario: Scenario, camera_height_cm: float = 100.0) -> Visi
     fewest, x-major. The scan holds one x-row at a time, and in it only the
     fixtures with (x - ax)^2 within reach^2, the only ones a point of the row
     can see: adding dy^2 >= 0 cannot bring a farther one back in floats."""
+    if not finite(camera_height_cm):
+        raise ValueError(f"camera height must be finite, got {camera_height_cm!r}")
     luminaires = scenario.build_luminaires()
     ax = np.array([l.anchor.x for l in luminaires], dtype=float)
     ay = np.array([l.anchor.y for l in luminaires], dtype=float)

@@ -39,16 +39,16 @@ def svg_line_chart(
     series,
     log_y: bool = False,
 ):
-    """Write a line chart; series is an iterable of (name, xs, ys)."""
-    series = [(name, list(xs), list(ys)) for name, xs, ys in series]
-    pts = [
-        (x, y)
-        for _, xs, ys in series
-        for x, y in zip(xs, ys)
-        if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0)
+    """Write a line chart; series is an iterable of (name, xs, ys). Each line
+    keeps its finite points, and on a log scale its positive ones; with none
+    left in any line, the chart is an empty frame over [0, 1]."""
+    series = [
+        (name, [(x, y) for x, y in zip(xs, ys)
+                if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0)])
+        for name, xs, ys in series
     ]
-    if not pts:
-        raise ValueError("nothing to plot")
+    # with no point, one at the origin (10**0 on a log scale) widens to [0, 1]
+    pts = [p for _, line in series for p in line] or [(0.0, 1.0 if log_y else 0.0)]
     tx = (lambda v: math.log10(v)) if log_y else (lambda v: v)
     x_lo, x_hi = min(p[0] for p in pts), max(p[0] for p in pts)
     y_lo, y_hi = min(tx(p[1]) for p in pts), max(tx(p[1]) for p in pts)
@@ -98,13 +98,9 @@ def svg_line_chart(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
     )
-    for i, (name, xs, ys) in enumerate(series):
+    for i, (name, line) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        coords = " ".join(
-            f"{px(x):.2f},{py(y):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0)
-        )
+        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in line)
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 16 + 16 * i
         lx = _MARGIN_L + plot_w - 150

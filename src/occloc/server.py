@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 
-from .geometry import Luminaire, Point3, RoomConfig
+from .geometry import Luminaire, Point3, RoomConfig, finite
 from .solver import CEILING_TOLERANCE_CM, AnchorPlan, InsufficientAnchors, PositionEstimate, solve
 # ingest solves through solve; perfbench's tracer still wraps the name
 # estimate_position in this module, so it stays imported here
@@ -397,8 +397,9 @@ class LightingServer:
         the keys of _TRACKER_FIELDS. Each value must then pass its table's
         test, the tracker's first, each table in the order snapshot writes it.
         A filter state whose look-ahead position leaves the float range, which
-        no solve could take as its prior, is rejected too. An earlier
-        version's snapshot is rejected."""
+        no solve could take as its prior, is rejected too, and so is one whose
+        look-ahead covariance does, which would make the next update's gain
+        NaN. An earlier version's snapshot is rejected."""
         if type(snapshot) is not dict:
             raise ValueError("snapshot must be an object")
         if snapshot.get("version") != SNAPSHOT_VERSION:
@@ -416,6 +417,9 @@ class LightingServer:
         if not (math.isfinite(ahead.x) and math.isfinite(ahead.y)):
             raise ValueError("snapshot field tracker.x must be a state whose look-ahead "
                              "position is finite")
+        if not all(map(math.isfinite, (ahead.p_pos, ahead.p_cross, ahead.p_vel))):
+            raise ValueError("snapshot field tracker.p must be a covariance whose look-ahead "
+                             "is finite")
         session = Session(
             tracker_state=state,
             ahead=ahead,
@@ -427,10 +431,7 @@ class LightingServer:
 
 def _finite_number(value) -> bool:
     """Whether value is a finite int or float, not a boolean."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
+    return type(value) in (int, float) and finite(value)
 
 
 def _clock(value) -> bool:

@@ -48,7 +48,7 @@ from operator import mul
 
 import numpy as np
 
-from .geometry import Point3, RoomConfig, distance
+from .geometry import Point3, RoomConfig, distance, finite
 
 CEILING_TOLERANCE_CM = 1e-6
 COLLINEARITY_RTOL = 1e-9
@@ -259,7 +259,8 @@ def _resolved(anchors: "tuple[Point3, ...]", distances_cm) -> "tuple[AnchorPlan,
         except TypeError:  # not iterable
             values = []
         # float() would also take numeric strings and booleans; numpy floats are Real
-        if all(t is not bool and issubclass(t, Real) for t in set(map(type, values))):
+        if (all(t is not bool and issubclass(t, Real) for t in set(map(type, values)))
+                and all(map(finite, values))):
             dists = list(map(float, values))
     if (dists is None or len(dists) != len(anchors)
             or not all(0.0 < d < MAX_DISTANCE_CM for d in dists)):

@@ -20,8 +20,9 @@ there is bit for bit that of the matrix form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .geometry import finite
 
 COLD_START_VELOCITY_VARIANCE = 1e4  # cold-start velocity uncertainty, (cm/s)^2
 
@@ -43,20 +44,20 @@ class KalmanConfig:
     measurement_noise_std_cm: float = 5.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt_s) and self.dt_s > 0):
+        if not (finite(self.dt_s) and self.dt_s > 0):
             raise ValueError(f"dt_s must be finite and positive, got {self.dt_s}")
         for name in ("process_noise_intensity", "measurement_noise_std_cm"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not (finite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         dt, q = self.dt_s, self.process_noise_intensity
         try:  # float ** raises OverflowError where * gives inf
             q_pos, q_vel = q * (dt**4 / 4.0), q * dt**2
             r2 = self.measurement_noise_std_cm**2
-            finite = all(map(math.isfinite, (q_pos, q_vel, r2)))
+            in_range = all(map(finite, (q_pos, q_vel, r2)))
         except OverflowError:
-            finite = False
-        if not finite:
+            in_range = False
+        if not in_range:
             raise ValueError(
                 f"dt_s={dt}, process_noise_intensity={q} and measurement_noise_std_cm="
                 f"{self.measurement_noise_std_cm} put a noise term past the float range"

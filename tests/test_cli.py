@@ -321,6 +321,21 @@ class TestPinnedDigests:
             "4d189f39794d2f03b6a50f51185d3d55d119e72da9b21b8edd3350f1c8d0e363"
         )
 
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("track", "8d505d3f88c507bbb072235e05f37e4c4f17be5d02403d3a1589aafcba66f5bc"),
+            ("ber", "5b56631acdf4ac581e58d06bf2aa7098ec7117b374c7b26d3d94650e2916f4ce"),
+            ("range", "526879d3c5da47457f027a9ec1b050653a2018baa710299031e1bb91b75525e2"),
+            ("filtercmp", "829ecbe4c93e4c09304361b6cface29fd5b30ab3cdd14e46317530a376c816f7"),
+        ],
+    )
+    def test_default_chart(self, tmp_path, monkeypatch, command, digest):
+        """Every chart, the two log-scale ones (ber, range) included."""
+        monkeypatch.delenv("OCC_SEED", raising=False)
+        assert main([command, "--out", str(tmp_path), "--plot"]) == 0
+        assert hashlib.sha256(read(tmp_path / f"{command}.svg")).hexdigest() == digest
+
     def test_tracking_with_pixel_and_distance_noise(self, tmp_path):
         scenario = replace(default_scenario(), distance_sigma_cm=3.0, seed=11)
         assert scenario.pixel_sigma > 0
@@ -360,6 +375,46 @@ def test_runs_without_scipy(tmp_path, fast_scenario):
                    check=True)
     assert (tmp_path / "track" / "track.csv").exists()
     assert (tmp_path / "ber" / "ber.csv").exists()
+
+
+class TestOutputs:
+    """Each command writes <command>.csv, with --plot also <command>.svg, and
+    its manifest lists exactly the files it wrote."""
+
+    @pytest.mark.parametrize("plot", [[], ["--plot"]], ids=["csv", "plot"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["track", "--seed", "3"],
+            ["ber", "--snir-max", "3", "--bits", "10000"],
+            ["range", "--points", "50"],
+            ["filtercmp", "--ensemble", "2"],
+        ],
+        ids=["track", "ber", "range", "filtercmp"],
+    )
+    def test_the_manifest_lists_every_file_written(self, tmp_path, monkeypatch, argv, plot):
+        monkeypatch.delenv("OCC_SEED", raising=False)
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out), *plot]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        command = argv[0]
+        assert outputs == [f"{command}.csv"] + [f"{command}.svg"] * bool(plot)
+        assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+    def test_a_run_with_nothing_finite_to_plot_gets_an_empty_chart(self, tmp_path, capsys):
+        """With no fixture every tick is a gap. --plot once made this valid run
+        exit 1 with "nothing to plot", leaving track.csv without a manifest."""
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"luminaires": [], "duration_s": 3}))
+        out = tmp_path / "o"
+        assert main(["track", "--scenario", str(scenario), "--out", str(out), "--plot"]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+            "track.csv", "track.svg"]
+        svg = (out / "track.svg").read_text()
+        assert svg.count('<polyline points=""') == 2
+        # the frame spans [0, 1] on both axes
+        assert ">0</text>" in svg and ">1</text>" in svg
 
 
 class TestOtherCommands:

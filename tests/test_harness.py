@@ -42,6 +42,8 @@ from occloc.harness import (
 from occloc.imaging import FeasibilityRegime, distance_from_pixels, observe_scene
 from occloc.geometry import Point3, Pose, RoomConfig
 from occloc.server import MAX_DISTANCE_MM, MIN_DISTANCE_MM, LedRegistry
+from occloc.solver import estimate_position, trilaterate_collinear
+from occloc.tracker import KalmanConfig
 
 
 def _slots(value, path=()):
@@ -1048,3 +1050,42 @@ class TestCsvWriters:
         assert lines[1].endswith(",full")
         assert lines[2].endswith(",degraded")
         assert lines[3].endswith(",impossible")
+
+
+_HUGE = 10**400  # an int past the float range
+_S = default_scenario()
+_FIXTURE = _S.fixture.make_luminaire(1, Point3(0.0, 0.0, 300.0))
+_ANCHORS = (Point3(0.0, 0.0, 300.0), Point3(100.0, 0.0, 300.0), Point3(0.0, 100.0, 300.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: KalmanConfig(dt_s=_HUGE), "dt_s must be finite"),
+        (lambda: KalmanConfig(process_noise_intensity=_HUGE), "process_noise_intensity must be"),
+        (lambda: Scenario(led_spacing_cm=_HUGE), "scenario values must be finite"),
+        (lambda: Scenario(led_origin_cm=(_HUGE, 75.0)), "scenario values must be finite"),
+        (lambda: Scenario(duration_s=_HUGE), "scenario values must be finite"),
+        (lambda: Scenario(speed_cm_s=_HUGE), "scenario values must be finite"),
+        (lambda: estimate_position(_ANCHORS, [_HUGE, 100.0, 100.0], _S.room), "finite, positive"),
+        (lambda: trilaterate_collinear(_ANCHORS[:2], [_HUGE, 100.0]), "finite, positive"),
+        (lambda: run_ber_sweep([_HUGE], 10_000, seed=1), "SNIR values must be finite"),
+        (lambda: run_range_sweep(_S.camera, _FIXTURE, [1.0, _HUGE]), "must be finite"),
+        (lambda: run_range_sweep(_S.camera, _FIXTURE, [math.nan]), "must be finite"),
+        (lambda: run_range_sweep(_S.camera, _FIXTURE, [1.0, math.inf]), "must be finite"),
+        (lambda: visibility_scan(_S, _HUGE), "camera height must be finite"),
+        (lambda: visibility_scan(_S, math.nan), "camera height must be finite"),
+        (lambda: visibility_scan(_S, -math.inf), "camera height must be finite"),
+    ],
+    ids=["kalman-dt", "kalman-q", "led-spacing", "led-origin", "duration", "speed",
+         "estimate-position", "trilaterate-collinear", "ber-sweep", "range-sweep", "range-nan",
+         "range-inf", "visibility-huge", "visibility-nan", "visibility-minus-inf"],
+)
+def test_a_value_that_is_not_finite_raises_value_error(call, message):
+    """An int past the float range raises the ValueError that NaN raises,
+    where each of these once raised OverflowError from a bare float() or
+    math.isfinite. The range sweep once returned a NaN row, and the
+    visibility scan reported NaN as 0 fixtures in view and -inf as every
+    point seeing all 64."""
+    with pytest.raises(ValueError, match=message):
+        call()

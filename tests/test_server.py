@@ -1,8 +1,9 @@
 import json
 import math
 import re
+import sys
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -448,6 +449,30 @@ class TestRestoreTrackerState:
             server.restore_session(_snapshot_with_state(x, self.GOOD_P))
         assert server.sessions == {}
 
+    def test_a_look_ahead_covariance_past_the_float_range_is_rejected(self):
+        """Such a session was once restored, and then its look-ahead p_pos was
+        inf, the gain NaN, and every ingest raised "non-finite point"."""
+        server = make_server()
+        with pytest.raises(ValueError, match="snapshot field tracker.p must be a covariance "
+                                             "whose look-ahead is finite"):
+            server.restore_session(_snapshot_with_state(self.GOOD_X, [1.7e308] * 3))
+        assert server.sessions == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.lists(st.floats(0.0, sys.float_info.max), min_size=3, max_size=3))
+    def test_a_restored_covariance_ingests_to_a_finite_answer(self, p):
+        """A covariance block of entries up to the float maximum is rejected,
+        or the session's next valid packet gives a finite answer."""
+        server = make_server()
+        try:
+            server.restore_session(_snapshot_with_state(self.GOOD_X, p))
+        except ValueError:
+            assert server.sessions == {}
+            return
+        result = server.ingest(packet_from_truth(Point3(520, 480, 100), 4000))
+        assert all(map(math.isfinite, (*result.filtered.as_tuple(),
+                                       *result.predicted.as_tuple())))
+
     @pytest.mark.parametrize(
         "height_cm",
         [math.nan, math.inf, -math.inf, True, False, "100", None, [100.0], 10**400, "missing"],
@@ -487,12 +512,13 @@ class TestRestoreTrackerState:
     def test_restore_accepts_exactly_the_valid_states(self, x, p, height_cm):
         """Any 3 finite numbers are a block the server restores, a slightly
         negative posterior p_vel included: no positive-definiteness check.
-        The mean must keep its look-ahead position finite."""
+        The mean must keep its look-ahead position finite, and the block its
+        look-ahead covariance."""
         server = make_server()
-        dt = server.kalman_config.dt_s
         valid = (len(x) == 4 and len(p) == 3
                  and all(math.isfinite(v) for v in x + p + [height_cm])
-                 and math.isfinite(x[0] + dt * x[2]) and math.isfinite(x[1] + dt * x[3]))
+                 and all(map(math.isfinite, astuple(tracker.predict(
+                     tracker.KalmanState(*x, *p), server.kalman_config)))))
         snap = _snapshot_with_state(x, p, height_cm)
         if valid:
             server.restore_session(snap)
