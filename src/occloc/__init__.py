@@ -36,7 +36,6 @@ from .modem import (
     BadCrc,
     BadPreamble,
     FrameError,
-    SampledWaveform,
     decode_frame,
     demodulate,
     encode_frame,
@@ -68,6 +67,7 @@ from .tracker import (
     update,
 )
 from .server import (
+    DegenerateCovariance,
     DetectionPacket,
     DetectionRecord,
     IngestResult,

@@ -310,8 +310,7 @@ def _decoded_coordinates(luminaires) -> "dict[int, tuple[int, int]]":
     decoded = {}
     for lum in luminaires:
         bits = encode_frame(int(round(lum.anchor.x)), int(round(lum.anchor.y)))
-        wave = modulate(bits)
-        decoded[lum.led_id] = decode_frame(demodulate(wave))
+        decoded[lum.led_id] = decode_frame(demodulate(modulate(bits)))
     return decoded
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraModel, Luminaire, Pose, distance, incidence_angle
+from .geometry import CameraModel, Luminaire, Pose, distance, finite, incidence_angle
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ class Sighting:
 
 def image_distance(f_mm: float, d_mm: float) -> float:
     """Exact thin-lens conjugate: image distance e = f d / (d - f)."""
+    if not (finite(f_mm) and finite(d_mm)):
+        raise ValueError(f"focal length {f_mm} mm and object distance {d_mm} mm must be finite")
     if d_mm <= f_mm:
         raise ValueError(f"object distance {d_mm} mm must exceed focal length {f_mm} mm")
     return f_mm * d_mm / (d_mm - f_mm)
@@ -74,8 +76,8 @@ def project(camera: CameraModel, luminaire: Luminaire, d_mm: float) -> Projectio
 def pixel_count(camera: CameraModel, luminaire: Luminaire, d_cm: float) -> float:
     """Far-field projected pixel area of the fixture at distance d_cm, in
     fractional pixels: eta = f^2 S / (rho^2 d^2)."""
-    if d_cm <= 0:
-        raise ValueError("distance must be positive")
+    if not (finite(d_cm) and d_cm > 0):
+        raise ValueError(f"distance must be finite and positive, got {d_cm}")
     d_mm = d_cm * 10.0
     if d_mm <= camera.focal_length_mm:
         raise ValueError("fixture inside the focal length; far-field model invalid")
@@ -97,8 +99,8 @@ def ranging_constant(camera: CameraModel, luminaire: Luminaire) -> float:
 
 def distance_from_pixels(tau_mm: float, eta: float) -> float:
     """Invert a pixel count to range, in mm: d = tau / sqrt(eta)."""
-    if eta <= 0:
-        raise ValueError("pixel count must be positive to invert")
+    if not (finite(eta) and eta > 0):
+        raise ValueError(f"pixel count must be finite and positive to invert, got {eta}")
     return tau_mm / math.sqrt(eta)
 
 
@@ -110,8 +112,8 @@ def visible(luminaire: Luminaire, camera: Pose, fov_full_angle_deg: float) -> bo
 
 def feasibility(eta: float) -> FeasibilityRegime:
     """Classify a pixel area into the ranging regimes with boundaries at 4 and 1 px."""
-    if eta < 0:
-        raise ValueError("pixel count must be non-negative")
+    if not (finite(eta) and eta >= 0):
+        raise ValueError(f"pixel count must be finite and non-negative, got {eta}")
     if eta >= 4.0:
         return FeasibilityRegime.FULL
     if eta >= 1.0:
@@ -132,8 +134,8 @@ def observe_scene(
     caller owns the generator, so a fixed seed reproduces the scene exactly.
     Fixtures outside the view cone produce no record.
     """
-    if noise_sigma_pixels < 0:
-        raise ValueError("noise sigma must be non-negative")
+    if not (finite(noise_sigma_pixels) and noise_sigma_pixels >= 0):
+        raise ValueError(f"noise sigma must be finite and non-negative, got {noise_sigma_pixels}")
     if noise_sigma_pixels > 0 and rng is None:
         raise ValueError("noisy observation needs a caller-supplied generator")
     sightings = []

@@ -19,7 +19,8 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .geometry import Luminaire, Point3, RoomConfig, finite
-from .solver import CEILING_TOLERANCE_CM, AnchorPlan, InsufficientAnchors, PositionEstimate, solve
+from .solver import (CEILING_TOLERANCE_CM, AnchorPlan, InsufficientAnchors, PositionEstimate,
+                     SolverError, solve)
 # ingest solves through solve; perfbench's tracer still wraps the name
 # estimate_position in this module, so it stays imported here
 from .solver import estimate_position  # noqa: F401
@@ -54,6 +55,12 @@ class StaleTimestamp(ValueError):
 
 class SessionClosed(ValueError):
     """The session was closed by the probe state machine."""
+
+
+class DegenerateCovariance(SolverError):
+    """The session's look-ahead leaves the update an innovation variance
+    p_pos + r2 of 0, or one so near 0 that its reciprocal overflows, so the
+    filter has no finite gain to fold the packet in with."""
 
 
 def _check_record(x_cm, y_cm, distance_mm):
@@ -302,7 +309,8 @@ class LightingServer:
 
     def ingest(self, packet: DetectionPacket) -> IngestResult:
         """Resolve, solve, filter, predict. Failed packets (stale clock, too few
-        resolvable records, solver failure) leave the session untouched."""
+        resolvable records, solver failure, a look-ahead innovation variance
+        too near 0 for a finite gain) leave the session untouched."""
         session = self.sessions.get(packet.session_id)
         cold_start = session is None
         if not cold_start:
@@ -330,6 +338,12 @@ class LightingServer:
                 (estimate.position.x, estimate.position.y), self.kalman_config
             )
         else:
+            innovation = session.ahead.p_pos + self.kalman_config.r2
+            if innovation == 0.0 or not math.isfinite(1.0 / innovation):
+                raise DegenerateCovariance(
+                    f"session {packet.session_id} has a look-ahead innovation variance of "
+                    f"{innovation}, too near 0 for a finite gain"
+                )
             state = tracker.update(
                 session.ahead,
                 (estimate.position.x, estimate.position.y),
@@ -399,7 +413,10 @@ class LightingServer:
         A filter state whose look-ahead position leaves the float range, which
         no solve could take as its prior, is rejected too, and so is one whose
         look-ahead covariance does, which would make the next update's gain
-        NaN. An earlier version's snapshot is rejected."""
+        NaN. An earlier version's snapshot is rejected. The covariance block
+        need not be positive semi-definite: the filter writes blocks that are
+        not once the measurement noise vanishes next to the state variance in
+        floats, and a snapshot of such a session must restore."""
         if type(snapshot) is not dict:
             raise ValueError("snapshot must be an object")
         if snapshot.get("version") != SNAPSHOT_VERSION:

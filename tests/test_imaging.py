@@ -225,3 +225,36 @@ class TestObserveScene:
             by_dist = sorted(sightings, key=lambda s: dists[s.led_id])
             # argsort by pixel area descending equals argsort by distance ascending
             assert [s.led_id for s in by_eta] == [s.led_id for s in by_dist]
+
+
+_TAU_MM = ranging_constant(CAMERA, FIXTURE)
+_POSE = Pose(Point3(0.0, 0.0, 100.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pixel_count(CAMERA, FIXTURE, math.nan),
+        lambda: pixel_count(CAMERA, FIXTURE, math.inf),
+        lambda: pixel_count(CAMERA, FIXTURE, 10**400),
+        lambda: distance_from_pixels(_TAU_MM, math.inf),
+        lambda: distance_from_pixels(_TAU_MM, math.nan),
+        lambda: feasibility(math.nan),
+        lambda: feasibility(math.inf),
+        lambda: feasibility(10**400),
+        lambda: observe_scene([FIXTURE], _POSE, CAMERA, math.nan, np.random.default_rng(0)),
+        lambda: observe_scene([FIXTURE], _POSE, CAMERA, math.inf, np.random.default_rng(0)),
+        lambda: image_distance(5.0, math.nan),
+        lambda: image_distance(math.nan, 3000.0),
+        lambda: image_distance(5.0, math.inf),
+    ],
+    ids=["pixel_count-nan", "pixel_count-inf", "pixel_count-huge-int",
+         "distance_from_pixels-inf", "distance_from_pixels-nan", "feasibility-nan",
+         "feasibility-inf", "feasibility-huge-int", "observe_scene-nan", "observe_scene-inf",
+         "image_distance-nan", "image_distance-nan-focal", "image_distance-inf"],
+)
+def test_a_value_that_is_not_finite_raises_value_error(call):
+    """Each call once answered: NaN or 0.0 pixels, a 0 mm distance, a regime,
+    a noiseless or infinite scene, a NaN image distance, or an OverflowError."""
+    with pytest.raises(ValueError, match="finite"):
+        call()

@@ -12,7 +12,7 @@ from occloc.modem import (
     SAMPLES_PER_BIT,
     BadCrc,
     BadPreamble,
-    SampledWaveform,
+    FrameError,
     crc8,
     decode_frame,
     demodulate,
@@ -86,20 +86,19 @@ class TestEncodeFrame:
 
 class TestModulate:
     def test_two_bit_expansion(self):
-        wave = modulate(np.array([1, 0]))
-        assert list(wave.samples) == [1.0] * 4 + [0.1] * 4
-        assert wave.samples_per_bit == SAMPLES_PER_BIT == 4
+        samples = modulate(np.array([1, 0]))
+        assert list(samples) == [1.0] * 4 + [0.1] * 4
+        assert samples.shape == (2 * SAMPLES_PER_BIT,) and SAMPLES_PER_BIT == 4
 
     def test_identity_expansion(self):
         bits = np.array([1, 0, 1, 1], dtype=np.uint8)
-        rows = modulate(bits).samples.reshape(-1, SAMPLES_PER_BIT)
+        rows = modulate(bits).reshape(-1, SAMPLES_PER_BIT)
         levels = [HIGH_LEVEL, DIM_LEVEL, HIGH_LEVEL, HIGH_LEVEL]
         assert (rows == np.array(levels)[:, None]).all()
 
     def test_preamble_square_wave(self):
-        wave = modulate(encode_frame(0, 0)[:8])
         period = 2 * SAMPLES_PER_BIT
-        samples = list(wave.samples)
+        samples = list(modulate(encode_frame(0, 0)[:8]))
         assert samples[:period] * 4 == samples
 
 
@@ -110,12 +109,12 @@ class TestDemodulate:
         assert np.array_equal(demodulate(modulate(bits)), bits)
 
     def test_all_below_threshold(self):
-        wave = SampledWaveform(np.full(40, 0.2), 4)
-        assert not demodulate(wave, threshold=0.5).any()
+        """A flat waveform has no bit mean above its midpoint."""
+        assert not demodulate(np.full(40, 0.2)).any()
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SampledWaveform(np.zeros(5), 2)
+        with pytest.raises(ValueError, match="whole number of bits"):
+            demodulate(np.zeros(5))
 
 
 class TestDecodeFrame:
@@ -146,6 +145,14 @@ class TestDecodeFrame:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             decode_frame(np.zeros(47, dtype=np.uint8))
+
+    @pytest.mark.parametrize("scale", [2, -1, 0.5, 255])
+    def test_a_bit_other_than_0_or_1_is_rejected(self, scale):
+        """Packing reads any nonzero value as a 1, so a frame scaled by 2
+        would decode to valid coordinates."""
+        with pytest.raises(ValueError, match="0 or 1") as caught:
+            decode_frame(scale * encode_frame(200, 150).astype(float))
+        assert not isinstance(caught.value, FrameError)
 
 
 class TestFullChainRoundTrip:
@@ -215,3 +222,14 @@ class TestMeasureBer:
         with pytest.raises(ValueError):
             measure_ber(1.0, 9_999, 1)
 
+
+@pytest.mark.parametrize("snir", [math.inf, math.nan, 10**400], ids=["inf", "nan", "huge-int"])
+@pytest.mark.parametrize(
+    "call", [lambda s: measure_ber(s, 10_000, 1), ook_ber_theoretical],
+    ids=["measure_ber", "ook_ber_theoretical"],
+)
+def test_a_snir_that_is_not_finite_raises_value_error(call, snir):
+    """measure_ber(inf) once gave 0.5 errors with a RuntimeWarning, NaN gave
+    0.5 or NaN, and an int past the float range an OverflowError."""
+    with pytest.raises(ValueError, match="SNIR must be finite"):
+        call(snir)

@@ -8,13 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from occloc.geometry import Circular, Luminaire, Point3, RoomConfig, distance
 from occloc import harness, server as server_module, solver
 from occloc.server import (
     MAX_DISTANCE_MM,
     MIN_DISTANCE_MM,
+    DegenerateCovariance,
     DetectionPacket,
     DetectionRecord,
     LedRegistry,
@@ -201,6 +202,21 @@ class TestIngest:
         b = replay(make_server())
         assert [r.filtered for r in a] == [r.filtered for r in b]
         assert [r.predicted for r in a] == [r.predicted for r in b]
+
+    def test_a_gain_past_the_float_range_raises_a_typed_error(self):
+        """With no measurement noise and a subnormal process noise, the second
+        packet leaves a look-ahead innovation variance of 2e-323, whose
+        reciprocal overflows: the third packet's gain was NaN and its ingest
+        raised "non-finite point"."""
+        config = tracker.KalmanConfig(2.0, process_noise_intensity=5e-324,
+                                      measurement_noise_std_cm=0.0)
+        server = LightingServer(make_registry(), ROOM, config)
+        for ts_ms in (1000, 2000):
+            server.ingest(packet_from_truth(Point3(520, 510, 100), ts_ms))
+        before = server.snapshot("s1")
+        with pytest.raises(DegenerateCovariance, match="variance of 2e-323, too near 0"):
+            server.ingest(packet_from_truth(Point3(520, 510, 100), 3000))
+        assert server.snapshot("s1") == before
 
 
 class TestOnePredictionPerPacket:
@@ -472,6 +488,41 @@ class TestRestoreTrackerState:
         result = server.ingest(packet_from_truth(Point3(520, 480, 100), 4000))
         assert all(map(math.isfinite, (*result.filtered.as_tuple(),
                                        *result.predicted.as_tuple())))
+
+    def test_a_look_ahead_with_no_innovation_variance_raises_a_typed_error(self):
+        """Such a session restores, as any finite block whose look-ahead is
+        finite does; its ingest raised an untyped ZeroDivisionError."""
+        server = make_server()
+        server.restore_session(_snapshot_with_state(self.GOOD_X, [-25.25, 0.0, 0.0]))
+        ahead = server.sessions["s1"].ahead
+        assert ahead.p_pos + server.kalman_config.r2 == 0.0
+        before = server.snapshot("s1")
+        with pytest.raises(DegenerateCovariance, match="s1 has a look-ahead innovation "
+                                                       "variance of 0.0, too near 0"):
+            server.ingest(packet_from_truth(Point3(520, 480, 100), 4000))
+        assert server.snapshot("s1") == before
+
+    def test_a_block_the_filter_leaves_indefinite_restores(self):
+        """With measurement noise far below the state variance, the filter's
+        own update writes blocks that are not positive semi-definite, here
+        (0, 7.3e-12, 0) and then a negative p_vel with a look-ahead whose
+        innovation variance is negative. Each written snapshot restores, and
+        the copy answers the next packet as the original does."""
+        config = tracker.KalmanConfig(10.0, process_noise_intensity=0.0,
+                                      measurement_noise_std_cm=1e-6)
+        server = LightingServer(make_registry(), ROOM, config)
+        indefinite = 0
+        for k in range(6):
+            packet = packet_from_truth(Point3(500 + 7 * k, 480 - 3 * k, 100), 10_000 * (k + 1))
+            if k:
+                p_pos, p_cross, p_vel = server.snapshot("s1")["tracker"]["p"]
+                indefinite += min(p_pos, p_vel) < 0 or p_cross**2 > p_pos * p_vel
+                restored = LightingServer(make_registry(), ROOM, config)
+                restored.restore_session(server.snapshot("s1"))
+                assert repr(restored.ingest(packet)) == repr(server.ingest(packet))
+            else:
+                server.ingest(packet)
+        assert indefinite >= 2
 
     @pytest.mark.parametrize(
         "height_cm",
@@ -919,6 +970,59 @@ class TestWireRobustness:
                     continue
             for point in (result.estimate.position, result.filtered, result.predicted):
                 assert all(math.isfinite(v) for v in point.as_tuple())
+
+
+class TestWrittenSnapshotsRestore:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dt=st.floats(1e-3, 10.0),
+        q=st.floats(0.0, 1e4),
+        std=st.just(0.0) | st.floats(1e-12, 1e-3) | st.floats(1e-3, 100.0),
+        events=st.lists(
+            st.tuples(st.sampled_from(["a", "b"]), st.floats(0.0, 1219.0),
+                      st.floats(0.0, 1219.0), st.integers(0, 5_000),
+                      st.none() | st.integers(0, 10_000)),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_every_written_snapshot_restores_and_its_next_packet_answers(self, dt, q, std,
+                                                                         events):
+        """Before each packet of a walk, the packet's session as the server
+        last wrote it restores on a fresh server, and that copy's answer to
+        the packet is finite or a typed error, as the original's is. The
+        measurement noise reaches 0 and the values below 1e-3 cm where the
+        filter's own blocks are not positive semi-definite."""
+        try:
+            config = tracker.KalmanConfig(dt, process_noise_intensity=q,
+                                          measurement_noise_std_cm=std)
+        except ValueError:  # no noise at all, or noise that underflows to none
+            reject()
+        server = LightingServer(make_registry(), ROOM, config)
+
+        def answer(target, packet):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = target.ingest(packet)
+                except (SolverError, StaleTimestamp, SessionClosed) as exc:
+                    return type(exc)
+            for point in (result.estimate.position, result.filtered, result.predicted):
+                assert all(math.isfinite(v) for v in point.as_tuple())
+            return repr(result)
+
+        now_ms = 0
+        for session_id, x, y, gap_ms, probe_after_ms in events:
+            now_ms += gap_ms
+            packet = packet_from_truth(Point3(x, y, 100.0), now_ms, session=session_id)
+            if session_id in server.sessions:
+                restored = LightingServer(make_registry(), ROOM, config)
+                restored.restore_session(json.loads(json.dumps(server.snapshot(session_id))))
+                assert answer(restored, packet) == answer(server, packet)
+            else:
+                answer(server, packet)
+            if probe_after_ms is not None:
+                for open_id in list(server.sessions):
+                    server.probe_tick(open_id, now_ms + probe_after_ms)
 
 
 class TestPacketRecords:
