@@ -17,6 +17,8 @@ import sys
 
 from . import __version__
 from . import harness, plots
+from .geometry import Point3
+from .modem import MIN_BER_BITS
 
 SEED_ENV_VAR = "OCC_SEED"
 MAX_GRID_POINTS = 100_000  # largest sweep grid a command builds
@@ -146,9 +148,9 @@ def cmd_ber(scenario, flags):
         )
     if step <= 0:
         raise ConfigError(f"--snir-step must be positive, got {step}")
-    if not harness.MIN_BER_BITS <= bits <= MAX_BER_BITS:
+    if not MIN_BER_BITS <= bits <= MAX_BER_BITS:
         raise ConfigError(
-            f"--bits must be within [{harness.MIN_BER_BITS}, {MAX_BER_BITS}], got {bits}"
+            f"--bits must be within [{MIN_BER_BITS}, {MAX_BER_BITS}], got {bits}"
         )
     grid = []
     v = lo
@@ -176,7 +178,7 @@ def cmd_range(scenario, flags):
         )
     grid = [lo + i * (hi - lo) / (n - 1) for i in range(n)]
     fixture = scenario.fixture.make_luminaire(
-        1, harness.Point3(0.0, 0.0, scenario.room.ceiling_height_cm)
+        1, Point3(0.0, 0.0, scenario.room.ceiling_height_cm)
     )
     return harness.run_range_sweep(scenario.camera, fixture, grid)
 

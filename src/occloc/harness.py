@@ -222,6 +222,18 @@ class Scenario:
                 f"camera.pixel_edge_mm={self.camera.pixel_edge_mm!r} and the fixture's area "
                 f"give the ranging constant {tau_mm} mm, which is not positive and finite"
             )
+        # pixel_count squares f and rho apart and divides by rho^2 d^2 with
+        # d > f, so neither square may overflow and rho^2 f^2 must stay positive
+        f_mm, rho_mm = self.camera.focal_length_mm, self.camera.pixel_edge_mm
+        try:
+            squares_fit = rho_mm**2 * f_mm**2 > 0
+        except OverflowError:
+            squares_fit = False
+        if not squares_fit:
+            raise ScenarioError(
+                f"camera.focal_length_mm={f_mm!r} and camera.pixel_edge_mm={rho_mm!r} "
+                "square past the float range that the pixel count is computed in"
+            )
 
     def _grid_axes(self) -> "tuple[list[float], list[float]]":
         """The grid's fixture x and y positions."""
@@ -354,9 +366,10 @@ class _Tick:
 
 def _ranged(sightings, tau_mm: float, coords
             ) -> "tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]":
-    """The columns of the sightings with a positive pixel area: the decoded
+    """The columns of the sightings that can be ranged, those with a finite
+    pixel area of at least 1 px (feasibility() not IMPOSSIBLE): the decoded
     broadcast x_cm and y_cm of each, and its distance in mm."""
-    ranged = [sig for sig in sightings if sig.pixel_area > 0]
+    ranged = [sig for sig in sightings if 1.0 <= sig.pixel_area < math.inf]
     xy = [coords[sig.led_id] for sig in ranged]
     return (tuple([x for x, _ in xy]), tuple([y for _, y in xy]),
             tuple([distance_from_pixels(tau_mm, sig.pixel_area) for sig in ranged]))

@@ -271,7 +271,8 @@ class Session:
 @dataclass(frozen=True)
 class IngestResult:
     """Per-packet answer: the raw solver estimate, the filtered position, the
-    one-step-ahead prediction, and bookkeeping flags."""
+    one-step-ahead prediction, and bookkeeping flags; out_of_bounds when any
+    of the three points leaves the room grown by a tenth on every side."""
 
     estimate: PositionEstimate
     filtered: Point3
@@ -354,6 +355,7 @@ class LightingServer:
         predicted = Point3(ahead.x, ahead.y, estimate.position.z)
         out_of_bounds = not (
             self._in_extended_bounds(filtered) and self._in_extended_bounds(estimate.position)
+            and self._in_extended_bounds(predicted)
         )
 
         self.sessions[packet.session_id] = Session(

@@ -88,10 +88,6 @@ class KalmanState:
     p_cross: float
     p_vel: float
 
-    @property
-    def position_xy(self) -> tuple[float, float]:
-        return self.x, self.y
-
 
 def initial_state(measurement_xy: tuple[float, float], config: KalmanConfig) -> KalmanState:
     """Cold start: seed position from the first measurement, zero velocity,

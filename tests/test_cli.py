@@ -85,7 +85,7 @@ class TestTrackCommand:
             capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["track", "validate"])
+    @pytest.mark.parametrize("command", ["track", "range", "validate"])
     @pytest.mark.parametrize(
         "data, message",
         [
@@ -95,19 +95,34 @@ class TestTrackCommand:
              "camera.focal_length_mm=5e-324, camera.pixel_edge_mm=7000 and the fixture's area "
              "give the ranging constant 0.0 mm, which is not positive and finite"),
             ({"camera": {"pixel_edge_mm": 5e-324}}, "give the ranging constant inf mm"),
+            ({"camera": {"pixel_edge_mm": 1e300}},
+             "camera.pixel_edge_mm=1e+300 square past the float range"),
+            ({"camera": {"pixel_edge_mm": 1e-300}},
+             "camera.pixel_edge_mm=1e-300 square past the float range"),
         ],
-        ids=["area-overflows", "tau-underflows", "tau-overflows"],
+        ids=["area-overflows", "tau-underflows", "tau-overflows", "square-overflows",
+             "square-underflows"],
     )
     def test_a_fixture_or_camera_that_cannot_range_exits_2(self, tmp_path, capsys, command,
                                                            data, message):
         """validate once ended with an OverflowError traceback or passed these,
-        and track failed at run time with exit 1."""
+        and track and range failed at run time with exit 1. The last two give
+        a finite ranging constant, but pixel_count's squares of the pixel edge
+        overflow or round to 0."""
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         out = tmp_path / "o"
         assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_pixel_noise_at_the_float_maximum_runs(self, tmp_path, capsys):
+        """A noisy pixel area that overflows to inf is not ranged; track once
+        exited 1 inverting it."""
+        noisy = tmp_path / "noisy.json"
+        noisy.write_text(json.dumps({"noise": {"pixel_sigma": 1.7e308}, "duration_s": 5.0}))
+        assert main(["track", "--scenario", str(noisy), "--out", str(tmp_path / "o")]) == 0
+        assert "runtime failure" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["track", "validate"])
     @pytest.mark.parametrize(
@@ -356,6 +371,21 @@ def test_cli_loads_every_module():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert expected - set(loaded) == set()
+
+
+def test_the_package_loads_no_module_and_geometry_and_tracker_need_no_numpy():
+    """Each public name is imported from its own module, so import occloc
+    loads none of them; and the filter's modules import with numpy blocked."""
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import occloc\n"
+        "loaded = [m for m in sys.modules if m.startswith('occloc.')]\n"
+        "assert loaded == [], loaded\n"
+        "import occloc.geometry, occloc.tracker\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(occloc.__file__).parent.parent)}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def test_runs_without_scipy(tmp_path, fast_scenario):

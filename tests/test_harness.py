@@ -20,6 +20,7 @@ from occloc.harness import (
     SCAN_STEP_CM,
     TRACK_HEADER,
     FilterComparisonPoint,
+    FixtureSpec,
     Scenario,
     ScenarioError,
     VisibilityScan,
@@ -520,6 +521,18 @@ class TestRunTracking:
         assert len(records) == 4
         assert all(r.gap and r.visible == 0 and r.raw is None for r in records)
 
+    @pytest.mark.parametrize("pixel_sigma", [0.0, 0.1])
+    def test_sightings_under_one_pixel_are_not_ranged(self, pixel_sigma):
+        """A 1 mm downlight projects under 1 px (IMPOSSIBLE) from 2 m on, so
+        every tick is a gap, though each sees its fixtures; each tick was once
+        ranged and solved from the sub-pixel areas."""
+        s = replace(default_scenario(), fixture=FixtureSpec(radius_mm=1.0, area_mm2=None),
+                    duration_s=4.0, pixel_sigma=pixel_sigma)
+        luminaire = s.fixture.make_luminaire(1, Point3(0.0, 0.0, 300.0))
+        assert range_boundaries_m(s.camera, luminaire)[1] < 2.0
+        records = _cold(run_tracking, s)
+        assert all(r.gap and r.visible >= 3 for r in records)
+
 
 def _cold(fn, *args):
     """fn(*args) as a new process would run it, with no walk (or ceiling) cached."""
@@ -627,7 +640,7 @@ class TestCachedRanges:
         ceiling, walk = _cold(harness._walk, harness._walk_key(self.BASE))
         for tick in walk:
             seen = observe_scene(tick.in_view, Pose(tick.truth), self.BASE.camera)
-            ranged = [sig for sig in seen if sig.pixel_area > 0]
+            ranged = [sig for sig in seen if 1.0 <= sig.pixel_area < math.inf]
             assert tuple(zip(tick.x_cm, tick.y_cm)) == tuple(
                 ceiling.coords[sig.led_id] for sig in ranged
             )
@@ -652,7 +665,7 @@ class TestCachedRanges:
         for tick in walk:
             seen = observe_scene(tick.in_view, Pose(tick.truth), s.camera)
             dists = [distance_from_pixels(ceiling.tau_mm, sig.pixel_area)
-                     for sig in seen if sig.pixel_area > 0]
+                     for sig in seen if 1.0 <= sig.pixel_area < math.inf]
             noise = [float(rng.normal(0.0, 10.0 * s.distance_sigma_cm)) for _ in dists]
             expected.append([d + e for d, e in zip(dists, noise)])
         assert sent == [ds for ds in expected if ds]
@@ -680,7 +693,7 @@ class TestCachedRanges:
                 seen = observe_scene(tick.in_view, Pose(tick.truth), s.camera, s.pixel_sigma, rng)
             else:
                 seen = observe_scene(tick.in_view, Pose(tick.truth), s.camera)
-            ranged = [sig for sig in seen if sig.pixel_area > 0]
+            ranged = [sig for sig in seen if 1.0 <= sig.pixel_area < math.inf]
             x_cm, y_cm, distance_mm, far = [], [], [], 0
             for sig in ranged:
                 d = (distance_from_pixels(ceiling.tau_mm, sig.pixel_area)

@@ -1,5 +1,5 @@
-"""README's library examples run as written, so a trimmed export that the
-documented API still names fails here."""
+"""README's library examples run as written, so a public name that the
+documented API still imports from its module fails here once it is gone."""
 
 import re
 from pathlib import Path

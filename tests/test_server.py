@@ -189,6 +189,25 @@ class TestIngest:
         result = server.ingest(DetectionPacket("s1", 1000, records))
         assert result.out_of_bounds
 
+    @pytest.mark.parametrize(
+        "p, far_cm",
+        [([999990000025.0, -999995000000.0, 1e12], 9e5), ([-1.7e308, 0.0, 1.7e308], 1e307)],
+        ids=["rank-one", "indefinite"],
+    )
+    def test_a_look_ahead_outside_the_room_is_flagged(self, p, far_cm):
+        """Each restored covariance gives the next packet a velocity gain that
+        throws the look-ahead far out of the room, while its solve and filtered
+        point stay inside. out_of_bounds once tested those two alone and
+        answered False."""
+        anchors = [(450, 450), (750, 450), (450, 750), (750, 750)]
+        server = LightingServer(make_registry(anchors), RoomConfig(1200.0, 1200.0, 300.0))
+        server.restore_session(_snapshot_with_state([590.0, 610.0, 0.0, 0.0], p))
+        result = server.ingest(packet_from_truth(Point3(600, 600, 100), 2000, anchors))
+        assert server._in_extended_bounds(result.estimate.position)
+        assert server._in_extended_bounds(result.filtered)
+        assert max(abs(result.predicted.x), abs(result.predicted.y)) > far_cm
+        assert result.out_of_bounds
+
     def test_replay_is_deterministic(self):
         lines = []
         for k in range(10):
@@ -915,8 +934,8 @@ wire_packets = st.fixed_dictionaries(
     },
     optional={"bogus": json_values},
 )
-# Packets with the schema's types, whose distances run from plausible ranges
-# to the extremes of the float range.
+# Records with the schema's types, whose coordinates may name no fixture and
+# whose distances run from plausible ranges to the extremes of the float range.
 distances = st.floats(1500.0, 4000.0) | st.floats() | st.integers(-(2**70), 2**70)
 typed_records = st.fixed_dictionaries(
     {
@@ -925,13 +944,31 @@ typed_records = st.fixed_dictionaries(
         "distance_mm": distances,
     }
 )
-typed_packets = st.fixed_dictionaries(
-    {
-        "session_id": st.sampled_from(["a", "b"]),
-        "timestamp_ms": st.integers(0, 20_000),
-        "records": st.lists(typed_records, min_size=1, max_size=6),
-    }
-)
+
+
+@st.composite
+def _typed_packet(draw):
+    """A packet with the schema's types. Three in four range 3 or 4
+    registered fixtures from a drawn truth, each distance within 5 cm of the
+    true one (as packet_from_truth ranges them), so that the filter updates
+    the sessions it holds; a quarter of those carry typed records beside
+    them. The rest hold typed records alone."""
+    if draw(st.integers(0, 3)):
+        truth = Point3(draw(st.floats(0.0, 1219.0)), draw(st.floats(0.0, 1219.0)),
+                       draw(st.floats(0.0, 290.0)))
+        seen = draw(st.permutations(ANCHORS))[:draw(st.integers(3, 4))]
+        records = [{"x_cm": x, "y_cm": y,
+                    "distance_mm": 10.0 * distance(truth, Point3(x, y, 300.0))
+                    + draw(st.floats(-50.0, 50.0))} for x, y in seen]
+        if not draw(st.integers(0, 3)):
+            records += draw(st.lists(typed_records, min_size=1, max_size=2))
+    else:
+        records = draw(st.lists(typed_records, min_size=1, max_size=6))
+    return {"session_id": draw(st.sampled_from(["a", "b"])),
+            "timestamp_ms": draw(st.integers(0, 20_000)), "records": records}
+
+
+typed_packets = _typed_packet()
 
 
 class TestWireRobustness:
@@ -949,17 +986,23 @@ class TestWireRobustness:
     @settings(max_examples=200, deadline=None)
     @given(
         events=st.lists(
-            st.tuples(typed_packets, st.none() | st.integers(0, 30_000)), min_size=1, max_size=8
+            st.tuples(typed_packets, st.integers(0, 4_000), st.booleans()),
+            min_size=1, max_size=8,
         )
     )
     def test_any_parsed_packet_ingests_finitely_or_raises_a_typed_error(self, events):
+        """Each packet comes gap_ms after the last (a gap of 0 is stale), in
+        place of its drawn time, and a probe sweep of every session may come
+        at the same time, before it."""
         server = make_server()
-        for obj, probe_ms in events:
-            if probe_ms is not None:
+        now_ms = 0
+        for obj, gap_ms, sweep in events:
+            now_ms += gap_ms
+            if sweep:
                 for session_id in list(server.sessions):
-                    server.probe_tick(session_id, probe_ms)
+                    server.probe_tick(session_id, now_ms)
             try:
-                packet = packet_from_line(json.dumps(obj))
+                packet = packet_from_line(json.dumps({**obj, "timestamp_ms": now_ms}))
             except ValueError:
                 continue
             with warnings.catch_warnings():
@@ -1465,7 +1508,7 @@ class TestIndexResolve:
                 continue
             packet = DetectionPacket("s", 1000 * t, records)
             session = server.sessions.get("s")
-            prior = None if session is None else Point3(*session.ahead.position_xy,
+            prior = None if session is None else Point3(session.ahead.x, session.ahead.y,
                                                         session.prior.z)
             known = [r for r in records if (r.x_cm, r.y_cm) in grid]
             try:

@@ -44,14 +44,14 @@ class TestPredict:
     def test_static_with_zero_process_noise(self):
         cfg = config(q=0.0)
         out = predict(state((10.0, 20.0, 0.0, 0.0), (3.0, 0.0, 3.0)), cfg)
-        assert out.position_xy == (10.0, 20.0)
+        assert (out.x, out.y) == (10.0, 20.0)
         # constant-velocity propagation mixes position/velocity covariance but
         # keeps the total spread with Q = 0
         assert out.p_pos == pytest.approx(6.0)
 
     def test_velocity_advances_position(self):
         out = predict(state((0.0, 5.0, 10.0, 0.0), (1.0, 0.0, 1.0)), config())
-        assert out.position_xy == pytest.approx((10.0, 5.0))
+        assert (out.x, out.y) == pytest.approx((10.0, 5.0))
 
     def test_trace_grows_by_process_noise(self):
         q = 0.7
@@ -147,7 +147,7 @@ class TestTrack:
 
     def test_cold_start_seeds_first_measurement(self):
         states = track([(7.0, 9.0), (8.0, 9.5)], config())
-        assert states[0].position_xy == (7.0, 9.0)
+        assert (states[0].x, states[0].y) == (7.0, 9.0)
         assert (states[0].vx, states[0].vy) == (0.0, 0.0)
 
     def test_posterior_variance_non_increasing_static(self):
@@ -179,7 +179,7 @@ class TestTrack:
             states = track(meas, cfg)
             for m, s in zip(meas[5:], states[5:]):
                 raw_sq.append((m[0] - 50.0) ** 2 + (m[1] - 50.0) ** 2)
-                x, y = s.position_xy
+                x, y = s.x, s.y
                 filt_sq.append((x - 50.0) ** 2 + (y - 50.0) ** 2)
         assert math.sqrt(np.mean(filt_sq)) < math.sqrt(np.mean(raw_sq))
 
@@ -236,7 +236,7 @@ class TestConfigValidation:
     def test_either_noise_alone_keeps_a_static_phone_finite(self, q, std):
         cfg = KalmanConfig(1.0, process_noise_intensity=q, measurement_noise_std_cm=std)
         for s in track([(100.0, 200.0)] * 30, cfg):
-            assert s.position_xy == pytest.approx((100.0, 200.0))
+            assert (s.x, s.y) == pytest.approx((100.0, 200.0))
             assert all(map(math.isfinite, block(s)))
 
 
