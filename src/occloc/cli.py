@@ -17,7 +17,8 @@ import sys
 
 from . import __version__
 from . import harness, plots
-from .geometry import Point3
+from .geometry import Point3, finite
+from .imaging import pixel_count
 from .modem import MIN_BER_BITS
 
 SEED_ENV_VAR = "OCC_SEED"
@@ -180,6 +181,18 @@ def cmd_range(scenario, flags):
     fixture = scenario.fixture.make_luminaire(
         1, Point3(0.0, 0.0, scenario.room.ceiling_height_cm)
     )
+    # f^2 S is the same at every distance and rho^2 d^2 grows with it, so the
+    # pixel count leaves the float range first at the grid's end, if at all
+    try:
+        end_fits = finite(pixel_count(scenario.camera, fixture, grid[-1] * 100.0))
+    except (OverflowError, ValueError):  # d^2, or d in cm, past the float range
+        end_fits = False
+    if not end_fits:
+        raise ConfigError(
+            f"--d-max-m {hi} m takes the pixel count of camera.focal_length_mm="
+            f"{scenario.camera.focal_length_mm!r} and camera.pixel_edge_mm="
+            f"{scenario.camera.pixel_edge_mm!r} past the float range"
+        )
     return harness.run_range_sweep(scenario.camera, fixture, grid)
 
 

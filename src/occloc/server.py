@@ -304,10 +304,6 @@ class LightingServer:
         self.sessions: dict[str, Session] = {}
         self.archive: dict[str, dict] = {}
 
-    def _in_extended_bounds(self, p: Point3) -> bool:
-        x_lo, x_hi, y_lo, y_hi, z_lo, z_hi = self._bounds
-        return x_lo <= p.x <= x_hi and y_lo <= p.y <= y_hi and z_lo <= p.z <= z_hi
-
     def ingest(self, packet: DetectionPacket) -> IngestResult:
         """Resolve, solve, filter, predict. Failed packets (stale clock, too few
         resolvable records, solver failure, a look-ahead innovation variance
@@ -333,11 +329,10 @@ class LightingServer:
         # and as the update's input
         prior = None if cold_start else session.prior
         estimate = solve(self.registry.plan(indices), dists, self.room, prior)
+        position = estimate.position
 
         if cold_start:
-            state = tracker.initial_state(
-                (estimate.position.x, estimate.position.y), self.kalman_config
-            )
+            state = tracker.initial_state((position.x, position.y), self.kalman_config)
         else:
             innovation = session.ahead.p_pos + self.kalman_config.r2
             if innovation == 0.0 or not math.isfinite(1.0 / innovation):
@@ -345,17 +340,17 @@ class LightingServer:
                     f"session {packet.session_id} has a look-ahead innovation variance of "
                     f"{innovation}, too near 0 for a finite gain"
                 )
-            state = tracker.update(
-                session.ahead,
-                (estimate.position.x, estimate.position.y),
-                self.kalman_config,
-            )
-        filtered = Point3(state.x, state.y, estimate.position.z)
+            state = tracker.update(session.ahead, (position.x, position.y), self.kalman_config)
+        filtered = Point3(state.x, state.y, position.z)
         ahead = tracker.predict(state, self.kalman_config)
-        predicted = Point3(ahead.x, ahead.y, estimate.position.z)
+        predicted = Point3(ahead.x, ahead.y, position.z)
+        # the estimate, filtered and predicted points share one z
+        x_lo, x_hi, y_lo, y_hi, z_lo, z_hi = self._bounds
         out_of_bounds = not (
-            self._in_extended_bounds(filtered) and self._in_extended_bounds(estimate.position)
-            and self._in_extended_bounds(predicted)
+            z_lo <= position.z <= z_hi
+            and x_lo <= position.x <= x_hi and y_lo <= position.y <= y_hi
+            and x_lo <= state.x <= x_hi and y_lo <= state.y <= y_hi
+            and x_lo <= ahead.x <= x_hi and y_lo <= ahead.y <= y_hi
         )
 
         self.sessions[packet.session_id] = Session(

@@ -17,7 +17,9 @@ the two unknowns of p:
     2 c_j . p = (|c_j|^2 - mean |c|^2) - (d_j^2 - mean d^2)
 
 The mean equation then gives the height: (z - h)^2 = m = mean(d_j^2 - rho_j^2),
-with rho_j = |c_j - p| each anchor's horizontal distance. So the candidates
+with rho_j = |c_j - p| each anchor's horizontal distance. The c_j sum to
+zero, so mean rho^2 = mean |c|^2 + |p|^2, and m = mean d^2 - mean |c|^2 - |p|^2
+takes no pass over the anchors beyond mean d^2. So the candidates
 are the mirror pair z = h -/+ sqrt(m) below and above the anchor plane or,
 when noise drives m negative, the least-violating point z = h (Manolakis 1996,
 "Efficient solution and performance analysis of 3-D position estimation by
@@ -32,9 +34,9 @@ values decide collinearity, and it gives the least-squares map from the
 right-hand sides to p. Collinear anchors fix p only along their line, which is
 the rank-one part of the same map; the rest is a circle of radius sqrt(m)
 around the line, a CollinearFamily. The plan holds Python floats only, so a
-solve over a set seen before is a few sums over its n distances (math.fsum,
-math.hypot), with no array call: at n = 3 to 17, numpy's per-call dispatch
-cost more than its arithmetic.
+solve over a set seen before is a few map passes over its n distances
+(operator, math.fsum, math.hypot), with no array call: at n = 3 to 17, numpy's
+per-call dispatch cost more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from math import fsum, hypot
 from numbers import Real
-from operator import mul
+from operator import mul, sub
 
 import numpy as np
 
@@ -157,15 +160,15 @@ class AnchorPlan:
     it. It decides collinearity, and it gives the least-squares map
     M = V_r diag(1/2s_r) U_r^T over the first r singular directions, r = 2
     for a plane and 1 along a line, stored as its two coefficient rows. The
-    plan also holds the anchor xy, absolute and centered, the centered |c|^2
-    term of fit_xy, the centroid, the common ceiling height h and the
-    direction of the line, which family needs.
+    plan also holds the anchor xy, the centered |c|^2 terms of fit_xy and
+    their mean, the centroid, the common ceiling height h and the direction
+    of the line, which family needs.
 
     Every solve path (three anchors, least squares, collinear family, floor
     clamp) reads the one plan, and nothing changes it after it is built, so a
     cached plan gives the bits a fresh one does."""
 
-    __slots__ = ("n", "h", "ax", "ay", "centroid", "cx", "cy", "c2_centered", "lsq_map",
+    __slots__ = ("n", "h", "ax", "ay", "centroid", "c2_centered", "c2_mean", "lsq_map",
                  "coincident", "collinear", "direction")
 
     def __init__(self, anchors: "tuple[Point3, ...]"):
@@ -179,12 +182,12 @@ class AnchorPlan:
         # exactly z0 when every anchor sits at z0
         self.h = zs[0] + fsum(z - zs[0] for z in zs) / n
         cx0, cy0 = self.centroid = (fsum(self.ax) / n, fsum(self.ay) / n)
-        self.cx = tuple(x - cx0 for x in self.ax)
-        self.cy = tuple(y - cy0 for y in self.ay)
-        c2 = [x * x + y * y for x, y in zip(self.cx, self.cy)]
-        c2_mean = fsum(c2) / n
+        cx = [x - cx0 for x in self.ax]
+        cy = [y - cy0 for y in self.ay]
+        c2 = [x * x + y * y for x, y in zip(cx, cy)]
+        c2_mean = self.c2_mean = fsum(c2) / n
         self.c2_centered = tuple(c - c2_mean for c in c2)
-        u, s, vt = np.linalg.svd(np.array([self.cx, self.cy]).T, full_matrices=False)
+        u, s, vt = np.linalg.svd(np.array([cx, cy]).T, full_matrices=False)
         self.coincident = bool(s[0] < SINGULAR_FLOOR_CM)
         self.collinear = bool(self.coincident or s[-1] < SINGULAR_FLOOR_CM
                               or s[-1] <= COLLINEARITY_RTOL * s[0])
@@ -197,16 +200,14 @@ class AnchorPlan:
     def fit_xy(self, dists: "list[float]") -> "tuple[tuple[float, float], float, float]":
         """The least-squares horizontal position (along the line, for collinear
         anchors), m = mean(d^2 - rho^2) and mean(d^2), the scale m is rounded
-        at."""
-        n = self.n
-        d2 = [d * d for d in dists]
-        d2_mean = fsum(d2) / n
-        rhs = [c - (e - d2_mean) for c, e in zip(self.c2_centered, d2)]
+        at. m = mean d^2 - (mean |c|^2 + |p|^2), as the c_j sum to zero."""
+        d2 = list(map(mul, dists, dists))
+        d2_mean = fsum(d2) / self.n
+        rhs = list(map(sub, self.c2_centered, map(sub, d2, repeat(d2_mean))))
         mx, my = self.lsq_map
         px = fsum(map(mul, mx, rhs))
         py = fsum(map(mul, my, rhs))
-        m = fsum([e - ((cx - px) * (cx - px) + (cy - py) * (cy - py))
-                  for e, cx, cy in zip(d2, self.cx, self.cy)]) / n
+        m = d2_mean - (self.c2_mean + px * px + py * py)
         cx0, cy0 = self.centroid
         return (cx0 + px, cy0 + py), m, d2_mean
 
@@ -220,12 +221,12 @@ class AnchorPlan:
         h = self.h
         if m >= -1e-10 * d2_mean:
             r = math.sqrt(max(m, 0.0))
-            zs, exact = sorted({h - r, h + r}), True
-        elif allow_approximate:
-            zs, exact = [h], False
-        else:
-            raise NoRealRoot(f"sphere constraint has no real solution (m = {m:.3g} cm^2)")
-        return [Point3(x, y, z) for z in zs], exact
+            low, high = Point3(x, y, h - r), Point3(x, y, h + r)
+            # r = 0, or an r under half an ulp of h, leaves one root
+            return ([low] if low.z == high.z else [low, high]), True
+        if allow_approximate:
+            return [Point3(x, y, h)], False
+        raise NoRealRoot(f"sphere constraint has no real solution (m = {m:.3g} cm^2)")
 
     def family(self, dists: "list[float]") -> CollinearFamily:
         """The circle of solutions around collinear anchors."""
@@ -242,8 +243,9 @@ class AnchorPlan:
     def residual_cm(self, dists: "list[float]", position: Point3) -> float:
         """RMS of (distance to anchor - measured distance) over all anchors,
         each taken at the common height h."""
-        x, y, dz = position.x, position.y, self.h - position.z
-        gaps = [hypot(ax - x, ay - y, dz) - d for ax, ay, d in zip(self.ax, self.ay, dists)]
+        gaps = list(map(sub, map(hypot, map(sub, self.ax, repeat(position.x)),
+                                 map(sub, self.ay, repeat(position.y)),
+                                 repeat(self.h - position.z)), dists))
         return math.sqrt(fsum(map(mul, gaps, gaps)) / self.n)
 
 

@@ -469,6 +469,27 @@ class TestOtherCommands:
         assert lines[0] == "d_m,eta,regime"
         assert len(lines) == 51
 
+    @pytest.mark.parametrize(
+        "data, flags",
+        [
+            ({}, ["--d-min-m", "1", "--d-max-m", "1e300", "--points", "3"]),
+            ({"camera": {"focal_length_mm": 1e154, "pixel_edge_mm": 1e100},
+              "room": {"ceiling_height_cm": 1e300}},
+             ["--d-min-m", "1.1e151", "--d-max-m", "1.2e151"]),
+        ],
+        ids=["distance-squared-overflows", "pixel-count-is-nan"],
+    )
+    def test_range_past_the_float_range_exits_2(self, tmp_path, capsys, data, flags):
+        """The first once ended in an OverflowError traceback from d^2, and the
+        second in "pixel count must be finite and non-negative, got nan", as
+        f^2 S and rho^2 d^2 both overflowed; both exited 1."""
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["range", "--scenario", str(scenario), "--out", str(out), *flags]) == 2
+        assert "--d-max-m" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_filtercmp(self, tmp_path):
         out = tmp_path / "o"
         scenario = tmp_path / "s.json"

@@ -203,8 +203,10 @@ class TestIngest:
         server = LightingServer(make_registry(anchors), RoomConfig(1200.0, 1200.0, 300.0))
         server.restore_session(_snapshot_with_state([590.0, 610.0, 0.0, 0.0], p))
         result = server.ingest(packet_from_truth(Point3(600, 600, 100), 2000, anchors))
-        assert server._in_extended_bounds(result.estimate.position)
-        assert server._in_extended_bounds(result.filtered)
+        x_lo, x_hi, y_lo, y_hi, z_lo, z_hi = server._bounds
+        for inside in (result.estimate.position, result.filtered):
+            assert x_lo <= inside.x <= x_hi and y_lo <= inside.y <= y_hi
+            assert z_lo <= inside.z <= z_hi
         assert max(abs(result.predicted.x), abs(result.predicted.y)) > far_cm
         assert result.out_of_bounds
 

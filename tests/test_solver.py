@@ -843,6 +843,125 @@ class TestSvdCrossCheck:
         _assert_same_estimate(est, _svd_reference_estimate(anchors, dists, ROOM))
 
 
+def _per_anchor_fit(plan, anchors, dists):
+    """fit_xy and residual_cm written anchor by anchor, as the plan once
+    computed them: the centered anchor xy rebuilt from the anchors, p from the
+    plan's least-squares map, m = mean(d_j^2 - rho_j^2) summed over the
+    anchors, and the residual's gaps one hypot at a time. Returns the fit and
+    a residual function."""
+    n = len(anchors)
+    cx0, cy0 = math.fsum(a.x for a in anchors) / n, math.fsum(a.y for a in anchors) / n
+    cx = [a.x - cx0 for a in anchors]
+    cy = [a.y - cy0 for a in anchors]
+    c2 = [x * x + y * y for x, y in zip(cx, cy)]
+    c2_mean = math.fsum(c2) / n
+    d2 = [d * d for d in dists]
+    d2_mean = math.fsum(d2) / n
+    rhs = [(c - c2_mean) - (e - d2_mean) for c, e in zip(c2, d2)]
+    mx, my = plan.lsq_map
+    px = math.fsum([a * r for a, r in zip(mx, rhs)])
+    py = math.fsum([a * r for a, r in zip(my, rhs)])
+    m = math.fsum([e - ((x - px) * (x - px) + (y - py) * (y - py))
+                   for e, x, y in zip(d2, cx, cy)]) / n
+
+    def residual(position):
+        dz = plan.h - position.z
+        gaps = [math.hypot(a.x - position.x, a.y - position.y, dz) - d
+                for a, d in zip(anchors, dists)]
+        return math.sqrt(math.fsum([g * g for g in gaps]) / n)
+
+    return ((cx0 + px, cy0 + py), m, d2_mean), residual
+
+
+class TestPerAnchorReference:
+    """The plan's map passes against the per-anchor formulas they replace: x,
+    y, mean d^2, the mirror roots and the residual bit for bit; m, which now
+    comes from mean d^2 - (mean |c|^2 + |p|^2), within a stated bound of the
+    exact centered solve's m."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        offsets=st.lists(
+            st.tuples(st.floats(-400, 400), st.floats(-400, 400)), min_size=3, max_size=17
+        ),
+        x=st.floats(400, 800),
+        y=st.floats(400, 800),
+        z=st.floats(0, 299),
+        noise=st.lists(st.floats(-30.0, 30.0), min_size=17, max_size=17),
+    )
+    def test_matches_the_per_anchor_formulas(self, offsets, x, y, z, noise):
+        s = np.linalg.svd(np.array(offsets) - np.mean(offsets, axis=0), compute_uv=False)
+        assume(s[-1] > 0.05 * s[0])
+        anchors, exact = measure_from(Point3(x, y, z), [(x + dx, y + dy) for dx, dy in offsets])
+        assume(all(d + e > 0 for d, e in zip(exact, noise)))
+        dists = [d + e for d, e in zip(exact, noise)]
+        plan = solver.AnchorPlan(anchors)
+        (fx, fy), m, d2_mean = plan.fit_xy(dists)
+        (ref_xy, ref_m, ref_d2_mean), ref_residual = _per_anchor_fit(plan, anchors, dists)
+        assert ((fx, fy), d2_mean) == (ref_xy, ref_d2_mean)
+        pool, exact_roots = plan.mirror_pair(dists, allow_approximate=True)
+        if exact_roots:
+            r = math.sqrt(max(m, 0.0))
+            assert [q.z for q in pool] == sorted({plan.h - r, plan.h + r})
+        for q in pool:
+            assert plan.residual_cm(dists, q) == ref_residual(q)
+
+        # m = mean d^2 - (mean |c|^2 + |p|^2) carries p's own rounding dp as
+        # -2 p . dp, as the per-anchor sum does; dp is measured against the
+        # exact p, with the centroid's and the output's rounding. Each formula
+        # itself adds a few ulp of the larger of its two terms, which is mean
+        # d^2 whenever m >= 0 (at most 1.8 ulp in 9,000 random sets).
+        rx, ry, _, m_exact = exact_reference(anchors, dists)
+        gx, gy = plan.centroid
+        p = math.hypot(fx - gx, fy - gy)
+        dp = math.hypot(fx - float(rx), fy - float(ry)) + 2 * math.ulp(max(abs(fx), abs(fy)))
+        scale = math.ulp(max(d2_mean, plan.c2_mean + p * p))
+        for got in (m, ref_m):
+            assert abs(got - float(m_exact)) <= 2 * p * dp + 4 * scale
+
+
+class TestMirrorRoots:
+    """The mirror pair built as (h - r, h + r), one point when the two round
+    to one float. Each estimate is pinned by repr to what the pair's former
+    sorted-set form gave."""
+
+    @pytest.mark.parametrize(
+        "anchors_xy, dists, m_is, expected",
+        [
+            # anchors a few micrometres apart and the phone a hair below them:
+            # r is positive but under half an ulp of h
+            ([(187.91050817409078, 130.4908496534002), (187.9105050531143, 130.49084850549963),
+              (187.9105038212499, 130.49085048372783)],
+             [3.261650554564246e-06, 6.306647566468703e-07, 1.7669158165455303e-06],
+             "positive",
+             "PositionEstimate(position=Point3(x=187.91050495495705, y=130.4908491284789, "
+             "z=300.0), candidates=(), residual_cm=0.0, "
+             "method=<Method.TRILATERATION: 'trilateration'>, family=None)"),
+            # the phone at (15, 31) on the ceiling plane: m is 0 exactly
+            ([(7, 0), (3, 3), (21, 9)],
+             [32.01562118716424, 30.463092423455635, 22.80350850198276],
+             "zero",
+             "PositionEstimate(position=Point3(x=15.000000000000007, y=31.0, z=300.0), "
+             "candidates=(), residual_cm=0.0, "
+             "method=<Method.TRILATERATION: 'trilateration'>, family=None)"),
+            # the phone on the floor, every distance 20 cm long: the lower root
+            # lies below the floor and is clamped to it
+            ([(300, 450), (450, 450), (300, 600)],
+             [348.63353450309967, 327.40852297878797, 355.4101966249685],
+             "positive",
+             "PositionEstimate(position=Point3(x=422.8300015365749, y=509.09644505041746, "
+             "z=0.0), candidates=(), residual_cm=19.444409310111332, "
+             "method=<Method.LEAST_SQUARES: 'least-squares'>, family=None)"),
+        ],
+        ids=["merged-roots", "zero-m", "floor-clamped"],
+    )
+    def test_pinned_by_repr(self, anchors_xy, dists, m_is, expected):
+        anchors = tuple(Point3(float(x), float(y), 300.0) for x, y in anchors_xy)
+        _, m, _ = solver.AnchorPlan(anchors).fit_xy(dists)
+        assert (m > 0.0) if m_is == "positive" else (m == 0.0)
+        assert repr(estimate_position(anchors, dists, ROOM)) == expected
+
+
 class TestFloorLevelPhone:
     """A phone near the floor: ranging noise can push the lower mirror root
     below the floor while the upper one stays above the ceiling."""
