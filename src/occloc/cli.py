@@ -25,25 +25,6 @@ SEED_ENV_VAR = "OCC_SEED"
 MAX_GRID_POINTS = 100_000  # largest sweep grid a command builds
 MAX_BER_BITS = 10**7  # most bits per BER point; each takes about 20 bytes at once
 
-# Each command's run flags: name, type, default and help. The parser, the
-# resolution of each value and the manifest's params all read this table.
-FLAGS = {
-    "track": (),
-    "ber": (
-        ("snir-min", float, 0.0, "grid start in dB"),
-        ("snir-max", float, 15.0, "grid end in dB"),
-        ("snir-step", float, 1.0, "grid step in dB"),
-        ("bits", int, 100_000, "bits per point"),
-    ),
-    "range": (
-        ("d-min-m", float, 1.0, "grid start in m"),
-        ("d-max-m", float, 120.0, "grid end in m"),
-        ("points", int, 120, "grid size"),
-    ),
-    "filtercmp": (("ensemble", int, 100, "ensemble size"),),
-    "validate": (),
-}
-
 
 class ConfigError(Exception):
     pass
@@ -125,7 +106,7 @@ def _flags(args, manifest_params: dict) -> "tuple[dict, dict]":
     left off the command line takes the replayed manifest's value, checked as
     the flag's own, else its default."""
     values, given = {}, {}
-    for name, kind, default, _ in FLAGS[args.command]:
+    for name, kind, default, _ in COMMANDS[args.command][2]:
         flag = getattr(args, name.replace("-", "_"))
         if flag is not None:
             values[name] = given[name] = _checked(flag, f"--{name}", kind)
@@ -230,40 +211,49 @@ def cmd_validate(scenario, flags):
     print("scenario OK")
 
 
-_COMMANDS = {
-    "track": (cmd_track, "run the tracking pipeline, write track.csv"),
-    "ber": (cmd_ber, "OOK BER sweep, write ber.csv"),
-    "range": (cmd_range, "feasibility sweep over distance, write range.csv"),
+# Each command's row: its runner, its help line, its run flags and its
+# outputs. A flag is a name, type, default and help; the parser, the
+# resolution of each value and the manifest's params all read them. The
+# outputs, None for a command that writes nothing, are the CSV writer, then the
+# chart's title and axis labels, x field, lines as (name, y field), and whether
+# y is on a log scale. A command writes <command>.csv, and under --plot
+# <command>.svg beside it.
+COMMANDS = {
+    "track": (cmd_track, "run the tracking pipeline, write track.csv", (),
+              (harness.write_track_csv,
+               ("Tracking error over time", "t (s)", "horizontal error (cm)"),
+               "t_s", (("raw", "raw_err_cm"), ("filtered", "kf_err_cm")), False)),
+    "ber": (cmd_ber, "OOK BER sweep, write ber.csv",
+            (("snir-min", float, 0.0, "grid start in dB"),
+             ("snir-max", float, 15.0, "grid end in dB"),
+             ("snir-step", float, 1.0, "grid step in dB"),
+             ("bits", int, 100_000, "bits per point")),
+            (harness.write_ber_csv, ("OOK bit error rate vs SNIR", "SNIR (dB)", "BER"),
+             "snir_db", (("simulated", "ber_sim"), ("analytic", "ber_theory")), True)),
+    "range": (cmd_range, "feasibility sweep over distance, write range.csv",
+              (("d-min-m", float, 1.0, "grid start in m"),
+               ("d-max-m", float, 120.0, "grid end in m"),
+               ("points", int, 120, "grid size")),
+              (harness.write_range_csv,
+               ("Projected pixel area vs distance", "distance (m)", "pixel area"),
+               "d_m", (("pixel area", "eta"),), True)),
     "filtercmp": (cmd_filtercmp, "filtered vs raw error ensemble, write filtercmp.csv "
-                  "(default scenario: the reference filter comparison)"),
-    "validate": (cmd_validate, "check scenario invariants and the visibility guarantee"),
-}
-
-
-# Each command's outputs: its CSV writer, then its chart's title and axis
-# labels, x field, lines as (name, y field), and whether y is on a log scale.
-# A command writes <command>.csv, and under --plot <command>.svg beside it.
-OUTPUTS = {
-    "track": (harness.write_track_csv,
-              ("Tracking error over time", "t (s)", "horizontal error (cm)"),
-              "t_s", (("raw", "raw_err_cm"), ("filtered", "kf_err_cm")), False),
-    "ber": (harness.write_ber_csv, ("OOK bit error rate vs SNIR", "SNIR (dB)", "BER"),
-            "snir_db", (("simulated", "ber_sim"), ("analytic", "ber_theory")), True),
-    "range": (harness.write_range_csv,
-              ("Projected pixel area vs distance", "distance (m)", "pixel area"),
-              "d_m", (("pixel area", "eta"),), True),
-    "filtercmp": (harness.write_filtercmp_csv,
-                  ("Normalized delivered-position error", "t (s)", "error / initial error"),
-                  "t_s", (("with filter", "err_kf_norm"), ("without filter", "err_raw_norm")),
-                  False),
+                  "(default scenario: the reference filter comparison)",
+                  (("ensemble", int, 100, "ensemble size"),),
+                  (harness.write_filtercmp_csv,
+                   ("Normalized delivered-position error", "t (s)", "error / initial error"),
+                   "t_s", (("with filter", "err_kf_norm"), ("without filter", "err_raw_norm")),
+                   False)),
+    "validate": (cmd_validate, "check scenario invariants and the visibility guarantee", (),
+                 None),
 }
 
 
 def _write_outputs(out_dir: str, command: str, rows, plot: bool) -> list[str]:
-    """Write the command's rows as OUTPUTS declares, and return the file names
-    the manifest lists. The directory is made here, after the run, so a
-    command whose flags fail their checks leaves nothing behind."""
-    write_csv, labels, x_field, lines, log_y = OUTPUTS[command]
+    """Write the command's rows as its row's outputs declare, and return the
+    file names the manifest lists. The directory is made here, after the run,
+    so a command whose flags fail their checks leaves nothing behind."""
+    write_csv, labels, x_field, lines, log_y = COMMANDS[command][3]
     os.makedirs(out_dir, exist_ok=True)
     names = [f"{command}.csv"]
     write_csv(rows, os.path.join(out_dir, names[0]))
@@ -283,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"occloc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_line) in _COMMANDS.items():
+    for command, (_, help_line, flags, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         p.add_argument("--scenario", help="scenario JSON (or a previous run's manifest.json)")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument("--seed", type=int, help="override the scenario seed")
         p.add_argument("--plot", action="store_true", help="emit SVG charts next to the CSVs")
-        for name, kind, default, help_text in FLAGS[command]:
+        for name, kind, default, help_text in flags:
             p.add_argument(f"--{name}", type=kind, help=f"{help_text} (default {default:g})")
     return parser
 
@@ -299,8 +289,9 @@ def main(argv=None) -> int:
     try:
         scenario, manifest_params = load_scenario(args)
         flags, params = _flags(args, manifest_params)
-        rows = _COMMANDS[args.command][0](scenario, flags)
-        if args.command in OUTPUTS:
+        runner, _, _, writes = COMMANDS[args.command]
+        rows = runner(scenario, flags)
+        if writes is not None:
             outputs = _write_outputs(args.out, args.command, rows, args.plot)
             _write_manifest(args.out, args.command, scenario, params, outputs)
             for name in outputs:

@@ -84,6 +84,14 @@ MAX_SNIR_DB = 300.0  # |SNIR| bound of the BER sweep; 10^(SNIR/10) overflows pas
 # some 344 B each, and 14.8 times the 17,689 of a 200 m hall at 150 cm spacing.
 MAX_FIXTURES = 2**18
 MAX_ROOM_CM = 2**16  # the most a room's width or depth may be
+# At most this many ticks in one run: run_tracking holds about 1.9 KB a tick
+# (tracemalloc, the default scenario walked at 0.2 cm/s for 2,000 ticks), so
+# about 120 MiB at the cap.
+MAX_TICKS = 2**16
+# Packets stamp tick k at round(1000 k / sampling_hz) ms, and ingest refuses a
+# stamp that does not advance. At or below 1000 Hz ticks lie at least 1 ms
+# apart, so within MAX_TICKS each stamp advances.
+MAX_SAMPLING_HZ = 1000.0
 
 
 @dataclass(frozen=True)
@@ -162,6 +170,12 @@ class Scenario:
         except ValueError as exc:
             raise ScenarioError(f"sampling_hz={self.sampling_hz} gives a sampling interval "
                                 f"the filter cannot hold: {exc}") from exc
+        if self.sampling_hz > MAX_SAMPLING_HZ:
+            raise ScenarioError(f"sampling_hz={self.sampling_hz} exceeds the {MAX_SAMPLING_HZ:g} "
+                                "Hz that millisecond packet timestamps can tell apart")
+        if self.tick_count() > MAX_TICKS:
+            raise ScenarioError(f"duration_s * sampling_hz gives {self.tick_count()} ticks, "
+                                f"more than the {MAX_TICKS} a run may take")
         if self.led_spacing_cm <= 0:
             raise ScenarioError("led_spacing_cm must be positive")
         if self.duration_s <= 0:

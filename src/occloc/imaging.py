@@ -16,8 +16,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import CameraModel, Luminaire, Pose, distance, finite, incidence_angle
 
 
@@ -126,7 +124,7 @@ def observe_scene(
     camera_pose: Pose,
     camera: CameraModel,
     noise_sigma_pixels: float = 0.0,
-    rng: np.random.Generator | None = None,
+    rng: "numpy.random.Generator | None" = None,
 ) -> "list[Sighting]":
     """Pixel areas of every fixture currently in view, in input order.
 

@@ -364,7 +364,10 @@ class LightingServer:
         A silent interval increments the miss counter (at most once per elapsed
         interval); reaching the limit closes the session and archives its final
         state. Any successful ingest resets the counter. Closed is absorbing.
+        now_ms must be a time a packet can carry, as the snapshot stores it.
         """
+        if not _clock(now_ms):
+            raise ValueError(f"now_ms={now_ms!r} is not an integer in [0, 2**64)")
         session = self.sessions[session_id]
         if session.closed:
             return ProbeStatus(ProbePhase.CLOSED, session.missed_probes)

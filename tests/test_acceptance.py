@@ -206,6 +206,26 @@ def test_criterion_06_ten_cm_tracking_resolution():
                   f"filtered RMS {kf_rms:.2f} cm vs raw {raw_rms:.2f} cm, {elapsed:.1f}s")
 
 
+def test_the_predicted_next_position_rms_is_pinned():
+    """The abstract's 10 cm claim is for "predicting the next possible
+    location": score the look-ahead `predicted` against the next tick's truth,
+    over criterion 6's runs and ticks. Under the default pixel noise it misses
+    10 cm; this pins the figure to 0.01 cm, so a change to the filter or the
+    solve that moves it shows here."""
+    scen = default_scenario()
+    sq = []
+    for j in range(100):
+        records = run_tracking(replace(scen, seed=_member_seed(scen.seed, j)))
+        for rec, nxt in zip(records[10:], records[11:]):
+            assert not (rec.gap or nxt.gap)
+            sq.append((rec.predicted.x - nxt.truth.x) ** 2
+                      + (rec.predicted.y - nxt.truth.y) ** 2)
+    rms = math.sqrt(math.fsum(sq) / len(sq))
+    print(f"look-ahead RMS {rms:.4f} cm over {len(sq)} pairs")
+    assert len(sq) == 3900
+    assert rms == pytest.approx(11.6417, abs=0.01)
+
+
 def test_criterion_07_filter_comparison_curves():
     points = run_filter_comparison(default_filtercmp_scenario(), ensemble_size=100)
     at_10 = next(p for p in points if abs(p.t_s - 10.0) < 1e-9)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import occloc
-from occloc.cli import FLAGS, MAX_BER_BITS, main
+from occloc.cli import COMMANDS, MAX_BER_BITS, main
 from occloc.harness import (
     default_filtercmp_scenario,
     default_scenario,
@@ -84,6 +84,25 @@ class TestTrackCommand:
         assert f"sampling_hz={data['sampling_hz']} gives a sampling interval" in (
             capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "validate"])
+    @pytest.mark.parametrize("rate", [1500, 3000])
+    def test_a_rate_past_the_millisecond_clock_exits_2(self, tmp_path, capsys, command, rate):
+        """validate once passed these, and track exited 1 when two ticks
+        rounded to one millisecond stamp: "timestamp 1 does not advance past
+        1" at 1500 Hz, "timestamp 0 does not advance past 0" at 3000 Hz."""
+        bad = tmp_path / "fast.json"
+        bad.write_text(json.dumps({"sampling_hz": rate, "duration_s": 0.02}))
+        out = tmp_path / "o"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert f"sampling_hz={float(rate)} exceeds the 1000 Hz" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_rate_of_one_tick_a_millisecond_tracks(self, tmp_path):
+        fast = tmp_path / "fast.json"
+        fast.write_text(json.dumps({"sampling_hz": 1000, "duration_s": 0.02}))
+        assert main(["track", "--scenario", str(fast), "--out", str(tmp_path / "o")]) == 0
+        assert len(read(tmp_path / "o" / "track.csv").splitlines()) == 21
 
     @pytest.mark.parametrize("command", ["track", "range", "validate"])
     @pytest.mark.parametrize(
@@ -375,14 +394,15 @@ def test_cli_loads_every_module():
 
 def test_the_package_loads_no_module_and_geometry_and_tracker_need_no_numpy():
     """Each public name is imported from its own module, so import occloc
-    loads none of them; and the filter's modules import with numpy blocked."""
+    loads none of them; and the filter's and the ranging's modules import with
+    numpy blocked."""
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "import occloc\n"
         "loaded = [m for m in sys.modules if m.startswith('occloc.')]\n"
         "assert loaded == [], loaded\n"
-        "import occloc.geometry, occloc.tracker\n"
+        "import occloc.geometry, occloc.imaging, occloc.tracker\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(occloc.__file__).parent.parent)}
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
@@ -603,7 +623,8 @@ class TestManifestParams:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        flag=st.sampled_from([(c, *f) for c, flags in FLAGS.items() for f in flags]),
+        flag=st.sampled_from([(c, *f) for c, (_, _, flags, _) in COMMANDS.items()
+                              for f in flags]),
         wrong=st.one_of(
             st.booleans(), st.text(max_size=4), st.none(),
             st.lists(st.integers(0, 9), max_size=2),

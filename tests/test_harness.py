@@ -15,6 +15,7 @@ from occloc.harness import (
     BER_HEADER,
     FILTERCMP_HEADER,
     MAX_FIXTURES,
+    MAX_TICKS,
     RANGE_HEADER,
     SCAN_MARGIN_CM,
     SCAN_STEP_CM,
@@ -370,6 +371,14 @@ class TestScenarioConfig:
             replace(square, room=RoomConfig(513.0, 512.0, 300.0))
         with pytest.raises(ScenarioError, match="places 262145 fixtures"):
             replace(square, explicit_led_xy_cm=((75.0, 75.0),) * (MAX_FIXTURES + 1))
+
+    def test_the_tick_cap_is_inclusive_and_refused_at_construction(self):
+        """{"duration_s": 1e12} once loaded with 10**12 ticks, about 1.9 KB
+        each once tracked. Only construction runs here."""
+        assert scenario_from_dict({"duration_s": MAX_TICKS}).tick_count() == MAX_TICKS
+        for duration in (MAX_TICKS + 1, 1e12):
+            with pytest.raises(ScenarioError, match=f"ticks, more than the {MAX_TICKS} a run"):
+                scenario_from_dict({"duration_s": duration})
 
     def test_a_hall_is_within_the_fixture_cap(self):
         # perfbench's hall: 200 m square under a 150 cm grid

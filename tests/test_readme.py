@@ -5,8 +5,9 @@ import re
 from pathlib import Path
 
 from occloc import server
-from occloc.cli import FLAGS, MAX_BER_BITS, MAX_GRID_POINTS
-from occloc.harness import MAX_FIXTURES, MAX_ROOM_CM, MAX_SNIR_DB
+from occloc.cli import COMMANDS, MAX_BER_BITS, MAX_GRID_POINTS
+from occloc.harness import (MAX_FIXTURES, MAX_ROOM_CM, MAX_SAMPLING_HZ, MAX_SNIR_DB,
+                            MAX_TICKS)
 from occloc.modem import MIN_BER_BITS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,7 +29,7 @@ def test_names_the_current_snapshot_version():
 def test_command_line_block_names_every_flag_with_its_default():
     block = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
     lines = {line.split()[1]: line for line in block.splitlines()}
-    for command, flags in FLAGS.items():
+    for command, (_, _, flags, _) in COMMANDS.items():
         for name, _, default, _ in flags:
             assert f"--{name} {default:g}" in lines[command], (command, name)
 
@@ -40,5 +41,7 @@ def test_exit_code_paragraph_states_the_bounds():
     for phrase in (f"`--bits` below {MIN_BER_BITS:,} or above {MAX_BER_BITS:,},",
                    f"more than {MAX_GRID_POINTS:,} points", f"beyond ±{MAX_SNIR_DB:g} dB",
                    f"more than {MAX_FIXTURES:,} fixtures (`harness.MAX_FIXTURES`)",
-                   f"deeper than {MAX_ROOM_CM:,} cm (`harness.MAX_ROOM_CM`;"):
+                   f"deeper than {MAX_ROOM_CM:,} cm (`harness.MAX_ROOM_CM`;",
+                   f"above {MAX_SAMPLING_HZ:g} Hz (`harness.MAX_SAMPLING_HZ`;",
+                   f"more than {MAX_TICKS:,} ticks (`harness.MAX_TICKS`;"):
         assert phrase in words, phrase

@@ -337,6 +337,19 @@ class TestProbe:
         server.probe_tick("s1", 4200)
         assert server.sessions["s1"].missed_probes == 1
 
+    @pytest.mark.parametrize("now_ms", [1e30, 2**64 + 5000, -1, 1.5, True])
+    def test_a_clock_a_packet_cannot_carry_is_refused(self, now_ms):
+        """probe_tick once answered PROBING at 1e30 and 2**64 + 5000 and kept
+        either as last_probe_ms, a snapshot that restore_session refuses."""
+        server = make_server()
+        server.ingest(packet_from_truth(Point3(520, 510, 100), 1000))
+        before = server.snapshot("s1")
+        with pytest.raises(ValueError, match=re.escape(f"now_ms={now_ms!r} is not an integer")):
+            server.probe_tick("s1", now_ms)
+        assert server.snapshot("s1") == before
+        assert server.archive == {}
+        make_server().restore_session(json.loads(json.dumps(server.snapshot("s1"))))
+
 
 class TestSnapshot:
     def test_round_trip_through_json(self):
