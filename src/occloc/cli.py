@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -211,36 +212,47 @@ def cmd_validate(scenario, flags):
     print("scenario OK")
 
 
+def _track_cells(r):
+    """A tracking record's cells; a gap tick has NaN estimates and errors."""
+    if r.gap:
+        return (r.t_s, r.truth.x, r.truth.y, *[math.nan] * 6, r.visible)
+    return (r.t_s, r.truth.x, r.truth.y, r.raw.x, r.raw.y, r.filtered.x, r.filtered.y,
+            r.raw_err_cm, r.kf_err_cm, r.visible)
+
+
 # Each command's row: its runner, its help line, its run flags and its
 # outputs. A flag is a name, type, default and help; the parser, the
 # resolution of each value and the manifest's params all read them. The
-# outputs, None for a command that writes nothing, are the CSV writer, then the
-# chart's title and axis labels, x field, lines as (name, y field), and whether
-# y is on a log scale. A command writes <command>.csv, and under --plot
-# <command>.svg beside it.
+# outputs, None for a command that writes nothing, are the CSV header and the
+# function that turns one record into its cells, then the chart's title and
+# axis labels, x column, lines as (name, y column), and whether y is on a log
+# scale. A command writes <command>.csv, and under --plot <command>.svg beside
+# it, drawn from the CSV's own cells.
 COMMANDS = {
     "track": (cmd_track, "run the tracking pipeline, write track.csv", (),
-              (harness.write_track_csv,
+              ("t_s,true_x,true_y,raw_x,raw_y,kf_x,kf_y,raw_err,kf_err,visible", _track_cells,
                ("Tracking error over time", "t (s)", "horizontal error (cm)"),
-               "t_s", (("raw", "raw_err_cm"), ("filtered", "kf_err_cm")), False)),
+               "t_s", (("raw", "raw_err"), ("filtered", "kf_err")), False)),
     "ber": (cmd_ber, "OOK BER sweep, write ber.csv",
             (("snir-min", float, 0.0, "grid start in dB"),
              ("snir-max", float, 15.0, "grid end in dB"),
              ("snir-step", float, 1.0, "grid step in dB"),
              ("bits", int, 100_000, "bits per point")),
-            (harness.write_ber_csv, ("OOK bit error rate vs SNIR", "SNIR (dB)", "BER"),
+            ("snir_db,ber_sim,ber_theory", lambda p: (p.snir_db, p.ber_sim, p.ber_theory),
+             ("OOK bit error rate vs SNIR", "SNIR (dB)", "BER"),
              "snir_db", (("simulated", "ber_sim"), ("analytic", "ber_theory")), True)),
     "range": (cmd_range, "feasibility sweep over distance, write range.csv",
               (("d-min-m", float, 1.0, "grid start in m"),
                ("d-max-m", float, 120.0, "grid end in m"),
                ("points", int, 120, "grid size")),
-              (harness.write_range_csv,
+              ("d_m,eta,regime", lambda p: (p.d_m, p.eta, p.regime.value),
                ("Projected pixel area vs distance", "distance (m)", "pixel area"),
                "d_m", (("pixel area", "eta"),), True)),
     "filtercmp": (cmd_filtercmp, "filtered vs raw error ensemble, write filtercmp.csv "
                   "(default scenario: the reference filter comparison)",
                   (("ensemble", int, 100, "ensemble size"),),
-                  (harness.write_filtercmp_csv,
+                  ("t_s,err_kf_norm,err_raw_norm",
+                   lambda p: (p.t_s, p.err_kf_norm, p.err_raw_norm),
                    ("Normalized delivered-position error", "t (s)", "error / initial error"),
                    "t_s", (("with filter", "err_kf_norm"), ("without filter", "err_raw_norm")),
                    False)),
@@ -249,18 +261,26 @@ COMMANDS = {
 }
 
 
-def _write_outputs(out_dir: str, command: str, rows, plot: bool) -> list[str]:
-    """Write the command's rows as its row's outputs declare, and return the
-    file names the manifest lists. The directory is made here, after the run,
-    so a command whose flags fail their checks leaves nothing behind."""
-    write_csv, labels, x_field, lines, log_y = COMMANDS[command][3]
+def _write_outputs(out_dir: str, command: str, records, plot: bool) -> list[str]:
+    """Write the command's records as its row's outputs declare, and return
+    the file names the manifest lists. A float cell is written as its repr
+    (numpy 2 would print a float64 as np.float64(...)), any other as str. The
+    directory is made here, after the run, so a command whose flags fail their
+    checks leaves nothing behind."""
+    header, cells, labels, x_column, lines, log_y = COMMANDS[command][3]
+    rows = [cells(r) for r in records]
     os.makedirs(out_dir, exist_ok=True)
     names = [f"{command}.csv"]
-    write_csv(rows, os.path.join(out_dir, names[0]))
+    with open(os.path.join(out_dir, names[0]), "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
     if plot:
         names.append(f"{command}.svg")
-        xs = [getattr(r, x_field) for r in rows]
-        series = [(name, xs, [getattr(r, y) for r in rows]) for name, y in lines]
+        index = header.split(",").index
+        xs = [row[index(x_column)] for row in rows]
+        series = [(name, xs, [row[index(y)] for row in rows]) for name, y in lines]
         plots.svg_line_chart(os.path.join(out_dir, names[1]), *labels, series, log_y=log_y)
     return names
 
@@ -290,9 +310,9 @@ def main(argv=None) -> int:
         scenario, manifest_params = load_scenario(args)
         flags, params = _flags(args, manifest_params)
         runner, _, _, writes = COMMANDS[args.command]
-        rows = runner(scenario, flags)
+        records = runner(scenario, flags)
         if writes is not None:
-            outputs = _write_outputs(args.out, args.command, rows, args.plot)
+            outputs = _write_outputs(args.out, args.command, records, args.plot)
             _write_manifest(args.out, args.command, scenario, params, outputs)
             for name in outputs:
                 print(os.path.join(args.out, name))

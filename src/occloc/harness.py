@@ -75,15 +75,11 @@ DEFAULT_PIXEL_SIGMA = 100.0
 SCAN_STEP_CM = 10.0
 SCAN_MARGIN_CM = 75.0
 
-TRACK_HEADER = "t_s,true_x,true_y,raw_x,raw_y,kf_x,kf_y,raw_err,kf_err,visible"
-BER_HEADER = "snir_db,ber_sim,ber_theory"
-RANGE_HEADER = "d_m,eta,regime"
-FILTERCMP_HEADER = "t_s,err_kf_norm,err_raw_norm"
 MAX_SNIR_DB = 300.0  # |SNIR| bound of the BER sweep; 10^(SNIR/10) overflows past about 3,080 dB
 # At most this many fixtures on one ceiling: about 90 MiB of luminaires, at
 # some 344 B each, and 14.8 times the 17,689 of a 200 m hall at 150 cm spacing.
 MAX_FIXTURES = 2**18
-MAX_ROOM_CM = 2**16  # the most a room's width or depth may be
+MAX_ROOM_CM = 2**16  # the most a room's width, depth or ceiling height may be
 # At most this many ticks in one run: run_tracking holds about 1.9 KB a tick
 # (tracemalloc, the default scenario walked at 0.2 cm/s for 2,000 ticks), so
 # about 120 MiB at the cap.
@@ -226,6 +222,14 @@ class Scenario:
             if extent > MAX_ROOM_CM:
                 raise ScenarioError(f"room.{name}={extent!r} exceeds the {MAX_ROOM_CM} cm "
                                     "that 16-bit broadcast coordinates span")
+        # The solver takes no anchor at 1e12 cm or higher, and pixel_count
+        # squares the distance to a fixture, which overflows past about 1e153 cm.
+        if self.room.ceiling_height_cm > MAX_ROOM_CM:
+            raise ScenarioError(
+                f"room.ceiling_height_cm={self.room.ceiling_height_cm!r} exceeds the "
+                f"{MAX_ROOM_CM} cm a ceiling may take: the solver bounds anchor coordinates, "
+                "and the pixel count squares the distance to a fixture"
+            )
         try:  # the constant run_tracking ranges with, checked as FixtureSpec stamps a fixture
             tau_mm = ranging_constant(self.camera, fix.make_luminaire(0, Point3(0.0, 0.0, 0.0)))
         except ValueError:  # it underflows to 0
@@ -669,42 +673,6 @@ def visibility_scan(scenario: Scenario, camera_height_cm: float = 100.0) -> Visi
         if fewest is None or counts[j] < fewest:
             fewest, worst = int(counts[j]), (x, float(ys[j]))
     return VisibilityScan(min_visible=fewest, worst_xy_cm=worst, ok=fewest >= 3)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path, header: str, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_track_csv(records: "list[RunRecord]", path):
-    def cells(r: RunRecord):
-        if r.gap:
-            return (r.t_s, r.truth.x, r.truth.y, math.nan, math.nan, math.nan,
-                    math.nan, math.nan, math.nan, r.visible)
-        return (r.t_s, r.truth.x, r.truth.y, r.raw.x, r.raw.y, r.filtered.x,
-                r.filtered.y, r.raw_err_cm, r.kf_err_cm, r.visible)
-
-    _write_csv(path, TRACK_HEADER, (cells(r) for r in records))
-
-
-def write_ber_csv(points: "list[BerPoint]", path):
-    _write_csv(path, BER_HEADER, ((p.snir_db, p.ber_sim, p.ber_theory) for p in points))
-
-
-def write_range_csv(points: "list[RangePoint]", path):
-    _write_csv(path, RANGE_HEADER, ((p.d_m, p.eta, p.regime.value) for p in points))
-
-
-def write_filtercmp_csv(points: "list[FilterComparisonPoint]", path):
-    _write_csv(path, FILTERCMP_HEADER, ((p.t_s, p.err_kf_norm, p.err_raw_norm) for p in points))
 
 
 def default_scenario() -> Scenario:

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import occloc
-from occloc.cli import COMMANDS, MAX_BER_BITS, main
+from occloc.cli import COMMANDS, MAX_BER_BITS, _write_outputs, main
+from occloc.geometry import Point3
 from occloc.harness import (
     default_filtercmp_scenario,
     default_scenario,
     run_filter_comparison,
+    run_range_sweep,
     run_tracking,
-    write_filtercmp_csv,
-    write_track_csv,
 )
 
 
@@ -228,6 +228,19 @@ class TestTrackCommand:
         assert "room.depth_cm=1000000000000.0 exceeds the 65536 cm" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "track"])
+    @pytest.mark.parametrize("height", [1e154, 1e12], ids=["d-squared-overflows", "anchor-bound"])
+    def test_a_ceiling_past_the_room_bound_exits_2(self, tmp_path, capsys, command, height):
+        """validate once passed both, and track exited 1: with an
+        OverflowError traceback from d^2 in pixel_count at 1e154 cm, and with
+        the solver's "anchor coordinates must lie under 1e+12 cm" at 1e12 cm."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"room": {"ceiling_height_cm": height}, "duration_s": 3}))
+        out = tmp_path / "o"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert f"room.ceiling_height_cm={height!r} exceeds the 65536 cm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_replay_is_byte_identical(self, tmp_path, fast_scenario):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["track", "--scenario", fast_scenario, "--out", str(out_a)]) == 0
@@ -291,9 +304,10 @@ class TestFiltercmpDefault:
         monkeypatch.delenv("OCC_SEED", raising=False)
         out = tmp_path / "o"
         assert main(["filtercmp", "--out", str(out), "--ensemble", "3"]) == 0
-        expected = tmp_path / "expected.csv"
-        write_filtercmp_csv(run_filter_comparison(default_filtercmp_scenario(), 3), expected)
-        assert read(out / "filtercmp.csv") == read(expected)
+        expected = tmp_path / "expected"
+        _write_outputs(str(expected), "filtercmp",
+                       run_filter_comparison(default_filtercmp_scenario(), 3), False)
+        assert read(out / "filtercmp.csv") == read(expected / "filtercmp.csv")
         assert json.loads((out / "manifest.json").read_text())["seed"] == 7
 
     def test_takes_every_seed_that_track_takes(self, tmp_path, monkeypatch):
@@ -373,10 +387,50 @@ class TestPinnedDigests:
     def test_tracking_with_pixel_and_distance_noise(self, tmp_path):
         scenario = replace(default_scenario(), distance_sigma_cm=3.0, seed=11)
         assert scenario.pixel_sigma > 0
-        write_track_csv(run_tracking(scenario), tmp_path / "track.csv")
+        _write_outputs(str(tmp_path), "track", run_tracking(scenario), False)
         assert hashlib.sha256(read(tmp_path / "track.csv")).hexdigest() == (
             "3ae2728cb2e7fff2d395965ca9a2691344a00f5da03ea79323780c0e8d03bbca"
         )
+
+
+class TestCsvColumns:
+    """Each command's CSV header and cells, as its COMMANDS row declares them."""
+
+    def test_golden_headers(self):
+        headers = {command: row[3][0] for command, row in COMMANDS.items() if row[3]}
+        assert headers == {
+            "track": "t_s,true_x,true_y,raw_x,raw_y,kf_x,kf_y,raw_err,kf_err,visible",
+            "ber": "snir_db,ber_sim,ber_theory",
+            "range": "d_m,eta,regime",
+            "filtercmp": "t_s,err_kf_norm,err_raw_norm",
+        }
+
+    def test_track_csv_shape(self, tmp_path):
+        s = replace(default_scenario(), duration_s=5.0)
+        records = run_tracking(s)
+        _write_outputs(str(tmp_path), "track", records, False)
+        lines = (tmp_path / "track.csv").read_text().splitlines()
+        assert lines[0] == COMMANDS["track"][3][0]
+        assert len(lines) == 6
+        assert all(len(line.split(",")) == 10 for line in lines[1:])
+
+    def test_deterministic_bytes(self, tmp_path):
+        s = replace(default_scenario(), duration_s=5.0)
+        p1, p2 = tmp_path / "a", tmp_path / "b"
+        _write_outputs(str(p1), "track", run_tracking(s), False)
+        _write_outputs(str(p2), "track", run_tracking(s), False)
+        assert read(p1 / "track.csv") == read(p2 / "track.csv")
+
+    def test_range_csv(self, tmp_path):
+        s = default_scenario()
+        fixture = s.fixture.make_luminaire(1, Point3(0, 0, 300))
+        points = run_range_sweep(s.camera, fixture, [10.0, 60.0, 110.0])
+        _write_outputs(str(tmp_path), "range", points, False)
+        lines = (tmp_path / "range.csv").read_text().splitlines()
+        assert lines[0] == COMMANDS["range"][3][0]
+        assert lines[1].endswith(",full")
+        assert lines[2].endswith(",degraded")
+        assert lines[3].endswith(",impossible")
 
 
 def test_cli_loads_every_module():
@@ -493,8 +547,9 @@ class TestOtherCommands:
         "data, flags",
         [
             ({}, ["--d-min-m", "1", "--d-max-m", "1e300", "--points", "3"]),
-            ({"camera": {"focal_length_mm": 1e154, "pixel_edge_mm": 1e100},
-              "room": {"ceiling_height_cm": 1e300}},
+            ({"camera": {"focal_length_mm": 6e5, "pixel_edge_mm": 1e100},
+              "fixture": {"radius_mm": 4e148, "area_mm2": None},
+              "room": {"ceiling_height_cm": 65000}},
              ["--d-min-m", "1.1e151", "--d-max-m", "1.2e151"]),
         ],
         ids=["distance-squared-overflows", "pixel-count-is-nan"],

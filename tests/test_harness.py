@@ -8,18 +8,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from occloc import harness
+from occloc.cli import _write_outputs
 from occloc.harness import (
-    BER_HEADER,
-    FILTERCMP_HEADER,
     MAX_FIXTURES,
     MAX_TICKS,
-    RANGE_HEADER,
     SCAN_MARGIN_CM,
     SCAN_STEP_CM,
-    TRACK_HEADER,
     FilterComparisonPoint,
     FixtureSpec,
     Scenario,
@@ -36,10 +33,6 @@ from occloc.harness import (
     scenario_to_dict,
     trajectory_point,
     visibility_scan,
-    write_ber_csv,
-    write_filtercmp_csv,
-    write_range_csv,
-    write_track_csv,
 )
 from occloc.imaging import FeasibilityRegime, distance_from_pixels, observe_scene
 from occloc.geometry import Point3, Pose, RoomConfig
@@ -422,10 +415,12 @@ class TestScenarioConfig:
         assert registry.lookup(65535, 75).x == 65535.4
         assert registry.lookup(0, 225).x == -0.5
 
-    @pytest.mark.parametrize("name", ["width_cm", "depth_cm"])
+    @pytest.mark.parametrize("name", ["width_cm", "depth_cm", "ceiling_height_cm"])
     def test_the_room_spans_at_most_16_bits(self, name):
         """No broadcast names a fixture past 65,535 cm, and visibility_scan
-        once asked numpy for about 745 GiB to scan a room 1e12 cm deep."""
+        once asked numpy for about 745 GiB to scan a room 1e12 cm deep. A
+        1e12 cm ceiling passed, and track then failed on the solver's anchor
+        bound."""
         data = {"room": {name: 1e12}, "luminaires": [[100, 100], [200, 100], [100, 200]]}
         with pytest.raises(ScenarioError,
                            match=rf"room\.{name}=1000000000000\.0 exceeds the 65536 cm"):
@@ -516,9 +511,8 @@ class TestRunTracking:
         records = run_tracking(s)
         assert all(r.gap for r in records)
         assert all(math.isnan(r.raw_err_cm) for r in records)
-        path = tmp_path / "track.csv"
-        write_track_csv(records, path)
-        lines = path.read_text().splitlines()
+        _write_outputs(str(tmp_path), "track", records, False)
+        lines = (tmp_path / "track.csv").read_text().splitlines()
         assert len(lines) == 4
         assert lines[1].split(",")[3] == "nan"
 
@@ -1037,43 +1031,6 @@ class TestVisibilityGuarantee:
         assert visibility_scan(s, camera_height) == _whole_grid_scan(s, camera_height)
 
 
-class TestCsvWriters:
-    def test_golden_headers(self, tmp_path):
-        assert TRACK_HEADER == "t_s,true_x,true_y,raw_x,raw_y,kf_x,kf_y,raw_err,kf_err,visible"
-        assert BER_HEADER == "snir_db,ber_sim,ber_theory"
-        assert RANGE_HEADER == "d_m,eta,regime"
-        assert FILTERCMP_HEADER == "t_s,err_kf_norm,err_raw_norm"
-
-    def test_track_csv_shape(self, tmp_path):
-        s = replace(default_scenario(), duration_s=5.0)
-        records = run_tracking(s)
-        path = tmp_path / "track.csv"
-        write_track_csv(records, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == TRACK_HEADER
-        assert len(lines) == 6
-        assert all(len(line.split(",")) == 10 for line in lines[1:])
-
-    def test_deterministic_bytes(self, tmp_path):
-        s = replace(default_scenario(), duration_s=5.0)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_track_csv(run_tracking(s), p1)
-        write_track_csv(run_tracking(s), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_range_csv(self, tmp_path):
-        s = default_scenario()
-        fixture = s.fixture.make_luminaire(1, Point3(0, 0, 300))
-        points = run_range_sweep(s.camera, fixture, [10.0, 60.0, 110.0])
-        path = tmp_path / "range.csv"
-        write_range_csv(points, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == RANGE_HEADER
-        assert lines[1].endswith(",full")
-        assert lines[2].endswith(",degraded")
-        assert lines[3].endswith(",impossible")
-
-
 _HUGE = 10**400  # an int past the float range
 _S = default_scenario()
 _FIXTURE = _S.fixture.make_luminaire(1, Point3(0.0, 0.0, 300.0))
@@ -1111,3 +1068,78 @@ def test_a_value_that_is_not_finite_raises_value_error(call, message):
     point seeing all 64."""
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# the float range's ends and a few steps between, drawn beside log-uniform values
+_FLOAT_EXTREMES = (5e-324, 2.2e-308, 1e-154, 1e-12, 1e12, 1e154, 1e300, 1.7e308)
+
+
+@st.composite
+def _magnitude(draw, lo: float, hi: float):
+    """A positive number: one time in ten a float extreme, else log-uniform
+    over [lo, hi]."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_FLOAT_EXTREMES))
+    return 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+
+
+@st.composite
+def _scenario_dicts(draw):
+    room = {"width_cm": draw(_magnitude(100.0, 7e4)), "depth_cm": draw(_magnitude(100.0, 7e4)),
+            "ceiling_height_cm": draw(_magnitude(50.0, 1e5))}
+    # waypoints on the floor plan and below the ceiling, as fractions of the room
+    unit = st.floats(0.0, 1.0)
+    waypoints = [[draw(unit) * room["width_cm"], draw(unit) * room["depth_cm"],
+                  draw(st.floats(0.0, 0.95)) * room["ceiling_height_cm"]]
+                 for _ in range(draw(st.integers(1, 3)))]
+    return {
+        "room": room,
+        "camera": {"focal_length_mm": draw(_magnitude(0.1, 100.0)),
+                   "pixel_edge_mm": draw(_magnitude(1e-4, 0.1)),
+                   "fov_full_angle_deg": draw(st.floats(1.0, 179.0))},
+        "fixture": {"radius_mm": draw(_magnitude(1.0, 1e3)), "area_mm2": None},
+        "led_grid": {"spacing_cm": draw(_magnitude(20.0, 2e3)),
+                     "origin_cm": [draw(_magnitude(1.0, 500.0)), draw(_magnitude(1.0, 500.0))]},
+        "trajectory": {"waypoints_cm": waypoints, "speed_cm_s": draw(_magnitude(0.1, 1e3))},
+        "sampling_hz": draw(_magnitude(0.1, 100.0)),
+        "duration_s": draw(_magnitude(0.5, 100.0)),
+        "noise": {"pixel_sigma": draw(_magnitude(1e-3, 1e4)),
+                  "distance_sigma_cm": draw(_magnitude(1e-3, 100.0))},
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+
+
+# The budget each accepted scenario runs within: its ticks, its fixtures and
+# the points of its visibility scan.
+_FUZZ_TICKS, _FUZZ_FIXTURES, _FUZZ_SCAN_POINTS = 60, 5_000, 10_000
+
+
+class TestAcceptedScenariosRun:
+    @given(data=_scenario_dicts())
+    @example(data={"room": {"ceiling_height_cm": 1e154}, "duration_s": 3})
+    @example(data={"room": {"ceiling_height_cm": 1e12}, "duration_s": 3})
+    @settings(max_examples=300, deadline=None)
+    def test_track_is_finite_and_the_scan_returns_or_raises_a_typed_error(self, data):
+        """The two examples passed validation, then track exited 1: an
+        OverflowError from d^2 in pixel_count at 1e154 cm, and the solver's
+        anchor bound at 1e12 cm."""
+        try:
+            s = scenario_from_dict(data)
+        except ScenarioError:
+            return
+        (ox, oy), spacing = s.led_origin_cm, s.led_spacing_cm
+        fixtures = (max(0.0, math.ceil((s.room.width_cm - ox) / spacing))
+                    * max(0.0, math.ceil((s.room.depth_cm - oy) / spacing)))
+        if s.tick_count() > _FUZZ_TICKS or fixtures > _FUZZ_FIXTURES:
+            return
+        for r in run_tracking(s):
+            if not r.gap:
+                points = (r.raw, r.filtered, r.predicted)
+                assert all(math.isfinite(v) for p in points for v in p.as_tuple()), r
+                assert math.isfinite(r.raw_err_cm) and math.isfinite(r.kf_err_cm), r
+        if s.room.width_cm * s.room.depth_cm / SCAN_STEP_CM**2 > _FUZZ_SCAN_POINTS:
+            return
+        try:
+            visibility_scan(s, camera_height_cm=max(wp[2] for wp in s.waypoints_cm))
+        except ValueError:  # ScenarioError among them
+            pass

@@ -42,6 +42,15 @@ def test_exit_code_paragraph_states_the_bounds():
                    f"more than {MAX_GRID_POINTS:,} points", f"beyond ±{MAX_SNIR_DB:g} dB",
                    f"more than {MAX_FIXTURES:,} fixtures (`harness.MAX_FIXTURES`)",
                    f"deeper than {MAX_ROOM_CM:,} cm (`harness.MAX_ROOM_CM`;",
+                   f"a ceiling higher than {MAX_ROOM_CM:,} cm (the same bound;",
                    f"above {MAX_SAMPLING_HZ:g} Hz (`harness.MAX_SAMPLING_HZ`;",
                    f"more than {MAX_TICKS:,} ticks (`harness.MAX_TICKS`;"):
         assert phrase in words, phrase
+
+
+def test_outputs_table_gives_each_row_s_csv_header():
+    """The Outputs table lists, for each command that writes outputs, exactly
+    the CSV header its COMMANDS row declares."""
+    table = re.search(r"### Outputs\n\n(.*?)\n\n", README.read_text(), re.S).group(1)
+    rows = dict(re.findall(r"^\| `(\w+)\.csv` \| `([^`]*)` \|$", table, re.M))
+    assert rows == {command: row[3][0] for command, row in COMMANDS.items() if row[3]}
