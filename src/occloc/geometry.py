@@ -30,12 +30,16 @@ class Point3:
             raise ValueError(f"non-finite point ({x}, {y}, {z})") from None
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError(f"non-finite point ({x}, {y}, {z})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
+
+
+# each slot's own setter, which the frozen __setattr__ does not intercept
+_set_x, _set_y, _set_z = Point3.x.__set__, Point3.y.__set__, Point3.z.__set__
 
 
 def distance(a: Point3, b: Point3) -> float:

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 from itertools import compress
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,6 +205,10 @@ class Scenario:
             # a grid's broadcasts are the product of its rounded axes, so they
             # are distinct and fit exactly when each axis's are
             for origin, extent in zip(self.led_origin_cm, (self.room.width_cm, self.room.depth_cm)):
+                # the axis's first fixture, at the origin, could not broadcast
+                if abs(origin) > MAX_ROOM_CM:
+                    raise ScenarioError(f"led_origin_cm={self.led_origin_cm!r} lies beyond the "
+                                        f"{MAX_ROOM_CM} cm that 16-bit broadcasts span")
                 # more positions than 16-bit values cannot all broadcast apart
                 if (extent - origin) / self.led_spacing_cm > 2**16:
                     raise ScenarioError(
@@ -317,11 +322,11 @@ def trajectory_point(scenario: Scenario, t_s: float) -> Point3:
     return wps[-1]
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One sample tick of a tracking run. Errors are horizontal (x, y)
     distances in cm; gap ticks (fewer than three usable detections, or a
-    solver failure) carry NaN errors and no estimates."""
+    solver failure) carry NaN errors and no estimates. A NamedTuple:
+    immutable, and compared and hashed as the tuple of its fields."""
 
     t_s: float
     truth: Point3
@@ -499,26 +504,14 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
         # every fixture in view gives one sighting, noisy or not
         truth, visible = tick.truth, len(tick.in_view)
         if result is None:
-            records.append(
-                RunRecord(tick.t_s, truth, visible, None, None, None,
-                          math.nan, math.nan, False, True)
-            )
+            records.append(RunRecord(tick.t_s, truth, visible, None, None, None,
+                                     math.nan, math.nan, False, True))
             continue
-        raw = result.estimate.position
-        records.append(
-            RunRecord(
-                t_s=tick.t_s,
-                truth=truth,
-                visible=visible,
-                raw=raw,
-                filtered=result.filtered,
-                predicted=result.predicted,
-                raw_err_cm=math.hypot(raw.x - truth.x, raw.y - truth.y),
-                kf_err_cm=math.hypot(result.filtered.x - truth.x, result.filtered.y - truth.y),
-                cold_start=result.cold_start,
-                gap=False,
-            )
-        )
+        raw, filtered = result.estimate.position, result.filtered
+        records.append(RunRecord(tick.t_s, truth, visible, raw, filtered, result.predicted,
+                                 math.hypot(raw.x - truth.x, raw.y - truth.y),
+                                 math.hypot(filtered.x - truth.x, filtered.y - truth.y),
+                                 result.cold_start, False))
     return records
 
 

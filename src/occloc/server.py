@@ -6,7 +6,9 @@ coordinates with the photogrammetric distance to it; the server resolves the
 coordinates against its stored fixture map, solves for position, runs the
 Kalman recursion, and answers with the filtered position plus the predicted
 next one. Timestamps are caller-supplied logical time, so replaying a packet
-log reproduces every estimate exactly.
+log reproduces every estimate exactly. The answers, IngestResult and
+ProbeStatus, are NamedTuples: immutable, and compared as tuples. The packet
+types are checked frozen dataclasses that set each slot through its setter.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
+from typing import NamedTuple
 
 from .geometry import Luminaire, Point3, RoomConfig, finite
 from .solver import (CEILING_TOLERANCE_CM, AnchorPlan, InsufficientAnchors, PositionEstimate,
@@ -165,11 +168,16 @@ class DetectionPacket:
         return packet
 
     def _set(self, session_id, timestamp_ms, x_cm, y_cm, distance_mm):
-        object.__setattr__(self, "session_id", session_id)
-        object.__setattr__(self, "timestamp_ms", timestamp_ms)
-        object.__setattr__(self, "x_cm", x_cm)
-        object.__setattr__(self, "y_cm", y_cm)
-        object.__setattr__(self, "distance_mm", distance_mm)
+        _set_session_id(self, session_id)
+        _set_timestamp_ms(self, timestamp_ms)
+        _set_x_cm(self, x_cm)
+        _set_y_cm(self, y_cm)
+        _set_distance_mm(self, distance_mm)
+
+
+# each slot's own setter, which the frozen __setattr__ does not intercept
+_set_session_id, _set_timestamp_ms, _set_x_cm, _set_y_cm, _set_distance_mm = (
+    getattr(DetectionPacket, name).__set__ for name in DetectionPacket.__slots__)
 
 
 def _check_header(session_id, timestamp_ms):
@@ -245,8 +253,7 @@ class ProbePhase(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass(frozen=True)
-class ProbeStatus:
+class ProbeStatus(NamedTuple):
     phase: ProbePhase
     missed_probes: int
 
@@ -268,8 +275,7 @@ class Session:
     closed: bool = False
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     """Per-packet answer: the raw solver estimate, the filtered position, the
     one-step-ahead prediction, and bookkeeping flags; out_of_bounds when any
     of the three points leaves the room grown by a tenth on every side."""

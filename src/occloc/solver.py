@@ -48,6 +48,7 @@ from itertools import repeat
 from math import fsum, hypot
 from numbers import Real
 from operator import mul, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,13 +136,13 @@ class CollinearFamily:
         return pts if pts[0] != pts[1] else pts[:1]
 
 
-@dataclass(frozen=True)
-class PositionEstimate:
+class PositionEstimate(NamedTuple):
     """Solved coordinate with its alternative candidates and fit quality.
 
     residual_cm is the RMS mismatch between the measured distances and the
     distances from the chosen position to the anchors; zero iff the
-    measurements are exactly consistent.
+    measurements are exactly consistent. A NamedTuple: immutable, and
+    compared and hashed as the tuple of its fields.
     """
 
     position: Point3
@@ -278,13 +279,8 @@ def _estimate(plan: AnchorPlan, dists: "list[float]", position: Point3, pool,
     """The chosen position, which is one of the pool's points; the rest of
     the pool stays as candidates. The pool's points are distinct, so the
     chosen one is dropped by identity, not by comparing coordinates."""
-    return PositionEstimate(
-        position=position,
-        candidates=tuple(c for c in pool if c is not position),
-        residual_cm=plan.residual_cm(dists, position),
-        method=method,
-        family=family,
-    )
+    return PositionEstimate(position, tuple([c for c in pool if c is not position]),
+                            plan.residual_cm(dists, position), method, family)
 
 
 def _rim_points(family: CollinearFamily, camera_height_cm: float | None) -> "list[Point3]":

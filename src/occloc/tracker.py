@@ -26,6 +26,7 @@ there is bit for bit that of the matrix form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import finite
 
@@ -80,10 +81,10 @@ class KalmanConfig:
 constant_velocity_config = KalmanConfig  # the former factory's name, which perfbench imports
 
 
-@dataclass(frozen=True, slots=True)
-class KalmanState:
+class KalmanState(NamedTuple):
     """Filter state: the mean (x, y, vx, vy) and the per-axis covariance block
-    (p_pos, p_cross, p_vel) that x and y share."""
+    (p_pos, p_cross, p_vel) that x and y share. A NamedTuple: immutable, and
+    compared and hashed as the tuple of its fields."""
 
     x: float
     y: float

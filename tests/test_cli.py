@@ -206,8 +206,9 @@ class TestTrackCommand:
             ({"luminaires": [[75.2, 75], [75.4, 75], [75, 225]]}, "both broadcast (75, 75)"),
             ({"room": {"width_cm": 70000}, "luminaires": [[66000, 75], [225, 75], [75, 225]]},
              "x_cm=66000"),
+            ({"led_grid": {"origin_cm": [75, 1e300]}}, "led_origin_cm=(75.0, 1e+300)"),
         ],
-        ids=["negative", "clash", "past-16-bits"],
+        ids=["negative", "clash", "past-16-bits", "grid-origin-past-16-bits"],
     )
     def test_fixture_that_cannot_broadcast_exits_2(self, tmp_path, capsys, command, data, message):
         bad = tmp_path / "bad.json"

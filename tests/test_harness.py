@@ -398,9 +398,17 @@ class TestScenarioConfig:
             ({"room": {"width_cm": 70000}, "led_grid": {"spacing_cm": 150}},
              r"fixture \(65625.0, 75.0\) broadcasts x_cm=65625"),
             ({"led_grid": {"spacing_cm": 1e-9}}, "more than 65536 fixtures on one grid axis"),
+            # numpy could not size this axis, and validate printed only its
+            # "Maximum allowed size exceeded"
+            ({"led_grid": {"origin_cm": [75, 1e300]}},
+             r"led_origin_cm=\(75.0, 1e\+300\) lies beyond the 65536 cm"),
+            # this grid's axis was empty, and the scenario loaded with no fixture
+            ({"led_grid": {"origin_cm": [1e17, 75]}}, r"led_origin_cm=\(1e\+17, 75.0\)"),
+            ({"led_grid": {"origin_cm": [-1e300, 75]}}, r"led_origin_cm=\(-1e\+300, 75.0\)"),
         ],
         ids=["negative", "rounds-negative", "clash", "past-16-bits", "half-to-even",
-             "sub-cm-grid", "grid-past-16-bits", "grid-too-fine"],
+             "sub-cm-grid", "grid-past-16-bits", "grid-too-fine", "origin-past-numpy",
+             "origin-empties-axis", "origin-far-negative"],
     )
     def test_fixtures_must_broadcast_distinct_16_bit_coordinates(self, data, message):
         with pytest.raises(ScenarioError, match=message):

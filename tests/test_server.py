@@ -1,14 +1,15 @@
 import json
 import math
+import pickle
 import re
 import sys
 import warnings
-from dataclasses import FrozenInstanceError, astuple, replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from occloc.geometry import Circular, Luminaire, Point3, RoomConfig, distance
 from occloc import harness, server as server_module, solver
@@ -594,6 +595,10 @@ class TestRestoreTrackerState:
         p=st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=6),
         height_cm=st.floats(allow_nan=True, allow_infinity=True, width=64),
     )
+    # random draws seldom give a valid state, so both branches get an example:
+    # one valid state, and one whose look-ahead position overflows
+    @example(x=GOOD_X, p=GOOD_P, height_cm=100.0)
+    @example(x=[1e308, 500.0, 1e308, 0.0], p=GOOD_P, height_cm=100.0)
     def test_restore_accepts_exactly_the_valid_states(self, x, p, height_cm):
         """Any 3 finite numbers are a block the server restores, a slightly
         negative posterior p_vel included: no positive-definiteness check.
@@ -602,7 +607,7 @@ class TestRestoreTrackerState:
         server = make_server()
         valid = (len(x) == 4 and len(p) == 3
                  and all(math.isfinite(v) for v in x + p + [height_cm])
-                 and all(map(math.isfinite, astuple(tracker.predict(
+                 and all(map(math.isfinite, tuple(tracker.predict(
                      tracker.KalmanState(*x, *p), server.kalman_config)))))
         snap = _snapshot_with_state(x, p, height_cm)
         if valid:
@@ -773,6 +778,38 @@ class TestRestoreSessionFields:
         except (SessionClosed, StaleTimestamp):
             return
         assert math.isfinite(result.filtered.x) and math.isfinite(result.predicted.y)
+
+
+_P, _Q = Point3(1.0, 2.0, 100.0), Point3(1.5, 2.5, 100.0)
+_ESTIMATE = solver.PositionEstimate(_P, (Point3(1.0, 2.0, 500.0),), 0.25,
+                                    solver.Method.LEAST_SQUARES)
+
+
+@pytest.mark.parametrize(
+    "cls, values",
+    [
+        (tracker.KalmanState, (500.0, 510.0, 1.0, -2.0, 25.0, 0.5, 1e4)),
+        (solver.PositionEstimate, tuple(_ESTIMATE)),
+        (server_module.IngestResult, (_ESTIMATE, _P, _Q, False, 1, True)),
+        (server_module.ProbeStatus, (ProbePhase.PROBING, 2)),
+        (harness.RunRecord, (3.0, _Q, 17, _P, _P, _Q, 0.5, 0.25, False, False)),
+    ],
+    ids=["KalmanState", "PositionEstimate", "IngestResult", "ProbeStatus", "RunRecord"],
+)
+def test_per_packet_results_are_immutable_values(cls, values):
+    """The records built once or more per packet are NamedTuples: fields
+    that cannot be assigned, equality and hashing by field, a dataclass-style
+    repr, pickling, and no per-instance dict."""
+    value = cls(*values)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert value == cls(*values) and hash(value) == hash(cls(*values))
+    assert value == values  # compared as the tuple of its fields
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={v!r}" for name, v in zip(cls._fields, values)) + ")"
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert not hasattr(value, "__dict__")
 
 
 class TestPacketLines:
