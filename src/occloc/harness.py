@@ -181,8 +181,7 @@ class Scenario:
             raise ScenarioError("speed_cm_s must be non-negative")
         if self.pixel_sigma < 0 or self.distance_sigma_cm < 0:
             raise ScenarioError("noise sigmas must be non-negative")
-        if not (0 <= self.seed < 2**64):
-            raise ScenarioError("seed must fit an unsigned 64-bit value")
+        _check_seed(self.seed)
         if not self.waypoints_cm:
             raise ScenarioError("trajectory needs at least one waypoint")
         for wp in self.waypoints_cm:
@@ -281,6 +280,25 @@ class Scenario:
         return int(round(self.duration_s * self.sampling_hz))
 
 
+def _check_seed(seed):
+    """Raise ScenarioError unless seed is an int, not a boolean, in [0, 2**64),
+    which the random generator takes as it is."""
+    if type(seed) is not int:
+        raise ScenarioError(f"seed must be an integer, not {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ScenarioError("seed must fit an unsigned 64-bit value")
+
+
+def _with_seed(scenario: Scenario, seed: int) -> Scenario:
+    """scenario with seed in place of its own. The other fields passed
+    Scenario's checks when scenario was built, so only the seed is checked:
+    unlike replace(), this runs no __post_init__."""
+    _check_seed(seed)
+    member = object.__new__(type(scenario))
+    member.__dict__.update(vars(scenario), seed=seed)
+    return member
+
+
 def _check_fixture_count(n: int):
     if n > MAX_FIXTURES:
         raise ScenarioError(f"the scenario places {n} fixtures, more than the {MAX_FIXTURES} "
@@ -377,7 +395,8 @@ class _Tick:
     """One sample of the noise-free walk: the time, the truth, the fixtures
     inside the view cone, in ceiling order, and the columns of its ranged
     sightings: the decoded broadcast x_cm and y_cm and the distance in mm of
-    each."""
+    each. Then the time stamp of its packet, and the span of its distances
+    in the walk's array of all of them."""
 
     t_s: float
     truth: Point3
@@ -385,6 +404,25 @@ class _Tick:
     x_cm: "tuple[int, ...]"
     y_cm: "tuple[int, ...]"
     dists_mm: "tuple[float, ...]"
+    stamp_ms: int
+    span: slice
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """The noise-free walk: its ticks, in tick order, the filter for its
+    sampling interval, and the ranged distances of all ticks as one read-only
+    float64 array, in tick order, each tick's at its span. A walk is read by
+    iterating it, which gives its ticks. The array serves a run with distance
+    noise; a tick's own distances, a tuple, serve a run without it and the
+    tests that check the walk tick by tick."""
+
+    ticks: "tuple[_Tick, ...]"
+    kalman_config: KalmanConfig
+    dists_mm: np.ndarray
+
+    def __iter__(self):
+        return iter(self.ticks)
 
 
 def _ranged(sightings, tau_mm: float, coords
@@ -409,7 +447,7 @@ _walk_key = attrgetter(*_WALK_FIELDS)
 # seed or the noise, so an ensemble's members, which differ only in their
 # seeds, share it. Every run reads the same objects, so nothing may modify them.
 @lru_cache(maxsize=1)
-def _walk(key: tuple) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
+def _walk(key: tuple) -> "tuple[_Ceiling, _Walk]":
     """The ceiling and the noise-free walk of the scenario whose _walk_key is
     key. Only a miss builds (and so checks) that scenario."""
     scenario = Scenario(**dict(zip(_WALK_FIELDS, key)), pixel_sigma=0.0)
@@ -426,7 +464,7 @@ def _walk(key: tuple) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
         height_cm=height,
         reach_per_dz=math.tan(math.radians(scenario.camera.fov_semi_angle_deg)),
     )
-    ticks = []
+    ticks, start = [], 0
     for k in range(scenario.tick_count()):
         t_s = k / scenario.sampling_hz
         truth = trajectory_point(scenario, t_s)
@@ -434,9 +472,14 @@ def _walk(key: tuple) -> "tuple[_Ceiling, tuple[_Tick, ...]]":
         sightings = observe_scene(reach, Pose(truth), scenario.camera)
         seen = {sig.led_id for sig in sightings}
         in_view = tuple(lum for lum in reach if lum.led_id in seen)
-        columns = _ranged(sightings, ceiling.tau_mm, ceiling.coords)
-        ticks.append(_Tick(t_s, truth, in_view, *columns))
-    return ceiling, tuple(ticks)
+        x_cm, y_cm, dists_mm = _ranged(sightings, ceiling.tau_mm, ceiling.coords)
+        stamp_ms = int(round(1000.0 * k / scenario.sampling_hz))
+        end = start + len(dists_mm)
+        ticks.append(_Tick(t_s, truth, in_view, x_cm, y_cm, dists_mm, stamp_ms, slice(start, end)))
+        start = end
+    dists_mm = np.array([d for tick in ticks for d in tick.dists_mm], dtype=np.float64)
+    dists_mm.flags.writeable = False
+    return ceiling, _Walk(tuple(ticks), KalmanConfig(dt_s=1.0 / scenario.sampling_hz), dists_mm)
 
 
 def run_tracking(scenario: Scenario) -> "list[RunRecord]":
@@ -446,46 +489,58 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
 
     The ceiling set-up (fixtures, registry, ranging constant and decoded
     broadcasts) and the noise-free walk (per tick the truth, the fixtures in
-    view and the broadcast and distance of each ranged sighting) are
-    cached per process, so the ensemble members of a filter comparison, which
-    differ only in their seeds, build them once. Each tick then draws its noise
-    in the one order a fresh walk would: the pixel noise of every fixture in
-    view first, through observe_scene, then the distance noise of every ranged
-    sighting. Without pixel noise the walk's ranged distances serve as they
-    are, beside the broadcast coordinates it cached for them; with it, the
-    coordinates are looked up for the noisy sightings. The distance noise of a
-    tick is one draw of as many normals as it has ranged sightings, which
-    gives the stream of that many scalar draws, added to the distances one by
-    one. The records in range go to the server as one packet of columns
-    (DetectionPacket.from_columns), and no DetectionRecord is built: when
-    every distance is in range, the columns are the cached (or just ranged)
-    ones as they are."""
+    view, the broadcast and distance of each ranged sighting and the packet's
+    time stamp; the distances of all ticks as one array, and the filter for
+    the sampling interval) are cached per process, so the ensemble members of
+    a filter comparison, which differ only in their seeds, build them once.
+    The noise is drawn in the one order a fresh walk would draw it: tick by
+    tick, the pixel noise of every fixture in view first, through
+    observe_scene, then the distance noise of every ranged sighting. With
+    pixel noise each tick ranges its noisy sightings, looks up their
+    coordinates and draws its distance noise, as many normals as it has
+    ranged sightings. Without it the run draws all its distance noise at
+    once, one normal per distance of the walk, which is the stream of as many
+    scalar draws, adds it to the walk's array and tests the whole run against
+    the range a packet takes; each tick sends its slice beside the broadcast
+    coordinates the walk cached. A tick whose distances are not all in range
+    leaves out the records that are not. The records go to the server as one
+    packet of columns (DetectionPacket.from_columns), and no DetectionRecord
+    is built."""
     ceiling, walk = _walk(_walk_key(scenario))
     tau_mm, coords = ceiling.tau_mm, ceiling.coords
-    server = LightingServer(
-        ceiling.registry,
-        scenario.room,
-        kalman_config=KalmanConfig(dt_s=1.0 / scenario.sampling_hz),
-    )
+    server = LightingServer(ceiling.registry, scenario.room, kalman_config=walk.kalman_config)
     rng = np.random.default_rng(scenario.seed)
+    pixel_sigma = scenario.pixel_sigma
     distance_sigma_mm = scenario.distance_sigma_cm * 10.0
+    # Without pixel noise, the run's noisy distances in walk order, and
+    # whether every one is known to be in range. Generator.normal fills its
+    # array in the order of as many scalar draws, and the numpy add is the
+    # IEEE add, so each is the sum the scalar loop gives.
+    noisy, in_range = None, False
+    if pixel_sigma == 0 and distance_sigma_mm > 0:
+        dists = walk.dists_mm + rng.normal(0.0, distance_sigma_mm, size=walk.dists_mm.size)
+        in_range = not dists.size or bool(MIN_DISTANCE_MM < dists.min()
+                                          and dists.max() < MAX_DISTANCE_MM)
+        noisy = dists.tolist()
 
     records: list[RunRecord] = []
-    for k, tick in enumerate(walk):
-        if scenario.pixel_sigma > 0:
+    for tick in walk:
+        if pixel_sigma > 0:
             sightings = observe_scene(
-                tick.in_view, Pose(tick.truth), scenario.camera, scenario.pixel_sigma, rng
+                tick.in_view, Pose(tick.truth), scenario.camera, pixel_sigma, rng
             )
             x_cm, y_cm, dists_mm = _ranged(sightings, tau_mm, coords)
-        else:
+            if distance_sigma_mm > 0:
+                noise = rng.normal(0.0, distance_sigma_mm, size=len(dists_mm)).tolist()
+                # a list first: a tuple sized up front, not grown from an iterator
+                dists_mm = tuple([d + e for d, e in zip(dists_mm, noise)])
+        elif noisy is None:
             x_cm, y_cm, dists_mm = tick.x_cm, tick.y_cm, tick.dists_mm
-        if distance_sigma_mm > 0:
-            noise = rng.normal(0.0, distance_sigma_mm, size=len(dists_mm)).tolist()
-            # a list first: a tuple sized up front, not grown from an iterator
-            dists_mm = tuple([d + e for d, e in zip(dists_mm, noise)])
+        else:
+            x_cm, y_cm, dists_mm = tick.x_cm, tick.y_cm, tuple(noisy[tick.span])
         # no distance is NaN, so min and max test every one against the range
-        if dists_mm and not (MIN_DISTANCE_MM < min(dists_mm)
-                             and max(dists_mm) < MAX_DISTANCE_MM):
+        if not in_range and dists_mm and not (MIN_DISTANCE_MM < min(dists_mm)
+                                              and max(dists_mm) < MAX_DISTANCE_MM):
             keep = [MIN_DISTANCE_MM < d < MAX_DISTANCE_MM for d in dists_mm]
             x_cm, y_cm, dists_mm = (tuple(compress(column, keep))
                                     for column in (x_cm, y_cm, dists_mm))
@@ -494,9 +549,7 @@ def run_tracking(scenario: Scenario) -> "list[RunRecord]":
         # three records before it touches the session.
         result = None
         if dists_mm:
-            packet = DetectionPacket.from_columns(
-                "sim", int(round(1000.0 * k / scenario.sampling_hz)), x_cm, y_cm, dists_mm
-            )
+            packet = DetectionPacket.from_columns("sim", tick.stamp_ms, x_cm, y_cm, dists_mm)
             try:
                 result = server.ingest(packet)
             except SolverError:
@@ -598,17 +651,17 @@ def run_filter_comparison(scenario: Scenario, ensemble_size: int = 100) -> "list
     """
     if scenario.distance_sigma_cm <= 0:
         raise ValueError("filter comparison needs distance noise > 0")
-    if ensemble_size < 1:
-        raise ValueError("ensemble_size must be positive")
+    if type(ensemble_size) is not int or ensemble_size < 1:
+        raise ValueError(f"ensemble_size must be a positive integer, not {ensemble_size!r}")
     n = scenario.tick_count()
     if n < 2:
         raise ValueError("scenario too short to compare")
-    truths_next = [tick.truth for tick in _walk(_walk_key(scenario))[1][1:]]
+    truths_next = [tick.truth for tick in _walk(_walk_key(scenario))[1]][1:]
     # per tick, the sums of the members' errors, added in member order, and
     # how many members have an estimate there
     sum_kf, sum_raw, count = [0.0] * (n - 1), [0.0] * (n - 1), [0] * (n - 1)
     for j in range(ensemble_size):
-        member = replace(scenario, seed=_member_seed(scenario.seed, j))
+        member = _with_seed(scenario, _member_seed(scenario.seed, j))
         for k, (rec, truth_next) in enumerate(zip(run_tracking(member), truths_next)):
             if rec.gap:
                 continue
@@ -732,13 +785,10 @@ def _waypoints(value, where: str):
     return tuple(_point(wp, where, 3) for wp in _list(value, where))
 
 
-def _seed(value, where: str) -> int:
-    """A scenario file's seed: an int, or a float with no fractional part."""
-    if type(value) is float and value.is_integer():
-        return int(value)
-    if type(value) is not int:
-        raise ScenarioError(f"{where} must be an integer, not {value!r}")
-    return value
+def _seed(value, where: str):
+    """A scenario file's seed, a float with no fractional part as its int;
+    Scenario checks the seed."""
+    return int(value) if type(value) is float and value.is_integer() else value
 
 
 def _fields(default):

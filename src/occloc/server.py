@@ -196,7 +196,9 @@ class LedRegistry:
     it. plan(indices) is the solve plan of those anchors, cached by the index
     tuple up to ANCHOR_CACHE_SIZE sets, so every server on the registry shares
     it. A set that fails the plan's checks raises, so it is never stored and
-    raises again on every call."""
+    raises again on every call. height_span is the lowest and the highest
+    anchor height, which a server tests against its room's ceiling, or ()
+    when there is no anchor."""
 
     def __init__(self, entries: "dict[tuple[int, int], Point3]"):
         for key in entries:
@@ -207,6 +209,7 @@ class LedRegistry:
         heights = {anchor.z for anchor in entries.values()}
         if len(heights) > 1 and max(heights) - min(heights) > CEILING_TOLERANCE_CM:
             raise ValueError("all anchors must share the ceiling height")
+        self.height_span = (min(heights), max(heights)) if heights else ()
         anchors = self.anchors = tuple(entries.values())
         self._index = {key: i for i, key in enumerate(entries)}
         # the closure holds the anchors, not the registry, so no cycle keeps it
@@ -297,8 +300,10 @@ class LightingServer:
     ):
         """Raises ValueError unless every registered anchor lies within
         CEILING_TOLERANCE_CM of the room's ceiling, which each solve requires."""
-        if any(abs(anchor.z - room.ceiling_height_cm) > CEILING_TOLERANCE_CM
-               for anchor in registry.anchors):
+        # fl(z - c) is monotone in z, so no anchor lies farther from the
+        # ceiling than the lowest or the highest one
+        if any(abs(z - room.ceiling_height_cm) > CEILING_TOLERANCE_CM
+               for z in registry.height_span):
             raise ValueError("anchor height disagrees with the room ceiling")
         self.registry = registry
         self.room = room

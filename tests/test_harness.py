@@ -282,6 +282,25 @@ class TestScenarioConfig:
     def test_integral_seeds_accepted(self, seed, expected):
         assert scenario_from_dict({"seed": seed}).seed == expected
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(1.5, "seed must be an integer, not 1.5"), (2.0, "seed must be an integer, not 2.0"),
+         (True, "seed must be an integer, not True"), ("7", "seed must be an integer, not '7'"),
+         (-1, "seed must fit an unsigned 64-bit value"),
+         (2**64, "seed must fit an unsigned 64-bit value")],
+        ids=["fractional", "integral-float", "boolean", "string", "negative", "past-64-bits"],
+    )
+    def test_a_seed_that_is_not_a_64_bit_int_is_refused(self, seed, message):
+        """Scenario takes the seeds a scenario file takes, as ints: 1.5 and
+        2.0 were once taken, and their run raised numpy's TypeError, True ran
+        as seed 1 and "7" raised a bare TypeError. An ensemble member's seed,
+        the one field a member does not take from its checked scenario, is
+        checked alike."""
+        for build in (lambda: Scenario(seed=seed), lambda: harness._with_seed(Scenario(), seed)):
+            with pytest.raises(ScenarioError) as info:
+                build()
+            assert str(info.value) == message
+
     @settings(max_examples=30, deadline=None)
     @given(duration=st.floats(1e160, 1e300), rate=st.floats(1e160, 1e300))
     def test_an_infinite_tick_count_rejected(self, duration, rate):
@@ -892,6 +911,13 @@ class TestFilterComparison:
     def test_requires_distance_noise(self):
         with pytest.raises(ValueError):
             run_filter_comparison(default_scenario(), ensemble_size=2)
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, 0, -1, "3"])
+    def test_an_ensemble_size_that_is_not_a_positive_int_is_refused(self, size):
+        """2.5 and 2.0 once raised a bare TypeError from range(), and True
+        ran one member."""
+        with pytest.raises(ValueError, match="ensemble_size must be a positive integer"):
+            run_filter_comparison(default_filtercmp_scenario(), size)
 
     def test_an_all_gap_tick_scores_nan_without_a_warning(self):
         """Fixtures in two far corners leave the middle of the walk out of

@@ -102,6 +102,30 @@ class TestRegistry:
             with pytest.raises(ValueError, match="anchor height disagrees with the room ceiling"):
                 LightingServer(make_registry(), room)
 
+    TOL = solver.CEILING_TOLERANCE_CM
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ceiling=st.sampled_from([300.0, 3.0, 65536.0]) | st.floats(1e-3, 2.0**16),
+        low=st.floats(-2 * TOL, 2 * TOL) | st.sampled_from([-TOL, TOL]),
+        rises=st.lists(st.floats(0.0, TOL) | st.just(TOL), max_size=5),
+    )
+    def test_the_height_span_decides_as_every_anchor_would(self, ceiling, low, rises):
+        """The server tests only the registry's lowest and highest anchor
+        against the ceiling: it builds exactly when no anchor lies farther
+        than CEILING_TOLERANCE_CM from it, anchor by anchor, in floats."""
+        heights = [ceiling + low + rise for rise in (0.0, *rises)]
+        try:
+            registry = LedRegistry({(i, 0): Point3(i, 0, z) for i, z in enumerate(heights)})
+        except ValueError:  # the rounded heights spread past the tolerance
+            reject()
+        room = RoomConfig(1219.0, 1219.0, ceiling)
+        if any(abs(anchor.z - ceiling) > self.TOL for anchor in registry.anchors):
+            with pytest.raises(ValueError, match="anchor height disagrees with the room ceiling"):
+                LightingServer(registry, room)
+        else:
+            LightingServer(registry, room)
+
 
 class TestIngest:
     def test_exact_records_recover_truth(self):
@@ -1432,6 +1456,39 @@ class TestNothingRebuiltOnTheHotPath:
         checked.clear()
         assert harness.run_tracking(member)
         assert checked == []
+
+    def test_a_warm_filter_comparison_checks_no_scenario(self, monkeypatch):
+        """Each member is its scenario with only the seed replaced, so no
+        member runs Scenario's checks again."""
+        s = harness.default_filtercmp_scenario()
+        harness.run_tracking(s)  # the walk is warm now
+        checked = self._counting(monkeypatch, harness.Scenario, "__post_init__")
+        replace(s, seed=12)  # the count sees every scenario built
+        assert len(checked) == 1
+        checked.clear()
+        assert harness.run_filter_comparison(s, 5)
+        assert checked == []
+
+    def test_a_member_without_pixel_noise_draws_its_noise_once(self, monkeypatch):
+        s = harness.default_filtercmp_scenario()
+        assert s.pixel_sigma == 0
+        expected = harness.run_filter_comparison(s, 5)
+        default_rng, made = np.random.default_rng, []
+
+        class Counting:
+            """A generator that counts its normal() calls."""
+
+            def __init__(self, seed):
+                self.rng, self.normals = default_rng(seed), 0
+                made.append(self)
+
+            def normal(self, *args, **kwargs):
+                self.normals += 1
+                return self.rng.normal(*args, **kwargs)
+
+        monkeypatch.setattr(harness.np.random, "default_rng", Counting)
+        assert harness.run_filter_comparison(s, 5) == expected
+        assert [rng.normals for rng in made] == [1] * 5
 
 
 class TestPriorDecidedPackets:
